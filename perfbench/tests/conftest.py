@@ -1,0 +1,9 @@
+# Puts the checkout root (for perfbench) and src/ (for subgeneral) on the path.
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
