@@ -7,9 +7,11 @@ and, for per-place families of targets in l-subgeneral position, compares
 
 where eps_j is the exact Seshadri weight of target j.  The baseline runs the
 same ledger with n+1 targets per place in general position against the bound
-(n+1+eps) h(P).  Points whose ratio exceeds the bound are violators; the
-scanner fits minimal linear spans through violator clusters by exact rank,
-reporting candidates only (never a certified exceptional set).
+(n+1+eps) h(P).  Points whose ratio exceeds the bound are violators (a
+float ratio within its rounding bound of the threshold is decided exactly);
+the scanner fits minimal linear spans through violator clusters with exact
+integer kernels, reporting candidates only (never a certified exceptional
+set).
 
 chain_check verifies, point by point and place by place, the telescoping
 estimate behind the main bound with a fully explicit constant:
@@ -41,13 +43,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
 from .errors import ArgumentError, ConfigRejectedError, DomainError, SupportError
 from .jsonio import parse_rat, rat_str, stable_dumps
 from .linalg import nullspace, primitive, rank_rows
-from .places import Place, parse_place, valuation
+from .places import Place, _ord_p, parse_place
 from .position import check_general, check_subgeneral
 from .projective import (
     LinearForm,
@@ -57,12 +60,20 @@ from .projective import (
 )
 from .quang import (
     CombinationCertificate,
+    _norm_keys,
+    _perm_from_keys,
     chain_constant,
     quang_combine_cached,
-    reorder_by_local_norm,
 )
 from .seshadri import seshadri_constant
-from .weil import SubschemeSpec, Target, is_on_support, target_from_json, target_to_json
+from .weil import (
+    SubschemeSpec,
+    Target,
+    is_on_support,
+    local_weil_ratio,
+    target_from_json,
+    target_to_json,
+)
 
 
 def place_sort_key(v: Place):
@@ -259,7 +270,7 @@ def _exclusion_test(excluded, mode: str):
     def on_excluded(pt: ProjPoint) -> bool:
         coords = pt.coords
         for cf in lin:
-            if not sum(c * x for c, x in zip(cf, coords)):
+            if not sum(map(mul, cf, coords)):
                 return True
         return any(is_on_support(pt, t, mode) for t in rest)
 
@@ -385,6 +396,17 @@ class _Evaluator:
                 self.terms.append((is_arch, p, logp, k, w))
         # evals: (target, (coeffs, degree, log max coeff) or None, component metas or None)
         self.evals = []
+        # ratio_error_bound's slope and offset: sums over the terms of
+        # w*deg and w*log(#coeffs * max|coeff|), the worst component of a
+        # subscheme taken
+        self.err_slope = self.err_offset = 0.0
+        for _, _, _, k, w in self.terms:
+            t = targets[k]
+            comps = t.components if isinstance(t, SubschemeSpec) else (t,)
+            self.err_slope += w * max(c.degree for c in comps)
+            self.err_offset += w * max(
+                math.log(len(c.coeffs) * max(abs(x) for x in c.coeffs)) for c in comps
+            )
         for t in targets:
             if isinstance(t, SubschemeSpec):
                 comps = tuple(
@@ -404,7 +426,7 @@ class _Evaluator:
         for target, meta, comps in self.evals:
             if comps is None:
                 if target.degree == 1:
-                    v = sum(c * x for c, x in zip(meta[0], coords))
+                    v = sum(map(mul, meta[0], coords))
                 else:
                     v = target.evaluate(pt)
                 if v == 0:
@@ -439,6 +461,21 @@ class _Evaluator:
             contributions.append(w * lam)
         return math.fsum(contributions)
 
+    def ratio_error_bound(self, bound: float) -> float:
+        """Bound on |r - exact ratio| for a float ratio r = defect / h that
+        lies within 1 of bound, at any height h >= log 2.
+
+        A term w*lambda adds and scales at most three logs, each within one
+        ulp (log H, log max|coeff|, log|F(P)|; or e*log p with p^e | F(P)),
+        and |F(P)| <= #coeffs * max|coeff| * H^deg, so its absolute error is
+        below 16u * w * (deg*h + log(#coeffs * max|coeff|)) with u = 2^-53;
+        fsum, log h and the division add below 6u * |r|.  The bound returned
+        is more than 2^9 times that worst case.
+        """
+        return 2.0**-40 * (
+            self.err_slope + self.err_offset / math.log(2) + abs(bound) + 1
+        )
+
     @staticmethod
     def _one(val, degree, log_max_coeff, is_arch, p, logp, log_maxx) -> float:
         if is_arch:
@@ -459,6 +496,30 @@ def _evaluator(config: ExperimentConfig) -> _Evaluator:
 def weighted_defect(point: ProjPoint, config: ExperimentConfig) -> float:
     """sum over places and targets of eps_j * lambda_{j,v}(P), Seshadri-weighted."""
     return _evaluator(config).defect(point)
+
+
+def _exceeds_bound_exactly(
+    pt: ProjPoint, config: ExperimentConfig, bound: Fraction
+) -> bool:
+    """defect(P) > bound * h(P), decided in integers.
+
+    Each term is eps_j * log q with q the exact rational of the one-point
+    local value, so with D a common denominator of the weights and the
+    bound the test reads prod q^(D*eps_j) > H^(D*bound), H = max|x_i|.
+    """
+    terms = [
+        (seshadri_constant(t).value, local_weil_ratio(pt, t, place, config.mode))
+        for place, targets in config.arrangements
+        for t in targets
+    ]
+    den = bound.denominator
+    for w, _ in terms:
+        den = lcm(den, w.denominator)
+    lhs = Fraction(1)
+    for w, q in terms:
+        lhs *= q ** int(w * den)
+    hmax = max(abs(c) for c in pt.coords)
+    return lhs > Fraction(hmax) ** int(bound * den)
 
 
 def _defect_batch(args):
@@ -530,6 +591,34 @@ class ChainCheckRecord:
         }
 
 
+@functools.lru_cache(maxsize=100000)
+def _chain_terms(
+    forms: tuple[LinearForm, ...], variety: LinearSubvariety, place: Place
+):
+    """The part of a chain check fixed by the re-sorted family and the place:
+    (certificate, C_v as a rational string, K_v exactly, K_v as a float).
+
+    Exactly, K_v is the rational e^(K_v) at the archimedean place and the
+    integer K_v / log p = n*ord_p(C_v) at a finite one."""
+    cert = quang_combine_cached(forms, variety)
+    c_v = chain_constant(cert, place)
+    l = len(forms) - 1
+    n = variety.dim
+    if place.is_archimedean:
+        big_b = max(max(abs(c) for c in f.coeffs) for f in forms)
+        k_q = (
+            c_v**n
+            * Fraction(big_b) ** l
+            * Fraction(variety.ambient_dim + 1) ** (n * (l - n))
+        )
+        k_f = math.log(k_q.numerator) - math.log(k_q.denominator)
+        return cert, rat_str(c_v), k_q, k_f
+    # K_v = n*log C_v and C_v is a power of p, so log_p C_v = ord_p(C_v)
+    p = place.p
+    k_e = n * (_ord_p(c_v.numerator, p) - _ord_p(c_v.denominator, p))
+    return cert, rat_str(c_v), k_e, k_e * math.log(p)
+
+
 def chain_check(
     point: ProjPoint,
     place: Place,
@@ -543,15 +632,19 @@ def chain_check(
     Raises SupportError when P sits on an input or on a rebuilt combination;
     that makes the sample point inadmissible, not the estimate false.
     """
-    forms = list(arrangement) if arrangement is not None else list(certificate.inputs)
-    if sorted(f.coeffs for f in forms) != sorted(f.coeffs for f in certificate.inputs):
-        raise ArgumentError("arrangement does not match the certificate inputs")
+    forms = list(certificate.inputs)
+    if arrangement is not None:
+        if sorted(f.coeffs for f in arrangement) != sorted(f.coeffs for f in forms):
+            raise ArgumentError("arrangement does not match the certificate inputs")
+        forms = list(arrangement)
     variety = certificate.variety
     l = len(forms) - 1
     n = variety.dim
-    ordering = reorder_by_local_norm(point, place, forms)
-    sorted_forms = tuple(ordering.apply(forms))
-    cert = quang_combine_cached(sorted_forms, variety)
+    in_vals, keys = _norm_keys(point, place, forms)
+    perm = _perm_from_keys(keys)
+    cert, chain_c, k_exact, k_f = _chain_terms(
+        tuple(forms[i - 1] for i in perm), variety, place
+    )
     out_vals = []
     for f in cert.outputs:
         v = f.evaluate(point)
@@ -562,48 +655,39 @@ def chain_check(
                 subject=str(f),
             )
         out_vals.append(v)
-    in_vals = [f.evaluate(point) for f in forms]
-    c_v = chain_constant(cert, place)
     if place.is_archimedean:
         maxx = max(abs(c) for c in point.coords)
-        big_b = max(max(abs(c) for c in f.coeffs) for f in forms)
-        lhs_q = Fraction(1)
-        for f, v in zip(forms, in_vals):
-            lhs_q *= Fraction(maxx * max(abs(c) for c in f.coeffs), abs(v))
-        prod_hat = Fraction(1)
-        for f, v in zip(cert.outputs, out_vals):
-            prod_hat *= Fraction(maxx * max(abs(c) for c in f.coeffs), abs(v))
-        k_q = (
-            c_v**n
-            * Fraction(big_b) ** l
-            * Fraction(variety.ambient_dim + 1) ** (n * (l - n))
+        lhs_q = Fraction(
+            math.prod(maxx * max(abs(c) for c in f.coeffs) for f in forms),
+            abs(math.prod(in_vals)),
         )
-        rhs_q = prod_hat ** (l - n + 1) * k_q
+        prod_hat = Fraction(
+            math.prod(maxx * max(abs(c) for c in f.coeffs) for f in cert.outputs),
+            abs(math.prod(out_vals)),
+        )
+        rhs_q = prod_hat ** (l - n + 1) * k_exact
         lhs = math.log(lhs_q.numerator) - math.log(lhs_q.denominator)
         rhs = math.log(rhs_q.numerator) - math.log(rhs_q.denominator)
-        k_f = math.log(k_q.numerator) - math.log(k_q.denominator)
         passed = lhs_q <= rhs_q
         ratio = rhs_q / lhs_q
         slack = math.log(ratio.numerator) - math.log(ratio.denominator)
     else:
         p = place.p
         logp = math.log(p)
-        lhs_e = sum(valuation(v, p) for v in in_vals)
-        hat_e = sum(valuation(v, p) for v in out_vals)
-        # K_v = n*log C_v and C_v is a power of p, so log_p C_v = ord_p(C_v)
-        k_e = n * valuation(c_v, p) if c_v != 1 else 0
-        rhs_e = (l - n + 1) * hat_e + k_e
-        lhs, rhs, k_f = lhs_e * logp, rhs_e * logp, k_e * logp
+        lhs_e = -sum(keys)  # the keys are -ord_p of the input values
+        hat_e = sum(_ord_p(v, p) for v in out_vals)
+        rhs_e = (l - n + 1) * hat_e + k_exact
+        lhs, rhs = lhs_e * logp, rhs_e * logp
         passed = lhs_e <= rhs_e
         slack = (rhs_e - lhs_e) * logp
     return ChainCheckRecord(
         point=str(point),
         place=place,
-        perm=ordering.perm,
+        perm=perm,
         lhs=lhs,
         rhs=rhs,
         constant_k=k_f,
-        chain_c=rat_str(c_v),
+        chain_c=chain_c,
         slack=slack,
         passed=passed,
     )
@@ -615,7 +699,7 @@ def chain_check(
 
 @dataclass(frozen=True)
 class Candidate:
-    """A linear span through a violator cluster; membership is rank-exact."""
+    """A linear span through a violator cluster; membership is exact."""
 
     dim: int
     span_points: tuple[str, ...]
@@ -653,10 +737,12 @@ def exceptional_scan(
 ) -> list[Candidate]:
     """Greedy cover of the violators by small linear spans.
 
-    Spans are fitted through evenly spaced seed subsets by exact rank (a
-    reported span of dimension k really is k-dimensional), qualify when they
-    hold at least `fraction` of all violators, and are then picked greedily
-    by uncovered gain, ties to smaller dimension, then canonical label order.
+    Spans are fitted through evenly spaced seed subsets with an exact
+    integer kernel (a reported span of dimension k really is k-dimensional,
+    and a violator is a member when every kernel form vanishes on it),
+    qualify when they hold at least `fraction` of all violators, and are then
+    picked greedily by uncovered gain, ties to smaller dimension, then
+    canonical label order.
     """
     pts = sorted({str(p): p for p in violators}.items())
     total = len(pts)
@@ -670,37 +756,42 @@ def exceptional_scan(
         seeds = list(range(total))
     else:
         seeds = sorted({round(i * (total - 1) / (nseeds - 1)) for i in range(nseeds)})
+    ncols = variety.ambient_dim + 1
     pool = {}
     for k in range(0, max_dim + 1):
         for subset in combinations(seeds, k + 1):
             rows = [coords[i] for i in subset]
             if rank_rows(rows) != k + 1:
                 continue
+            # the span of the seeds is the annihilator of this kernel basis,
+            # so membership is a row of integer dot products, all zero
+            forms = nullspace(rows, ncols)
             members = tuple(
-                i for i in range(total) if rank_rows(rows + [coords[i]]) == k + 1
+                i
+                for i in range(total)
+                if not any(sum(map(mul, f, coords[i])) for f in forms)
             )
             if Fraction(len(members), total) < fraction:
                 continue
             key = tuple(labels[i] for i in members)
             prev = pool.get(key)
             if prev is None or k < prev[0]:
-                pool[key] = (k, subset, members)
+                pool[key] = (k, subset, members, forms)
     chosen: list[Candidate] = []
     covered: set[int] = set()
     entries = sorted(pool.items())
     while entries and len(chosen) < max_candidates and len(covered) < total:
         best = None
-        for key, (k, subset, members) in entries:
+        for key, (k, subset, members, forms) in entries:
             gain = sum(1 for i in members if i not in covered)
             rank_key = (-gain, k, key)
             if gain > 0 and (best is None or rank_key < best[0]):
-                best = (rank_key, key, k, subset, members)
+                best = (rank_key, key, k, subset, members, forms)
         if best is None:
             break
-        _, key, k, subset, members = best
+        _, key, k, subset, members, forms = best
         entries = [e for e in entries if e[0] != key]
         covered.update(members)
-        forms = nullspace([coords[i] for i in subset], variety.ambient_dim + 1)
         chosen.append(
             Candidate(
                 dim=k,
@@ -742,14 +833,14 @@ class DefectReport:
         return float(self.bound)
 
     def iter_records(self):
-        b = self.bound_float
+        flagged = set(self.violators)
         for i in range(len(self.points)):
             yield {
                 "point": self.points[i],
                 "height": self.heights[i],
                 "weighted_sum": self.sums[i],
                 "ratio": self.ratios[i],
-                "violator": self.ratios[i] > b,
+                "violator": self.points[i] in flagged,
             }
 
     def to_json_dict(self, include_records: bool = True) -> dict:
@@ -781,7 +872,7 @@ class DefectReport:
         return stable_dumps(self.to_json_dict(include_records))
 
     def write_csv(self, fh) -> None:
-        b = self.bound_float
+        flagged = set(self.violators)
         fh.write("point,height,weighted_sum,ratio,violator\n")
         for i in range(len(self.points)):
             fh.write(
@@ -791,7 +882,7 @@ class DefectReport:
                     self.heights[i],
                     self.sums[i],
                     self.ratios[i],
-                    self.ratios[i] > b,
+                    self.points[i] in flagged,
                 )
             )
 
@@ -893,6 +984,8 @@ def _run(
     excluded_support: list[str] = []
     excluded_height: list[str] = []
     bound_f = float(bound)
+    # float ratios this close to the bound are decided exactly
+    tie_band = _evaluator(config).ratio_error_bound(bound_f)
     for i in order:
         d = defects[i]
         label = labels[i]
@@ -909,7 +1002,10 @@ def _run(
         heights.append(h)
         sums.append(d)
         ratios.append(r)
-        if r > bound_f:
+        violator = r > bound_f
+        if abs(r - bound_f) <= tie_band:
+            violator = _exceeds_bound_exactly(pts[i], config, bound)
+        if violator:
             violators.append(label)
             violator_pts.append(pts[i])
     candidates = exceptional_scan(

@@ -4,6 +4,13 @@ Everything here is used on matrices with at most a handful of rows and
 columns, so clarity and exactness win over asymptotics.  Integer inputs take
 a fraction-free elimination path (rank_rows); rational reductions go through
 a plain Gaussian RREF on Fractions.
+
+Rowspace membership: in_rowspace compares two ranks, two eliminations per
+vector.  Over Q the rowspace of E is the annihilator of its nullspace, so a
+caller that tests many vectors against one E computes an integer basis N =
+nullspace(E) once; v lies in rowspace(E) exactly when every dot product
+v . N_j is zero.  The combination construction and the exceptional scan test
+membership this way.
 """
 
 from __future__ import annotations

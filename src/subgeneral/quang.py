@@ -18,6 +18,14 @@ forms first, with each coordinate running through 0, 1, -1, 2, -2, ...
 That order makes already-general families reproduce themselves (the
 identity pattern) and keeps certificates reproducible bit for bit.
 
+Membership is tested without elimination per candidate.  Each round reduces
+the excluded rowspace once, to an integer nullspace basis N, and forms the
+integer matrix M = (spanning rows) . N^T.  A candidate coefficient vector c
+gives a combination inside the excluded rowspace exactly when c . M = 0, so
+a candidate costs a few integer dot products.  The construction excludes
+rowspace(X's forms, L'_1..L'_{t-1}) itself: every candidate lies in the
+span, so that is the same as excluding its intersection with the span.
+
 The certificate records the exact rational coefficient matrix (combination
 scaled by the output's normalization), so replaying it reproduces the
 output forms exactly, and the per-place constants
@@ -34,6 +42,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -43,8 +52,8 @@ from .errors import (
     SupportError,
 )
 from .jsonio import parse_rat, rat_str, stable_dumps
-from .linalg import in_rowspace, intersect_rowspaces, primitive, rank_rows
-from .places import INF, Place, valuation
+from .linalg import nullspace, primitive, rank_rows
+from .places import INF, Place, _ord_p
 from .position import PositionReport, check_general, check_subgeneral
 from .projective import LinearForm, LinearSubvariety, ProjPoint
 
@@ -58,25 +67,42 @@ def _alphabet(m: int) -> list[int]:
     return out
 
 
+def _exclusion_columns(span_rows, rows, ncols: int) -> list[tuple[int, ...]]:
+    """Columns of M = span_rows . N^T for an integer nullspace basis N of rows.
+
+    Over Q, rowspace(rows) is the annihilator of N, so the combination
+    c . span_rows lies in rowspace(rows) exactly when c . M = 0."""
+    return [
+        tuple(sum(map(mul, row, nvec)) for row in span_rows)
+        for nvec in nullspace(rows, ncols)
+    ]
+
+
 def _enumerate_avoiding(span_rows, excluded_rowsets):
     """First integer coefficient vector whose combination misses every
     excluded rowspace; returns (coeffs, combination vector)."""
     k = len(span_rows)
     ncols = len(span_rows[0])
+    column_sets = [
+        _exclusion_columns(span_rows, ex, ncols) for ex in excluded_rowsets
+    ]
     for m in range(1, _MAX_COEFF + 1):
         alpha = _alphabet(m)
         for rev in product(alpha, repeat=k):
             if max(abs(c) for c in rev) != m:
                 continue  # handled at a smaller bound
             coeffs = rev[::-1]
+            if any(
+                all(not sum(map(mul, coeffs, col)) for col in cols)
+                for cols in column_sets
+            ):
+                continue
             vec = [0] * ncols
             for c, row in zip(coeffs, span_rows):
                 if c:
                     for i in range(ncols):
                         vec[i] += c * row[i]
             if not any(vec):
-                continue
-            if any(in_rowspace(vec, ex) for ex in excluded_rowsets):
                 continue
             return coeffs, vec
     raise RuntimeError("avoidance enumeration exhausted; this is a bug")
@@ -216,7 +242,6 @@ def quang_combine(
             % (l, len(report.witnesses)),
             report=report,
         )
-    ncols = variety.ambient_dim + 1
     outputs = [forms[0]]
     rows: list[tuple[Fraction, ...]] = [
         tuple([Fraction(1)] + [Fraction(0)] * l)
@@ -224,11 +249,10 @@ def quang_combine(
     gamma_stack = [list(f.coeffs) for f in variety.forms] + [list(forms[0].coeffs)]
     for t in range(2, n + 2):
         hi = l - n + t  # spanning forms are inputs 2..hi (1-based)
-        span_forms = forms[1:hi]
-        span_rows = [list(f.coeffs) for f in span_forms]
-        forbidden = intersect_rowspaces(span_rows, gamma_stack, ncols)
-        excluded = [[list(v) for v in forbidden]] if forbidden else []
-        coeffs, vec = _enumerate_avoiding(span_rows, excluded)
+        span_rows = [list(f.coeffs) for f in forms[1:hi]]
+        # the combination lies in the span, so it meets rowspace(gamma) only
+        # inside span cap rowspace(gamma): excluding rowspace(gamma) suffices
+        coeffs, vec = _enumerate_avoiding(span_rows, [gamma_stack])
         prim = primitive(vec)
         lead = next(i for i, v in enumerate(prim) if v)
         scale = Fraction(prim[lead], vec[lead])
@@ -292,7 +316,7 @@ def chain_constant(cert: CombinationCertificate, place: Place) -> Fraction:
     for row in rows:
         for c in row:
             if c:
-                e = valuation(c, place.p)
+                e = _ord_p(c.numerator, place.p) - _ord_p(c.denominator, place.p)
                 if min_ord is None or e < min_ord:
                     min_ord = e
     if min_ord is None:
@@ -315,16 +339,12 @@ class Ordering:
         return {"place": str(self.place), "perm": list(self.perm)}
 
 
-def reorder_by_local_norm(point: ProjPoint, place: Place, forms) -> Ordering:
-    """Sort hyperplanes by how v-adically close P sits to each.
-
-    Comparisons are exact: integer absolute values at the archimedean place,
-    valuations at finite ones.  Raises SupportError if P lies on any form.
-    """
-    forms = list(forms)
-    if not forms:
-        raise ArgumentError("nothing to order")
-    keyed = []
+def _norm_keys(point: ProjPoint, place: Place, forms) -> tuple[list[int], list[int]]:
+    """(values L_j(P), sort keys): |L_j(P)| at the archimedean place and
+    -ord_p(L_j(P)) at p, since ||val||_p = p^(-ord).  Ascending keys mean
+    ascending local norm.  Raises SupportError if P lies on any form."""
+    values = []
+    keys = []
     for i, f in enumerate(forms):
         val = f.evaluate(point)
         if val == 0:
@@ -334,10 +354,24 @@ def reorder_by_local_norm(point: ProjPoint, place: Place, forms) -> Ordering:
                 subject=str(f),
                 component=i + 1,
             )
-        if place.is_archimedean:
-            keyed.append((abs(val), i))
-        else:
-            # ||val||_p = p^(-ord); ascending norm means descending ord
-            keyed.append((-valuation(val, place.p), i))
-    keyed.sort()
-    return Ordering(place, tuple(i + 1 for _, i in keyed))
+        values.append(val)
+        keys.append(abs(val) if place.is_archimedean else -_ord_p(val, place.p))
+    return values, keys
+
+
+def _perm_from_keys(keys) -> tuple[int, ...]:
+    # ties broken by original index
+    return tuple(i + 1 for _, i in sorted(zip(keys, range(len(keys)))))
+
+
+def reorder_by_local_norm(point: ProjPoint, place: Place, forms) -> Ordering:
+    """Sort hyperplanes by how v-adically close P sits to each.
+
+    Comparisons are exact: integer absolute values at the archimedean place,
+    valuations at finite ones.  Raises SupportError if P lies on any form.
+    """
+    forms = list(forms)
+    if not forms:
+        raise ArgumentError("nothing to order")
+    _, keys = _norm_keys(point, place, forms)
+    return Ordering(place, _perm_from_keys(keys))

@@ -172,15 +172,11 @@ def weil_divisor(point: ProjPoint, form: HomForm, place: Place) -> WeilValue:
     return WeilValue(value, place, str(form), str(point), exact)
 
 
-def weil_subscheme(
-    point: ProjPoint, spec: SubschemeSpec, place: Place, mode: str = "lenient"
-) -> WeilValue:
-    """min over components, with two support conventions.
+def _live_components(point: ProjPoint, spec: SubschemeSpec, mode: str):
+    """(components nonzero at P, 1-based indices of the vanishing ones).
 
-    lenient (default): components vanishing at P contribute +infinity to the
-    min and are dropped, provided at least one component is nonzero there.
-    strict: any vanishing component raises SupportError.
-    """
+    Raises SupportError when P lies on the subscheme, or in strict mode on
+    any component."""
     if mode not in ("lenient", "strict"):
         raise ArgumentError("mode must be 'lenient' or 'strict'")
     vals = [c.evaluate(point) for c in spec.components]
@@ -199,7 +195,19 @@ def weil_subscheme(
             subject=str(spec),
             component=zero_idx[0],
         )
-    live = [c for c, v in zip(spec.components, vals) if v != 0]
+    return [c for c, v in zip(spec.components, vals) if v != 0], zero_idx
+
+
+def weil_subscheme(
+    point: ProjPoint, spec: SubschemeSpec, place: Place, mode: str = "lenient"
+) -> WeilValue:
+    """min over components, with two support conventions.
+
+    lenient (default): components vanishing at P contribute +infinity to the
+    min and are dropped, provided at least one component is nonzero there.
+    strict: any vanishing component raises SupportError.
+    """
+    live, zero_idx = _live_components(point, spec, mode)
     if place.is_archimedean:
         best: Optional[Fraction] = None
         for comp in live:
@@ -234,6 +242,29 @@ def local_weil(
     if isinstance(target, SubschemeSpec):
         return weil_subscheme(point, target, place, mode)
     raise ArgumentError("not a Weil target: %r" % (target,))
+
+
+def local_weil_ratio(
+    point: ProjPoint, target: Target, place: Place, mode: str = "lenient"
+) -> Fraction:
+    """The exact rational q with local_weil(...).value == log q.
+
+    q is p^e at a finite place; for a subscheme it is the least q over the
+    live components.  Raises SupportError wherever local_weil does."""
+    if isinstance(target, SubschemeSpec):
+        live, _ = _live_components(point, target, mode)
+    elif isinstance(target, (LinearForm, HomForm)):
+        live = [target]
+    else:
+        raise ArgumentError("not a Weil target: %r" % (target,))
+    best: Optional[Fraction] = None
+    for comp in live:
+        _, exact, q = _form_value_exact(point, comp, place)
+        if exact is not None:
+            q = Fraction(exact[0]) ** exact[1]
+        if best is None or q < best:
+            best = q
+    return best
 
 
 def is_on_support(point: ProjPoint, target: Target, mode: str = "lenient") -> bool:
@@ -285,7 +316,8 @@ def weil_batch(manifest: dict) -> list[dict]:
     """Evaluate a JSON manifest: {points, targets, places, mode?}.
 
     Returns one row dict per (point, target, place), in manifest order.
-    Support hits become rows with value None and a note instead of an error.
+    Support hits become rows with value None and exact "support" instead of
+    an error.
     """
     from .places import parse_place
 

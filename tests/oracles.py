@@ -4,13 +4,18 @@ Everything here is deliberately written on different lines than the package
 code: rank comes from Gauss-Jordan over Fractions (or plain integer
 cross-multiplication for the bulk runs) instead of fraction-free elimination
 with gcd trimming, position verdicts come from a raw subset sweep, and
-factorization is delegated to sympy.
+factorization is delegated to sympy.  The avoidance reference keeps the
+rank-based membership test the combination construction used to run:
+two fresh eliminations per candidate, after an explicit intersection of
+the span with the excluded rowspace.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import sympy
+
+from subgeneral.linalg import in_rowspace, intersect_rowspaces
 
 
 def rank_fraction_gauss(rows) -> int:
@@ -108,3 +113,36 @@ def subgeneral_bruteforce(forms, variety, level: int) -> bool:
 
 def factor_reference(n: int) -> dict:
     return {int(p): int(e) for p, e in sympy.factorint(n).items()}
+
+
+def avoiding_by_rank(span_rows, excluded_rowsets, max_coeff: int = 32):
+    """First (coeffs, combination) in the construction's candidate order
+    whose combination is nonzero and in no excluded rowspace, by in_rowspace.
+
+    The order: increasing max |coefficient| m, and within one m the
+    coefficient vectors read right to left through 0, 1, -1, ..., m, -m.
+    Raises RuntimeError when no candidate up to max_coeff qualifies.
+    """
+    k = len(span_rows)
+    ncols = len(span_rows[0])
+    for m in range(1, max_coeff + 1):
+        alphabet = [0] + [s * j for j in range(1, m + 1) for s in (1, -1)]
+        for rev in product(alphabet, repeat=k):
+            if max(abs(c) for c in rev) != m:
+                continue
+            coeffs = rev[::-1]
+            vec = [
+                sum(c * row[i] for c, row in zip(coeffs, span_rows))
+                for i in range(ncols)
+            ]
+            if any(vec) and not any(in_rowspace(vec, ex) for ex in excluded_rowsets):
+                return coeffs, vec
+    raise RuntimeError("no avoiding candidate")
+
+
+def quang_step_by_intersection(span_rows, excluded_rowsets):
+    """One construction round as it used to run: intersect the span with each
+    excluded rowspace first, then avoid the intersections by rank."""
+    ncols = len(span_rows[0])
+    forbidden = [intersect_rowspaces(span_rows, ex, ncols) for ex in excluded_rowsets]
+    return avoiding_by_rank(span_rows, [[list(v) for v in f] for f in forbidden if f])

@@ -34,6 +34,8 @@ from subgeneral import (
     weighted_defect,
 )
 
+from oracles import rank_fraction_gauss
+
 P1 = projective_space(1)
 P2 = projective_space(2)
 X_LINE = LinearSubvariety(2, (LinearForm((0, 0, 1)),))
@@ -376,6 +378,19 @@ def test_scan_recovers_planted_lines():
     assert forms == {(0, 0, 1), (1, 0, 0)}
 
 
+def test_scan_members_agree_with_rank():
+    cluster_a, cluster_b, scatter = planted_violators()
+    pts = cluster_a + cluster_b + scatter
+    got = exceptional_scan(pts, P2, fraction=Fraction(1, 10))
+    assert got
+    for cand in got:
+        span = [list(ProjPoint.parse(s).coords) for s in cand.span_points]
+        assert rank_fraction_gauss(span) == cand.dim + 1
+        for p in pts:
+            inside = rank_fraction_gauss(span + [list(p.coords)]) == cand.dim + 1
+            assert inside == (str(p) in cand.members)
+
+
 def test_scan_respects_fraction_threshold():
     cluster_a, cluster_b, scatter = planted_violators()
     none = exceptional_scan(
@@ -612,6 +627,35 @@ def test_baseline_ratio_two_is_not_a_violation():
     idx = report.points.index("[16:1]")
     assert report.ratios[idx] == pytest.approx(2.0, abs=1e-12)
     assert report.violators == []
+
+
+def test_violator_tie_is_decided_exactly():
+    # at [3:-4] the weighted sum is log 32 and h = log 4, so the ratio is
+    # exactly the bound 5/2; the float ratio reads 2.5000000000000004
+    cfg = ExperimentConfig(
+        variety=P1,
+        arrangements=(
+            (INF, (LinearForm((2, -3)), LinearForm((3, 2)))),
+            (Place(2), (X1, LinearForm((1, -3)))),
+        ),
+        level=1,
+        epsilon=Fraction(1, 2),
+        h_min=0.0,
+        h_max=2.0,
+        sample_count=None,
+        seed=1,
+    )
+    report = run_main_experiment(cfg)
+    assert report.bound == Fraction(5, 2)
+    idx = report.points.index("[3:-4]")
+    assert report.ratios[idx] > float(report.bound)
+    assert report.violators == ["[1:-2]"]
+    flags = {r["point"]: r["violator"] for r in report.iter_records()}
+    assert flags["[3:-4]"] is False and flags["[1:-2]"] is True
+    buf = io.StringIO()
+    report.write_csv(buf)
+    rows = {line.split(",")[0]: line for line in buf.getvalue().splitlines()}
+    assert rows["[3:-4]"].endswith(",0") and rows["[1:-2]"].endswith(",1")
 
 
 def test_baseline_needs_exactly_dim_plus_one_targets():

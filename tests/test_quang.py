@@ -1,9 +1,14 @@
 """Combination construction: avoidance, certificates, constants, orderings."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+import sympy
+
+import subgeneral
+from subgeneral import linalg, quang
 
 from subgeneral import (
     ArgumentError,
@@ -24,8 +29,10 @@ from subgeneral import (
     sample_points,
     valuation,
 )
+from subgeneral.experiments import chain_check
 
-from gen import strict_arrangement
+from gen import rand_linear_form, strict_arrangement
+from oracles import avoiding_by_rank, quang_step_by_intersection
 
 X0 = LinearForm((1, 0, 0))
 X1 = LinearForm((0, 1, 0))
@@ -56,6 +63,68 @@ def test_avoid_subspaces_result_in_span():
     got = avoid_subspaces([X1, X2], [[LinearForm((0, 1, 1))]])
     assert got.coeffs[0] == 0  # stays inside span(x1, x2)
     assert got != LinearForm((0, 1, 1))
+
+
+def seeded_avoidance_cases(rng):
+    """(span rows, excluded rowsets) in P^3, including dependent span rows,
+    no excluded sets, and excluded sets that meet the span or hold part of it."""
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        span = [list(rand_linear_form(rng, 3, hi=3).coeffs) for _ in range(k)]
+        if rng.random() < 0.3:
+            a, b = rng.choice((1, -1, 2)), rng.choice((1, -2, 3))
+            span.append([a * x + b * y for x, y in zip(span[0], span[-1])])
+        excluded = []
+        for _ in range(rng.randint(0, 2)):
+            rows = [
+                list(rand_linear_form(rng, 3, hi=3).coeffs)
+                for _ in range(rng.randint(1, 2))
+            ]
+            if rng.random() < 0.5:
+                rows.append(list(span[rng.randrange(len(span))]))
+            excluded.append(rows)
+        yield span, excluded
+
+
+def test_enumerate_avoiding_matches_rank_reference():
+    rng = random.Random(31)
+    for span, excluded in seeded_avoidance_cases(rng):
+        forms = [LinearForm(tuple(r)) for r in span if any(r)]
+        ex_forms = [[LinearForm(tuple(r)) for r in ex] for ex in excluded]
+        if any(all(linalg.in_rowspace(row, ex) for row in span) for ex in excluded):
+            with pytest.raises(InfeasibleAvoidanceError):
+                avoid_subspaces(forms, ex_forms)
+            continue
+        expected = avoiding_by_rank(span, excluded)
+        assert quang._enumerate_avoiding(span, excluded) == expected
+        assert avoid_subspaces(forms, ex_forms) == LinearForm(tuple(expected[1]))
+
+
+def test_enumerate_avoiding_edge_cases_match_reference():
+    dependent = [[0, 1, 0], [0, 0, 1], [0, 1, 1]]
+    for excluded in ([], [[[0, 1, 0]]], [[[0, 1, 1], [1, 0, 0]]]):
+        assert quang._enumerate_avoiding(dependent, excluded) == avoiding_by_rank(
+            dependent, excluded
+        )
+    # an excluded set that swallows the span: the enumeration runs dry
+    with pytest.raises(RuntimeError):
+        quang._enumerate_avoiding([[0, 1, 0]], [[[0, 1, 0], [1, 0, 0]]])
+    with pytest.raises(RuntimeError):
+        avoiding_by_rank([[0, 1, 0]], [[[0, 1, 0], [1, 0, 0]]])
+    with pytest.raises(InfeasibleAvoidanceError):
+        avoid_subspaces([X1, X2], [[X0], [X1, X2, X0]])
+
+
+def test_quang_combine_matches_intersection_reference(monkeypatch):
+    rng = random.Random(41)
+    cases = [(n, l) for n in (1, 2, 3) for l in range(n, 7)]
+    certs = []
+    for n, l in cases:
+        forms, variety = strict_arrangement(rng, n, l)
+        certs.append((forms, variety, quang_combine(forms, variety).to_json()))
+    monkeypatch.setattr(quang, "_enumerate_avoiding", quang_step_by_intersection)
+    for forms, variety, text in certs:
+        assert quang_combine(forms, variety).to_json() == text
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +359,55 @@ def test_reorder_sorts_by_exact_norm():
         got2 = reorder_by_local_norm(pt, Place(2), forms)
         ords = [valuation(f.evaluate(pt), 2) for f in got2.apply(forms)]
         assert ords == sorted(ords, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# work on the warm chain-check path
+
+
+def test_warm_chain_check_does_no_elimination_or_primality_work(monkeypatch):
+    counts = {"rank_rows": 0, "isprime": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    rng = random.Random(5)
+    forms, variety = strict_arrangement(rng, 2, 4)
+    cert = quang_combine(forms, variety)
+    pts = sample_points(variety, 0.0, 3.0, 40, seed=5, mode="strict").points
+    places = (INF, Place(2), Place(3))
+
+    def run_checks():
+        out = []
+        for pt in pts:
+            for v in places:
+                try:
+                    out.append(chain_check(pt, v, cert))
+                except SupportError:
+                    pass
+        return out
+
+    warm = run_checks()
+    assert warm
+    # replace every binding of the two functions, wherever it was imported
+    modules = [sympy] + [
+        mod
+        for name, mod in list(sys.modules.items())
+        if mod is not None and name.startswith(subgeneral.__name__)
+    ]
+    for name, original in (("rank_rows", linalg.rank_rows), ("isprime", sympy.isprime)):
+        wrapper = counting(name, original)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    assert run_checks() == warm
+    assert counts == {"rank_rows": 0, "isprime": 0}
+    # the wrappers do see the public entry points
+    valuation(12, 2)
+    linalg.in_rowspace([1, 0, 0, 0], [[1, 0, 0, 0]])
+    assert counts["isprime"] >= 1 and counts["rank_rows"] >= 1

@@ -20,6 +20,7 @@ from subgeneral import (
     height_exact,
     height_scaled,
     is_on_support,
+    local_weil,
     proximity_sum,
     target_from_json,
     target_to_json,
@@ -32,6 +33,8 @@ from subgeneral import (
     weil_hyperplane,
     weil_subscheme,
 )
+
+from subgeneral.weil import local_weil_ratio
 
 from gen import point_off_targets, rand_hom_form, rand_linear_form
 
@@ -114,6 +117,28 @@ def test_weil_subscheme_modes_at_partial_support():
         weil_subscheme(ProjPoint((0, 0, 1)), y, INF, mode="lenient")
     with pytest.raises(ArgumentError):
         weil_subscheme(on_one, y, INF, mode="other")
+
+
+def test_local_weil_ratio_is_the_exact_value():
+    rng = random.Random(17)
+    y = SubschemeSpec((HomForm(2, 1, (1, 0, 0)), HomForm(2, 1, (0, 1, 0))))
+    on_one = ProjPoint((0, 4, 1))  # kills the first component only
+    assert local_weil_ratio(on_one, y, INF) == Fraction(4, 4)
+    assert local_weil_ratio(on_one, y, Place(2)) == 4
+    with pytest.raises(SupportError):
+        local_weil_ratio(on_one, y, INF, mode="strict")
+    for _ in range(30):
+        targets = [
+            rand_linear_form(rng, 2),
+            rand_hom_form(rng, 2, 2),
+            SubschemeSpec((rand_linear_form(rng, 2), rand_hom_form(rng, 2, 3))),
+        ]
+        pt = point_off_targets(rng, targets, 2)
+        for t in targets:
+            for v in (INF, Place(2), Place(3)):
+                q = local_weil_ratio(pt, t, v)
+                value = local_weil(pt, t, v).value
+                assert math.isclose(math.log(q), value, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_is_on_support_modes():
