@@ -28,9 +28,11 @@ is log(M+1) at the archimedean place and 0 elsewhere.  Both sides are
 compared exactly: integer valuation ledgers at finite places, rational norm
 products at the archimedean place; only the reported floats are rounded.
 
-Bulk ledgers (weighted_defect over a sample) run in double precision with
-exact integer valuations at finite places; the one-point routines in the
-local-value module remain the exact reference.
+Bulk ledgers (weighted_defect over a sample) evaluate each distinct target
+once per point and read every local value from the exact kernel of the
+local-value module, the one the one-point routines read, so a weighted sum is
+bit-equal to the fsum of the weighted one-point values.  Exhaustive windows
+predicted to need more than _SWEEP_BUDGET sampler attempts are refused.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ from .seshadri import seshadri_constant
 from .weil import (
     SubschemeSpec,
     Target,
+    _ledger,
+    _live,
     is_on_support,
-    local_weil_ratio,
     target_from_json,
     target_to_json,
 )
@@ -210,6 +213,10 @@ class SampleResult:
     attempts: int
 
 
+# Exhaustive sweeps predicted to need more attempts than this are refused.
+_SWEEP_BUDGET = 2_000_000
+
+
 def _int_window(h_min: float, h_max: float) -> tuple[int, int]:
     """Largest integer window [lo, hi] with h_min <= log(m) <= h_max."""
     if h_max > 500:
@@ -264,15 +271,16 @@ def _line_param_bound(basis, hi: int) -> int:
 
 def _exclusion_test(excluded, mode: str):
     """Fast membership test for a list of excluded supports."""
-    lin = [t.coeffs for t in excluded if isinstance(t, LinearForm)]
-    rest = [t for t in excluded if not isinstance(t, LinearForm)]
+    distinct = dict.fromkeys(excluded)
+    lin = [t.coeffs for t in distinct if isinstance(t, LinearForm)]
+    rest = [t for t in distinct if not isinstance(t, LinearForm)]
 
     def on_excluded(pt: ProjPoint) -> bool:
         coords = pt.coords
         for cf in lin:
             if not sum(map(mul, cf, coords)):
                 return True
-        return any(is_on_support(pt, t, mode) for t in rest)
+        return bool(rest) and any(is_on_support(pt, t, mode) for t in rest)
 
     return on_excluded
 
@@ -302,11 +310,25 @@ def sample_points(
 
     if variety.dim == 1:
         basis = variety.kernel_basis()
+        # on P^1 itself the parameters are the coordinates
+        if variety.ambient_dim == 1:
+            m_lo, m_hi = lo, hi
+        else:
+            m_lo, m_hi = 1, _line_param_bound(basis, hi)
+        # the sweep makes 4*sum(phi(m)) attempts for m_lo <= m <= m_hi, about
+        # (12/pi^2) * (m_hi^2 - (m_lo-1)^2); compared in pi^2 units, which a
+        # huge int does not overflow
+        sweep = 12 * (m_hi**2 - (m_lo - 1) ** 2)
+        if count is None and sweep > _SWEEP_BUDGET * math.pi**2:
+            raise ArgumentError(
+                "exhaustive window up to parameter %d needs more than %d sampler "
+                "attempts; narrow the height window or set sample_count"
+                % (m_hi, _SWEEP_BUDGET)
+            )
         out = []
         attempts = 0
         if variety.ambient_dim == 1:
-            # the projective line itself: parameters are coordinates
-            for m in range(lo, hi + 1):
+            for m in range(m_lo, m_hi + 1):
                 for s, t in _coprime_pairs(m):
                     attempts += 1
                     pt = point_from_canonical((s, t))
@@ -317,7 +339,7 @@ def sample_points(
         else:
             b1, b2 = basis
             ncols = len(b1)
-            for m in range(1, _line_param_bound(basis, hi) + 1):
+            for m in range(m_lo, m_hi + 1):
                 for s, t in _coprime_pairs(m):
                     attempts += 1
                     vec = tuple(s * b1[i] + t * b2[i] for i in range(ncols))
@@ -370,122 +392,63 @@ def sample_points(
 
 
 class _Evaluator:
-    """Prebaked per-config evaluation plan.
+    """Prebaked per-config evaluation plan: one (target, places, exact
+    weights, float weights) entry per distinct target, and the sums behind
+    ratio_error_bound.
 
-    Each distinct target is evaluated once per point; per-place terms reuse
-    those integer values.  Archimedean terms run in double precision,
-    finite-place terms count exact valuations.
+    Each distinct target is evaluated once per point; every local value is
+    read from the exact kernel in the local-value module, so a weighted sum
+    is bit-equal to the fsum of weighted one-point local_weil values.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.mode = config.mode
-        targets: list[Target] = []
-        index: dict[Target, int] = {}
-        # terms: (is_arch, p, log p, target slot, weight)
-        self.terms = []
-        for place, tlist in config.arrangements:
-            is_arch = place.is_archimedean
-            p = 0 if is_arch else place.p
-            logp = 0.0 if is_arch else math.log(p)
-            for t in tlist:
-                k = index.get(t)
-                if k is None:
-                    k = index[t] = len(targets)
-                    targets.append(t)
-                w = float(seshadri_constant(t).value)
-                self.terms.append((is_arch, p, logp, k, w))
-        # evals: (target, (coeffs, degree, log max coeff) or None, component metas or None)
-        self.evals = []
+        plan: dict[Target, tuple] = {}
         # ratio_error_bound's slope and offset: sums over the terms of
         # w*deg and w*log(#coeffs * max|coeff|), the worst component of a
         # subscheme taken
         self.err_slope = self.err_offset = 0.0
-        for _, _, _, k, w in self.terms:
-            t = targets[k]
-            comps = t.components if isinstance(t, SubschemeSpec) else (t,)
-            self.err_slope += w * max(c.degree for c in comps)
-            self.err_offset += w * max(
-                math.log(len(c.coeffs) * max(abs(x) for x in c.coeffs)) for c in comps
-            )
-        for t in targets:
-            if isinstance(t, SubschemeSpec):
-                comps = tuple(
-                    (c.degree, math.log(max(abs(x) for x in c.coeffs)))
-                    for c in t.components
+        for place, tlist in config.arrangements:
+            for t in tlist:
+                eps = seshadri_constant(t).value
+                w = float(eps)
+                places, exact_weights, weights = plan.setdefault(t, ([], [], []))
+                places.append(place)
+                exact_weights.append(eps)
+                weights.append(w)
+                comps = t.components if isinstance(t, SubschemeSpec) else (t,)
+                self.err_slope += w * max(c.degree for c in comps)
+                self.err_offset += w * max(
+                    math.log(len(c.coeffs) * c._max_coeff) for c in comps
                 )
-                self.evals.append((t, None, comps))
-            else:
-                meta = (t.coeffs, t.degree, math.log(max(abs(x) for x in t.coeffs)))
-                self.evals.append((t, meta, None))
+        self.plan = [(t,) + lists for t, lists in plan.items()]
 
     def defect(self, pt: ProjPoint) -> float:
-        coords = pt.coords
-        maxx = max(abs(c) for c in coords)
-        log_maxx = math.log(maxx)
-        values = []
-        for target, meta, comps in self.evals:
-            if comps is None:
-                if target.degree == 1:
-                    v = sum(map(mul, meta[0], coords))
-                else:
-                    v = target.evaluate(pt)
-                if v == 0:
-                    raise SupportError(
-                        "point %s lies on %s" % (pt, target),
-                        point=str(pt),
-                        subject=str(target),
-                    )
-                values.append(v)
-            else:
-                vals = tuple(c.evaluate(pt) for c in target.components)
-                zeros = [v == 0 for v in vals]
-                if all(zeros) or (self.mode == "strict" and any(zeros)):
-                    raise SupportError(
-                        "point %s lies on %s" % (pt, target),
-                        point=str(pt),
-                        subject=str(target),
-                    )
-                values.append(vals)
-        contributions = []
-        for is_arch, p, logp, k, w in self.terms:
-            _, meta, comps = self.evals[k]
-            v = values[k]
-            if comps is None:
-                lam = self._one(v, meta[1], meta[2], is_arch, p, logp, log_maxx)
-            else:
-                lam = min(
-                    self._one(vc, d, lmc, is_arch, p, logp, log_maxx)
-                    for vc, (d, lmc) in zip(v, comps)
-                    if vc != 0
-                )
-            contributions.append(w * lam)
-        return math.fsum(contributions)
+        maxx = max(map(abs, pt.coords))
+        terms = []
+        for target, places, _, weights in self.plan:
+            _, values = _ledger(_live(pt, target, self.mode)[0], maxx, places)
+            terms += map(mul, weights, values)
+        return math.fsum(terms)
 
     def ratio_error_bound(self, bound: float) -> float:
         """Bound on |r - exact ratio| for a float ratio r = defect / h that
         lies within 1 of bound, at any height h >= log 2.
 
-        A term w*lambda adds and scales at most three logs, each within one
-        ulp (log H, log max|coeff|, log|F(P)|; or e*log p with p^e | F(P)),
-        and |F(P)| <= #coeffs * max|coeff| * H^deg, so its absolute error is
-        below 16u * w * (deg*h + log(#coeffs * max|coeff|)) with u = 2^-53;
-        fsum, log h and the division add below 6u * |r|.  The bound returned
-        is more than 2^9 times that worst case.
+        With u = 2^-53, a log is within one ulp, at most 2u times its size.
+        At inf a term is log(num) - log(den) for the reduced num/den, both at
+        most #coeffs * max|coeff| * H^deg, so the two logs and the
+        subtraction err by at most 5u * (deg*h + log(#coeffs * max|coeff|));
+        at p, e*log p with p^e | F(P) errs by at most 3u * e*log p, which is
+        below the same bound.  The subscheme minimum is taken exactly.  The
+        rounded weight and the product add 2u relative, so a term w*lambda
+        errs by less than 8u * w * (deg*h + log(#coeffs * max|coeff|)); fsum,
+        log h and the division add below 6u * |r|.  The bound returned is
+        2^10 times that worst case.
         """
         return 2.0**-40 * (
             self.err_slope + self.err_offset / math.log(2) + abs(bound) + 1
         )
-
-    @staticmethod
-    def _one(val, degree, log_max_coeff, is_arch, p, logp, log_maxx) -> float:
-        if is_arch:
-            return degree * log_maxx + log_max_coeff - math.log(abs(val))
-        e = 0
-        v = abs(val)
-        while v % p == 0:
-            v //= p
-            e += 1
-        return e * logp
 
 
 @functools.lru_cache(maxsize=64)
@@ -503,23 +466,25 @@ def _exceeds_bound_exactly(
 ) -> bool:
     """defect(P) > bound * h(P), decided in integers.
 
-    Each term is eps_j * log q with q the exact rational of the one-point
-    local value, so with D a common denominator of the weights and the
-    bound the test reads prod q^(D*eps_j) > H^(D*bound), H = max|x_i|.
+    Each term is eps_j * log q with q the kernel's exact local value, so
+    with D a common denominator of the weights and the bound the test reads
+    prod q^(D*eps_j) > H^(D*bound), H = max|x_i|, one evaluation per
+    distinct target.
     """
-    terms = [
-        (seshadri_constant(t).value, local_weil_ratio(pt, t, place, config.mode))
-        for place, targets in config.arrangements
-        for t in targets
-    ]
-    den = bound.denominator
-    for w, _ in terms:
-        den = lcm(den, w.denominator)
-    lhs = Fraction(1)
-    for w, q in terms:
-        lhs *= q ** int(w * den)
-    hmax = max(abs(c) for c in pt.coords)
-    return lhs > Fraction(hmax) ** int(bound * den)
+    plan = _evaluator(config).plan
+    hmax = max(map(abs, pt.coords))
+    den = lcm(bound.denominator, *(w.denominator for _, _, ws, _ in plan for w in ws))
+    lhs_num = lhs_den = 1
+    for target, places, exact_weights, _ in plan:
+        exacts, _ = _ledger(_live(pt, target, config.mode)[0], hmax, places)
+        for v, e, w in zip(places, exacts, exact_weights):
+            m = int(w * den)
+            if v.p is None:
+                lhs_num *= e[0] ** m
+                lhs_den *= e[1] ** m
+            else:
+                lhs_num *= v.p ** (e * m)
+    return lhs_num > hmax ** int(bound * den) * lhs_den
 
 
 def _defect_batch(args):
@@ -992,7 +957,7 @@ def _run(
         if d is None:
             excluded_support.append(label)
             continue
-        hmax = max(abs(c) for c in pts[i].coords)
+        hmax = max(map(abs, pts[i].coords))
         if hmax == 1:
             excluded_height.append(label)
             continue

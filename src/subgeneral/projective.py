@@ -11,8 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
+from operator import mul
 
 from .errors import ArgumentError
 from .jsonio import parse_rat, rat_str
@@ -57,7 +58,7 @@ class ProjPoint:
         return len(self.coords) - 1
 
     def __str__(self) -> str:
-        return "[" + ":".join(str(c) for c in self.coords) + "]"
+        return "[%s]" % ":".join(map(str, self.coords))
 
     __repr__ = __str__
 
@@ -86,16 +87,19 @@ class LinearForm:
     def dim(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def degree(self) -> int:
-        return 1
+    degree = 1  # a class attribute, not a field
+
+    @cached_property
+    def _max_coeff(self) -> int:
+        """max|coeff|, read by the local-value kernel at every point."""
+        return max(map(abs, self.coeffs))
 
     def evaluate(self, point: ProjPoint) -> int:
-        if point.dim != self.dim:
+        if len(point.coords) != len(self.coeffs):
             raise ArgumentError(
                 "form on P^%d evaluated at point of P^%d" % (self.dim, point.dim)
             )
-        return sum(a * x for a, x in zip(self.coeffs, point.coords))
+        return sum(map(mul, self.coeffs, point.coords))
 
     def __str__(self) -> str:
         parts = []
@@ -184,6 +188,11 @@ class HomForm:
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         mono = monomials(self.dim + 1, self.degree)
         return [(mono[i], c) for i, c in enumerate(self.coeffs) if c != 0]
+
+    @cached_property
+    def _max_coeff(self) -> int:
+        """max|coeff|, read by the local-value kernel at every point."""
+        return max(map(abs, self.coeffs))
 
     @property
     def monomial_count(self) -> int:

@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, log
 from typing import Optional, Union
 
 from .errors import ArgumentError, SupportError
-from .places import Place, valuation
+from .places import Place, _ord_p
 from .projective import HomForm, LinearForm, ProjPoint
 
 Target = Union[LinearForm, HomForm, "SubschemeSpec"]
@@ -128,74 +129,94 @@ class WeilValue:
         }
 
 
-def _log_fraction(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
+# ---------------------------------------------------------------------------
+# the local-value kernel: the one place that knows the support convention
+# and the float formula; every local value in the package is read from it
 
 
-def _max_abs(values) -> int:
-    return max(abs(v) for v in values)
+def _live(point: ProjPoint, target: Target, mode: str):
+    """((component, F(P)) for each component nonzero at P, 1-based indices
+    of the vanishing ones); a form is its own single component.
 
-
-def _form_value_exact(point: ProjPoint, form, place: Place):
-    """Shared core: (float value, exact pair, raw Fraction at inf).
-
-    Raises SupportError when form(P) == 0.
-    """
-    val = form.evaluate(point)
-    if val == 0:
+    Raises SupportError when P lies on a form, on every component of a
+    subscheme, or in strict mode on any component."""
+    if isinstance(target, (LinearForm, HomForm)):
+        val = target.evaluate(point)
+        if val == 0:
+            raise SupportError(
+                "point %s lies on the support of %s" % (point, target),
+                point=str(point),
+                subject=str(target),
+            )
+        return ((target, val),), ()
+    if not isinstance(target, SubschemeSpec):
+        raise ArgumentError("not a Weil target: %r" % (target,))
+    if mode not in ("lenient", "strict"):
+        raise ArgumentError("mode must be 'lenient' or 'strict'")
+    vals = [(c, c.evaluate(point)) for c in target.components]
+    zero_idx = tuple(i + 1 for i, (_, v) in enumerate(vals) if v == 0)
+    if len(zero_idx) == len(vals):
         raise SupportError(
-            "point %s lies on the support of %s" % (point, form),
+            "point %s lies on the subscheme %s" % (point, target),
             point=str(point),
-            subject=str(form),
+            subject=str(target),
         )
-    d = form.degree
-    if place.is_archimedean:
-        q = Fraction(_max_abs(point.coords) ** d * _max_abs(form.coeffs), abs(val))
-        return _log_fraction(q), None, q
-    e = valuation(val, place.p)
-    return e * math.log(place.p), (place.p, e), None
+    if mode == "strict" and zero_idx:
+        raise SupportError(
+            "point %s lies on component %d of %s (strict mode)"
+            % (point, zero_idx[0], target),
+            point=str(point),
+            subject=str(target),
+            component=zero_idx[0],
+        )
+    return [cv for cv in vals if cv[1]], zero_idx
+
+
+def _ledger(live, maxx: int, places):
+    """(exacts, values): the local values of _live's components at each
+    place, with maxx = max|x_i|, exactly and by the one float formula.
+
+    At a finite place, exact is the int e = ord_p(F(P)) (canonical
+    coordinates make the max-norms of x and of the coefficients 1 there) and
+    value is e*log p.  At inf, exact is the reduced (num, den) of
+    maxx^d * max|coeff| / |F(P)| and value is log(num) - log(den).  A
+    subscheme takes the least exact value over its live components."""
+    exacts, values = [], []
+    for place in places:
+        p = place.p
+        if p is not None:
+            e = None
+            for _, v in live:
+                k = _ord_p(v, p) if v % p == 0 else 0
+                if e is None or k < e:
+                    e = k
+            exacts.append(e)
+            values.append(e * log(p) if e else 0.0)
+            continue
+        num = den = 0
+        for comp, v in live:
+            n, d = maxx**comp.degree * comp._max_coeff, abs(v)
+            if not den or n * den < num * d:
+                num, den = n, d
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        exacts.append((num, den))
+        values.append(log(num) - log(den))
+    return exacts, values
 
 
 def weil_hyperplane(point: ProjPoint, form: LinearForm, place: Place) -> WeilValue:
     """lambda_{L,v}(P) for a hyperplane; finite values are >= 0 exactly."""
     if not isinstance(form, LinearForm):
         raise ArgumentError("weil_hyperplane takes a linear form")
-    value, exact, _ = _form_value_exact(point, form, place)
-    return WeilValue(value, place, str(form), str(point), exact)
+    return local_weil(point, form, place)
 
 
 def weil_divisor(point: ProjPoint, form: HomForm, place: Place) -> WeilValue:
     """lambda_{D,v}(P) for the degree-d hypersurface D = {F = 0}."""
     if not isinstance(form, HomForm):
         raise ArgumentError("weil_divisor takes a homogeneous form")
-    value, exact, _ = _form_value_exact(point, form, place)
-    return WeilValue(value, place, str(form), str(point), exact)
-
-
-def _live_components(point: ProjPoint, spec: SubschemeSpec, mode: str):
-    """(components nonzero at P, 1-based indices of the vanishing ones).
-
-    Raises SupportError when P lies on the subscheme, or in strict mode on
-    any component."""
-    if mode not in ("lenient", "strict"):
-        raise ArgumentError("mode must be 'lenient' or 'strict'")
-    vals = [c.evaluate(point) for c in spec.components]
-    zero_idx = tuple(i + 1 for i, v in enumerate(vals) if v == 0)
-    if len(zero_idx) == len(vals):
-        raise SupportError(
-            "point %s lies on the subscheme %s" % (point, spec),
-            point=str(point),
-            subject=str(spec),
-        )
-    if mode == "strict" and zero_idx:
-        raise SupportError(
-            "point %s lies on component %d of %s (strict mode)"
-            % (point, zero_idx[0], spec),
-            point=str(point),
-            subject=str(spec),
-            component=zero_idx[0],
-        )
-    return [c for c, v in zip(spec.components, vals) if v != 0], zero_idx
+    return local_weil(point, form, place)
 
 
 def weil_subscheme(
@@ -207,41 +228,16 @@ def weil_subscheme(
     min and are dropped, provided at least one component is nonzero there.
     strict: any vanishing component raises SupportError.
     """
-    live, zero_idx = _live_components(point, spec, mode)
-    if place.is_archimedean:
-        best: Optional[Fraction] = None
-        for comp in live:
-            _, _, q = _form_value_exact(point, comp, place)
-            if best is None or q < best:
-                best = q
-        return WeilValue(
-            _log_fraction(best), place, str(spec), str(point), None, zero_idx
-        )
-    best_e: Optional[int] = None
-    for comp in live:
-        _, exact, _ = _form_value_exact(point, comp, place)
-        if best_e is None or exact[1] < best_e:
-            best_e = exact[1]
-    return WeilValue(
-        best_e * math.log(place.p),
-        place,
-        str(spec),
-        str(point),
-        (place.p, best_e),
-        zero_idx,
-    )
+    return local_weil(point, spec, place, mode)
 
 
 def local_weil(
     point: ProjPoint, target: Target, place: Place, mode: str = "lenient"
 ) -> WeilValue:
-    if isinstance(target, LinearForm):
-        return weil_hyperplane(point, target, place)
-    if isinstance(target, HomForm):
-        return weil_divisor(point, target, place)
-    if isinstance(target, SubschemeSpec):
-        return weil_subscheme(point, target, place, mode)
-    raise ArgumentError("not a Weil target: %r" % (target,))
+    live, dropped = _live(point, target, mode)
+    (e,), (value,) = _ledger(live, height_exact(point), (place,))
+    ledger = None if place.p is None else (place.p, e)
+    return WeilValue(value, place, str(target), str(point), ledger, dropped)
 
 
 def local_weil_ratio(
@@ -251,32 +247,17 @@ def local_weil_ratio(
 
     q is p^e at a finite place; for a subscheme it is the least q over the
     live components.  Raises SupportError wherever local_weil does."""
-    if isinstance(target, SubschemeSpec):
-        live, _ = _live_components(point, target, mode)
-    elif isinstance(target, (LinearForm, HomForm)):
-        live = [target]
-    else:
-        raise ArgumentError("not a Weil target: %r" % (target,))
-    best: Optional[Fraction] = None
-    for comp in live:
-        _, exact, q = _form_value_exact(point, comp, place)
-        if exact is not None:
-            q = Fraction(exact[0]) ** exact[1]
-        if best is None or q < best:
-            best = q
-    return best
+    (e,), _ = _ledger(_live(point, target, mode)[0], height_exact(point), (place,))
+    return Fraction(*e) if place.p is None else Fraction(place.p) ** e
 
 
 def is_on_support(point: ProjPoint, target: Target, mode: str = "lenient") -> bool:
     """True when local_weil would raise SupportError at every place."""
-    if isinstance(target, (LinearForm, HomForm)):
-        return target.evaluate(point) == 0
-    if isinstance(target, SubschemeSpec):
-        vals = [c.evaluate(point) for c in target.components]
-        if mode == "strict":
-            return any(v == 0 for v in vals)
-        return all(v == 0 for v in vals)
-    raise ArgumentError("not a Weil target: %r" % (target,))
+    try:
+        _live(point, target, mode)
+    except SupportError:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +265,7 @@ def is_on_support(point: ProjPoint, target: Target, mode: str = "lenient") -> bo
 
 
 def height_exact(point: ProjPoint) -> int:
-    return _max_abs(point.coords)
+    return max(map(abs, point.coords))
 
 
 def height(point: ProjPoint) -> float:
@@ -317,7 +298,8 @@ def weil_batch(manifest: dict) -> list[dict]:
 
     Returns one row dict per (point, target, place), in manifest order.
     Support hits become rows with value None and exact "support" instead of
-    an error.
+    an error.  Each target is evaluated once per point, and each label is
+    formatted once.
     """
     from .places import parse_place
 
@@ -327,29 +309,29 @@ def weil_batch(manifest: dict) -> list[dict]:
     places = [parse_place(v) for v in manifest["places"]]
     if len(set(places)) != len(places):
         raise ArgumentError("duplicate places in manifest")
+    target_labels = [str(t) for t in targets]
+    place_labels = [str(v) for v in places]
     rows = []
     for pt in points:
-        for tg in targets:
-            for v in places:
-                try:
-                    w = local_weil(pt, tg, v, mode)
-                    rows.append(
-                        {
-                            "point": str(pt),
-                            "target": str(tg),
-                            "place": str(v),
-                            "value": w.value,
-                            "exact": "%d^%d" % w.exact if w.exact else "",
-                        }
-                    )
-                except SupportError:
-                    rows.append(
-                        {
-                            "point": str(pt),
-                            "target": str(tg),
-                            "place": str(v),
-                            "value": None,
-                            "exact": "support",
-                        }
-                    )
+        point_label = str(pt)
+        maxx = height_exact(pt)
+        for tg, target_label in zip(targets, target_labels):
+            try:
+                exacts, values = _ledger(_live(pt, tg, mode)[0], maxx, places)
+                cells = [
+                    (value, "" if v.p is None else "%d^%d" % (v.p, e))
+                    for v, e, value in zip(places, exacts, values)
+                ]
+            except SupportError:
+                cells = [(None, "support")] * len(places)
+            for place_label, (value, exact) in zip(place_labels, cells):
+                rows.append(
+                    {
+                        "point": point_label,
+                        "target": target_label,
+                        "place": place_label,
+                        "value": value,
+                        "exact": exact,
+                    }
+                )
     return rows

@@ -3,11 +3,15 @@
 import io
 import json
 import math
+import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 
+import subgeneral
 from subgeneral import (
     ArgumentError,
     Candidate,
@@ -26,14 +30,20 @@ from subgeneral import (
     chain_check,
     delta_budget,
     exceptional_scan,
+    local_weil,
     projective_space,
     quang_combine,
     run_evertse_ferretti_baseline,
     run_main_experiment,
     sample_points,
+    seshadri_constant,
+    target_to_json,
     weighted_defect,
+    weil_batch,
 )
+from subgeneral.cli import main
 
+from gen import rand_hom_form, rand_linear_form
 from oracles import rank_fraction_gauss
 
 P1 = projective_space(1)
@@ -629,9 +639,42 @@ def test_baseline_ratio_two_is_not_a_violation():
     assert report.violators == []
 
 
+def _csv_rows(report) -> dict:
+    buf = io.StringIO()
+    report.write_csv(buf)
+    return {line.split(",")[0]: line for line in buf.getvalue().splitlines()}
+
+
 def test_violator_tie_is_decided_exactly():
+    # at [2:-5] the weighted sum is log 125 and h = log 5, so the ratio is
+    # exactly the bound 3; the float ratio reads 3.0000000000000004
+    cfg = ExperimentConfig(
+        variety=P1,
+        arrangements=(
+            (INF, (X1, LinearForm((5, 4)), LinearForm((2, 1)))),
+            (Place(5), (LinearForm((3, 1)), LinearForm((5, -2)), LinearForm((2, 5)))),
+        ),
+        level=1,
+        epsilon=Fraction(1),
+        h_min=0.0,
+        h_max=2.0,
+        sample_count=None,
+        seed=1,
+    )
+    report = run_main_experiment(cfg)
+    assert report.bound == Fraction(3)
+    idx = report.points.index("[2:-5]")
+    assert report.ratios[idx] > float(report.bound)
+    assert "[2:-5]" not in report.violators and "[3:-4]" in report.violators
+    flags = {r["point"]: r["violator"] for r in report.iter_records()}
+    assert flags["[2:-5]"] is False and flags["[3:-4]"] is True
+    rows = _csv_rows(report)
+    assert rows["[2:-5]"].endswith(",0") and rows["[3:-4]"].endswith(",1")
+
+
+def test_violator_tie_at_an_exact_float_is_not_a_violator():
     # at [3:-4] the weighted sum is log 32 and h = log 4, so the ratio is
-    # exactly the bound 5/2; the float ratio reads 2.5000000000000004
+    # exactly the bound 5/2, and the kernel's floats read it exactly
     cfg = ExperimentConfig(
         variety=P1,
         arrangements=(
@@ -648,13 +691,11 @@ def test_violator_tie_is_decided_exactly():
     report = run_main_experiment(cfg)
     assert report.bound == Fraction(5, 2)
     idx = report.points.index("[3:-4]")
-    assert report.ratios[idx] > float(report.bound)
+    assert report.ratios[idx] == float(report.bound)
     assert report.violators == ["[1:-2]"]
     flags = {r["point"]: r["violator"] for r in report.iter_records()}
     assert flags["[3:-4]"] is False and flags["[1:-2]"] is True
-    buf = io.StringIO()
-    report.write_csv(buf)
-    rows = {line.split(",")[0]: line for line in buf.getvalue().splitlines()}
+    rows = _csv_rows(report)
     assert rows["[3:-4]"].endswith(",0") and rows["[1:-2]"].endswith(",1")
 
 
@@ -701,3 +742,153 @@ def test_worker_pool_matches_serial():
     assert pooled.sums == serial.sums
     assert pooled.ratios == serial.ratios
     assert pooled.violators == serial.violators
+
+
+# ---------------------------------------------------------------------------
+# one local-value kernel: bulk and one-point values agree bit for bit
+
+
+def _kernel_configs():
+    """A seeded curve config and a seeded surface config with a subscheme."""
+    rng = random.Random(2024)
+    curve = ExperimentConfig(
+        variety=P1,
+        arrangements=tuple(
+            (v, (X0, X1, rand_linear_form(rng, 1, hi=9)))
+            for v in (INF, Place(2), Place(3))
+        ),
+        level=2,
+        epsilon=Fraction(1, 10),
+        h_min=0.0,
+        h_max=math.log(40),
+        sample_count=None,
+        seed=1,
+    )
+    point = SubschemeSpec((LinearForm((1, 0, -1)), LinearForm((0, 1, 2))))
+    surface = ExperimentConfig(
+        variety=P2,
+        arrangements=tuple(
+            (v, tuple(rand_linear_form(rng, 2) for _ in range(3))
+             + (rand_hom_form(rng, 2, 3), point))
+            for v in (INF, Place(2), Place(5))
+        ),
+        level=4,
+        epsilon=Fraction(1, 3),
+        h_min=0.0,
+        h_max=math.log(60),
+        sample_count=400,
+        seed=7,
+        position_asserted=True,
+    )
+    return curve, surface
+
+
+def _kernel_sample(cfg):
+    targets = tuple(t for _, ts in cfg.arrangements for t in ts)
+    pts = sample_points(
+        cfg.variety, cfg.h_min, cfg.h_max, cfg.sample_count, cfg.seed, excluded=targets
+    ).points
+    return pts, list(dict.fromkeys(targets))
+
+
+def test_bulk_ledger_is_bit_equal_to_one_point_values():
+    for cfg in _kernel_configs():
+        pts, targets = _kernel_sample(cfg)
+        assert len(pts) > 300
+        for pt in pts:
+            expected = math.fsum(
+                float(seshadri_constant(t).value) * local_weil(pt, t, v, cfg.mode).value
+                for v, ts in cfg.arrangements
+                for t in ts
+            )
+            assert weighted_defect(pt, cfg) == expected
+        rows = weil_batch(
+            {
+                "points": [p.to_json() for p in pts],
+                "targets": [target_to_json(t) for t in targets],
+                "places": [str(v) for v in cfg.places],
+                "mode": cfg.mode,
+            }
+        )
+        assert len(rows) == len(pts) * len(targets) * len(cfg.places)
+        it = iter(rows)
+        for pt in pts:
+            for t in targets:
+                for v in cfg.places:
+                    assert next(it)["value"] == local_weil(pt, t, v, cfg.mode).value
+
+
+def test_ledgers_do_no_primality_work(monkeypatch):
+    counts = {"valuation": 0, "isprime": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    curve, _ = _kernel_configs()
+    pts, targets = _kernel_sample(curve)
+    # the places are built, and proved prime, before the guard goes up
+    manifest = {
+        "points": [p.to_json() for p in pts],
+        "targets": [target_to_json(t) for t in targets],
+        "places": list(curve.places),
+    }
+    finite = replace(curve, arrangements=curve.arrangements[1:], h_max=math.log(12))
+    # replace every binding of the two functions, wherever it was imported
+    modules = [sympy] + [
+        mod
+        for name, mod in list(sys.modules.items())
+        if mod is not None and name.startswith(subgeneral.__name__)
+    ]
+    originals = (
+        ("valuation", subgeneral.places.valuation),
+        ("isprime", sympy.isprime),
+    )
+    for name, original in originals:
+        wrapper = counting(name, original)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    rows = weil_batch(manifest)
+    report = run_main_experiment(finite)
+    assert counts == {"valuation": 0, "isprime": 0}
+    assert any(r["exact"] not in ("", "support") for r in rows)
+    assert report.points
+    # the wrappers do see the public entry point
+    subgeneral.valuation(12, 2)
+    assert counts["valuation"] == 1 and counts["isprime"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# bounded exhaustive work
+
+
+def test_exhaustive_sweep_attempts_follow_the_closed_form():
+    lo, hi = 50, 400
+    got = sample_points(P1, math.log(lo), math.log(hi), None, seed=0)
+    predicted = 12 / math.pi**2 * (hi**2 - (lo - 1) ** 2)
+    assert got.attempts == pytest.approx(predicted, rel=0.01)
+
+
+def test_exhaustive_window_over_the_attempt_budget_is_refused(tmp_path):
+    # (12/pi^2) * 1300^2 is about 2.05M attempts, over the 2M budget
+    with pytest.raises(ArgumentError, match="sampler attempts"):
+        sample_points(P1, 0.0, math.log(1300), None, seed=0)
+    # a narrow window at the same height is cheap and runs
+    got = sample_points(P1, math.log(1299), math.log(1300), None, seed=0)
+    assert got.attempts == 4 * (864 + 480)  # 4 * (phi(1299) + phi(1300))
+    # on this line the sweep runs to parameter 2*700, about 2.4M attempts,
+    # while P^1 to 700 needs about 0.6M; a sample_count sweep is not refused
+    line = LinearSubvariety(2, (LinearForm((2, -3, 7)),))
+    with pytest.raises(ArgumentError, match="parameter 1400"):
+        sample_points(line, 0.0, math.log(700), None, seed=0)
+    assert len(sample_points(line, 0.0, math.log(700), 50, seed=0).points) == 50
+    assert sample_points(P1, 0.0, math.log(700), 50, seed=0).points
+    cfg = config_p1(places=(INF, Place(2)), h_max=math.log(1300))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_json_dict()))
+    assert main(["experiment", "run", "--config", "@%s" % path]) == 65
