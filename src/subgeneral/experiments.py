@@ -314,7 +314,10 @@ def sample_points(
         if variety.ambient_dim == 1:
             m_lo, m_hi = lo, hi
         else:
-            m_lo, m_hi = 1, _line_param_bound(basis, hi)
+            # |s*b1_i + t*b2_i| <= m*C with C = max_i(|b1_i| + |b2_i|), so a
+            # parameter m with m*C < lo cannot reach the window
+            c = max(abs(x) + abs(y) for x, y in zip(*basis))
+            m_lo, m_hi = max(1, -(-lo // c)), _line_param_bound(basis, hi)
         # the sweep makes 4*sum(phi(m)) attempts for m_lo <= m <= m_hi, about
         # (12/pi^2) * (m_hi^2 - (m_lo-1)^2); compared in pi^2 units, which a
         # huge int does not overflow

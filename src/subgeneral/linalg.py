@@ -1,9 +1,13 @@
 """Exact linear algebra over Q for small dense matrices.
 
 Everything here is used on matrices with at most a handful of rows and
-columns, so clarity and exactness win over asymptotics.  Integer inputs take
-a fraction-free elimination path (rank_rows); rational reductions go through
-a plain Gaussian RREF on Fractions.
+columns, so clarity and exactness win over asymptotics.  rank_rows and
+nullspace run one fraction-free elimination with gcd trimming: each row
+enters as its primitive() integer row (same span, so rational input needs no
+second path) and extends an integer row echelon (extend_echelon, which the
+position sweep also grows one row per subset); nullspace then finishes by
+Gauss-Jordan and returns a primitive basis, one vector per free column.
+rref, a plain Gaussian RREF on Fractions, serves intersect_rowspaces.
 
 Rowspace membership: in_rowspace compares two ranks, two eliminations per
 vector.  Over Q the rowspace of E is the annihilator of its nullspace, so a
@@ -15,53 +19,58 @@ membership this way.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def rank_rows(rows) -> int:
     """Rank over Q of a sequence of equal-length integer/rational rows."""
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return 0
-    if all(isinstance(x, int) for row in mat for x in row):
-        return _rank_int(mat)
-    red, pivots = rref([[Fraction(x) for x in row] for row in mat])
-    return len(pivots)
+    return len(_echelon(rows))
 
 
-def _rank_int(mat: list[list[int]]) -> int:
-    # fraction-free Gaussian elimination with gcd trimming
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(mat):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        pval = prow[col]
-        for r in range(rank + 1, len(mat)):
-            v = mat[r][col]
-            if v:
-                row = mat[r]
-                for c in range(col, ncols):
-                    row[c] = row[c] * pval - v * prow[c]
-                g = 0
-                for c in range(col, ncols):
-                    g = gcd(g, row[c])
-                if g > 1:
-                    for c in range(col, ncols):
-                        row[c] //= g
-        rank += 1
-        col += 1
-    return rank
+def _echelon(rows) -> list:
+    """Integer echelon of the rowspace; rational rows enter as primitive()
+    integer rows, which span the same line."""
+    echelon: list = []
+    for row in rows:
+        if any(row):
+            echelon = extend_echelon(echelon, primitive(row))
+    return echelon
+
+
+def reduce_row(echelon: list, row):
+    """row reduced against an integer echelon: zero at every pivot column.
+
+    An echelon is a list of (pivot column, integer row) pairs by ascending
+    pivot, each row zero left of its pivot; [] is the echelon of no rows.
+    The steps are fraction-free with gcd trimming, so the remainder is an
+    integer row (row itself when no step applies).  Rows have one length.
+    """
+    for col, prow in echelon:
+        v = row[col]
+        if v:
+            pv = prow[col]
+            row = [pv * a - v * b for a, b in zip(row, prow)]
+            g = gcd(*row)
+            if g > 1:
+                row = [a // g for a in row]
+    return row
+
+
+def extend_echelon(echelon: list, row) -> list:
+    """Integer echelon of rowspace(echelon) + row.
+
+    A row that reduces to zero gives back the same list; otherwise a new
+    list holds the remainder at its leading column.
+    """
+    row = reduce_row(echelon, row)
+    for lead, a in enumerate(row):
+        if a:
+            out = echelon.copy()
+            insort(out, (lead, row))  # leads are distinct, rows never compared
+            return out
+    return echelon
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -95,43 +104,44 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 def primitive(vec) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, first nonzero positive."""
     vals = list(vec)
-    if all(isinstance(x, int) for x in vals):
-        if not any(vals):
-            raise ValueError("zero vector has no primitive form")
-        ints = vals
-    else:
+    if not all(isinstance(x, int) for x in vals):
         fr = [Fraction(x) for x in vals]
-        if not any(fr):
-            raise ValueError("zero vector has no primitive form")
-        mult = 1
-        for f in fr:
-            mult = mult * f.denominator // gcd(mult, f.denominator)
-        ints = [int(f * mult) for f in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
+        mult = lcm(*(f.denominator for f in fr))
+        vals = [f.numerator * (mult // f.denominator) for f in fr]
+    g = gcd(*vals)
+    if not g:
+        raise ValueError("zero vector has no primitive form")
+    for x in vals:
+        if x:
             if x < 0:
-                ints = [-y for y in ints]
+                g = -g
             break
-    return tuple(ints)
+    if g == 1:
+        return tuple(vals)
+    return tuple([x // g for x in vals])
 
 
 def nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
-    """Primitive integer basis of {x : row . x = 0 for all rows}."""
-    live = [row for row in rows if any(row)]
-    if not live:
-        return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
-    red, pivots = rref(live)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Primitive integer basis of {x : row . x = 0 for all rows}, one vector
+    per free column of the reduced echelon form, in column order."""
+    echelon = _echelon(rows)
+    pivots = [col for col, _ in echelon]
+    rows = [row for _, row in echelon]
+    # Gauss-Jordan: clear each pivot column above its row, last pivot first,
+    # so row i reads x[pivot_i] = -sum(row_i[f] * x[f]) / row_i[pivot_i]
+    # over the free columns f, the RREF row up to scale
+    for k in range(len(rows) - 1, 0, -1):
+        for i in range(k):
+            rows[i] = reduce_row([(pivots[k], rows[k])], rows[i])
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        scale = lcm(*(row[pc] for row, pc in zip(rows, pivots) if row[fc]))
+        vec = [0] * ncols
+        vec[fc] = scale
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc] * (scale // row[pc])
         basis.append(primitive(vec))
     return basis
 

@@ -21,7 +21,9 @@ from .linalg import primitive, rank_rows
 
 
 def normalize_coords(values) -> tuple[int, ...]:
-    vals = [Fraction(v) for v in values]
+    vals = list(values)
+    if not all(type(v) is int for v in vals):
+        vals = [Fraction(v) for v in vals]
     if len(vals) < 2:
         raise ArgumentError("projective objects need at least 2 coordinates")
     if not any(vals):

@@ -42,7 +42,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import attrgetter, mul
 from typing import Optional
 
 from .errors import (
@@ -211,10 +211,10 @@ class CombinationCertificate:
 
 
 @functools.lru_cache(maxsize=100000)
-def _subgeneral_ok(sorted_coeffs, variety: LinearSubvariety, level: int) -> bool:
-    # position is permutation-invariant, so cache on the sorted multiset
-    forms = [LinearForm(c) for c in sorted_coeffs]
-    return check_subgeneral(forms, variety, level, verdict_only=True).verdict
+def _subgeneral_ok(sorted_forms, variety: LinearSubvariety, level: int) -> bool:
+    # position is permutation-invariant, so cache on the sorted multiset;
+    # the forms are the caller's, swept without being rebuilt
+    return check_subgeneral(sorted_forms, variety, level, verdict_only=True).verdict
 
 
 @functools.lru_cache(maxsize=100000)
@@ -235,7 +235,7 @@ def quang_combine(
     n = variety.dim
     if l < n:
         raise ArgumentError("need at least dim X + 1 forms, got %d" % (l + 1))
-    if not _subgeneral_ok(tuple(sorted(f.coeffs for f in forms)), variety, l):
+    if not _subgeneral_ok(tuple(sorted(forms, key=attrgetter("coeffs"))), variety, l):
         report = check_subgeneral(forms, variety, l)
         raise PositionError(
             "inputs are not %d-subgeneral on X (%d witnesses)"

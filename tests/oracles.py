@@ -4,7 +4,9 @@ Everything here is deliberately written on different lines than the package
 code: rank comes from Gauss-Jordan over Fractions (or plain integer
 cross-multiplication for the bulk runs) instead of fraction-free elimination
 with gcd trimming, position verdicts come from a raw subset sweep, and
-factorization is delegated to sympy.  The avoidance reference keeps the
+factorization is delegated to sympy.  The witness reference is the subset
+loop the position sweep replaced, one fresh rank per subset; the nullspace
+reference is the RREF-over-Fractions basis.  The avoidance reference keeps the
 rank-based membership test the combination construction used to run:
 two fresh eliminations per candidate, after an explicit intersection of
 the span with the excluded rowspace.
@@ -12,6 +14,7 @@ the span with the excluded rowspace.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import sympy
 
@@ -109,6 +112,65 @@ def subgeneral_bruteforce(forms, variety, level: int) -> bool:
             if dim > level - size:
                 return False
     return True
+
+
+def witnesses_by_rank(forms, variety, level: int, verdict_only: bool = False):
+    """(witnesses as (1-based subset, dim, allowed), complete) from one
+    cross-multiplication rank of X's rows plus the subset's rows per subset,
+    smallest subsets first, then lexicographically."""
+    base = [list(f.coeffs) for f in variety.forms]
+    rows = [list(f.coeffs) for f in forms]
+    out = []
+    for size in range(1, min(level + 1, len(rows)) + 1):
+        allowed = level - size
+        for subset in combinations(range(len(rows)), size):
+            stacked = base + [rows[j] for j in subset]
+            dim = variety.ambient_dim - rank_int_crossmul(stacked)
+            if dim > allowed:
+                out.append((tuple(j + 1 for j in subset), dim, allowed))
+                if verdict_only:
+                    return out, False
+    return out, True
+
+
+def nullspace_by_rref(rows, ncols: int):
+    """Primitive kernel basis, one vector per free column of the RREF over
+    Fractions: x_free = 1, x_pivot = -(RREF entry), then coprime integers
+    with the first nonzero entry positive."""
+    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                mat[i] = [a - mat[i][col] * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc]
+        den = 1
+        for x in vec:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in vec]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        ints = [x // g for x in ints]
+        if next(x for x in ints if x) < 0:
+            ints = [-x for x in ints]
+        basis.append(tuple(ints))
+    return basis
 
 
 def factor_reference(n: int) -> dict:

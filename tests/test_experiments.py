@@ -874,6 +874,29 @@ def test_exhaustive_sweep_attempts_follow_the_closed_form():
     assert got.attempts == pytest.approx(predicted, rel=0.01)
 
 
+def test_line_sweep_starts_at_the_least_parameter_that_reaches_the_window():
+    # on {x2 = 0} the parameters are the first two coordinates, so the only
+    # point of height log 600 in the first draw is [1:-600:0]
+    axis = LinearSubvariety(2, (LinearForm((0, 0, 1)),))
+    got = sample_points(axis, math.log(600), math.log(601), 1, seed=0)
+    assert [str(p) for p in got.points] == ["[1:-600:0]"]
+    assert got.attempts == 1
+    # kernel basis (3, 2, 0), (7, 0, -2): a coordinate of s*b1 + t*b2 is at
+    # most 10*max(|s|, |t|), so parameters up to 3 cannot reach height log 40
+    # and parameters up to 4 cannot reach log 41
+    line = LinearSubvariety(2, (LinearForm((2, -3, 7)),))
+    full = sample_points(line, 0.0, math.log(90), None, seed=0)
+    assert full.attempts == 39520
+    for lo, count, skipped in ((40, 1149, 1 + 1 + 2), (41, 1140, 1 + 1 + 2 + 2)):
+        window = sample_points(line, math.log(lo), math.log(90), None, seed=0)
+        assert window.points == tuple(
+            p for p in full.points if max(map(abs, p.coords)) >= lo
+        )
+        assert len(window.points) == count
+        # the full sweep minus 4 * phi(m) attempts per skipped parameter m
+        assert window.attempts == full.attempts - 4 * skipped
+
+
 def test_exhaustive_window_over_the_attempt_budget_is_refused(tmp_path):
     # (12/pi^2) * 1300^2 is about 2.05M attempts, over the 2M budget
     with pytest.raises(ArgumentError, match="sampler attempts"):

@@ -12,7 +12,7 @@ from subgeneral.linalg import (
     rref,
 )
 
-from oracles import rank_fraction_gauss
+from oracles import nullspace_by_rref, rank_fraction_gauss
 
 
 def rand_matrix(rng, nrows, ncols, hi=6):
@@ -71,6 +71,27 @@ def test_nullspace_is_a_kernel_basis():
                 assert sum(a * b for a, b in zip(row, vec)) == 0
         if basis:
             assert rank_rows(basis) == len(basis)
+
+
+def test_integer_nullspace_matches_the_rref_basis():
+    rng = random.Random(17)
+    shapes = {"zero row": 0, "duplicate row": 0, "wide": 0, "tall": 0}
+    for _ in range(600):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m = rand_matrix(rng, nrows, ncols, hi=rng.choice((1, 3, 50, 10**6)))
+        if rng.random() < 0.3:
+            m.insert(rng.randrange(nrows + 1), [0] * ncols)
+            shapes["zero row"] += 1
+        if rng.random() < 0.3:
+            m.insert(rng.randrange(len(m) + 1), list(rng.choice(m)))
+            shapes["duplicate row"] += 1
+        shapes["wide"] += ncols > len(m)
+        shapes["tall"] += len(m) > ncols
+        assert nullspace(m, ncols) == nullspace_by_rref(m, ncols)
+        # rational rows span the same lines as their primitive integer rows
+        scaled = [[Fraction(x, 3) for x in row] for row in m]
+        assert nullspace(scaled, ncols) == nullspace_by_rref(m, ncols)
+    assert min(shapes.values()) >= 50, shapes
 
 
 def test_nullspace_of_identity_is_empty():

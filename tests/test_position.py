@@ -6,6 +6,7 @@ import pytest
 
 from subgeneral import (
     ArgumentError,
+    HomForm,
     LinearForm,
     LinearSubvariety,
     check_general,
@@ -16,7 +17,7 @@ from subgeneral import (
 )
 
 from gen import rand_linear_form
-from oracles import subgeneral_bruteforce
+from oracles import rank_int_crossmul, subgeneral_bruteforce, witnesses_by_rank
 
 P2 = projective_space(2)
 X_LINE = LinearSubvariety(2, (LinearForm((0, 0, 1)),))
@@ -86,6 +87,18 @@ def test_verdict_only_mode_stops_early():
     assert not quick.complete
     assert len(quick.witnesses) == 1
     assert full.complete
+
+
+def test_verdict_only_returns_the_smallest_witness_found_after_a_larger_one():
+    # {1, 2, 3} are concurrent (size 3) and comes first lexicographically;
+    # {4, 5} is a repeated line (size 2), the first witness in size order
+    fam = forms((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 1))
+    full = check_subgeneral(fam, P2, 2)
+    quick = check_subgeneral(fam, P2, 2, verdict_only=True)
+    assert full.witnesses[0].subset == (4, 5)
+    assert (1, 2, 3) in [w.subset for w in full.witnesses]
+    assert quick.witnesses == full.witnesses[:1]
+    assert not quick.complete
 
 
 def test_monotone_in_level():
@@ -158,3 +171,77 @@ def test_report_json_round_trip_shape():
     assert data["level"] == 2
     assert data["q"] == 3
     assert data["witnesses"][0]["subset"] == [1, 2, 3]
+
+
+def test_violations_at_validates_its_input():
+    ok = forms((1, 0, 0), (0, 1, 0))
+    # a form on P^3 and a form on P^1 against X = P^2, a quadric, no forms
+    for bad in (
+        ok + forms((1, 0, 0, 1)),
+        ok + forms((1, 1)),
+        ok + [HomForm(2, 2, (1, 0, 0, 0, 0, 1))],
+        [],
+    ):
+        with pytest.raises(ArgumentError):
+            violations_at(bad, P2, 1)
+        with pytest.raises(ArgumentError):
+            check_subgeneral(bad, P2, 2)
+
+
+def _sweep_cases(rng, count):
+    """Seeded (family, X) pairs: X of codimension 0..3 in P^1..P^4, up to 7
+    forms with coefficients in [-2, 2], about a third with a repeated form,
+    and some with forms through a common point so intersections stay
+    nonempty."""
+    for _ in range(count):
+        ambient = rng.randint(1, 4)
+        codim = rng.randint(0, ambient - 1)
+        while True:
+            cut = [rand_linear_form(rng, ambient, hi=2) for _ in range(codim)]
+            try:
+                variety = LinearSubvariety(ambient, tuple(cut))
+                break
+            except ArgumentError:
+                continue
+        q = rng.randint(1, 7)
+        fam = [rand_linear_form(rng, ambient, hi=2) for _ in range(q)]
+        if q > 1 and rng.random() < 0.35:
+            fam[rng.randrange(q)] = fam[rng.randrange(q)]
+        if rng.random() < 0.2:
+            # every form vanishes at [1:0:...:0]
+            fam = [
+                f if f.coeffs[0] == 0 else LinearForm((0,) + f.coeffs[1:])
+                for f in fam
+                if any(f.coeffs[1:])
+            ] or fam
+        yield fam, variety
+
+
+def test_sweep_matches_the_rank_oracle():
+    rng = random.Random(41)
+    seen = {"q > l+1": 0, "repeated": 0, "codim >= 2": 0, "below dim X": 0, "pruned": 0}
+    for fam, variety in _sweep_cases(rng, 150):
+        q = len(fam)
+        for level in range(0, q + 2):
+            want, _ = witnesses_by_rank(fam, variety, level)
+            got = violations_at(fam, variety, level)
+            assert [(w.subset, w.dim, w.allowed) for w in got] == want
+            top = min(level + 1, q)
+            seen["q > l+1"] += q > level + 1
+            seen["repeated"] += len(set(fam)) < q
+            seen["codim >= 2"] += len(variety.forms) >= 2
+            seen["below dim X"] += level < variety.dim
+            # some n+1 forms already meet X in the empty set below the top
+            # size, so the sweep stops extending those subsets
+            seen["pruned"] += variety.dim + 1 < top and rank_int_crossmul(
+                [f.coeffs for f in variety.forms + tuple(fam)]
+            ) == variety.ambient_dim + 1
+            if level < variety.dim:
+                continue
+            for verdict_only in (False, True):
+                want, complete = witnesses_by_rank(fam, variety, level, verdict_only)
+                report = check_subgeneral(fam, variety, level, verdict_only)
+                assert [(w.subset, w.dim, w.allowed) for w in report.witnesses] == want
+                assert report.complete == (complete or not want)
+                assert report.verdict == (not want)
+    assert min(seen.values()) >= 10, seen

@@ -17,9 +17,24 @@ from subgeneral import (
     veronese_form,
     veronese_point,
 )
-from subgeneral.projective import monomial_index, point_from_canonical
+from subgeneral.projective import monomial_index, normalize_coords, point_from_canonical
 
 from gen import rand_hom_form, rand_point
+
+
+def test_integer_coordinates_normalize_as_fractions_do():
+    rng = random.Random(23)
+    for _ in range(500):
+        hi = rng.choice((1, 6, 10**9))
+        vals = [rng.randint(-hi, hi) * rng.choice((1, 1, 12)) for _ in range(rng.randint(2, 6))]
+        if not any(vals):
+            continue
+        got = normalize_coords(vals)
+        assert got == normalize_coords([Fraction(v) for v in vals])
+        assert all(type(c) is int for c in got)
+    for bad in ([5], [0, 0, 0]):
+        with pytest.raises(ArgumentError):
+            normalize_coords(bad)
 
 
 def test_point_normalization_frozen_cases():

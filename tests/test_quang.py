@@ -411,3 +411,32 @@ def test_warm_chain_check_does_no_elimination_or_primality_work(monkeypatch):
     valuation(12, 2)
     linalg.in_rowspace([1, 0, 0, 0], [[1, 0, 0, 0]])
     assert counts["isprime"] >= 1 and counts["rank_rows"] >= 1
+
+
+def test_cold_certificates_do_no_rank_work(monkeypatch):
+    rng = random.Random(7)
+    families = [
+        strict_arrangement(rng, n, l) for n in (1, 2, 3) for l in range(n, 7)
+    ]
+    calls = []
+    original = linalg.rank_rows
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # replace every binding of rank_rows, wherever it was imported
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.startswith(subgeneral.__name__):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    quang._subgeneral_ok.cache_clear()
+    quang._general_report.cache_clear()
+    for forms, variety in families:
+        cert = quang_combine(forms, variety, (INF, Place(2)))
+        assert cert.verify_soundness() and cert.position.verdict
+    assert calls == []
+    # the wrapper does see the public entry point
+    linalg.in_rowspace([1, 0], [[1, 0]])
+    assert len(calls) == 2
