@@ -32,7 +32,8 @@ Bulk ledgers (weighted_defect over a sample) evaluate each distinct target
 once per point and read every local value from the exact kernel of the
 local-value module, the one the one-point routines read, so a weighted sum is
 bit-equal to the fsum of the weighted one-point values.  Exhaustive windows
-predicted to need more than _SWEEP_BUDGET sampler attempts are refused.
+predicted to need more than _SWEEP_BUDGET sampler attempts are refused; a
+count-limited sweep stops there with a partial sample.
 """
 
 from __future__ import annotations
@@ -328,11 +329,15 @@ def sample_points(
                 "attempts; narrow the height window or set sample_count"
                 % (m_hi, _SWEEP_BUDGET)
             )
+        # a count-limited sweep is never refused, so it stops at the budget
+        cap = None if count is None else _SWEEP_BUDGET
         out = []
         attempts = 0
         if variety.ambient_dim == 1:
             for m in range(m_lo, m_hi + 1):
                 for s, t in _coprime_pairs(m):
+                    if attempts == cap:
+                        return SampleResult(tuple(out), True, attempts)
                     attempts += 1
                     pt = point_from_canonical((s, t))
                     if not on_excluded(pt):
@@ -344,10 +349,11 @@ def sample_points(
             ncols = len(b1)
             for m in range(m_lo, m_hi + 1):
                 for s, t in _coprime_pairs(m):
+                    if attempts == cap:
+                        return SampleResult(tuple(out), True, attempts)
                     attempts += 1
+                    # b1, b2 are independent and (s, t) != 0, so vec != 0
                     vec = tuple(s * b1[i] + t * b2[i] for i in range(ncols))
-                    if not any(vec):
-                        continue
                     pt = ProjPoint(vec)
                     mx = max(abs(c) for c in pt.coords)
                     if lo <= mx <= hi and not on_excluded(pt):
@@ -573,7 +579,7 @@ def _chain_terms(
     l = len(forms) - 1
     n = variety.dim
     if place.is_archimedean:
-        big_b = max(max(abs(c) for c in f.coeffs) for f in forms)
+        big_b = max(f._max_coeff for f in forms)
         k_q = (
             c_v**n
             * Fraction(big_b) ** l
@@ -626,11 +632,11 @@ def chain_check(
     if place.is_archimedean:
         maxx = max(abs(c) for c in point.coords)
         lhs_q = Fraction(
-            math.prod(maxx * max(abs(c) for c in f.coeffs) for f in forms),
+            math.prod(maxx * f._max_coeff for f in forms),
             abs(math.prod(in_vals)),
         )
         prod_hat = Fraction(
-            math.prod(maxx * max(abs(c) for c in f.coeffs) for f in cert.outputs),
+            math.prod(maxx * f._max_coeff for f in cert.outputs),
             abs(math.prod(out_vals)),
         )
         rhs_q = prod_hat ** (l - n + 1) * k_exact

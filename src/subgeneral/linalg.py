@@ -5,9 +5,9 @@ columns, so clarity and exactness win over asymptotics.  rank_rows and
 nullspace run one fraction-free elimination with gcd trimming: each row
 enters as its primitive() integer row (same span, so rational input needs no
 second path) and extends an integer row echelon (extend_echelon, which the
-position sweep also grows one row per subset); nullspace then finishes by
-Gauss-Jordan and returns a primitive basis, one vector per free column.
-rref, a plain Gaussian RREF on Fractions, serves intersect_rowspaces.
+position sweep also grows one row per subset); _gauss_jordan finishes it to
+the RREF up to row scale, which nullspace reads as a primitive basis, one
+vector per free column, and intersect_rowspaces as primitive rows.
 
 Rowspace membership: in_rowspace compares two ranks, two eliminations per
 vector.  Over Q the rowspace of E is the annihilator of its nullspace, so a
@@ -73,34 +73,6 @@ def extend_echelon(echelon: list, row) -> list:
     return echelon
 
 
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
 def primitive(vec) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, first nonzero positive."""
     vals = list(vec)
@@ -121,18 +93,25 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple([x // g for x in vals])
 
 
-def nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
-    """Primitive integer basis of {x : row . x = 0 for all rows}, one vector
-    per free column of the reduced echelon form, in column order."""
+def _gauss_jordan(rows) -> tuple[list[int], list[list[int]]]:
+    """(pivot columns, integer rows) of the RREF of rows, each row up to a
+    nonzero scale: the echelon with every pivot column cleared above its row,
+    last pivot first."""
     echelon = _echelon(rows)
     pivots = [col for col, _ in echelon]
     rows = [row for _, row in echelon]
-    # Gauss-Jordan: clear each pivot column above its row, last pivot first,
-    # so row i reads x[pivot_i] = -sum(row_i[f] * x[f]) / row_i[pivot_i]
-    # over the free columns f, the RREF row up to scale
     for k in range(len(rows) - 1, 0, -1):
         for i in range(k):
             rows[i] = reduce_row([(pivots[k], rows[k])], rows[i])
+    return pivots, rows
+
+
+def nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of {x : row . x = 0 for all rows}, one vector
+    per free column of the reduced echelon form, in column order."""
+    pivots, rows = _gauss_jordan(rows)
+    # row i reads x[pivot_i] = -sum(row_i[f] * x[f]) / row_i[pivot_i] over
+    # the free columns f
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -162,27 +141,20 @@ def intersect_rowspaces(rows_a, rows_b, ncols: int) -> list[tuple[int, ...]]:
     in rowspace(B) iff u.(A N^T) = 0 for a nullspace basis N of B.
     """
     a = [list(r) for r in rows_a if any(r)]
-    if not a:
-        return []
     nb = nullspace(rows_b, ncols)
     if not nb:
-        reduced, _ = rref(a)
-        return [primitive(r) for r in reduced]
+        return [primitive(r) for r in _gauss_jordan(a)[1]]
     # m[i][k] = a_i . nb_k; u.A in rowspace(B) iff u is in the left
     # nullspace of m, i.e. the nullspace of its transpose
-    m = [[sum(Fraction(ai) * bk for ai, bk in zip(row, nvec)) for nvec in nb] for row in a]
+    m = [[sum(ai * bk for ai, bk in zip(row, nvec)) for nvec in nb] for row in a]
     mt = [[m[i][k] for i in range(len(a))] for k in range(len(nb))]
     coeffs = nullspace(mt, len(a))
     span = []
     for u in coeffs:
-        vec = [Fraction(0)] * ncols
+        vec = [0] * ncols
         for ui, row in zip(u, a):
             if ui:
                 for c in range(ncols):
                     vec[c] += ui * row[c]
-        if any(vec):
-            span.append(vec)
-    if not span:
-        return []
-    reduced, _ = rref(span)
-    return [primitive(r) for r in reduced]
+        span.append(vec)
+    return [primitive(r) for r in _gauss_jordan(span)[1]]

@@ -15,16 +15,100 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from sympy import isprime
-
 from .errors import ArgumentError
 from .jsonio import rat_str
 
-Rat = Fraction
+# ---------------------------------------------------------------------------
+# primality: the first k prime bases of Miller-Rabin decide every n below
+# _PSI[k-1] (OEIS A014233; Sorenson & Webster, Math. Comp. 2017).  At or above
+# the last bound the test is strong BPSW, base 2 and then a strong Lucas test
+# with Selfridge's parameters (Baillie & Wagstaff 1980), the same test as
+# sympy.isprime there; below it both tests are proven, so the answers agree.
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    k = bisect_right(_PSI, n)
+    if k < len(_PSI):
+        return all(_is_strong_prp(n, a) for a in _MR_BASES[: k + 1])
+    return _is_strong_prp(n, 2) and _is_strong_lucas_prp(n)
+
+
+def _is_strong_prp(n: int, a: int) -> bool:
+    """Miller-Rabin to base a for odd n > a."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if (n & 7) in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas test for odd n > 2: P = 1, Q = (1-D)/4 with D the first
+    of 5, -7, 9, -11, ... with (D/n) = -1 (Selfridge's method A)."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0 and d % n:
+            return False
+        d = -d - 2 if d > 0 else 2 - d
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = k * 2^s, k odd
+    # U_k, V_k and Q^k mod n by doubling (U_2m = U V, V_2m = V^2 - 2 Q^m)
+    # and stepping (U_m+1 = (U + V)/2, V_m+1 = (D U + V)/2), from U_1 = V_1 = 1
+    u, v, qk = 1, 1, q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, d * u + v
+            u, v = (u + n * (u & 1)) // 2 % n, (v + n * (v & 1)) // 2 % n
+            qk = qk * q % n
+    if u == 0:
+        return True
+    for _ in range(s):  # V_k, V_2k, ..., V_(n+1)/2
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
+
 
 # ---------------------------------------------------------------------------
 # places
@@ -38,7 +122,7 @@ class Place:
 
     def __post_init__(self):
         if self.p is not None:
-            if not isinstance(self.p, int) or self.p < 2 or not isprime(self.p):
+            if not isinstance(self.p, int) or not _is_prime(self.p):
                 raise ArgumentError("finite place needs a prime, got %r" % (self.p,))
 
     @property
@@ -77,21 +161,12 @@ def parse_place(s) -> Place:
 
 def valuation(x, p: int) -> int:
     """ord_p(x) for nonzero rational x, additive on products."""
-    if not isinstance(p, int) or p < 2 or not isprime(p):
+    if not isinstance(p, int) or not _is_prime(p):
         raise ArgumentError("valuation needs a prime, got %r" % (p,))
     f = Fraction(x)
     if f == 0:
         raise ArgumentError("ord_p(0) is undefined")
-    e = 0
-    n = f.numerator
-    while n % p == 0:
-        n //= p
-        e += 1
-    d = f.denominator
-    while d % p == 0:
-        d //= p
-        e -= 1
-    return e
+    return _ord_p(f.numerator, p) - _ord_p(f.denominator, p)
 
 
 def _ord_p(n: int, p: int) -> int:
@@ -137,8 +212,8 @@ def log_norm(x, v: Place) -> LogNorm:
 
 # ---------------------------------------------------------------------------
 # factorization: trial division by a fixed sieve, then Brent's rho.
-# sympy.factorint is the obvious shelf routine but measures ~3x slower on
-# uniform 10^12 inputs, which busts the product-formula check's time budget.
+# sympy's factorint, the test oracle, measured ~3x slower on uniform 10^12
+# inputs, which busts the product-formula check's time budget.
 # A cofactor that stays large walks every sieve prime, so the bound is kept
 # low: 3000 took 90-112 us per uniform 10^12 input against 220-228 us for
 # 30000, with the same factorizations; Brent's rho takes the larger primes.
@@ -190,8 +265,8 @@ def _brent_rho(n: int) -> int:
 
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {p: multiplicity}."""
-    if n < 1:
-        raise ArgumentError("factor_int needs n >= 1")
+    if not isinstance(n, int) or n < 1:
+        raise ArgumentError("factor_int needs an int n >= 1, got %r" % (n,))
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
@@ -203,7 +278,7 @@ def factor_int(n: int) -> dict[int, int]:
         stack = [n]
         while stack:
             m = stack.pop()
-            if isprime(m):
+            if _is_prime(m):
                 out[m] = out.get(m, 0) + 1
             else:
                 d = _brent_rho(m)
@@ -255,11 +330,8 @@ def product_formula_residual(x) -> ProductFormulaLedger:
     if f == 0:
         raise ArgumentError("product formula needs x != 0")
     num = factor_int(abs(f.numerator))
-    den = factor_int(f.denominator)
-    finite = dict(num)
-    for p, e in den.items():
-        finite[p] = finite.get(p, 0) - e  # coprime in lowest terms, but safe
-    ledger = tuple(sorted((p, e) for p, e in finite.items() if e != 0))
+    den = factor_int(f.denominator)  # coprime to the numerator, lowest terms
+    ledger = tuple(sorted([*num.items(), *((p, -e) for p, e in den.items())]))
     a = abs(f)
     arch = math.log(a.numerator) - math.log(a.denominator)
     return ProductFormulaLedger(f, ledger, arch)

@@ -4,9 +4,9 @@ Everything here is deliberately written on different lines than the package
 code: rank comes from Gauss-Jordan over Fractions (or plain integer
 cross-multiplication for the bulk runs) instead of fraction-free elimination
 with gcd trimming, position verdicts come from a raw subset sweep, and
-factorization is delegated to sympy.  The witness reference is the subset
-loop the position sweep replaced, one fresh rank per subset; the nullspace
-reference is the RREF-over-Fractions basis.  The avoidance reference keeps the
+factorization and primality are delegated to sympy.  The witness reference
+is the subset loop the position sweep replaced, one fresh rank per subset; the
+nullspace reference is the RREF-over-Fractions basis.  The avoidance reference keeps the
 rank-based membership test the combination construction used to run:
 two fresh eliminations per candidate, after an explicit intersection of
 the span with the excluded rowspace.
@@ -17,6 +17,7 @@ from itertools import combinations, product
 from math import gcd
 
 import sympy
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from subgeneral.linalg import in_rowspace, intersect_rowspaces
 
@@ -175,6 +176,18 @@ def nullspace_by_rref(rows, ncols: int):
 
 def factor_reference(n: int) -> dict:
     return {int(p): int(e) for p, e in sympy.factorint(n).items()}
+
+
+def prime_reference(n: int) -> bool:
+    return bool(sympy.isprime(n))
+
+
+def next_prime_reference(n: int) -> int:
+    return int(sympy.nextprime(n))
+
+
+def strong_lucas_reference(n: int) -> bool:
+    return bool(is_strong_lucas_prp(n))
 
 
 def avoiding_by_rank(span_rows, excluded_rowsets, max_coeff: int = 32):

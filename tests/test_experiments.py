@@ -9,7 +9,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-import sympy
 
 import subgeneral
 from subgeneral import (
@@ -819,7 +818,7 @@ def test_bulk_ledger_is_bit_equal_to_one_point_values():
 
 
 def test_ledgers_do_no_primality_work(monkeypatch):
-    counts = {"valuation": 0, "isprime": 0}
+    counts = {"valuation": 0, "is_prime": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -838,14 +837,14 @@ def test_ledgers_do_no_primality_work(monkeypatch):
     }
     finite = replace(curve, arrangements=curve.arrangements[1:], h_max=math.log(12))
     # replace every binding of the two functions, wherever it was imported
-    modules = [sympy] + [
+    modules = [
         mod
         for name, mod in list(sys.modules.items())
         if mod is not None and name.startswith(subgeneral.__name__)
     ]
     originals = (
         ("valuation", subgeneral.places.valuation),
-        ("isprime", sympy.isprime),
+        ("is_prime", subgeneral.places._is_prime),
     )
     for name, original in originals:
         wrapper = counting(name, original)
@@ -855,12 +854,12 @@ def test_ledgers_do_no_primality_work(monkeypatch):
                     monkeypatch.setattr(mod, attr, wrapper)
     rows = weil_batch(manifest)
     report = run_main_experiment(finite)
-    assert counts == {"valuation": 0, "isprime": 0}
+    assert counts == {"valuation": 0, "is_prime": 0}
     assert any(r["exact"] not in ("", "support") for r in rows)
     assert report.points
     # the wrappers do see the public entry point
     subgeneral.valuation(12, 2)
-    assert counts["valuation"] == 1 and counts["isprime"] >= 1
+    assert counts["valuation"] == 1 and counts["is_prime"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -915,3 +914,26 @@ def test_exhaustive_window_over_the_attempt_budget_is_refused(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_json_dict()))
     assert main(["experiment", "run", "--config", "@%s" % path]) == 65
+
+
+def test_count_limited_sweep_stops_at_the_attempt_budget(monkeypatch, tmp_path):
+    axis = LinearSubvariety(2, (LinearForm((0, 0, 1)),))
+    cases = ((P1, 0.0, math.log(200)), (axis, math.log(20), math.log(150)))
+    full = [sample_points(x, lo, hi, None, seed=0) for x, lo, hi in cases]
+    # uncapped, a count beyond the window sweeps all of it
+    assert [f.attempts for f in full] == [48928, 26952]
+    monkeypatch.setattr(subgeneral.experiments, "_SWEEP_BUDGET", 5000)
+    for (x, lo, hi), whole in zip(cases, full):
+        got = sample_points(x, lo, hi, 10**6, seed=0)
+        assert got.attempts == 5000 and got.partial
+        assert got.points == whole.points[: len(got.points)]
+        # a count reached within the budget is not partial
+        few = sample_points(x, lo, hi, 10, seed=0)
+        assert few.points == whole.points[:10] and not few.partial
+    monkeypatch.setattr(subgeneral.experiments, "_SWEEP_BUDGET", 40)
+    cfg = config_p1(h_max=math.log(200), sample_count=10**6)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_json_dict()))
+    out = tmp_path / "report.json"
+    assert main(["experiment", "run", "--config", "@%s" % path, "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["partial"] is True

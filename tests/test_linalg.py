@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, rref, nullspace, rowspace intersection."""
+"""Exact linear algebra: rank, nullspace, rowspace intersection."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,6 @@ from subgeneral.linalg import (
     nullspace,
     primitive,
     rank_rows,
-    rref,
 )
 
 from oracles import nullspace_by_rref, rank_fraction_gauss
@@ -36,20 +35,6 @@ def test_rank_edge_cases():
     assert rank_rows([[0, 0, 0]]) == 0
     assert rank_rows([[1, 0], [0, 1]]) == 2
     assert rank_rows([[1, 2], [2, 4], [3, 6]]) == 1
-
-
-def test_rref_shape_and_pivots():
-    rng = random.Random(12)
-    for _ in range(100):
-        m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        red, pivots = rref([[Fraction(x) for x in row] for row in m])
-        assert sorted(pivots) == list(pivots)
-        for i, pc in enumerate(pivots):
-            assert red[i][pc] == 1
-            for j in range(len(pivots)):
-                if j != i:
-                    assert red[j][pc] == 0
-        assert len(pivots) == rank_fraction_gauss(m)
 
 
 def test_primitive_canonicalizes():

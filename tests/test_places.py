@@ -1,11 +1,16 @@
 """Places of Q: normalized log-norms, valuations, and the product formula."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import subgeneral
 from subgeneral import (
     ArgumentError,
     INF,
@@ -18,8 +23,15 @@ from subgeneral import (
     valuation,
 )
 
+from subgeneral.places import _PSI, _is_prime, _is_strong_lucas_prp, _is_strong_prp
+
 from gen import rand_fraction
-from oracles import factor_reference
+from oracles import (
+    factor_reference,
+    next_prime_reference,
+    prime_reference,
+    strong_lucas_reference,
+)
 
 
 def test_place_identity_and_parse():
@@ -142,6 +154,97 @@ def test_factor_int_edges():
     assert factor_int(2) == {2: 1}
     with pytest.raises(ArgumentError):
         factor_int(0)
+
+
+def test_factor_int_rejects_non_integers():
+    for bad in (12.5, 10**13 + 0.0, "12", Fraction(12), -3):
+        with pytest.raises(ArgumentError):
+            factor_int(bad)
+
+
+# ---------------------------------------------------------------------------
+# primality against the sympy oracle
+
+# Carmichael numbers, and 3215031751, a strong pseudoprime to bases 2, 3, 5, 7
+_PSEUDOPRIMES = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                 321197185, 5394826801, 232250619601, 9746347772161, 3215031751]
+# Chernick's (6k+1)(12k+1)(18k+1) with three prime factors is a Carmichael
+# number; these k put it above psi_13 and make it a strong base-2 pseudoprime,
+# so only the Lucas step of BPSW can reject it
+_CHERNICK_K = [100010036, 100015586, 100016170, 100017346, 100020070]
+
+
+def test_is_prime_matches_sympy_below_100000():
+    assert [n for n in range(100_000) if _is_prime(n) != prime_reference(n)] == []
+
+
+def test_is_prime_matches_sympy_on_seeded_odd_numbers():
+    rng = random.Random(2024)
+    for bits in (16, 32, 48, 64, 82, 100, 128, 256):
+        values = [rng.getrandbits(bits) | 1 | 1 << (bits - 1) for _ in range(2000)]
+        got = [_is_prime(n) for n in values]
+        assert got == [prime_reference(n) for n in values], bits
+        assert any(got), bits  # the prime answer is exercised at every size
+
+
+def test_is_prime_at_the_miller_rabin_bounds_and_pseudoprimes():
+    values = [psi + d for psi in _PSI for d in (-2, -1, 0, 1, 2)] + _PSEUDOPRIMES
+    for n in values:
+        assert _is_prime(n) == prime_reference(n), n
+    assert not any(_is_prime(n) for n in list(_PSI) + _PSEUDOPRIMES)
+
+
+def test_is_prime_takes_bpsw_above_the_last_bound():
+    rng = random.Random(13)
+    for k in _CHERNICK_K:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        assert all(prime_reference(p) for p in factors)
+        n = math.prod(factors)
+        assert n > _PSI[-1] and _is_strong_prp(n, 2)
+        assert not _is_prime(n) and not prime_reference(n)
+    for _ in range(200):
+        p, q = (next_prime_reference(rng.getrandbits(48)) for _ in range(2))
+        assert p * q > _PSI[-1]
+        assert not _is_prime(p * q) and not prime_reference(p * q)
+    for e in (89, 107, 127, 521):
+        assert _is_prime(2**e - 1) and prime_reference(2**e - 1)
+        assert _is_prime(2**e + 1) == prime_reference(2**e + 1)
+
+
+def test_strong_lucas_step_matches_sympy():
+    odd = list(range(3, 20_001, 2))  # 5459, 5777, 10877, 16109, 18971 fool it
+    rng = random.Random(31)
+    for bits in (40, 64, 100, 128):
+        odd += [rng.getrandbits(bits) | 1 | 1 << (bits - 1) for _ in range(500)]
+    # squares of large primes: (D/n) is never -1 and no small D shares a
+    # factor with n, so only the square test ends the search for D
+    odd += [(2**61 - 1) ** 2, (10**12 + 39) ** 2]
+    got = [_is_strong_lucas_prp(n) for n in odd]
+    assert got == [strong_lucas_reference(n) for n in odd]
+    liars = [n for n, ok in zip(odd, got) if ok and not prime_reference(n)]
+    assert liars[:5] == [5459, 5777, 10877, 16109, 18971]
+
+
+def test_places_at_huge_primes():
+    assert Place(2**127 - 1).p == 2**127 - 1
+    assert valuation(Fraction(2**127 - 1, 3), 2**127 - 1) == 1
+    with pytest.raises(ArgumentError):
+        Place(2**127 + 1)
+    with pytest.raises(ArgumentError):
+        valuation(5, 2**127 + 1)
+
+
+def test_the_package_imports_without_sympy():
+    src = str(Path(subgeneral.__file__).resolve().parents[1])
+    code = "import sys, subgeneral, subgeneral.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_ulp_distance_basics():

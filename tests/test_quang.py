@@ -5,7 +5,6 @@ import sys
 from fractions import Fraction
 
 import pytest
-import sympy
 
 import subgeneral
 from subgeneral import linalg, quang
@@ -366,7 +365,7 @@ def test_reorder_sorts_by_exact_norm():
 
 
 def test_warm_chain_check_does_no_elimination_or_primality_work(monkeypatch):
-    counts = {"rank_rows": 0, "isprime": 0}
+    counts = {"rank_rows": 0, "is_prime": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -394,23 +393,26 @@ def test_warm_chain_check_does_no_elimination_or_primality_work(monkeypatch):
     warm = run_checks()
     assert warm
     # replace every binding of the two functions, wherever it was imported
-    modules = [sympy] + [
+    modules = [
         mod
         for name, mod in list(sys.modules.items())
         if mod is not None and name.startswith(subgeneral.__name__)
     ]
-    for name, original in (("rank_rows", linalg.rank_rows), ("isprime", sympy.isprime)):
+    for name, original in (
+        ("rank_rows", linalg.rank_rows),
+        ("is_prime", subgeneral.places._is_prime),
+    ):
         wrapper = counting(name, original)
         for mod in modules:
             for attr, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, attr, wrapper)
     assert run_checks() == warm
-    assert counts == {"rank_rows": 0, "isprime": 0}
+    assert counts == {"rank_rows": 0, "is_prime": 0}
     # the wrappers do see the public entry points
     valuation(12, 2)
     linalg.in_rowspace([1, 0, 0, 0], [[1, 0, 0, 0]])
-    assert counts["isprime"] >= 1 and counts["rank_rows"] >= 1
+    assert counts["is_prime"] >= 1 and counts["rank_rows"] >= 1
 
 
 def test_cold_certificates_do_no_rank_work(monkeypatch):
