@@ -217,13 +217,8 @@ def _cmd_delta(args) -> int:
 
 def _cmd_experiment(args, runner) -> int:
     config = ExperimentConfig.from_json_dict(_json_arg(args.config))
-    overrides = {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        config = replace(config, **overrides)
+        config = replace(config, seed=args.seed)
     try:
         report = runner(config)
     except ConfigRejectedError as exc:
@@ -360,7 +355,6 @@ def build_parser() -> _Parser:
         ep.add_argument("--out")
         ep.add_argument("--format", choices=("json", "csv"), default="json")
         ep.add_argument("--seed", type=int)
-        ep.add_argument("--workers", type=int)
         ep.add_argument(
             "--no-records", action="store_true", help="omit per-point records"
         )

@@ -31,9 +31,10 @@ products at the archimedean place; only the reported floats are rounded.
 Bulk ledgers (weighted_defect over a sample) evaluate each distinct target
 once per point and read every local value from the exact kernel of the
 local-value module, the one the one-point routines read, so a weighted sum is
-bit-equal to the fsum of the weighted one-point values.  Exhaustive windows
+bit-equal to the fsum of the weighted one-point values.  The whole ledger
+runs in the calling process: no pool, no threads.  Exhaustive windows
 predicted to need more than _SWEEP_BUDGET sampler attempts are refused; a
-count-limited sweep stops there with a partial sample.
+count-limited sweep or random draw stops there with a partial sample.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import functools
 import math
 import random
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -90,7 +90,10 @@ def place_sort_key(v: Place):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Field-for-field mirror of the JSON experiment configuration."""
+    """Field-for-field mirror of the JSON experiment configuration.
+
+    workers is accepted, validated (>= 1) and echoed in reports, but changes
+    nothing: the ledger runs in the calling process."""
 
     variety: LinearSubvariety
     arrangements: tuple[tuple[Place, tuple[Target, ...]], ...]
@@ -144,12 +147,6 @@ class ExperimentConfig:
     @property
     def places(self) -> tuple[Place, ...]:
         return tuple(v for v, _ in self.arrangements)
-
-    def targets_at(self, place: Place) -> tuple[Target, ...]:
-        for v, targets in self.arrangements:
-            if v == place:
-                return targets
-        raise ArgumentError("place %s not in config" % place)
 
     def to_json_dict(self) -> dict:
         return {
@@ -299,7 +296,8 @@ def sample_points(
 
     Curves get an exhaustive parameter sweep (count=None means every point
     in the window); higher-dimensional X gets seeded uniform draws from the
-    coordinate box, deduplicated, with a bounded number of attempts.
+    coordinate box, deduplicated, with at most min(200*count + 1000,
+    _SWEEP_BUDGET) attempts.
     Points on any excluded support are skipped.
     """
     if count == 0:
@@ -372,7 +370,7 @@ def sample_points(
     seen = set()
     out = []
     attempts = 0
-    max_attempts = 200 * count + 1000
+    max_attempts = min(200 * count + 1000, _SWEEP_BUDGET)
     while len(out) < count and attempts < max_attempts:
         attempts += 1
         u = [rng.randint(-hi, hi) for _ in basis]
@@ -496,8 +494,8 @@ def _exceeds_bound_exactly(
     return lhs_num > hmax ** int(bound * den) * lhs_den
 
 
-def _defect_batch(args):
-    config, pts = args
+def _defect_batch(config: ExperimentConfig, pts) -> list:
+    """weighted_defect of each point, None for a point on a support."""
     ev = _evaluator(config)
     out = []
     for pt in pts:
@@ -940,13 +938,7 @@ def _run(
         mode=config.mode,
     )
     pts = list(sample.points)
-    if config.workers > 1 and len(pts) > 1000:
-        chunk = (len(pts) + 4 * config.workers - 1) // (4 * config.workers)
-        batches = [(config, pts[i : i + chunk]) for i in range(0, len(pts), chunk)]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            defects = [d for part in pool.map(_defect_batch, batches) for d in part]
-    else:
-        defects = _defect_batch((config, pts))
+    defects = _defect_batch(config, pts)
     labels = [str(p) for p in pts]
     order = sorted(range(len(pts)), key=labels.__getitem__)
     points: list[str] = []

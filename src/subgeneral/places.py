@@ -194,9 +194,6 @@ class LogNorm:
     exact: Optional[tuple[int, int]]
     approx: float
 
-    def as_fraction_exponent(self) -> Optional[int]:
-        return None if self.exact is None else -self.exact[1]
-
 
 def log_norm(x, v: Place) -> LogNorm:
     """Normalized log||x||_v.  Examples: ||3/8||_2 = 8, ||-6/5||_inf = 6/5."""

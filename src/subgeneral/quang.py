@@ -268,24 +268,16 @@ def quang_combine(
         raise RuntimeError(
             "construction produced a non-general family; this is a bug"
         )
-    cert = CombinationCertificate(
+    constants = sorted(
+        (str(v), rat_str(_rows_constant(rows[1:], v))) for v in constant_places
+    )
+    return CombinationCertificate(
         variety=variety,
         inputs=tuple(forms),
         outputs=tuple(outputs),
         matrix=tuple(rows),
         position=out_report,
-        constants=(),
-    )
-    constants = tuple(
-        sorted((str(v), rat_str(chain_constant(cert, v))) for v in constant_places)
-    )
-    return CombinationCertificate(
-        variety=cert.variety,
-        inputs=cert.inputs,
-        outputs=cert.outputs,
-        matrix=cert.matrix,
-        position=cert.position,
-        constants=constants,
+        constants=tuple(constants),
     )
 
 
@@ -302,7 +294,11 @@ def chain_constant(cert: CombinationCertificate, place: Place) -> Fraction:
     finite v: max over combination rows of max_j ||c_tj||_v;
     archimedean: max over rows of (#nonzero entries) * max_j |c_tj|.
     """
-    rows = cert.matrix[1:]
+    return _rows_constant(cert.matrix[1:], place)
+
+
+def _rows_constant(rows, place: Place) -> Fraction:
+    """chain_constant of the combination rows (the matrix without row 1)."""
     if not rows:
         return Fraction(1)
     if place.is_archimedean:

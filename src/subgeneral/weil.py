@@ -240,17 +240,6 @@ def local_weil(
     return WeilValue(value, place, str(target), str(point), ledger, dropped)
 
 
-def local_weil_ratio(
-    point: ProjPoint, target: Target, place: Place, mode: str = "lenient"
-) -> Fraction:
-    """The exact rational q with local_weil(...).value == log q.
-
-    q is p^e at a finite place; for a subscheme it is the least q over the
-    live components.  Raises SupportError wherever local_weil does."""
-    (e,), _ = _ledger(_live(point, target, mode)[0], height_exact(point), (place,))
-    return Fraction(*e) if place.p is None else Fraction(place.p) ** e
-
-
 def is_on_support(point: ProjPoint, target: Target, mode: str = "lenient") -> bool:
     """True when local_weil would raise SupportError at every place."""
     try:

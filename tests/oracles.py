@@ -9,7 +9,9 @@ is the subset loop the position sweep replaced, one fresh rank per subset; the
 nullspace reference is the RREF-over-Fractions basis.  The avoidance reference keeps the
 rank-based membership test the combination construction used to run:
 two fresh eliminations per candidate, after an explicit intersection of
-the span with the excluded rowspace.
+the span with the excluded rowspace.  The local Weil reference takes the
+max-norm definition at face value, over Fractions, with no normalization
+assumed.
 """
 
 from fractions import Fraction
@@ -221,3 +223,54 @@ def quang_step_by_intersection(span_rows, excluded_rowsets):
     ncols = len(span_rows[0])
     forbidden = [intersect_rowspaces(span_rows, ex, ncols) for ex in excluded_rowsets]
     return avoiding_by_rank(span_rows, [[list(v) for v in f] for f in forbidden if f])
+
+
+def _norm_at(r: Fraction, p) -> Fraction:
+    """|r|_v: the absolute value at v = inf (p None), else p^(-ord_p(r))."""
+    if p is None or r == 0:
+        return abs(r)
+    out = Fraction(1)
+    num, den = r.numerator, r.denominator
+    while num % p == 0:
+        num //= p
+        out /= p
+    while den % p == 0:
+        den //= p
+        out *= p
+    return out
+
+
+def weil_ratio_reference(point, target, place):
+    """The rational q with lambda_{target,v}(P) = log q, by the definition
+
+        q = ||x||_v^d * ||F||_v / |F(x)|_v,
+
+    the max-norms taken over the coordinates and the coefficients as given.
+    A subscheme (anything with .components) takes the least q over the
+    components that do not vanish at P; None when every component does."""
+    p = place.p
+    x = [Fraction(c) for c in point.coords]
+    best = None
+    for comp in getattr(target, "components", (target,)):
+        if comp.degree == 1:
+            n = len(comp.coeffs)
+            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            terms = list(zip(units, comp.coeffs))
+        else:
+            terms = comp.terms()
+        value = Fraction(0)
+        for exps, c in terms:
+            term = Fraction(c)
+            for xi, e in zip(x, exps):
+                term *= xi**e
+            value += term
+        if value == 0:
+            continue
+        q = (
+            max(_norm_at(xi, p) for xi in x) ** comp.degree
+            * max(_norm_at(Fraction(c), p) for _, c in terms)
+            / _norm_at(value, p)
+        )
+        if best is None or q < best:
+            best = q
+    return best

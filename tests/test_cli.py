@@ -325,6 +325,10 @@ def test_experiment_csv_and_flags(capsys, tmp_path):
     seeded = json.loads(capsys.readouterr().out)
     assert seeded["config"]["seed"] == 99
 
+    # workers is a config field only; the ledger runs in this process
+    assert main(["experiment", "run", "--config", "@%s" % path, "--workers", "2"]) == 64
+    capsys.readouterr()
+
 
 def test_experiment_baseline(capsys, tmp_path):
     cfg = violator_config(

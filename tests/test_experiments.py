@@ -3,10 +3,13 @@
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,7 @@ from subgeneral import (
     weil_batch,
 )
 from subgeneral.cli import main
+from subgeneral.jsonio import stable_dumps
 
 from gen import rand_hom_form, rand_linear_form
 from oracles import rank_fraction_gauss
@@ -732,15 +736,46 @@ def test_nonlinear_targets_need_the_assertion():
     assert ok.position_checks["inf"]["verdict"] is None
 
 
-def test_worker_pool_matches_serial():
+def test_workers_value_changes_no_report_byte():
     cfg = config_p1(h_min=0.5, h_max=3.9)
-    serial = run_main_experiment(cfg)
-    pooled = run_main_experiment(replace(cfg, workers=2))
-    assert len(serial.points) > 1000  # large enough to engage the pool
-    assert pooled.points == serial.points
-    assert pooled.sums == serial.sums
-    assert pooled.ratios == serial.ratios
-    assert pooled.violators == serial.violators
+    one = run_main_experiment(cfg)
+    two = run_main_experiment(replace(cfg, workers=2))
+    assert len(one.points) > 1000
+    csv_one, csv_two = io.StringIO(), io.StringIO()
+    one.write_csv(csv_one)
+    two.write_csv(csv_two)
+    assert csv_two.getvalue() == csv_one.getvalue()
+    # the JSON report differs only in the echoed value
+    echoed = json.loads(two.to_json())
+    assert echoed["config"]["workers"] == 2
+    echoed["config"]["workers"] = 1
+    assert stable_dumps(echoed) == one.to_json()
+
+
+def test_experiment_runs_in_one_process(tmp_path):
+    cfg = config_p1(h_min=0.5, h_max=3.9, workers=2)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_json_dict()))
+    out = tmp_path / "report.json"
+    code = (
+        "import sys, subgeneral, subgeneral.cli\n"
+        "rc = subgeneral.cli.main(['experiment', 'run', '--config', '@' + sys.argv[1],"
+        " '--out', sys.argv[2], '--no-records'])\n"
+        "print(rc, [m for m in ('concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules])"
+    )
+    src = str(Path(subgeneral.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(path), str(out)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "0 []"
+    report = json.loads(out.read_text())
+    assert report["n_points"] > 1000
+    assert report["config"]["workers"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -937,3 +972,34 @@ def test_count_limited_sweep_stops_at_the_attempt_budget(monkeypatch, tmp_path):
     out = tmp_path / "report.json"
     assert main(["experiment", "run", "--config", "@%s" % path, "--out", str(out)]) == 3
     assert json.loads(out.read_text())["partial"] is True
+
+
+def test_random_draws_stop_at_the_attempt_budget(monkeypatch, tmp_path):
+    # {x0 + x1 + x2 + x3 = 0} in P^3 holds 97 points of height at most log 3
+    plane = LinearSubvariety(3, (LinearForm((1, 1, 1, 1)),))
+    few = sample_points(plane, 0.0, math.log(3), 10, seed=0)
+    monkeypatch.setattr(subgeneral.experiments, "_SWEEP_BUDGET", 5000)
+    # 200 * count + 1000 would allow 21,000 attempts; the budget cuts it
+    got = sample_points(plane, 0.0, math.log(3), 100, seed=0)
+    assert got.attempts == 5000 and got.partial
+    assert len(got.points) == 97
+    # a count reached within 200 * count + 1000 attempts is unchanged
+    assert sample_points(plane, 0.0, math.log(3), 10, seed=0) == few
+    assert not few.partial
+    axes = (LinearForm((1, 0, 0, 0)), LinearForm((0, 1, 0, 0)), LinearForm((0, 0, 1, 0)))
+    cfg = ExperimentConfig(
+        variety=plane,
+        arrangements=((INF, axes),),
+        level=2,
+        epsilon=Fraction(1, 10),
+        h_min=0.0,
+        h_max=math.log(3),
+        sample_count=100,
+        seed=0,
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_json_dict()))
+    out = tmp_path / "report.json"
+    assert main(["experiment", "run", "--config", "@%s" % path, "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["partial"] is True and report["attempts"] == 5000

@@ -34,9 +34,8 @@ from subgeneral import (
     weil_subscheme,
 )
 
-from subgeneral.weil import local_weil_ratio
-
 from gen import point_off_targets, rand_hom_form, rand_linear_form
+from oracles import weil_ratio_reference
 
 
 def hom(dim, degree, terms):
@@ -120,13 +119,17 @@ def test_weil_subscheme_modes_at_partial_support():
 
 
 def test_local_weil_ratio_is_the_exact_value():
+    # the reference takes the max-norm definition over Fractions; local_weil
+    # must give exactly its p-power at p and log(num) - log(den) at inf
     rng = random.Random(17)
     y = SubschemeSpec((HomForm(2, 1, (1, 0, 0)), HomForm(2, 1, (0, 1, 0))))
     on_one = ProjPoint((0, 4, 1))  # kills the first component only
-    assert local_weil_ratio(on_one, y, INF) == Fraction(4, 4)
-    assert local_weil_ratio(on_one, y, Place(2)) == 4
+    assert weil_ratio_reference(on_one, y, INF) == Fraction(4, 4)
+    assert local_weil(on_one, y, INF).value == 0.0
+    assert weil_ratio_reference(on_one, y, Place(2)) == 4
+    assert local_weil(on_one, y, Place(2)).exact == (2, 2)
     with pytest.raises(SupportError):
-        local_weil_ratio(on_one, y, INF, mode="strict")
+        local_weil(on_one, y, INF, mode="strict")
     for _ in range(30):
         targets = [
             rand_linear_form(rng, 2),
@@ -136,9 +139,13 @@ def test_local_weil_ratio_is_the_exact_value():
         pt = point_off_targets(rng, targets, 2)
         for t in targets:
             for v in (INF, Place(2), Place(3)):
-                q = local_weil_ratio(pt, t, v)
-                value = local_weil(pt, t, v).value
-                assert math.isclose(math.log(q), value, rel_tol=1e-12, abs_tol=1e-12)
+                q = weil_ratio_reference(pt, t, v)
+                w = local_weil(pt, t, v)
+                assert math.isclose(math.log(q), w.value, rel_tol=1e-12, abs_tol=1e-12)
+                if v.p is None:
+                    assert w.value == math.log(q.numerator) - math.log(q.denominator)
+                else:
+                    assert Fraction(v.p) ** w.exact[1] == q
 
 
 def test_is_on_support_modes():
