@@ -6,7 +6,7 @@ runner convention for experiments:
     0   success (including negative position verdicts, which are data)
     2   experiment config rejected (position failure or bad arrangement)
     3   experiment completed but the sample is partial
-    64  usage or parse failure
+    64  usage or parse failure, including a JSON document of the wrong shape
     65  domain error from a module (support hit, bad geometry, ...)
     66  file I/O failure
 
@@ -66,12 +66,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError("%s\n%s" % (message, self.format_usage()))
 
 
-def _json_arg(text: str):
-    """Inline JSON, or @path to load it from a file."""
+def _doc_arg(option: str, text: str, parse):
+    """parse() of the JSON given to option, inline or @path.  A document of
+    the wrong shape is a usage error naming the option; an ArgumentError
+    from parse stays a domain error."""
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    data = json.loads(text)
+    try:
+        return parse(data)
+    except SubgeneralError:
+        raise
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
+        raise _UsageError(
+            "%s: malformed document (%s: %s)" % (option, type(exc).__name__, exc)
+        ) from exc
 
 
 def _emit(text: str, out_path) -> None:
@@ -86,12 +96,11 @@ def _emit(text: str, out_path) -> None:
 
 def _variety_arg(args, default_ambient: int) -> LinearSubvariety:
     if getattr(args, "x", None):
-        return LinearSubvariety.from_json(_json_arg(args.x))
+        return _doc_arg("--x", args.x, LinearSubvariety.from_json)
     return projective_space(default_ambient)
 
 
-def _forms_arg(text) -> list[LinearForm]:
-    data = _json_arg(text)
+def _forms_from_json(data) -> list[LinearForm]:
     if not isinstance(data, list):
         raise _UsageError("--forms takes a JSON list of coefficient lists")
     return [LinearForm.from_json(f) for f in data]
@@ -137,19 +146,18 @@ def _cmd_height(args) -> int:
 
 def _cmd_weil(args) -> int:
     if args.manifest:
-        rows = weil_batch(_json_arg(args.manifest))
+        rows = _doc_arg("--manifest", args.manifest, weil_batch)
         if args.format == "csv":
             lines = ["point,target,place,value,exact,note"]
             for r in rows:
                 lines.append(
-                    "%s,%s,%s,%s,%s,%s"
+                    "%s,%s,%s,%s,%s,"
                     % (
                         r["point"],
                         '"%s"' % r["target"],
                         r["place"],
                         "" if r["value"] is None else repr(r["value"]),
                         r["exact"],
-                        r.get("note", ""),
                     )
                 )
             _emit("\n".join(lines), args.out)
@@ -159,7 +167,7 @@ def _cmd_weil(args) -> int:
     if args.linear:
         target = LinearForm.parse(args.linear)
     elif args.target:
-        target = target_from_json(_json_arg(args.target))
+        target = _doc_arg("--target", args.target, target_from_json)
     else:
         raise _UsageError("weil needs --linear, --target, or --manifest")
     pt = ProjPoint.parse(args.point)
@@ -170,7 +178,7 @@ def _cmd_weil(args) -> int:
 
 
 def _cmd_position_check(args) -> int:
-    forms = _forms_arg(args.forms)
+    forms = _doc_arg("--forms", args.forms, _forms_from_json)
     variety = _variety_arg(args, forms[0].dim if forms else 1)
     report = check_subgeneral(forms, variety, args.l, verdict_only=args.verdict_only)
     _emit(report.to_json(), args.out)
@@ -178,7 +186,7 @@ def _cmd_position_check(args) -> int:
 
 
 def _cmd_quang_combine(args) -> int:
-    forms = _forms_arg(args.forms)
+    forms = _doc_arg("--forms", args.forms, _forms_from_json)
     variety = _variety_arg(args, forms[0].dim if forms else 1)
     places = tuple(parse_place(s) for s in args.places.split(","))
     cert = quang_combine(forms, variety, constant_places=places)
@@ -187,14 +195,14 @@ def _cmd_quang_combine(args) -> int:
 
 
 def _cmd_seshadri(args) -> int:
-    target = target_from_json(_json_arg(args.target))
+    target = _doc_arg("--target", args.target, target_from_json)
     value = seshadri_constant(target)
     _emit(stable_dumps_pretty(value.to_json_dict()), args.out)
     return 0
 
 
 def _cmd_chain_check(args) -> int:
-    cert = CombinationCertificate.from_json_dict(_json_arg(args.cert))
+    cert = _doc_arg("--cert", args.cert, CombinationCertificate.from_json_dict)
     pt = ProjPoint.parse(args.point)
     v = parse_place(args.place)
     rec = chain_check(pt, v, cert)
@@ -215,12 +223,12 @@ def _cmd_delta(args) -> int:
     return 0
 
 
-def _cmd_experiment(args, runner) -> int:
-    config = ExperimentConfig.from_json_dict(_json_arg(args.config))
+def _cmd_experiment(args) -> int:
+    config = _doc_arg("--config", args.config, ExperimentConfig.from_json_dict)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     try:
-        report = runner(config)
+        report = args.runner(config)
     except ConfigRejectedError as exc:
         print("config rejected: %s" % exc, file=sys.stderr)
         return 2
@@ -369,8 +377,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "func", None):
             raise _UsageError(parser.format_usage())
-        if getattr(args, "runner", None):
-            return args.func(args, args.runner)
         return args.func(args)
     except _UsageError as exc:
         print(str(exc).rstrip(), file=sys.stderr)

@@ -31,10 +31,13 @@ products at the archimedean place; only the reported floats are rounded.
 Bulk ledgers (weighted_defect over a sample) evaluate each distinct target
 once per point and read every local value from the exact kernel of the
 local-value module, the one the one-point routines read, so a weighted sum is
-bit-equal to the fsum of the weighted one-point values.  The whole ledger
-runs in the calling process: no pool, no threads.  Exhaustive windows
-predicted to need more than _SWEEP_BUDGET sampler attempts are refused; a
-count-limited sweep or random draw stops there with a partial sample.
+bit-equal to the fsum of the weighted one-point values.  A run builds one
+evaluation plan, read by its float defects, tie band and exact tie
+decisions; the sampler has already dropped every point on a support.  The
+whole ledger runs in the calling process: no pool, no threads.  Exhaustive
+windows predicted to need more than _SWEEP_BUDGET sampler attempts are
+refused; a count-limited sweep or random draw stops there with a partial
+sample.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import functools
 import math
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -80,10 +83,6 @@ from .weil import (
 )
 
 
-def place_sort_key(v: Place):
-    return (0, 0) if v.is_archimedean else (1, v.p)
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -114,7 +113,8 @@ class ExperimentConfig:
         object.__setattr__(
             self,
             "arrangements",
-            tuple(sorted(self.arrangements, key=lambda kv: place_sort_key(kv[0]))),
+            # the archimedean place (p None) first, then primes ascending
+            tuple(sorted(self.arrangements, key=lambda kv: kv[0].p or 0)),
         )
         places = [v for v, _ in self.arrangements]
         if not places:
@@ -171,6 +171,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data) -> "ExperimentConfig":
+        opt = {f.name: f.default for f in fields(cls)} | data
         variety = LinearSubvariety.from_json(data["x"])
         if "ambient_dim" in data and int(data["ambient_dim"]) != variety.ambient_dim:
             raise ArgumentError("ambient_dim disagrees with x")
@@ -180,7 +181,7 @@ class ExperimentConfig:
         )
         window = data["height_window"]
         count = data.get("sample_count")
-        return cls(
+        config = cls(
             variety=variety,
             arrangements=arrangements,
             level=int(data["l"]),
@@ -189,15 +190,20 @@ class ExperimentConfig:
             h_max=float(window[1]),
             sample_count=None if count is None else int(count),
             seed=int(data["seed"]),
-            position_asserted=bool(data.get("position_asserted", False)),
-            mode=str(data.get("mode", "lenient")),
-            candidate_fraction=parse_rat(data.get("candidate_fraction", "1/20")),
-            max_candidates=int(data.get("max_candidates", 10)),
-            workers=int(data.get("workers", 1)),
+            position_asserted=bool(opt["position_asserted"]),
+            mode=str(opt["mode"]),
+            candidate_fraction=parse_rat(opt["candidate_fraction"]),
+            max_candidates=int(opt["max_candidates"]),
+            workers=int(opt["workers"]),
             excluded_supports=tuple(
-                target_from_json(t) for t in data.get("excluded_supports", ())
+                target_from_json(t) for t in opt["excluded_supports"]
             ),
         )
+        # a misspelled key must not silently change the run
+        unknown = sorted(set(data) - set(config.to_json_dict()))
+        if unknown:
+            raise ArgumentError("unknown config keys: %s" % ", ".join(unknown))
+        return config
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +444,29 @@ class _Evaluator:
             terms += map(mul, weights, values)
         return math.fsum(terms)
 
+    def exceeds(self, pt: ProjPoint, bound: Fraction) -> bool:
+        """defect(P) > bound * h(P), decided in integers.
+
+        Each term is eps_j * log q with q the kernel's exact local value, so
+        with D a common denominator of the weights and the bound the test reads
+        prod q^(D*eps_j) > H^(D*bound), H = max|x_i|, one evaluation per
+        distinct target.
+        """
+        hmax = max(map(abs, pt.coords))
+        weights = (w for _, _, ws, _ in self.plan for w in ws)
+        den = lcm(bound.denominator, *(w.denominator for w in weights))
+        lhs_num = lhs_den = 1
+        for target, places, exact_weights, _ in self.plan:
+            exacts, _ = _ledger(_live(pt, target, self.mode)[0], hmax, places)
+            for v, e, w in zip(places, exacts, exact_weights):
+                m = int(w * den)
+                if v.p is None:
+                    lhs_num *= e[0] ** m
+                    lhs_den *= e[1] ** m
+                else:
+                    lhs_num *= v.p ** (e * m)
+        return lhs_num > hmax ** int(bound * den) * lhs_den
+
     def ratio_error_bound(self, bound: float) -> float:
         """Bound on |r - exact ratio| for a float ratio r = defect / h that
         lies within 1 of bound, at any height h >= log 2.
@@ -458,52 +487,14 @@ class _Evaluator:
         )
 
 
-@functools.lru_cache(maxsize=64)
-def _evaluator(config: ExperimentConfig) -> _Evaluator:
-    return _Evaluator(config)
-
-
 def weighted_defect(point: ProjPoint, config: ExperimentConfig) -> float:
     """sum over places and targets of eps_j * lambda_{j,v}(P), Seshadri-weighted."""
-    return _evaluator(config).defect(point)
+    return _Evaluator(config).defect(point)
 
 
-def _exceeds_bound_exactly(
-    pt: ProjPoint, config: ExperimentConfig, bound: Fraction
-) -> bool:
-    """defect(P) > bound * h(P), decided in integers.
-
-    Each term is eps_j * log q with q the kernel's exact local value, so
-    with D a common denominator of the weights and the bound the test reads
-    prod q^(D*eps_j) > H^(D*bound), H = max|x_i|, one evaluation per
-    distinct target.
-    """
-    plan = _evaluator(config).plan
-    hmax = max(map(abs, pt.coords))
-    den = lcm(bound.denominator, *(w.denominator for _, _, ws, _ in plan for w in ws))
-    lhs_num = lhs_den = 1
-    for target, places, exact_weights, _ in plan:
-        exacts, _ = _ledger(_live(pt, target, config.mode)[0], hmax, places)
-        for v, e, w in zip(places, exacts, exact_weights):
-            m = int(w * den)
-            if v.p is None:
-                lhs_num *= e[0] ** m
-                lhs_den *= e[1] ** m
-            else:
-                lhs_num *= v.p ** (e * m)
-    return lhs_num > hmax ** int(bound * den) * lhs_den
-
-
-def _defect_batch(config: ExperimentConfig, pts) -> list:
-    """weighted_defect of each point, None for a point on a support."""
-    ev = _evaluator(config)
-    out = []
-    for pt in pts:
-        try:
-            out.append(ev.defect(pt))
-        except SupportError:
-            out.append(None)
-    return out
+def _defect_batch(ev: _Evaluator, pts) -> list:
+    """ev.defect of each point."""
+    return [ev.defect(pt) for pt in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +771,9 @@ def exceptional_scan(
 # experiment runners
 
 
+_RECORD_FIELDS = ("point", "height", "weighted_sum", "ratio", "violator")
+
+
 @dataclass
 class DefectReport:
     kind: str  # "main" or "baseline"
@@ -793,34 +787,29 @@ class DefectReport:
     violators: list[str]
     candidates: list[Candidate]
     unassigned: list[str]
-    excluded_support: list[str]
+    excluded_support: list[str]  # empty: the sampler skips support points
     excluded_height: list[str]
     partial: bool
     attempts: int
     position_checks: dict
     chain_summary: dict
 
-    @property
-    def bound_float(self) -> float:
-        return float(self.bound)
+    def _rows(self):
+        """One (point, height, weighted_sum, ratio, violator) tuple per record."""
+        flagged = set(self.violators)
+        for row in zip(self.points, self.heights, self.sums, self.ratios):
+            yield row + (row[0] in flagged,)
 
     def iter_records(self):
-        flagged = set(self.violators)
-        for i in range(len(self.points)):
-            yield {
-                "point": self.points[i],
-                "height": self.heights[i],
-                "weighted_sum": self.sums[i],
-                "ratio": self.ratios[i],
-                "violator": self.points[i] in flagged,
-            }
+        for row in self._rows():
+            yield dict(zip(_RECORD_FIELDS, row))
 
     def to_json_dict(self, include_records: bool = True) -> dict:
         out = {
             "kind": self.kind,
             "config": self.config.to_json_dict(),
             "bound": rat_str(self.bound),
-            "bound_float": self.bound_float,
+            "bound_float": float(self.bound),
             "delta": rat_str(self.delta),
             "n_points": len(self.points),
             "violators": list(self.violators),
@@ -834,29 +823,16 @@ class DefectReport:
             "chain_summary": self.chain_summary,
         }
         if include_records:
-            out["records"] = [
-                [self.points[i], self.heights[i], self.sums[i], self.ratios[i]]
-                for i in range(len(self.points))
-            ]
+            out["records"] = [list(row[:4]) for row in self._rows()]
         return out
 
     def to_json(self, include_records: bool = True) -> str:
         return stable_dumps(self.to_json_dict(include_records))
 
     def write_csv(self, fh) -> None:
-        flagged = set(self.violators)
-        fh.write("point,height,weighted_sum,ratio,violator\n")
-        for i in range(len(self.points)):
-            fh.write(
-                "%s,%r,%r,%r,%d\n"
-                % (
-                    self.points[i],
-                    self.heights[i],
-                    self.sums[i],
-                    self.ratios[i],
-                    self.points[i] in flagged,
-                )
-            )
+        fh.write(",".join(_RECORD_FIELDS) + "\n")
+        for row in self._rows():
+            fh.write("%s,%r,%r,%r,%d\n" % row)
 
 
 def _validate_positions(config: ExperimentConfig, level: int, general: bool) -> dict:
@@ -887,10 +863,12 @@ def _validate_positions(config: ExperimentConfig, level: int, general: bool) -> 
     return checks
 
 
-def _chain_summary(
-    config: ExperimentConfig, eff_level: int, pts, cap: int = 200
-) -> dict:
-    """chain_check over a capped prefix of the sample, per applicable place."""
+_CHAIN_CHECK_CAP = 200
+
+
+def _chain_summary(config: ExperimentConfig, eff_level: int, pts) -> dict:
+    """chain_check over the first _CHAIN_CHECK_CAP sample points, per
+    applicable place."""
     summary = {}
     for place, targets in config.arrangements:
         key = str(place)
@@ -902,7 +880,7 @@ def _chain_summary(
         cert = quang_combine_cached(tuple(targets), config.variety)
         checked = passed = skipped = 0
         min_slack = None
-        for pt in pts[:cap]:
+        for pt in pts[:_CHAIN_CHECK_CAP]:
             try:
                 rec = chain_check(pt, place, cert)
             except SupportError:
@@ -938,7 +916,8 @@ def _run(
         mode=config.mode,
     )
     pts = list(sample.points)
-    defects = _defect_batch(config, pts)
+    ev = _Evaluator(config)
+    defects = _defect_batch(ev, pts)
     labels = [str(p) for p in pts]
     order = sorted(range(len(pts)), key=labels.__getitem__)
     points: list[str] = []
@@ -947,17 +926,13 @@ def _run(
     ratios = array("d")
     violators: list[str] = []
     violator_pts: list[ProjPoint] = []
-    excluded_support: list[str] = []
     excluded_height: list[str] = []
     bound_f = float(bound)
     # float ratios this close to the bound are decided exactly
-    tie_band = _evaluator(config).ratio_error_bound(bound_f)
+    tie_band = ev.ratio_error_bound(bound_f)
     for i in order:
         d = defects[i]
         label = labels[i]
-        if d is None:
-            excluded_support.append(label)
-            continue
         hmax = max(map(abs, pts[i].coords))
         if hmax == 1:
             excluded_height.append(label)
@@ -970,7 +945,7 @@ def _run(
         ratios.append(r)
         violator = r > bound_f
         if abs(r - bound_f) <= tie_band:
-            violator = _exceeds_bound_exactly(pts[i], config, bound)
+            violator = ev.exceeds(pts[i], bound)
         if violator:
             violators.append(label)
             violator_pts.append(pts[i])
@@ -991,7 +966,7 @@ def _run(
         violators=violators,
         candidates=candidates,
         unassigned=unassigned,
-        excluded_support=excluded_support,
+        excluded_support=[],
         excluded_height=excluded_height,
         partial=sample.partial,
         attempts=sample.attempts,

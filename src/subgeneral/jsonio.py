@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .errors import ArgumentError
+
 
 def stable_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -29,8 +31,6 @@ def rat_str(x) -> str:
 
 
 def parse_rat(s) -> Fraction:
-    from .errors import ArgumentError
-
     try:
         return Fraction(str(s).strip())
     except (ValueError, ZeroDivisionError) as exc:

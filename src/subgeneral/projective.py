@@ -17,7 +17,7 @@ from operator import mul
 
 from .errors import ArgumentError
 from .jsonio import parse_rat, rat_str
-from .linalg import primitive, rank_rows
+from .linalg import nullspace, primitive, rank_rows
 
 
 def normalize_coords(values) -> tuple[int, ...]:
@@ -316,8 +316,6 @@ class LinearSubvariety:
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Primitive integer basis of the solution space, dim+1 vectors."""
-        from .linalg import nullspace
-
         return nullspace([f.coeffs for f in self.forms], self.ambient_dim + 1)
 
     def to_json(self) -> dict:

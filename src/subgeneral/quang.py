@@ -199,7 +199,7 @@ class CombinationCertificate:
         matrix = tuple(
             tuple(parse_rat(c) for c in row) for row in data["matrix"]
         )
-        cert = cls(
+        return cls(
             variety=variety,
             inputs=inputs,
             outputs=outputs,
@@ -207,7 +207,6 @@ class CombinationCertificate:
             position=check_general(list(outputs), variety),
             constants=tuple(sorted(data.get("constants", {}).items())),
         )
-        return cert
 
 
 @functools.lru_cache(maxsize=100000)
@@ -215,11 +214,6 @@ def _subgeneral_ok(sorted_forms, variety: LinearSubvariety, level: int) -> bool:
     # position is permutation-invariant, so cache on the sorted multiset;
     # the forms are the caller's, swept without being rebuilt
     return check_subgeneral(sorted_forms, variety, level, verdict_only=True).verdict
-
-
-@functools.lru_cache(maxsize=100000)
-def _general_report(outputs, variety: LinearSubvariety) -> PositionReport:
-    return check_general(list(outputs), variety)
 
 
 def quang_combine(
@@ -263,7 +257,7 @@ def quang_combine(
         outputs.append(out)
         rows.append(tuple(row))
         gamma_stack.append(list(out.coeffs))
-    out_report = _general_report(tuple(outputs), variety)
+    out_report = check_general(outputs, variety)
     if not out_report.verdict:
         raise RuntimeError(
             "construction produced a non-general family; this is a bug"

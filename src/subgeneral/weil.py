@@ -24,7 +24,7 @@ from math import gcd, log
 from typing import Optional, Union
 
 from .errors import ArgumentError, SupportError
-from .places import Place, _ord_p
+from .places import Place, _ord_p, parse_place
 from .projective import HomForm, LinearForm, ProjPoint
 
 Target = Union[LinearForm, HomForm, "SubschemeSpec"]
@@ -59,7 +59,7 @@ class SubschemeSpec:
     def to_json(self) -> dict:
         return {
             "label": self.label,
-            "components": [_target_to_json(c) for c in self.components],
+            "components": [target_to_json(c) for c in self.components],
         }
 
     @classmethod
@@ -68,7 +68,7 @@ class SubschemeSpec:
         return cls(comps, str(data.get("label", "")))
 
 
-def _target_to_json(t: Target) -> dict:
+def target_to_json(t: Target) -> dict:
     if isinstance(t, LinearForm):
         return {"type": "linear", "coeffs": t.to_json()}
     if isinstance(t, HomForm):
@@ -96,10 +96,6 @@ def target_from_json(data) -> Target:
     if kind == "subscheme":
         return SubschemeSpec.from_json(data)
     raise ArgumentError("unknown target type: %r" % (kind,))
-
-
-def target_to_json(t: Target) -> dict:
-    return _target_to_json(t)
 
 
 @dataclass(frozen=True)
@@ -290,9 +286,9 @@ def weil_batch(manifest: dict) -> list[dict]:
     an error.  Each target is evaluated once per point, and each label is
     formatted once.
     """
-    from .places import parse_place
-
     mode = manifest.get("mode", "lenient")
+    if mode not in ("lenient", "strict"):
+        raise ArgumentError("mode must be 'lenient' or 'strict'")
     points = [ProjPoint.from_json(p) for p in manifest["points"]]
     targets = [target_from_json(t) for t in manifest["targets"]]
     places = [parse_place(v) for v in manifest["places"]]

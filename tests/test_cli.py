@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subgeneral
 from subgeneral.cli import main
 
 CONCURRENT = "[[1,0,0],[0,1,0],[1,1,0]]"
@@ -404,6 +409,47 @@ def test_usage_failures_exit_64(capsys):
     assert main(["position", "check", "--forms", "not json", "--l", "1"]) == 64
     assert main(["experiment", "run", "--config", "{broken"]) == 64
     capsys.readouterr()
+
+
+MALFORMED_DOCUMENTS = [
+    ("--config", ["experiment", "run", "--config", "{}"]),
+    ("--manifest", ["weil", "--manifest", "{}"]),
+    ("--cert", ["chain", "check", "--cert", "{}", "--point", "[1:2]", "--place", "inf"]),
+    ("--target", ["seshadri", "--target", '{"type": "subscheme"}']),
+    ("--target", ["weil", "--target", '{"type": "form"}', "--point", "[1:2]", "--place", "inf"]),
+    ("--x", ["quang", "combine", "--forms", "[[1,0],[0,1]]", "--x", '{"forms": []}']),
+    ("--x", ["position", "check", "--forms", "[[1,0],[0,1]]", "--l", "1", "--x", "[]"]),
+    ("--forms", ["position", "check", "--forms", "[[1,0],5]", "--l", "1"]),
+    ("--config", ["experiment", "run", "--config", '{"x": []}']),
+    ("--manifest", ["weil", "--manifest", "[]"]),
+]
+
+
+@pytest.mark.parametrize("option, argv", MALFORMED_DOCUMENTS)
+def test_malformed_documents_exit_64_naming_the_option(capsys, option, argv):
+    assert main(argv) == 64
+    assert capsys.readouterr().err.startswith(option + ": malformed document")
+
+
+def test_malformed_document_exits_64_without_a_traceback():
+    src = str(Path(subgeneral.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "subgeneral.cli", "experiment", "run", "--config", "{}"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 64
+    assert "Traceback" not in proc.stderr and "--config" in proc.stderr
+
+
+def test_well_formed_bad_values_stay_exit_65(capsys):
+    assert main(["seshadri", "--target", '{"type": "bogus"}']) == 65
+    manifest = {"points": [["1", "4"]], "targets": [["1", "0"]], "places": ["inf"]}
+    assert main(["weil", "--manifest", json.dumps({**manifest, "mode": "bogus"})]) == 65
+    misspelled = violator_config(sampel_count=5)
+    assert main(["experiment", "run", "--config", json.dumps(misspelled)]) == 65
+    assert "sampel_count" in capsys.readouterr().err
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):

@@ -504,6 +504,42 @@ def test_config_rejects_bad_fields():
         config_p1(targets=(LinearForm((1, 0, 0)),))
 
 
+def test_config_refuses_unknown_keys():
+    data = config_p1().to_json_dict()
+    data["sampel_count"] = 5
+    data["modes"] = "strict"
+    with pytest.raises(ArgumentError, match="modes, sampel_count"):
+        ExperimentConfig.from_json_dict(data)
+
+
+def test_config_optional_keys_take_the_field_defaults():
+    data = config_p1().to_json_dict()
+    for key in (
+        "ambient_dim",
+        "position_asserted",
+        "mode",
+        "candidate_fraction",
+        "max_candidates",
+        "workers",
+        "excluded_supports",
+    ):
+        del data[key]
+    assert ExperimentConfig.from_json_dict(data) == config_p1()
+
+
+def test_report_config_round_trips():
+    cfg = violator_config(
+        places=(INF, Place(3)),
+        mode="strict",
+        candidate_fraction=Fraction(1, 3),
+        max_candidates=2,
+        position_asserted=True,
+        excluded_supports=(LinearForm((1, -2)),),
+    )
+    echoed = json.loads(run_main_experiment(cfg).to_json())["config"]
+    assert ExperimentConfig.from_json_dict(echoed) == cfg
+
+
 def test_config_ambient_dim_cross_check():
     data = config_p1().to_json_dict()
     data["ambient_dim"] = 4
@@ -534,6 +570,11 @@ def test_main_run_finds_the_planted_violators():
     assert len(report.candidates) == 3
     assert all(c.dim == 0 for c in report.candidates)
     assert report.excluded_support == []
+    # [7:-5] lies on the target 5x0 + 7x1 inside the window: the sampler
+    # skips it, so no ledger entry meets a support
+    assert math.log(7) < 2.5 and LinearForm((5, 7)).evaluate(ProjPoint((7, -5))) == 0
+    assert "[7:-5]" not in report.points
+    assert "[7:-5]" not in report.excluded_height
     assert not report.partial
     # every reported ratio is sum/height and flags match the bound
     for row in report.iter_records():
@@ -541,6 +582,40 @@ def test_main_run_finds_the_planted_violators():
             row["weighted_sum"] / row["height"], abs=1e-12
         )
         assert row["violator"] == (row["point"] in report.violators)
+
+
+def test_a_run_builds_one_evaluator(monkeypatch):
+    built = []
+
+    class Counting(subgeneral.experiments._Evaluator):
+        def __init__(self, config):
+            built.append(config)
+            super().__init__(config)
+
+    monkeypatch.setattr(subgeneral.experiments, "_Evaluator", Counting)
+    cfg = violator_config(places=(INF, Place(2)))
+    report = run_main_experiment(cfg)
+    assert built == [cfg]
+    assert report.violators
+    baseline = run_evertse_ferretti_baseline(cfg)
+    assert built == [cfg, cfg]
+    assert baseline.points == report.points
+
+
+def test_report_rows_agree_across_formats():
+    report = run_main_experiment(violator_config())
+    records = list(report.iter_records())
+    assert len(records) == len(report.points) > 0
+    fields = ["point", "height", "weighted_sum", "ratio"]
+    assert report.to_json_dict()["records"] == [[r[k] for k in fields] for r in records]
+    buf = io.StringIO()
+    report.write_csv(buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "point,height,weighted_sum,ratio,violator"
+    assert lines[1:] == [
+        "%s,%r,%r,%r,%d" % tuple(r[k] for k in fields + ["violator"]) for r in records
+    ]
+    assert sum(r["violator"] for r in records) == len(report.violators)
 
 
 def test_rerun_with_candidate_exclusions_clears_violators():

@@ -434,7 +434,6 @@ def test_cold_certificates_do_no_rank_work(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counting)
     quang._subgeneral_ok.cache_clear()
-    quang._general_report.cache_clear()
     for forms, variety in families:
         cert = quang_combine(forms, variety, (INF, Place(2)))
         assert cert.verify_soundness() and cert.position.verdict

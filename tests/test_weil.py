@@ -422,6 +422,13 @@ def test_weil_batch_rows_and_support_notes():
         weil_batch({**manifest, "places": ["2", "2"]})
 
 
+def test_weil_batch_validates_mode_without_subschemes():
+    manifest = {"points": [["1", "4"]], "targets": [["1", "0"]], "places": ["inf"]}
+    assert len(weil_batch({**manifest, "mode": "strict"})) == 1
+    with pytest.raises(ArgumentError, match="mode"):
+        weil_batch({**manifest, "mode": "bogus"})
+
+
 def test_target_json_accepts_bare_coefficient_lists():
     typed = target_from_json({"type": "linear", "coeffs": ["5", "7"]})
     bare = target_from_json(["5", "7"])
