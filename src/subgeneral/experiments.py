@@ -29,7 +29,7 @@ compared exactly: integer valuation ledgers at finite places, rational norm
 products at the archimedean place; only the reported floats are rounded.
 
 Bulk ledgers (weighted_defect over a sample) evaluate each distinct target
-once per point and read every local value from the exact kernel of the
+once per sample and read every local value from the exact kernel of the
 local-value module, the one the one-point routines read, so a weighted sum is
 bit-equal to the fsum of the weighted one-point values.  A run builds one
 evaluation plan, read by its float defects, tie band and exact tie
@@ -75,8 +75,9 @@ from .seshadri import seshadri_constant
 from .weil import (
     SubschemeSpec,
     Target,
-    _ledger,
-    _live,
+    _column,
+    _one_point,
+    _raise_hit,
     is_on_support,
     target_from_json,
     target_to_json,
@@ -171,30 +172,41 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data) -> "ExperimentConfig":
+        """The config of a JSON document.  A value of the wrong JSON type (a
+        string or float where an integer belongs, anything but true/false
+        for position_asserted) raises TypeError instead of being coerced."""
         opt = {f.name: f.default for f in fields(cls)} | data
         variety = LinearSubvariety.from_json(data["x"])
-        if "ambient_dim" in data and int(data["ambient_dim"]) != variety.ambient_dim:
-            raise ArgumentError("ambient_dim disagrees with x")
+        if "ambient_dim" in data:
+            if _json_int(data, "ambient_dim") != variety.ambient_dim:
+                raise ArgumentError("ambient_dim disagrees with x")
         arrangements = tuple(
             (parse_place(k), tuple(target_from_json(t) for t in targets))
             for k, targets in data["arrangements"].items()
         )
-        window = data["height_window"]
+        h_min, h_max = data["height_window"]
+        if not all(type(h) in (int, float) for h in (h_min, h_max)):
+            raise TypeError("height_window must hold two JSON numbers")
+        asserted = opt["position_asserted"]
+        if not isinstance(asserted, bool):
+            raise TypeError(
+                "position_asserted must be true or false, got %r" % (asserted,)
+            )
         count = data.get("sample_count")
         config = cls(
             variety=variety,
             arrangements=arrangements,
-            level=int(data["l"]),
+            level=_json_int(data, "l"),
             epsilon=parse_rat(data["epsilon"]),
-            h_min=float(window[0]),
-            h_max=float(window[1]),
-            sample_count=None if count is None else int(count),
-            seed=int(data["seed"]),
-            position_asserted=bool(opt["position_asserted"]),
+            h_min=float(h_min),
+            h_max=float(h_max),
+            sample_count=None if count is None else _json_int(data, "sample_count"),
+            seed=_json_int(data, "seed"),
+            position_asserted=asserted,
             mode=str(opt["mode"]),
             candidate_fraction=parse_rat(opt["candidate_fraction"]),
-            max_candidates=int(opt["max_candidates"]),
-            workers=int(opt["workers"]),
+            max_candidates=_json_int(opt, "max_candidates"),
+            workers=_json_int(opt, "workers"),
             excluded_supports=tuple(
                 target_from_json(t) for t in opt["excluded_supports"]
             ),
@@ -204,6 +216,14 @@ class ExperimentConfig:
         if unknown:
             raise ArgumentError("unknown config keys: %s" % ", ".join(unknown))
         return config
+
+
+def _json_int(data: dict, key: str) -> int:
+    """data[key], which must be a JSON integer: not a bool, float or string."""
+    value = data[key]
+    if type(value) is not int:
+        raise TypeError("%s must be a JSON integer, got %r" % (key, value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +429,7 @@ class _Evaluator:
     weights, float weights) entry per distinct target, and the sums behind
     ratio_error_bound.
 
-    Each distinct target is evaluated once per point; every local value is
+    Each distinct target is evaluated once per sample; every local value is
     read from the exact kernel in the local-value module, so a weighted sum
     is bit-equal to the fsum of weighted one-point local_weil values.
     """
@@ -436,14 +456,6 @@ class _Evaluator:
                 )
         self.plan = [(t,) + lists for t, lists in plan.items()]
 
-    def defect(self, pt: ProjPoint) -> float:
-        maxx = max(map(abs, pt.coords))
-        terms = []
-        for target, places, _, weights in self.plan:
-            _, values = _ledger(_live(pt, target, self.mode)[0], maxx, places)
-            terms += map(mul, weights, values)
-        return math.fsum(terms)
-
     def exceeds(self, pt: ProjPoint, bound: Fraction) -> bool:
         """defect(P) > bound * h(P), decided in integers.
 
@@ -457,7 +469,7 @@ class _Evaluator:
         den = lcm(bound.denominator, *(w.denominator for w in weights))
         lhs_num = lhs_den = 1
         for target, places, exact_weights, _ in self.plan:
-            exacts, _ = _ledger(_live(pt, target, self.mode)[0], hmax, places)
+            exacts, _, _ = _one_point(pt, target, self.mode, places)
             for v, e, w in zip(places, exacts, exact_weights):
                 m = int(w * den)
                 if v.p is None:
@@ -489,12 +501,20 @@ class _Evaluator:
 
 def weighted_defect(point: ProjPoint, config: ExperimentConfig) -> float:
     """sum over places and targets of eps_j * lambda_{j,v}(P), Seshadri-weighted."""
-    return _Evaluator(config).defect(point)
+    return _defect_batch(_Evaluator(config), (point,))[0]
 
 
 def _defect_batch(ev: _Evaluator, pts) -> list:
-    """ev.defect of each point."""
-    return [ev.defect(pt) for pt in pts]
+    """The weighted defect of each point: one kernel call per plan entry over
+    the whole column, one float column per weighted (target, place) term,
+    and one fsum per point.  Raises the first support hit it meets."""
+    maxes = [max(map(abs, pt.coords)) for pt in pts]
+    terms = []
+    for target, places, _, weights in ev.plan:
+        _, values, marks = _column(target, pts, maxes, ev.mode, places)
+        _raise_hit(marks)
+        terms += (array("d", [w * v for v in col]) for w, col in zip(weights, values))
+    return [math.fsum(t) for t in zip(*terms)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ takes the minimum of the component values.
 
 Heights: h(P) = log max_i |x_i|, the sum of local max-norm logs (the finite
 places contribute 0 for canonical coordinates).
+
+Every local value is read from one column kernel, which evaluates one target
+over a column of points: a batch evaluates each distinct target once per
+sample, and a one-point value is a column of one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
+from operator import add
 from typing import Optional, Union
 
 from .errors import ArgumentError, SupportError
@@ -130,75 +135,145 @@ class WeilValue:
 # and the float formula; every local value in the package is read from it
 
 
-def _live(point: ProjPoint, target: Target, mode: str):
-    """((component, F(P)) for each component nonzero at P, 1-based indices
-    of the vanishing ones); a form is its own single component.
+def _column(target: Target, points, maxes, mode: str, places):
+    """(exacts, values, marks): one target's local values over a column of
+    points, with maxes[i] = max|x_i| of points[i].
 
-    Raises SupportError when P lies on a form, on every component of a
-    subscheme, or in strict mode on any component."""
-    if isinstance(target, (LinearForm, HomForm)):
-        val = target.evaluate(point)
-        if val == 0:
-            raise SupportError(
-                "point %s lies on the support of %s" % (point, target),
-                point=str(point),
-                subject=str(target),
-            )
-        return ((target, val),), ()
-    if not isinstance(target, SubschemeSpec):
+    exacts[k] and values[k] are the exact and the float column at
+    places[k].  marks[i] is the tuple of 1-based indices of the components
+    that vanish at points[i] and were dropped from a lenient subscheme's
+    minimum (() for a form) or, when points[i] lies on the support, the
+    SupportError that a one-point caller raises; that point's cells are
+    None.  Nothing is raised per point.
+
+    Each component is evaluated once over the column.  At a finite place the
+    exact value is the int e = ord_p(F(P)) (canonical coordinates make the
+    max-norms of x and of the coefficients 1 there) and the float is e*log p,
+    log p taken once per place.  At inf it is the reduced (num, den) of
+    max|x_i|^d * max|coeff| / |F(P)| and the float is log(num) - log(den).
+    A subscheme takes the least exact value over its components nonzero at
+    the point.
+    """
+    if isinstance(target, SubschemeSpec):
+        if mode not in ("lenient", "strict"):
+            raise ArgumentError("mode must be 'lenient' or 'strict'")
+        comps = target.components
+    elif isinstance(target, (LinearForm, HomForm)):
+        comps = (target,)
+    else:
         raise ArgumentError("not a Weil target: %r" % (target,))
-    if mode not in ("lenient", "strict"):
-        raise ArgumentError("mode must be 'lenient' or 'strict'")
-    vals = [(c, c.evaluate(point)) for c in target.components]
-    zero_idx = tuple(i + 1 for i, (_, v) in enumerate(vals) if v == 0)
+    coords = [pt.coords for pt in points]
+    width = target.dim + 1
+    if set(map(len, coords)) - {width}:
+        bad = next(pt for pt in points if len(pt.coords) != width)
+        raise ArgumentError(
+            "form on P^%d evaluated at point of P^%d" % (target.dim, bad.dim)
+        )
+    # the coordinate columns x_0, ..., x_M, each of the column's length
+    xs = list(zip(*coords)) or [()] * width
+    cols = [
+        _linear_column(c.coeffs, xs)
+        if isinstance(c, LinearForm)
+        else [c.evaluate(pt) for pt in points]
+        for c in comps
+    ]
+    marks = [()] * len(points)
+    zeros = {i for col in cols if not all(col) for i, v in enumerate(col) if not v}
+    for i in zeros:
+        marks[i] = _support_mark(points[i], target, [col[i] for col in cols], mode)
+    exacts, values = [], []
+    for place in places:
+        p = place.p
+        if p is None:
+            per_comp = []
+            for c, col in zip(comps, cols):
+                deg, scale, q = c.degree, c._max_coeff, []
+                for m, v in zip(maxes, col):
+                    if v:
+                        num, den = m**deg * scale, abs(v)
+                        g = gcd(num, den)
+                        q.append((num // g, den // g))
+                    else:
+                        q.append(None)
+                per_comp.append(q)
+            exact = _least(per_comp, marks, lambda q: Fraction(*q))
+            value = [None if q is None else log(q[0]) - log(q[1]) for q in exact]
+        else:
+            per_comp = [
+                [(_ord_p(v, p) if v % p == 0 else 0) if v else None for v in col]
+                for col in cols
+            ]
+            exact = _least(per_comp, marks, None)
+            logp = log(p)
+            value = [None if e is None else e * logp for e in exact]
+        exacts.append(exact)
+        values.append(value)
+    return exacts, values, marks
+
+
+def _linear_column(coeffs, xs) -> list:
+    """a_0*x_0 + ... + a_M*x_M at every point, from the coordinate columns."""
+    terms = [map(a.__mul__, x) for a, x in zip(coeffs, xs) if a]
+    total = terms[0]
+    for term in terms[1:]:
+        total = map(add, total, term)
+    return list(total)
+
+
+def _support_mark(point: ProjPoint, target: Target, vals, mode: str):
+    """The mark of a point where some component value in vals is 0."""
+    zero_idx = tuple(i + 1 for i, v in enumerate(vals) if v == 0)
+    if not isinstance(target, SubschemeSpec):
+        return SupportError(
+            "point %s lies on the support of %s" % (point, target),
+            point=str(point),
+            subject=str(target),
+        )
     if len(zero_idx) == len(vals):
-        raise SupportError(
+        return SupportError(
             "point %s lies on the subscheme %s" % (point, target),
             point=str(point),
             subject=str(target),
         )
-    if mode == "strict" and zero_idx:
-        raise SupportError(
+    if mode == "strict":
+        return SupportError(
             "point %s lies on component %d of %s (strict mode)"
             % (point, zero_idx[0], target),
             point=str(point),
             subject=str(target),
             component=zero_idx[0],
         )
-    return [cv for cv in vals if cv[1]], zero_idx
+    return zero_idx
 
 
-def _ledger(live, maxx: int, places):
-    """(exacts, values): the local values of _live's components at each
-    place, with maxx = max|x_i|, exactly and by the one float formula.
+def _least(per_comp, marks, key):
+    """Per point, the least value (by key) over the components live there;
+    None at a support hit.  A form's one column is its value column."""
+    if len(per_comp) == 1:
+        return per_comp[0]
+    return [
+        min((q for q in qs if q is not None), key=key)
+        if isinstance(mark, tuple)
+        else None
+        for qs, mark in zip(zip(*per_comp), marks)
+    ]
 
-    At a finite place, exact is the int e = ord_p(F(P)) (canonical
-    coordinates make the max-norms of x and of the coefficients 1 there) and
-    value is e*log p.  At inf, exact is the reduced (num, den) of
-    maxx^d * max|coeff| / |F(P)| and value is log(num) - log(den).  A
-    subscheme takes the least exact value over its live components."""
-    exacts, values = [], []
-    for place in places:
-        p = place.p
-        if p is not None:
-            e = None
-            for _, v in live:
-                k = _ord_p(v, p) if v % p == 0 else 0
-                if e is None or k < e:
-                    e = k
-            exacts.append(e)
-            values.append(e * log(p) if e else 0.0)
-            continue
-        num = den = 0
-        for comp, v in live:
-            n, d = maxx**comp.degree * comp._max_coeff, abs(v)
-            if not den or n * den < num * d:
-                num, den = n, d
-        g = gcd(num, den)
-        num, den = num // g, den // g
-        exacts.append((num, den))
-        values.append(log(num) - log(den))
-    return exacts, values
+
+def _raise_hit(marks) -> None:
+    """Raise the first support hit among a column's marks."""
+    if marks.count(()) != len(marks):
+        for mark in marks:
+            if not isinstance(mark, tuple):
+                raise mark
+
+
+def _one_point(point: ProjPoint, target: Target, mode: str, places):
+    """The kernel on a column of one: (exacts, values, dropped), one entry
+    per place; raises the point's SupportError."""
+    maxes = (height_exact(point),)
+    exacts, values, marks = _column(target, (point,), maxes, mode, places)
+    _raise_hit(marks)
+    return [e for e, in exacts], [v for v, in values], marks[0]
 
 
 def weil_hyperplane(point: ProjPoint, form: LinearForm, place: Place) -> WeilValue:
@@ -230,19 +305,15 @@ def weil_subscheme(
 def local_weil(
     point: ProjPoint, target: Target, place: Place, mode: str = "lenient"
 ) -> WeilValue:
-    live, dropped = _live(point, target, mode)
-    (e,), (value,) = _ledger(live, height_exact(point), (place,))
+    (e,), (value,), dropped = _one_point(point, target, mode, (place,))
     ledger = None if place.p is None else (place.p, e)
     return WeilValue(value, place, str(target), str(point), ledger, dropped)
 
 
 def is_on_support(point: ProjPoint, target: Target, mode: str = "lenient") -> bool:
     """True when local_weil would raise SupportError at every place."""
-    try:
-        _live(point, target, mode)
-    except SupportError:
-        return True
-    return False
+    _, _, (mark,) = _column(target, (point,), (height_exact(point),), mode, ())
+    return not isinstance(mark, tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +342,7 @@ def proximity_sum(point: ProjPoint, target: Target, places, mode: str = "lenient
     seq = list(places)
     if len(set(seq)) != len(seq):
         raise ArgumentError("duplicate places in S")
-    return math.fsum(local_weil(point, target, v, mode).value for v in seq)
+    return math.fsum(_one_point(point, target, mode, seq)[1]) if seq else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +354,8 @@ def weil_batch(manifest: dict) -> list[dict]:
 
     Returns one row dict per (point, target, place), in manifest order.
     Support hits become rows with value None and exact "support" instead of
-    an error.  Each target is evaluated once per point, and each label is
-    formatted once.
+    an error.  Each target is evaluated once over all the points, and each
+    label is formatted once.
     """
     mode = manifest.get("mode", "lenient")
     if mode not in ("lenient", "strict"):
@@ -294,29 +365,25 @@ def weil_batch(manifest: dict) -> list[dict]:
     places = [parse_place(v) for v in manifest["places"]]
     if len(set(places)) != len(places):
         raise ArgumentError("duplicate places in manifest")
+    maxes = [height_exact(pt) for pt in points]
+    columns = [_column(tg, points, maxes, mode, places)[:2] for tg in targets]
     target_labels = [str(t) for t in targets]
     place_labels = [str(v) for v in places]
     rows = []
-    for pt in points:
+    for i, pt in enumerate(points):
         point_label = str(pt)
-        maxx = height_exact(pt)
-        for tg, target_label in zip(targets, target_labels):
-            try:
-                exacts, values = _ledger(_live(pt, tg, mode)[0], maxx, places)
-                cells = [
-                    (value, "" if v.p is None else "%d^%d" % (v.p, e))
-                    for v, e, value in zip(places, exacts, values)
-                ]
-            except SupportError:
-                cells = [(None, "support")] * len(places)
-            for place_label, (value, exact) in zip(place_labels, cells):
+        for target_label, (exacts, values) in zip(target_labels, columns):
+            for v, place_label, es, vs in zip(places, place_labels, exacts, values):
+                e = es[i]
                 rows.append(
                     {
                         "point": point_label,
                         "target": target_label,
                         "place": place_label,
-                        "value": value,
-                        "exact": exact,
+                        "value": vs[i],
+                        "exact": "support"
+                        if e is None
+                        else "" if v.p is None else "%d^%d" % (v.p, e),
                     }
                 )
     return rows

@@ -11,17 +11,21 @@ rank-based membership test the combination construction used to run:
 two fresh eliminations per candidate, after an explicit intersection of
 the span with the excluded rowspace.  The local Weil reference takes the
 max-norm definition at face value, over Fractions, with no normalization
-assumed.
+assumed.  The row reference is the one-point kernel the column kernel
+replaced: one target at one point, each place in turn.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, log
 
 import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
+from subgeneral.errors import SupportError
 from subgeneral.linalg import in_rowspace, intersect_rowspaces
+from subgeneral.places import _ord_p
+from subgeneral.weil import SubschemeSpec
 
 
 def rank_fraction_gauss(rows) -> int:
@@ -274,3 +278,59 @@ def weil_ratio_reference(point, target, place):
         if best is None or q < best:
             best = q
     return best
+
+
+def ledger_by_row(point, target, mode, places):
+    """(exacts, values, dropped) of one target at one point, one entry per
+    place, by the row kernel: evaluate the components, drop the vanishing
+    ones under the lenient/strict rule (raising SupportError as the package
+    does), then per place the least exact value over the live components
+    and its float, e*log(p) or log(num) - log(den)."""
+    comps = target.components if isinstance(target, SubschemeSpec) else (target,)
+    vals = [(c, c.evaluate(point)) for c in comps]
+    zero_idx = tuple(i + 1 for i, (_, v) in enumerate(vals) if v == 0)
+    if not isinstance(target, SubschemeSpec):
+        if zero_idx:
+            raise SupportError(
+                "point %s lies on the support of %s" % (point, target),
+                point=str(point),
+                subject=str(target),
+            )
+    elif len(zero_idx) == len(vals):
+        raise SupportError(
+            "point %s lies on the subscheme %s" % (point, target),
+            point=str(point),
+            subject=str(target),
+        )
+    elif mode == "strict" and zero_idx:
+        raise SupportError(
+            "point %s lies on component %d of %s (strict mode)"
+            % (point, zero_idx[0], target),
+            point=str(point),
+            subject=str(target),
+            component=zero_idx[0],
+        )
+    live = [cv for cv in vals if cv[1]]
+    maxx = max(map(abs, point.coords))
+    exacts, values = [], []
+    for place in places:
+        p = place.p
+        if p is not None:
+            e = None
+            for _, v in live:
+                k = _ord_p(v, p) if v % p == 0 else 0
+                if e is None or k < e:
+                    e = k
+            exacts.append(e)
+            values.append(e * log(p) if e else 0.0)
+            continue
+        num = den = 0
+        for comp, v in live:
+            n, d = maxx**comp.degree * comp._max_coeff, abs(v)
+            if not den or n * den < num * d:
+                num, den = n, d
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        exacts.append((num, den))
+        values.append(log(num) - log(den))
+    return exacts, values, zero_idx

@@ -143,6 +143,21 @@ def test_weil_manifest_csv(capsys, tmp_path):
     assert lines[3] == '[0:1],"x0",inf,,support,'
 
 
+def test_weil_manifest_points_of_the_wrong_dimension_exit_65(capsys):
+    targets = [["1", "0", "0", "2"], {"type": "subscheme", "components": [
+        {"type": "linear", "coeffs": ["0", "1", "0", "0"]},
+        {"type": "linear", "coeffs": ["0", "0", "1", "0"]},
+    ]}]
+    for target in targets:
+        manifest = {
+            "points": [["1", "2", "3", "4"], ["1", "2", "3"]],
+            "targets": [target],
+            "places": ["inf", "p=2"],
+        }
+        assert main(["weil", "--manifest", json.dumps(manifest)]) == 65
+        assert "evaluated at point of P^2" in capsys.readouterr().err
+
+
 def test_weil_usage_errors(capsys):
     assert main(["weil", "--point", "[1:2]", "--place", "inf"]) == 64
     assert main(["weil", "--manifest", "{oops"]) == 64
@@ -441,6 +456,42 @@ def test_malformed_document_exits_64_without_a_traceback():
     )
     assert proc.returncode == 64
     assert "Traceback" not in proc.stderr and "--config" in proc.stderr
+
+
+WRONGLY_TYPED_CONFIG_VALUES = [
+    {"position_asserted": "false"},
+    {"position_asserted": 0},
+    {"sample_count": 2.7},
+    {"sample_count": "5"},
+    {"sample_count": True},
+    {"l": "1"},
+    {"l": 1.0},
+    {"seed": "0"},
+    {"seed": False},
+    {"max_candidates": 3.0},
+    {"workers": "2"},
+    {"workers": True},
+    {"ambient_dim": "1"},
+    {"height_window": ["0.5", 2.5]},
+    {"height_window": [0.5, True]},
+]
+
+
+@pytest.mark.parametrize("override", WRONGLY_TYPED_CONFIG_VALUES)
+def test_config_values_of_the_wrong_json_type_exit_64(capsys, override):
+    argv = ["experiment", "run", "--config", json.dumps(violator_config(**override))]
+    assert main(argv) == 64
+    assert capsys.readouterr().err.startswith("--config: malformed document (TypeError")
+
+
+def test_config_values_of_the_right_json_type_run(capsys):
+    for override in (
+        {"position_asserted": False, "height_window": [1, 2.5]},
+        {"sample_count": 5, "ambient_dim": 1, "workers": 2, "max_candidates": 3},
+    ):
+        config = json.dumps(violator_config(**override))
+        assert main(["experiment", "run", "--config", config]) == 0
+    capsys.readouterr()
 
 
 def test_well_formed_bad_values_stay_exit_65(capsys):

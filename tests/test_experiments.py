@@ -44,6 +44,7 @@ from subgeneral import (
     weil_batch,
 )
 from subgeneral.cli import main
+from subgeneral.experiments import _defect_batch, _Evaluator
 from subgeneral.jsonio import stable_dumps
 
 from gen import rand_hom_form, rand_linear_form
@@ -911,6 +912,8 @@ def test_bulk_ledger_is_bit_equal_to_one_point_values():
                 for t in ts
             )
             assert weighted_defect(pt, cfg) == expected
+        bulk = _defect_batch(_Evaluator(cfg), pts)
+        assert bulk == [weighted_defect(pt, cfg) for pt in pts]
         rows = weil_batch(
             {
                 "points": [p.to_json() for p in pts],
@@ -925,6 +928,24 @@ def test_bulk_ledger_is_bit_equal_to_one_point_values():
             for t in targets:
                 for v in cfg.places:
                     assert next(it)["value"] == local_weil(pt, t, v, cfg.mode).value
+
+
+def test_bulk_ledger_calls_the_kernel_once_per_plan_entry(monkeypatch):
+    calls = []
+    column = subgeneral.experiments._column
+
+    def counting(target, points, *args):
+        calls.append((target, len(points)))
+        return column(target, points, *args)
+
+    monkeypatch.setattr(subgeneral.experiments, "_column", counting)
+    for cfg in _kernel_configs():
+        calls.clear()
+        report = run_main_experiment(cfg)
+        n = len(report.points) + len(report.excluded_height)
+        assert n > 300
+        plan = _Evaluator(cfg).plan
+        assert calls == [(target, n) for target, *_ in plan]
 
 
 def test_ledgers_do_no_primality_work(monkeypatch):

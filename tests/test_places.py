@@ -156,6 +156,34 @@ def test_factor_int_edges():
         factor_int(0)
 
 
+def test_factor_int_takes_no_primality_test_below_the_sieve_square(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return _is_prime(n)
+
+    monkeypatch.setattr(subgeneral.places, "_is_prime", counting)
+    # a sieve part whose last prime is found by the gcd, not by division,
+    # and cofactors below 3001^2 with no sieve factor: all prime
+    inputs = [
+        2003 * 2999,
+        2999**3,
+        2**7 * 3**4 * 2999,
+        3001,
+        2 * 3001,
+        2999 * 3001,
+        9005989,  # the largest prime below 3001^2
+        2**3 * 5 * 9005989,
+    ]
+    for n in inputs:
+        assert factor_int(n) == factor_reference(n)
+    assert calls == []
+    # from 3001^2 on a cofactor with no sieve factor may be composite
+    assert factor_int(3001 * 3011) == {3001: 1, 3011: 1}
+    assert calls
+
+
 def test_factor_int_rejects_non_integers():
     for bad in (12.5, 10**13 + 0.0, "12", Fraction(12), -3):
         with pytest.raises(ArgumentError):

@@ -34,8 +34,10 @@ from subgeneral import (
     weil_subscheme,
 )
 
-from gen import point_off_targets, rand_hom_form, rand_linear_form
-from oracles import weil_ratio_reference
+from subgeneral.weil import _column
+
+from gen import point_off_targets, rand_hom_form, rand_linear_form, rand_point
+from oracles import ledger_by_row, weil_ratio_reference
 
 
 def hom(dim, degree, terms):
@@ -438,3 +440,123 @@ def test_target_json_accepts_bare_coefficient_lists():
         target_from_json("5x0+7x1")
     with pytest.raises(ArgumentError):
         target_from_json({"type": "parabola"})
+
+
+# ---------------------------------------------------------------------------
+# the column kernel against the row kernel it replaced
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _kernel_cases():
+    """(target, points) pairs on P^1 and P^2, with planted support hits."""
+    rng = random.Random(8)
+    cases = []
+    for _ in range(6):
+        form = rand_linear_form(rng, 1, hi=9)
+        a, b = form.coeffs
+        pts = [rand_point(rng, 1, 40) for _ in range(60)] + [ProjPoint((b, -a))]
+        cases.append((form, pts))
+    for _ in range(6):
+        form = rand_linear_form(rng, 2)
+        hyper = rand_hom_form(rng, 2, rng.choice((2, 3)))
+        first, second = rand_linear_form(rng, 2), rand_linear_form(rng, 2)
+        spec = SubschemeSpec((first, second, hyper))
+        pts = [rand_point(rng, 2, 60) for _ in range(60)]
+        for lin in (form, first):
+            on = _cross(lin.coeffs, rand_point(rng, 2, 9).coords)
+            if any(on):
+                pts.append(ProjPoint(on))
+        both = _cross(first.coeffs, second.coeffs)
+        if any(both):
+            pts.append(ProjPoint(both))
+        cases += [(form, pts), (hyper, pts), (spec, pts)]
+    return cases
+
+
+def test_column_kernel_matches_the_row_kernel():
+    places = (INF, Place(2), Place(3), Place(5))
+    hits = dropped = 0
+    for target, pts in _kernel_cases():
+        maxes = [height_exact(pt) for pt in pts]
+        for mode in ("lenient", "strict"):
+            exacts, values, marks = _column(target, pts, maxes, mode, places)
+            assert len(exacts) == len(values) == len(places)
+            for i, pt in enumerate(pts):
+                try:
+                    ref_exacts, ref_values, ref_dropped = ledger_by_row(
+                        pt, target, mode, places
+                    )
+                except SupportError as err:
+                    hits += 1
+                    assert isinstance(marks[i], SupportError)
+                    assert str(marks[i]) == str(err)
+                    assert marks[i].component == err.component
+                    assert all(col[i] is None for col in exacts + values)
+                    continue
+                assert marks[i] == ref_dropped
+                dropped += bool(ref_dropped)
+                assert [col[i] for col in exacts] == ref_exacts
+                assert [col[i] for col in values] == ref_values
+    assert hits >= 20 and dropped >= 5
+
+
+def test_one_point_values_raise_the_kernel_support_errors():
+    spec = SubschemeSpec((LinearForm((1, 0, -1)), LinearForm((0, 1, 2))))
+    on_first = ProjPoint((1, 1, 1))
+    with pytest.raises(SupportError, match=r"component 1 of .* \(strict mode\)") as err:
+        local_weil(on_first, spec, INF, "strict")
+    assert err.value.component == 1
+    with pytest.raises(SupportError, match="lies on the subscheme"):
+        local_weil(ProjPoint((1, -2, 1)), spec, Place(2))
+    with pytest.raises(SupportError, match="lies on the support of"):
+        proximity_sum(ProjPoint((0, 1)), LinearForm((1, 0)), (INF, Place(3)))
+    assert local_weil(on_first, spec, INF).dropped == (1,)
+    with pytest.raises(ArgumentError, match=r"form on P\^2 evaluated at point of P\^3"):
+        local_weil(ProjPoint((1, 2, 3, 4)), spec, INF)
+
+
+def test_weil_batch_support_rows_match_one_point_values():
+    line = LinearForm((1, -1, 0))
+    spec = SubschemeSpec((LinearForm((1, 0, -1)), LinearForm((0, 1, 2))))
+    # on the line, on the first component only, on both, and off everything
+    pts = [ProjPoint(c) for c in ((3, 3, 7), (1, 2, 1), (1, -2, 1), (2, 5, 11))]
+    places = [INF, Place(2), Place(3)]
+    for mode in ("lenient", "strict"):
+        rows = weil_batch(
+            {
+                "points": [p.to_json() for p in pts],
+                "targets": [target_to_json(t) for t in (line, spec)],
+                "places": [str(v) for v in places],
+                "mode": mode,
+            }
+        )
+        assert len(rows) == len(pts) * 2 * len(places)
+        it = iter(rows)
+        support = 0
+        for pt in pts:
+            for target in (line, spec):
+                for v in places:
+                    row = next(it)
+                    assert (row["point"], row["target"], row["place"]) == (
+                        str(pt), str(target), str(v),
+                    )
+                    if is_on_support(pt, target, mode):
+                        support += 1
+                        assert row["value"] is None and row["exact"] == "support"
+                        with pytest.raises(SupportError):
+                            local_weil(pt, target, v, mode)
+                        continue
+                    w = local_weil(pt, target, v, mode)
+                    assert row["value"] == w.value
+                    exact = "" if w.exact is None else "%d^%d" % w.exact
+                    assert row["exact"] == exact
+        # the line at [3:3:7]; the subscheme at [1:-2:1], and in strict
+        # mode also at [1:2:1]
+        assert support == len(places) * (2 if mode == "lenient" else 3)
