@@ -33,11 +33,14 @@ once per sample and read every local value from the exact kernel of the
 local-value module, the one the one-point routines read, so a weighted sum is
 bit-equal to the fsum of the weighted one-point values.  A run builds one
 evaluation plan, read by its float defects, tie band and exact tie
-decisions; the sampler has already dropped every point on a support.  The
-whole ledger runs in the calling process: no pool, no threads.  Exhaustive
-windows predicted to need more than _SWEEP_BUDGET sampler attempts are
-refused; a count-limited sweep or random draw stops there with a partial
-sample.
+decisions.  The sampler has already dropped every point on a support: it is
+one acceptance loop over a candidate stream per geometry (the parameter
+sweep on a curve, seeded draws otherwise), and tests each batch of
+candidates against each distinct support with the same kernel, called with
+no places.  The whole ledger runs in the calling process: no pool, no
+threads.  Exhaustive windows predicted to need more than _SWEEP_BUDGET
+sampler attempts are refused; a count-limited sweep or random draw stops
+there with a partial sample.
 """
 
 from __future__ import annotations
@@ -48,13 +51,13 @@ import random
 from array import array
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
 from .errors import ArgumentError, ConfigRejectedError, DomainError, SupportError
-from .jsonio import parse_rat, rat_str, stable_dumps
+from .jsonio import json_int, parse_rat, rat_str, stable_dumps
 from .linalg import nullspace, primitive, rank_rows
 from .places import Place, _ord_p, parse_place
 from .position import check_general, check_subgeneral
@@ -76,9 +79,9 @@ from .weil import (
     SubschemeSpec,
     Target,
     _column,
+    _coordinate_columns,
     _one_point,
     _raise_hit,
-    is_on_support,
     target_from_json,
     target_to_json,
 )
@@ -122,12 +125,11 @@ class ExperimentConfig:
             raise ArgumentError("config needs at least one place")
         if len(set(places)) != len(places):
             raise ArgumentError("duplicate places in config")
-        for _, targets in self.arrangements:
-            if not targets:
-                raise ArgumentError("empty target list for a place")
-            for t in targets:
-                if t.dim != self.variety.ambient_dim:
-                    raise ArgumentError("target lives in the wrong ambient space")
+        if not all(targets for _, targets in self.arrangements):
+            raise ArgumentError("empty target list for a place")
+        every = [t for _, ts in self.arrangements for t in ts] + list(self.excluded_supports)
+        if any(t.dim != self.variety.ambient_dim for t in every):
+            raise ArgumentError("target lives in the wrong ambient space")
         if self.epsilon <= 0:
             raise ArgumentError("epsilon must be positive")
         if self.h_min > self.h_max:
@@ -178,7 +180,7 @@ class ExperimentConfig:
         opt = {f.name: f.default for f in fields(cls)} | data
         variety = LinearSubvariety.from_json(data["x"])
         if "ambient_dim" in data:
-            if _json_int(data, "ambient_dim") != variety.ambient_dim:
+            if json_int(data["ambient_dim"], "ambient_dim") != variety.ambient_dim:
                 raise ArgumentError("ambient_dim disagrees with x")
         arrangements = tuple(
             (parse_place(k), tuple(target_from_json(t) for t in targets))
@@ -196,17 +198,17 @@ class ExperimentConfig:
         config = cls(
             variety=variety,
             arrangements=arrangements,
-            level=_json_int(data, "l"),
+            level=json_int(data["l"], "l"),
             epsilon=parse_rat(data["epsilon"]),
             h_min=float(h_min),
             h_max=float(h_max),
-            sample_count=None if count is None else _json_int(data, "sample_count"),
-            seed=_json_int(data, "seed"),
+            sample_count=None if count is None else json_int(count, "sample_count"),
+            seed=json_int(data["seed"], "seed"),
             position_asserted=asserted,
             mode=str(opt["mode"]),
             candidate_fraction=parse_rat(opt["candidate_fraction"]),
-            max_candidates=_json_int(opt, "max_candidates"),
-            workers=_json_int(opt, "workers"),
+            max_candidates=json_int(opt["max_candidates"], "max_candidates"),
+            workers=json_int(opt["workers"], "workers"),
             excluded_supports=tuple(
                 target_from_json(t) for t in opt["excluded_supports"]
             ),
@@ -216,14 +218,6 @@ class ExperimentConfig:
         if unknown:
             raise ArgumentError("unknown config keys: %s" % ", ".join(unknown))
         return config
-
-
-def _json_int(data: dict, key: str) -> int:
-    """data[key], which must be a JSON integer: not a bool, float or string."""
-    value = data[key]
-    if type(value) is not int:
-        raise TypeError("%s must be a JSON integer, got %r" % (key, value))
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +287,6 @@ def _line_param_bound(basis, hi: int) -> int:
     return best
 
 
-def _exclusion_test(excluded, mode: str):
-    """Fast membership test for a list of excluded supports."""
-    distinct = dict.fromkeys(excluded)
-    lin = [t.coeffs for t in distinct if isinstance(t, LinearForm)]
-    rest = [t for t in distinct if not isinstance(t, LinearForm)]
-
-    def on_excluded(pt: ProjPoint) -> bool:
-        coords = pt.coords
-        for cf in lin:
-            if not sum(map(mul, cf, coords)):
-                return True
-        return bool(rest) and any(is_on_support(pt, t, mode) for t in rest)
-
-    return on_excluded
-
-
 def sample_points(
     variety: LinearSubvariety,
     h_min: float,
@@ -323,101 +301,109 @@ def sample_points(
     Curves get an exhaustive parameter sweep (count=None means every point
     in the window); higher-dimensional X gets seeded uniform draws from the
     coordinate box, deduplicated, with at most min(200*count + 1000,
-    _SWEEP_BUDGET) attempts.
-    Points on any excluded support are skipped.
+    _SWEEP_BUDGET) attempts.  Either candidate stream feeds one acceptance
+    loop, which skips the points on any excluded support by the support
+    test of the local-value kernel.
     """
     if count == 0:
         return SampleResult((), False, 0)
     lo, hi = _int_window(h_min, h_max)
     if hi < 1 or lo > hi:
         return SampleResult((), False, 0)
-    on_excluded = _exclusion_test(excluded, mode)
+    if variety.dim > 1:
+        if count is None:
+            raise ArgumentError("exhaustive sampling is only available when dim X == 1")
+        cap = min(200 * count + 1000, _SWEEP_BUDGET)
+        return _accept(_draw_stream(variety, lo, hi, seed), count, cap, excluded, mode)
 
-    if variety.dim == 1:
-        basis = variety.kernel_basis()
-        # on P^1 itself the parameters are the coordinates
-        if variety.ambient_dim == 1:
-            m_lo, m_hi = lo, hi
-        else:
-            # |s*b1_i + t*b2_i| <= m*C with C = max_i(|b1_i| + |b2_i|), so a
-            # parameter m with m*C < lo cannot reach the window
-            c = max(abs(x) + abs(y) for x, y in zip(*basis))
-            m_lo, m_hi = max(1, -(-lo // c)), _line_param_bound(basis, hi)
-        # the sweep makes 4*sum(phi(m)) attempts for m_lo <= m <= m_hi, about
-        # (12/pi^2) * (m_hi^2 - (m_lo-1)^2); compared in pi^2 units, which a
-        # huge int does not overflow
-        sweep = 12 * (m_hi**2 - (m_lo - 1) ** 2)
-        if count is None and sweep > _SWEEP_BUDGET * math.pi**2:
-            raise ArgumentError(
-                "exhaustive window up to parameter %d needs more than %d sampler "
-                "attempts; narrow the height window or set sample_count"
-                % (m_hi, _SWEEP_BUDGET)
-            )
-        # a count-limited sweep is never refused, so it stops at the budget
-        cap = None if count is None else _SWEEP_BUDGET
-        out = []
-        attempts = 0
-        if variety.ambient_dim == 1:
-            for m in range(m_lo, m_hi + 1):
-                for s, t in _coprime_pairs(m):
-                    if attempts == cap:
-                        return SampleResult(tuple(out), True, attempts)
-                    attempts += 1
-                    pt = point_from_canonical((s, t))
-                    if not on_excluded(pt):
-                        out.append(pt)
-                        if count is not None and len(out) == count:
-                            return SampleResult(tuple(out), False, attempts)
-        else:
-            b1, b2 = basis
-            ncols = len(b1)
-            for m in range(m_lo, m_hi + 1):
-                for s, t in _coprime_pairs(m):
-                    if attempts == cap:
-                        return SampleResult(tuple(out), True, attempts)
-                    attempts += 1
-                    # b1, b2 are independent and (s, t) != 0, so vec != 0
-                    vec = tuple(s * b1[i] + t * b2[i] for i in range(ncols))
-                    pt = ProjPoint(vec)
-                    mx = max(abs(c) for c in pt.coords)
-                    if lo <= mx <= hi and not on_excluded(pt):
-                        out.append(pt)
-                        if count is not None and len(out) == count:
-                            return SampleResult(tuple(out), False, attempts)
-        return SampleResult(
-            tuple(out), count is not None and len(out) < count, attempts
+    basis = variety.kernel_basis()
+    # |s*b1_i + t*b2_i| <= m*C with C = max_i(|b1_i| + |b2_i|), so a parameter
+    # m with m*C < lo cannot reach the window; on P^1, whose basis is the unit
+    # vectors, this is the window itself
+    c = max(abs(x) + abs(y) for x, y in zip(*basis))
+    m_lo, m_hi = max(1, -(-lo // c)), _line_param_bound(basis, hi)
+    # the sweep makes 4*sum(phi(m)) attempts for m_lo <= m <= m_hi, about
+    # (12/pi^2) * (m_hi^2 - (m_lo-1)^2); compared in pi^2 units, which a
+    # huge int does not overflow
+    sweep = 12 * (m_hi**2 - (m_lo - 1) ** 2)
+    if count is None and sweep > _SWEEP_BUDGET * math.pi**2:
+        raise ArgumentError(
+            "exhaustive window up to parameter %d needs more than %d sampler "
+            "attempts; narrow the height window or set sample_count"
+            % (m_hi, _SWEEP_BUDGET)
         )
+    # a count-limited sweep is never refused, so it stops at the budget
+    cap = None if count is None else _SWEEP_BUDGET
+    return _accept(_line_stream(basis, lo, hi, m_lo, m_hi), count, cap, excluded, mode)
 
-    if count is None:
-        raise ArgumentError("exhaustive sampling is only available when dim X == 1")
+
+def _line_stream(basis, lo: int, hi: int, m_lo: int, m_hi: int):
+    """The sweep's candidates, one per parameter pair (s, t) in
+    _coprime_pairs order: primitive(s*b1 + t*b2) when its height lies in the
+    window, else None.  On P^1 the pairs are the coordinates, all inside."""
+    pairs = (st for m in range(m_lo, m_hi + 1) for st in _coprime_pairs(m))
+    if len(basis[0]) == 2:
+        return pairs
+    # b1, b2 are independent and (s, t) != 0, so no vector is 0
+    vecs = (primitive([s * x + t * y for x, y in zip(*basis)]) for s, t in pairs)
+    return (v if lo <= max(map(abs, v)) <= hi else None for v in vecs)
+
+
+def _draw_stream(variety: LinearSubvariety, lo: int, hi: int, seed: int):
+    """Seeded draws u . basis, u in [-hi, hi]^(n+1), one per attempt: the
+    primitive coordinates the first time they are drawn inside the window,
+    else None."""
     rng = random.Random(seed)
     basis = variety.kernel_basis()
     ncols = variety.ambient_dim + 1
     seen = set()
-    out = []
-    attempts = 0
-    max_attempts = min(200 * count + 1000, _SWEEP_BUDGET)
-    while len(out) < count and attempts < max_attempts:
-        attempts += 1
+    while True:
         u = [rng.randint(-hi, hi) for _ in basis]
         vec = [0] * ncols
         for uk, b in zip(u, basis):
             if uk:
                 for i in range(ncols):
                     vec[i] += uk * b[i]
-        if not any(vec):
-            continue
-        coords = primitive(vec)
-        if coords in seen:
-            continue
-        mx = max(abs(c) for c in coords)
-        if mx < lo or mx > hi:
-            continue
-        pt = point_from_canonical(coords)
-        if not on_excluded(pt):
+        coords = primitive(vec) if any(vec) else None
+        if coords is None or coords in seen or not lo <= max(map(abs, coords)) <= hi:
+            yield None
+        else:
             seen.add(coords)
-            out.append(pt)
-    return SampleResult(tuple(out), len(out) < count, attempts)
+            yield coords
+
+
+def _accept(stream, count, cap, excluded, mode: str) -> SampleResult:
+    """The first count candidates of the stream on no excluded support (all
+    of them when count is None), in at most cap attempts (None: no cap).
+
+    A batch never holds more candidates than would complete the count if
+    none sat on a support, so the result is the point-by-point loop's.  Its
+    support test is one kernel call per distinct support."""
+    supports = tuple(dict.fromkeys(excluded))
+    out: list[ProjPoint] = []
+    attempts, more = 0, True
+    while more and attempts != cap and (count is None or len(out) < count):
+        need = None if count is None else count - len(out)
+        batch, more = [], False
+        for coords in stream:
+            attempts += 1
+            if coords is not None:
+                batch.append(point_from_canonical(coords))
+            if len(batch) == need or attempts == cap:
+                more = True
+                break
+        if not batch:
+            continue
+        xs = _coordinate_columns(batch)
+        hits = set()
+        for target in supports:
+            marks = _column(target, batch, xs, (), mode, ())[2]
+            if marks.count(()) != len(marks):
+                # the few truthy marks: dropped components or support hits
+                truthy = compress(range(len(marks)), marks)
+                hits.update(i for i in truthy if not isinstance(marks[i], tuple))
+        out += (pt for i, pt in enumerate(batch) if i not in hits)
+    return SampleResult(tuple(out), count is not None and len(out) < count, attempts)
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +494,11 @@ def _defect_batch(ev: _Evaluator, pts) -> list:
     """The weighted defect of each point: one kernel call per plan entry over
     the whole column, one float column per weighted (target, place) term,
     and one fsum per point.  Raises the first support hit it meets."""
+    xs = _coordinate_columns(pts)
     maxes = [max(map(abs, pt.coords)) for pt in pts]
     terms = []
     for target, places, _, weights in ev.plan:
-        _, values, marks = _column(target, pts, maxes, ev.mode, places)
+        _, values, marks = _column(target, pts, xs, maxes, ev.mode, places)
         _raise_hit(marks)
         terms += (array("d", [w * v for v in col]) for w, col in zip(weights, values))
     return [math.fsum(t) for t in zip(*terms)]

@@ -35,3 +35,10 @@ def parse_rat(s) -> Fraction:
         return Fraction(str(s).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ArgumentError("not a rational: %r" % (s,)) from exc
+
+
+def json_int(value, name: str) -> int:
+    """value, which must be a JSON integer: not a bool, float or string."""
+    if type(value) is not int:
+        raise TypeError("%s must be a JSON integer, got %r" % (name, value))
+    return value

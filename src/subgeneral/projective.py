@@ -16,7 +16,7 @@ from math import comb
 from operator import mul
 
 from .errors import ArgumentError
-from .jsonio import parse_rat, rat_str
+from .jsonio import json_int, parse_rat, rat_str
 from .linalg import nullspace, primitive, rank_rows
 
 
@@ -188,8 +188,13 @@ class HomForm:
         return cls(dim, degree, tuple(coeffs))
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
+        return list(self._terms)
+
+    @cached_property
+    def _terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The nonzero (exponents, coefficient) pairs, read at every point."""
         mono = monomials(self.dim + 1, self.degree)
-        return [(mono[i], c) for i, c in enumerate(self.coeffs) if c != 0]
+        return tuple((mono[i], c) for i, c in enumerate(self.coeffs) if c != 0)
 
     @cached_property
     def _max_coeff(self) -> int:
@@ -207,7 +212,7 @@ class HomForm:
             )
         total = 0
         x = point.coords
-        for exps, c in self.terms():
+        for exps, c in self._terms:
             term = c
             for xi, e in zip(x, exps):
                 if e:
@@ -217,7 +222,7 @@ class HomForm:
 
     def __str__(self) -> str:
         chunks = []
-        for exps, c in self.terms():
+        for exps, c in self._terms:
             mono = "*".join(
                 ("x%d" % i if e == 1 else "x%d^%d" % (i, e))
                 for i, e in enumerate(exps)
@@ -232,13 +237,17 @@ class HomForm:
         return {
             "dim": self.dim,
             "degree": self.degree,
-            "terms": [[list(e), rat_str(c)] for e, c in self.terms()],
+            "terms": [[list(e), rat_str(c)] for e, c in self._terms],
         }
 
     @classmethod
     def from_json(cls, data) -> "HomForm":
-        terms = {tuple(e): parse_rat(c) for e, c in data["terms"]}
-        return cls.from_terms(int(data["dim"]), int(data["degree"]), terms)
+        terms = {
+            tuple(json_int(x, "exponent") for x in e): parse_rat(c)
+            for e, c in data["terms"]
+        }
+        dim, degree = json_int(data["dim"], "dim"), json_int(data["degree"], "degree")
+        return cls.from_terms(dim, degree, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +336,7 @@ class LinearSubvariety:
     @classmethod
     def from_json(cls, data) -> "LinearSubvariety":
         return cls(
-            int(data["ambient_dim"]),
+            json_int(data["ambient_dim"], "ambient_dim"),
             tuple(LinearForm.from_json(f) for f in data.get("forms", [])),
         )
 

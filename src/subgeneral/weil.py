@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
-from operator import add
+from itertools import compress, count
+from operator import add, not_
 from typing import Optional, Union
 
 from .errors import ArgumentError, SupportError
@@ -135,9 +136,10 @@ class WeilValue:
 # and the float formula; every local value in the package is read from it
 
 
-def _column(target: Target, points, maxes, mode: str, places):
+def _column(target: Target, points, xs, maxes, mode: str, places):
     """(exacts, values, marks): one target's local values over a column of
-    points, with maxes[i] = max|x_i| of points[i].
+    points, with xs = _coordinate_columns(points) and maxes[i] = max|x_i| of
+    points[i] (read only at inf).
 
     exacts[k] and values[k] are the exact and the float column at
     places[k].  marks[i] is the tuple of 1-based indices of the components
@@ -162,15 +164,14 @@ def _column(target: Target, points, maxes, mode: str, places):
         comps = (target,)
     else:
         raise ArgumentError("not a Weil target: %r" % (target,))
-    coords = [pt.coords for pt in points]
+    if not points:
+        return [[] for _ in places], [[] for _ in places], []
     width = target.dim + 1
-    if set(map(len, coords)) - {width}:
+    if xs is None or len(xs) != width:
         bad = next(pt for pt in points if len(pt.coords) != width)
         raise ArgumentError(
             "form on P^%d evaluated at point of P^%d" % (target.dim, bad.dim)
         )
-    # the coordinate columns x_0, ..., x_M, each of the column's length
-    xs = list(zip(*coords)) or [()] * width
     cols = [
         _linear_column(c.coeffs, xs)
         if isinstance(c, LinearForm)
@@ -178,7 +179,7 @@ def _column(target: Target, points, maxes, mode: str, places):
         for c in comps
     ]
     marks = [()] * len(points)
-    zeros = {i for col in cols if not all(col) for i, v in enumerate(col) if not v}
+    zeros = {i for col in cols if not all(col) for i in compress(count(), map(not_, col))}
     for i in zeros:
         marks[i] = _support_mark(points[i], target, [col[i] for col in cols], mode)
     exacts, values = [], []
@@ -209,6 +210,15 @@ def _column(target: Target, points, maxes, mode: str, places):
         exacts.append(exact)
         values.append(value)
     return exacts, values, marks
+
+
+def _coordinate_columns(points):
+    """The coordinate columns x_0, ..., x_M of a column of points, for every
+    _column call over them; None for points of several spaces."""
+    coords = [pt.coords for pt in points]
+    if len(set(map(len, coords))) > 1:
+        return None
+    return [[x[k] for x in coords] for k in range(len(coords[0]))] if coords else []
 
 
 def _linear_column(coeffs, xs) -> list:
@@ -270,8 +280,9 @@ def _raise_hit(marks) -> None:
 def _one_point(point: ProjPoint, target: Target, mode: str, places):
     """The kernel on a column of one: (exacts, values, dropped), one entry
     per place; raises the point's SupportError."""
+    xs = [[x] for x in point.coords]
     maxes = (height_exact(point),)
-    exacts, values, marks = _column(target, (point,), maxes, mode, places)
+    exacts, values, marks = _column(target, (point,), xs, maxes, mode, places)
     _raise_hit(marks)
     return [e for e, in exacts], [v for v, in values], marks[0]
 
@@ -312,7 +323,7 @@ def local_weil(
 
 def is_on_support(point: ProjPoint, target: Target, mode: str = "lenient") -> bool:
     """True when local_weil would raise SupportError at every place."""
-    _, _, (mark,) = _column(target, (point,), (height_exact(point),), mode, ())
+    _, _, (mark,) = _column(target, (point,), [[x] for x in point.coords], (), mode, ())
     return not isinstance(mark, tuple)
 
 
@@ -365,8 +376,9 @@ def weil_batch(manifest: dict) -> list[dict]:
     places = [parse_place(v) for v in manifest["places"]]
     if len(set(places)) != len(places):
         raise ArgumentError("duplicate places in manifest")
+    xs = _coordinate_columns(points)
     maxes = [height_exact(pt) for pt in points]
-    columns = [_column(tg, points, maxes, mode, places)[:2] for tg in targets]
+    columns = [_column(tg, points, xs, maxes, mode, places)[:2] for tg in targets]
     target_labels = [str(t) for t in targets]
     place_labels = [str(v) for v in places]
     rows = []

@@ -12,20 +12,33 @@ two fresh eliminations per candidate, after an explicit intersection of
 the span with the excluded rowspace.  The local Weil reference takes the
 max-norm definition at face value, over Fractions, with no normalization
 assumed.  The row reference is the one-point kernel the column kernel
-replaced: one target at one point, each place in turn.
+replaced: one target at one point, each place in turn.  The sampler
+reference is the point-by-point sampler the candidate streams replaced: a
+loop per geometry, each point tested against each support on its own.
 """
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, log
+from operator import mul
 
 import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from subgeneral.errors import SupportError
-from subgeneral.linalg import in_rowspace, intersect_rowspaces
+from subgeneral import experiments
+from subgeneral.errors import ArgumentError, SupportError
+from subgeneral.experiments import (
+    SampleResult,
+    _coprime_pairs,
+    _int_window,
+    _line_param_bound,
+)
+from subgeneral.linalg import in_rowspace, intersect_rowspaces, primitive
 from subgeneral.places import _ord_p
-from subgeneral.weil import SubschemeSpec
+from subgeneral.projective import LinearForm, ProjPoint, point_from_canonical
+from subgeneral.weil import SubschemeSpec, is_on_support
 
 
 def rank_fraction_gauss(rows) -> int:
@@ -334,3 +347,126 @@ def ledger_by_row(point, target, mode, places):
         exacts.append((num, den))
         values.append(log(num) - log(den))
     return exacts, values, zero_idx
+
+
+def _exclusion_test(excluded, mode: str):
+    """Fast membership test for a list of excluded supports."""
+    distinct = dict.fromkeys(excluded)
+    lin = [t.coeffs for t in distinct if isinstance(t, LinearForm)]
+    rest = [t for t in distinct if not isinstance(t, LinearForm)]
+
+    def on_excluded(pt: ProjPoint) -> bool:
+        coords = pt.coords
+        for cf in lin:
+            if not sum(map(mul, cf, coords)):
+                return True
+        return bool(rest) and any(is_on_support(pt, t, mode) for t in rest)
+
+    return on_excluded
+
+
+def sample_points_by_point(
+    variety,
+    h_min: float,
+    h_max: float,
+    count,
+    seed: int,
+    excluded=(),
+    mode: str = "lenient",
+) -> SampleResult:
+    """The sampler one point at a time: a P^1 loop, a line loop and a
+    random-draw loop, each testing every candidate against every support.
+    The attempt budget is read from the package, so a test that patches
+    it there patches it here."""
+    if count == 0:
+        return SampleResult((), False, 0)
+    lo, hi = _int_window(h_min, h_max)
+    if hi < 1 or lo > hi:
+        return SampleResult((), False, 0)
+    on_excluded = _exclusion_test(excluded, mode)
+
+    if variety.dim == 1:
+        basis = variety.kernel_basis()
+        # on P^1 itself the parameters are the coordinates
+        if variety.ambient_dim == 1:
+            m_lo, m_hi = lo, hi
+        else:
+            # |s*b1_i + t*b2_i| <= m*C with C = max_i(|b1_i| + |b2_i|), so a
+            # parameter m with m*C < lo cannot reach the window
+            c = max(abs(x) + abs(y) for x, y in zip(*basis))
+            m_lo, m_hi = max(1, -(-lo // c)), _line_param_bound(basis, hi)
+        # the sweep makes 4*sum(phi(m)) attempts for m_lo <= m <= m_hi, about
+        # (12/pi^2) * (m_hi^2 - (m_lo-1)^2); compared in pi^2 units, which a
+        # huge int does not overflow
+        sweep = 12 * (m_hi**2 - (m_lo - 1) ** 2)
+        if count is None and sweep > experiments._SWEEP_BUDGET * math.pi**2:
+            raise ArgumentError(
+                "exhaustive window up to parameter %d needs more than %d sampler "
+                "attempts; narrow the height window or set sample_count"
+                % (m_hi, experiments._SWEEP_BUDGET)
+            )
+        # a count-limited sweep is never refused, so it stops at the budget
+        cap = None if count is None else experiments._SWEEP_BUDGET
+        out = []
+        attempts = 0
+        if variety.ambient_dim == 1:
+            for m in range(m_lo, m_hi + 1):
+                for s, t in _coprime_pairs(m):
+                    if attempts == cap:
+                        return SampleResult(tuple(out), True, attempts)
+                    attempts += 1
+                    pt = point_from_canonical((s, t))
+                    if not on_excluded(pt):
+                        out.append(pt)
+                        if count is not None and len(out) == count:
+                            return SampleResult(tuple(out), False, attempts)
+        else:
+            b1, b2 = basis
+            ncols = len(b1)
+            for m in range(m_lo, m_hi + 1):
+                for s, t in _coprime_pairs(m):
+                    if attempts == cap:
+                        return SampleResult(tuple(out), True, attempts)
+                    attempts += 1
+                    # b1, b2 are independent and (s, t) != 0, so vec != 0
+                    vec = tuple(s * b1[i] + t * b2[i] for i in range(ncols))
+                    pt = ProjPoint(vec)
+                    mx = max(abs(c) for c in pt.coords)
+                    if lo <= mx <= hi and not on_excluded(pt):
+                        out.append(pt)
+                        if count is not None and len(out) == count:
+                            return SampleResult(tuple(out), False, attempts)
+        return SampleResult(
+            tuple(out), count is not None and len(out) < count, attempts
+        )
+
+    if count is None:
+        raise ArgumentError("exhaustive sampling is only available when dim X == 1")
+    rng = random.Random(seed)
+    basis = variety.kernel_basis()
+    ncols = variety.ambient_dim + 1
+    seen = set()
+    out = []
+    attempts = 0
+    max_attempts = min(200 * count + 1000, experiments._SWEEP_BUDGET)
+    while len(out) < count and attempts < max_attempts:
+        attempts += 1
+        u = [rng.randint(-hi, hi) for _ in basis]
+        vec = [0] * ncols
+        for uk, b in zip(u, basis):
+            if uk:
+                for i in range(ncols):
+                    vec[i] += uk * b[i]
+        if not any(vec):
+            continue
+        coords = primitive(vec)
+        if coords in seen:
+            continue
+        mx = max(abs(c) for c in coords)
+        if mx < lo or mx > hi:
+            continue
+        pt = point_from_canonical(coords)
+        if not on_excluded(pt):
+            seen.add(coords)
+            out.append(pt)
+    return SampleResult(tuple(out), len(out) < count, attempts)

@@ -484,6 +484,75 @@ def test_config_values_of_the_wrong_json_type_exit_64(capsys, override):
     assert capsys.readouterr().err.startswith("--config: malformed document (TypeError")
 
 
+QUADRIC = {"type": "form", "dim": 1, "degree": 2, "terms": [[[2, 0], "1"], [[0, 2], "1"]]}
+CERT = {
+    "x": {"ambient_dim": 1, "forms": []},
+    "inputs": [["1", "0"], ["0", "1"]],
+    "outputs": [["1", "0"], ["0", "1"]],
+    "matrix": [["1", "0"], ["0", "1"]],
+    "position": {"verdict": True, "level": 1, "q": 2, "x": {"ambient_dim": 1, "forms": []},
+                 "witnesses": [], "complete": True},
+    "constants": {"inf": "1"},
+}
+
+
+def _nested(doc: dict, path: tuple, value) -> dict:
+    """A copy of doc with the entry at path replaced by value."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+# integers nested in documents: a subvariety's ambient_dim, a form's dim,
+# degree and exponents
+NESTED_NON_INTEGERS = [
+    ("--config", ["experiment", "run", "--config",
+                  json.dumps(_nested(violator_config(), ("x", "ambient_dim"), bad))])
+    for bad in (1.9, True, "1")
+] + [
+    ("--config", ["experiment", "run", "--config", json.dumps(_nested(
+        violator_config(excluded_supports=[QUADRIC]), ("excluded_supports", 0, "degree"), 2.7
+    ))]),
+    ("--x", ["position", "check", "--forms", "[[1,0],[0,1]]", "--l", "1",
+             "--x", '{"ambient_dim": 1.9, "forms": []}']),
+    ("--target", ["seshadri", "--target", json.dumps(_nested(QUADRIC, ("degree",), 2.7))]),
+    ("--target", ["weil", "--target", json.dumps(_nested(QUADRIC, ("dim",), "1")),
+                  "--point", "[1:2]", "--place", "inf"]),
+    ("--manifest", ["weil", "--manifest", json.dumps({
+        "points": [["1", "2"]],
+        "places": ["inf"],
+        "targets": [_nested(QUADRIC, ("terms", 0, 0, 0), 2.0)],
+    })]),
+    ("--cert", ["chain", "check", "--cert", json.dumps(_nested(CERT, ("x", "ambient_dim"), True)),
+                "--point", "[1:2]", "--place", "inf"]),
+]
+
+
+@pytest.mark.parametrize("option, argv", NESTED_NON_INTEGERS)
+def test_nested_integers_of_the_wrong_json_type_exit_64(capsys, option, argv):
+    assert main(argv) == 64
+    assert capsys.readouterr().err.startswith(option + ": malformed document (TypeError")
+
+
+def test_nested_integers_of_the_right_json_type_run(capsys):
+    config = violator_config(excluded_supports=[QUADRIC])
+    assert main(["experiment", "run", "--config", json.dumps(config)]) == 0
+    assert main(["seshadri", "--target", json.dumps(QUADRIC)]) == 0
+    argv = ["chain", "check", "--cert", json.dumps(CERT), "--point", "[1:2]", "--place", "inf"]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def test_excluded_supports_in_the_wrong_space_exit_65(capsys):
+    for support in (["1", "-2", "5"], {**QUADRIC, "dim": 2, "terms": [[[2, 0, 0], "1"]]}):
+        config = violator_config(excluded_supports=[support])
+        assert main(["experiment", "run", "--config", json.dumps(config)]) == 65
+        assert "wrong ambient space" in capsys.readouterr().err
+
+
 def test_config_values_of_the_right_json_type_run(capsys):
     for override in (
         {"position_asserted": False, "height_window": [1, 2.5]},

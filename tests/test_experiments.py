@@ -48,7 +48,7 @@ from subgeneral.experiments import _defect_batch, _Evaluator
 from subgeneral.jsonio import stable_dumps
 
 from gen import rand_hom_form, rand_linear_form
-from oracles import rank_fraction_gauss
+from oracles import rank_fraction_gauss, sample_points_by_point
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -503,6 +503,10 @@ def test_config_rejects_bad_fields():
         )
     with pytest.raises(ArgumentError):
         config_p1(targets=(LinearForm((1, 0, 0)),))
+    # excluded supports live in the ambient space too
+    for support in (LinearForm((1, -2, 5)), HomForm.from_terms(2, 2, {(2, 0, 0): 1})):
+        with pytest.raises(ArgumentError, match="wrong ambient space"):
+            config_p1(excluded_supports=(support,))
 
 
 def test_config_refuses_unknown_keys():
@@ -935,7 +939,9 @@ def test_bulk_ledger_calls_the_kernel_once_per_plan_entry(monkeypatch):
     column = subgeneral.experiments._column
 
     def counting(target, points, *args):
-        calls.append((target, len(points)))
+        # the ledger's calls are the ones with places; the sampler's have none
+        if args[-1]:
+            calls.append((target, len(points)))
         return column(target, points, *args)
 
     monkeypatch.setattr(subgeneral.experiments, "_column", counting)
@@ -1099,3 +1105,157 @@ def test_random_draws_stop_at_the_attempt_budget(monkeypatch, tmp_path):
     assert main(["experiment", "run", "--config", "@%s" % path, "--out", str(out)]) == 3
     report = json.loads(out.read_text())
     assert report["partial"] is True and report["attempts"] == 5000
+
+
+# ---------------------------------------------------------------------------
+# one sampler: the candidate streams and the acceptance loop reproduce the
+# point-by-point sampler
+
+
+# P^1; lines in P^2 and P^3, one of them {2x0 + x1 + x2 = 0}, whose kernel
+# basis spans a sublattice of index 2, so s*b1 + t*b2 is not always
+# primitive; planes; 3-folds
+SAMPLER_GEOMETRIES = (
+    P1,
+    LinearSubvariety(2, (LinearForm((2, 1, 1)),)),
+    LinearSubvariety(2, (LinearForm((1, -3, 2)),)),
+    LinearSubvariety(3, (LinearForm((1, 2, 0, -1)), LinearForm((0, 1, 3, 1)))),
+    P2,
+    LinearSubvariety(3, (LinearForm((1, 1, -2, 1)),)),
+    projective_space(3),
+    LinearSubvariety(4, (LinearForm((0, 1, 0, 0, 2)),)),
+)
+
+
+def _sampler_supports(rng, dim):
+    """Linear, quadric and two-form subscheme supports on P^dim, with
+    coordinate hyperplanes and their products planted so that samples hit
+    them."""
+    axis = [LinearForm(tuple(int(i == k) for i in range(dim + 1))) for k in range(dim + 1)]
+    cross = HomForm.from_terms(dim, 2, {tuple(int(i < 2) for i in range(dim + 1)): 1})
+    pool = (
+        axis
+        + [rand_linear_form(rng, dim, hi=3) for _ in range(2)]
+        + [cross, rand_hom_form(rng, dim, 2, hi=2)]
+        + [
+            SubschemeSpec((axis[0], axis[1])),
+            SubschemeSpec((rand_linear_form(rng, dim, hi=2), cross)),
+        ]
+    )
+    return tuple(rng.sample(pool, rng.randint(0, 4)))
+
+
+def _sampler_cases():
+    """(variety, h_min, h_max, count, seed, excluded, mode, budget): seven
+    seeded cases per geometry plus edge cases."""
+    rng = random.Random(41)
+    cases = []
+    for variety in SAMPLER_GEOMETRIES:
+        for k in range(7):
+            count = (None, 1, rng.randint(2, 12), rng.randint(20, 60), 10**5)[k % 5]
+            if variety.dim > 1 and count is None and k:
+                count = rng.randint(2, 12)
+            h_min = rng.choice((0.0, 0.0, math.log(3)))
+            h_max = math.log(rng.randint(4, 9 if variety.dim > 1 else 24))
+            excluded = _sampler_supports(rng, variety.ambient_dim)
+            excluded += excluded[:1]  # a repeated support is tested once
+            mode = rng.choice(("lenient", "strict"))
+            # a count beyond the window on a plane would take 2M draws
+            budgets = (7, 40, 1000) + (() if count == 10**5 else (2_000_000,))
+            budget = rng.choice(budgets)
+            cases.append((variety, h_min, h_max, count, rng.randrange(100), excluded, mode, budget))
+    # the count's last point at the budget's last attempt, and a window
+    # past the budget
+    cases.append((P1, 0.0, math.log(5), 7, 0, (), "lenient", 7))
+    cases.append((P1, 0.0, math.log(5), None, 0, (X1,), "lenient", 3))
+    cases.append((P2, 0.0, math.log(3), 0, 0, (), "lenient", 40))
+    cases.append((P2, 0.3, 0.4, 5, 0, (), "lenient", 40))
+    # all 49 points of height <= log 2 on P^2, then 200*50 + 1000 draws
+    cases.append((P2, 0.0, math.log(2), 50, 0, (), "strict", 2_000_000))
+    return cases
+
+
+def _sample_or_error(sampler, case):
+    variety, h_min, h_max, count, seed, excluded, mode, _ = case
+    try:
+        return sampler(variety, h_min, h_max, count, seed, excluded, mode)
+    except ArgumentError as err:
+        return str(err)
+
+
+def test_one_sampler_matches_the_point_by_point_sampler(monkeypatch):
+    cases = _sampler_cases()
+    assert len(cases) == 61
+    outcomes = set()
+    for case in cases:
+        monkeypatch.setattr(subgeneral.experiments, "_SWEEP_BUDGET", case[-1])
+        got = _sample_or_error(sample_points, case)
+        assert got == _sample_or_error(sample_points_by_point, case), case
+        if isinstance(got, str):
+            outcomes.add("refused")
+        else:
+            outcomes.add(("partial" if got.partial else "complete", bool(got.points)))
+            if got.points and case[5]:
+                outcomes.add("excluded")
+    assert outcomes >= {
+        "refused", "excluded", ("partial", True), ("complete", True), ("complete", False)
+    }
+
+
+def _counting(monkeypatch, name, module=None):
+    """Wrap module.<name>, by default in experiments; returns its call list."""
+    module = module or subgeneral.experiments
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_sampler_tests_each_distinct_support_once_per_batch(monkeypatch):
+    columns = _counting(monkeypatch, "_coordinate_columns")
+    kernel = _counting(monkeypatch, "_column")
+    # no point of height log 2 to log 20 sits on these, so a count-limited
+    # sample takes exactly one batch
+    definite = HomForm.from_terms(2, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    far = (LinearForm((1, 100, 0)), LinearForm((0, 1, 100)), definite)
+    got = sample_points(P2, math.log(2), math.log(20), 200, 3, excluded=far + far)
+    assert len(got.points) == 200 and not got.partial
+    assert len(columns) == 1
+    assert [(c[0], len(c[1])) for c in kernel] == [(t, 200) for t in far]
+    # the coordinate lines are hit, so the count takes more batches, each
+    # testing each distinct support once
+    columns.clear()
+    kernel.clear()
+    axes = (LinearForm((1, 0, 0)), LinearForm((0, 1, 0)))
+    got = sample_points(P2, 0.0, math.log(20), 200, 3, excluded=axes + axes[:1])
+    assert len(got.points) == 200
+    assert len(columns) > 1
+    assert [c[0] for c in kernel] == list(axes) * len(columns)
+
+
+def test_ledger_builds_the_coordinate_columns_once(monkeypatch):
+    _, surface = _kernel_configs()
+    columns = _counting(monkeypatch, "_coordinate_columns")
+    pts, targets = _kernel_sample(surface)
+    batches = len(columns)
+    assert batches >= 1
+    _defect_batch(_Evaluator(surface), pts)
+    assert len(columns) == batches + 1
+    # an empty sample is an empty column, not an error
+    assert _defect_batch(_Evaluator(surface), []) == []
+    manifest_columns = _counting(monkeypatch, "_coordinate_columns", subgeneral.weil)
+    weil_batch(
+        {
+            "points": [p.to_json() for p in pts[:20]],
+            "targets": [target_to_json(t) for t in targets],
+            "places": [str(v) for v in surface.places],
+        }
+    )
+    assert len(manifest_columns) == 1
+    places = [str(v) for v in surface.places]
+    assert weil_batch({"points": [], "targets": [target_to_json(targets[0])], "places": places}) == []

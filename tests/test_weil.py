@@ -34,7 +34,7 @@ from subgeneral import (
     weil_subscheme,
 )
 
-from subgeneral.weil import _column
+from subgeneral.weil import _column, _coordinate_columns
 
 from gen import point_off_targets, rand_hom_form, rand_linear_form, rand_point
 from oracles import ledger_by_row, weil_ratio_reference
@@ -486,7 +486,8 @@ def test_column_kernel_matches_the_row_kernel():
     for target, pts in _kernel_cases():
         maxes = [height_exact(pt) for pt in pts]
         for mode in ("lenient", "strict"):
-            exacts, values, marks = _column(target, pts, maxes, mode, places)
+            xs = _coordinate_columns(pts)
+            exacts, values, marks = _column(target, pts, xs, maxes, mode, places)
             assert len(exacts) == len(values) == len(places)
             for i, pt in enumerate(pts):
                 try:
