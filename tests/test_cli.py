@@ -563,6 +563,17 @@ def test_config_values_of_the_right_json_type_run(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("window", ["[NaN, 3.0]", "[0.0, NaN]", "[-Infinity, 2.0]"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_height_windows_exit_65(capsys, window, fmt):
+    # json.dumps cannot write these tokens into a valid document, so splice
+    config = json.dumps(violator_config(height_window="WINDOW")).replace('"WINDOW"', window)
+    assert main(["experiment", "run", "--config", config, "--format", fmt]) == 65
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_well_formed_bad_values_stay_exit_65(capsys):
     assert main(["seshadri", "--target", '{"type": "bogus"}']) == 65
     manifest = {"points": [["1", "4"]], "targets": [["1", "0"]], "places": ["inf"]}

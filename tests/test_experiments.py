@@ -121,6 +121,13 @@ def test_sample_zero_count_and_empty_window():
     assert sample_points(P1, 0.2, 0.3, 10, seed=0).points == ()
 
 
+def test_sample_refuses_a_non_finite_window():
+    nan, inf = float("nan"), float("inf")
+    for h_min, h_max in ((nan, 3.0), (0.0, nan), (-inf, 2.0)):
+        with pytest.raises(ArgumentError, match="must be finite"):
+            sample_points(P1, h_min, h_max, None, 0)
+
+
 def test_sample_respects_exclusions():
     got = sample_points(P1, 0.0, LOG5, None, seed=0, excluded=(X1,))
     assert len(got.points) == 39
@@ -421,6 +428,27 @@ def test_scan_seed_thinning_still_finds_a_big_line():
     assert got[0].coverage == "1"
     assert set(got[0].members) == {str(p) for p in pts}
     assert got[0].defining_forms == ((0, 0, 1),)
+
+
+def test_surface_scan_ranks_no_seed_subset(monkeypatch):
+    calls = []
+    rank_rows = subgeneral.linalg.rank_rows
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rank_rows(rows)
+
+    for module in (subgeneral.linalg, subgeneral.experiments):
+        monkeypatch.setattr(module, "rank_rows", counting)
+    rng = random.Random(40)
+    line = [ProjPoint((k, 1, 0)) for k in range(1, 31)]
+    scatter = [ProjPoint((rng.randint(1, 50), rng.randint(1, 50), rng.randint(1, 50)))
+               for _ in range(30)]
+    pts = line + scatter
+    assert len({str(p) for p in pts}) >= 40
+    got = exceptional_scan(pts, P2, fraction=Fraction(1, 5))
+    assert calls == []
+    assert got[0].members == tuple(sorted(str(p) for p in line))
 
 
 def test_scan_dedupes_projectively_equal_points():
@@ -903,6 +931,30 @@ def _kernel_sample(cfg):
         cfg.variety, cfg.h_min, cfg.h_max, cfg.sample_count, cfg.seed, excluded=targets
     ).points
     return pts, list(dict.fromkeys(targets))
+
+
+def test_ledgers_never_evaluate_a_form_point_by_point(monkeypatch):
+    calls = []
+    evaluate = HomForm.evaluate
+
+    def counting(form, point):
+        calls.append(form)
+        return evaluate(form, point)
+
+    monkeypatch.setattr(HomForm, "evaluate", counting)
+    _, surface = _kernel_configs()
+    pts, targets = _kernel_sample(surface)
+    quadric = next(t for t in targets if isinstance(t, HomForm))
+    mixed = SubschemeSpec((quadric, LinearForm((1, 2, -1))))
+    manifest = {
+        "points": [p.to_json() for p in pts],
+        "targets": [target_to_json(t) for t in targets + [mixed]],
+        "places": list(surface.places),
+    }
+    calls.clear()
+    assert len(weil_batch(manifest)) == len(pts) * (len(targets) + 1) * 3
+    assert _defect_batch(_Evaluator(surface), pts)
+    assert calls == []
 
 
 def test_bulk_ledger_is_bit_equal_to_one_point_values():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 from subgeneral.linalg import (
+    annihilator_products,
+    combine,
     in_rowspace,
     intersect_rowspaces,
     nullspace,
@@ -118,3 +120,38 @@ def test_intersect_rowspaces_properties():
         assert len(meet) == expected
         if meet:
             assert rank_rows(meet) == len(meet)
+
+
+def test_combine_matches_fraction_sums():
+    rng = random.Random(15)
+    for _ in range(300):
+        ncols, nrows = rng.randint(1, 6), rng.randint(1, 5)
+        rows = rand_matrix(rng, nrows, ncols, hi=10**6)
+        if rng.random() < 0.5:
+            rows = [[Fraction(a, rng.randint(1, 9)) for a in row] for row in rows]
+        coeffs = [rng.choice((0, 0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)))
+                  for _ in range(nrows)]
+        expected = [sum((Fraction(c) * row[i] for c, row in zip(coeffs, rows)), Fraction(0))
+                    for i in range(ncols)]
+        got = combine(coeffs, rows)
+        assert got == expected and len(got) == ncols
+    assert combine([0, 0], [[1, 2], [3, 4]]) == [0, 0]
+    assert combine([2, 0], [[1, 2], [Fraction(1, 3), 4]]) == [2, 4]
+
+
+def test_annihilator_products_match_in_rowspace():
+    rng = random.Random(16)
+    for _ in range(200):
+        ncols = rng.randint(2, 6)
+        rows = rand_matrix(rng, rng.randint(1, 4), ncols, hi=4)
+        # half the vectors are combinations of the rows, so members occur
+        vectors = [
+            combine(rand_matrix(rng, 1, len(rows))[0], rows)
+            if rng.random() < 0.5
+            else rand_matrix(rng, 1, ncols)[0]
+            for _ in range(rng.randint(1, 6))
+        ]
+        products = annihilator_products(vectors, rows, ncols)
+        assert len(products) == len(nullspace(rows, ncols))
+        for i, v in enumerate(vectors):
+            assert (not any(p[i] for p in products)) == in_rowspace(v, rows)

@@ -36,6 +36,10 @@ def test_intersection_dim_frozen_cases():
 def test_intersection_dim_rejects_mismatched_ambient():
     with pytest.raises(ArgumentError):
         intersection_dim(forms((1, 0)), P2)
+    # x0*x1 and x0*x2 meet in the line x0 = 0, not in a point
+    quadrics = [HomForm.from_terms(2, 2, {(1, 1, 0): 1}), HomForm.from_terms(2, 2, {(1, 0, 1): 1})]
+    with pytest.raises(ArgumentError, match="linear forms only"):
+        intersection_dim(quadrics, P2)
 
 
 def test_check_subgeneral_concurrent_lines():

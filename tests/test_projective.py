@@ -20,6 +20,7 @@ from subgeneral import (
 from subgeneral.projective import monomial_index, normalize_coords, point_from_canonical
 
 from gen import rand_hom_form, rand_point
+from oracles import form_value_by_point
 
 
 def test_integer_coordinates_normalize_as_fractions_do():
@@ -84,6 +85,38 @@ def test_hom_form_evaluate_frozen_cases():
     assert f.evaluate(ProjPoint((2, 1))) == 2
     assert f.degree == 2
     assert f.monomial_count == 1
+
+
+def _seeded_column(rng, dim, size):
+    """size canonical points of P^dim with zeros, signs and entries up to
+    10**12, and their coordinate columns."""
+    pts = []
+    while len(pts) < size:
+        hi = rng.choice((1, 9, 10**6, 10**12))
+        coords = [rng.choice((0, rng.randint(-hi, hi))) for _ in range(dim + 1)]
+        if any(coords):
+            pts.append(ProjPoint(tuple(coords)))
+    return pts, [[pt.coords[k] for pt in pts] for k in range(dim + 1)]
+
+
+def test_form_columns_match_the_per_point_loop():
+    rng = random.Random(404)
+    for _ in range(120):
+        dim, degree = rng.randint(1, 4), rng.randint(1, 4)
+        density = rng.choice((0.15, 0.5, 1.0))  # sparse to dense
+        mono = monomials(dim + 1, degree)
+        coeffs = [rng.randint(-10**12, 10**12) if rng.random() < density else 0 for _ in mono]
+        coeffs[rng.randrange(len(coeffs))] = rng.choice((1, -7, 10**12))
+        form = HomForm(dim, degree, tuple(coeffs))
+        linear = LinearForm(tuple(rng.choice((0, rng.randint(-10**12, 10**12))) for _ in range(dim))
+                            + (rng.randint(1, 10**12),))
+        pts, xs = _seeded_column(rng, dim, rng.randint(1, 12))
+        expected = [form_value_by_point(zip(mono, form.coeffs), pt.coords) for pt in pts]
+        assert form.column(xs) == expected
+        assert [form.evaluate(pt) for pt in pts] == expected
+        linear_terms = [(tuple(int(j == k) for j in range(dim + 1)), a)
+                        for k, a in enumerate(linear.coeffs)]
+        assert linear.column(xs) == [form_value_by_point(linear_terms, pt.coords) for pt in pts]
 
 
 def test_monomials_graded_lex_order():
