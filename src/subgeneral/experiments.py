@@ -102,14 +102,14 @@ class ExperimentConfig:
     variety: LinearSubvariety
     arrangements: tuple[tuple[Place, tuple[Target, ...]], ...]
     level: int
-    epsilon: Fraction
+    epsilon: int | Fraction
     h_min: float
     h_max: float
     sample_count: Optional[int]
     seed: int
     position_asserted: bool = False
     mode: str = "lenient"
-    candidate_fraction: Fraction = Fraction(1, 20)
+    candidate_fraction: int | Fraction = Fraction(1, 20)
     max_candidates: int = 10
     workers: int = 1
     excluded_supports: tuple[Target, ...] = ()
@@ -358,15 +358,11 @@ def _draw_stream(variety: LinearSubvariety, lo: int, hi: int, seed: int):
     else None."""
     rng = random.Random(seed)
     basis = variety.kernel_basis()
-    ncols = variety.ambient_dim + 1
+    columns = list(zip(*basis))
     seen = set()
     while True:
         u = [rng.randint(-hi, hi) for _ in basis]
-        vec = [0] * ncols
-        for uk, b in zip(u, basis):
-            if uk:
-                for i in range(ncols):
-                    vec[i] += uk * b[i]
+        vec = [sum(map(mul, u, col)) for col in columns]
         coords = primitive(vec) if any(vec) else None
         if coords is None or coords in seen or not lo <= max(map(abs, coords)) <= hi:
             yield None

@@ -9,6 +9,7 @@ CPython we target.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import ArgumentError
@@ -30,11 +31,26 @@ def rat_str(x) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def parse_rat(s) -> Fraction:
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_rat(s) -> int | Fraction:
+    """The rational that the text of s names: an int exactly when it is
+    integral, else a Fraction.
+
+    ASCII integer text goes straight to int(); anything else is read by
+    Fraction, which accepts a superset of that grammar with the same values
+    ("a/b", decimals, exponents, underscores), and a denominator of 1 gives
+    its numerator.  Text neither accepts raises ArgumentError.
+    """
+    text = str(s).strip()
     try:
-        return Fraction(str(s).strip())
+        if _INT_TEXT.fullmatch(text):
+            return int(text)
+        f = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ArgumentError("not a rational: %r" % (s,)) from exc
+    return f.numerator if f.denominator == 1 else f
 
 
 def json_int(value, name: str) -> int:

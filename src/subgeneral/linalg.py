@@ -79,7 +79,7 @@ def extend_echelon(echelon: list, row) -> list:
 def primitive(vec) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, first nonzero positive."""
     vals = list(vec)
-    if not all(isinstance(x, int) for x in vals):
+    if set(map(type, vals)) != {int}:
         fr = [Fraction(x) for x in vals]
         mult = lcm(*(f.denominator for f in fr))
         vals = [f.numerator * (mult // f.denominator) for f in fr]

@@ -25,10 +25,14 @@ from .jsonio import json_int, parse_rat, rat_str
 from .linalg import nullspace, primitive, rank_rows
 
 
+def _exact(values) -> list:
+    """values as a list of ints and Fractions: an int stays an int, anything
+    else is read by Fraction."""
+    return [v if type(v) is int else Fraction(v) for v in values]
+
+
 def normalize_coords(values) -> tuple[int, ...]:
-    vals = list(values)
-    if not all(type(v) is int for v in vals):
-        vals = [Fraction(v) for v in vals]
+    vals = _exact(values)
     if len(vals) < 2:
         raise ArgumentError("projective objects need at least 2 coordinates")
     if not any(vals):
@@ -182,7 +186,7 @@ class HomForm:
                 "degree-%d form on P^%d needs %d coefficients, got %d"
                 % (self.degree, self.dim, expected, len(self.coeffs))
             )
-        vals = [Fraction(c) for c in self.coeffs]
+        vals = _exact(self.coeffs)
         if not any(vals):
             raise ArgumentError("form is identically zero")
         object.__setattr__(self, "coeffs", primitive(vals))
@@ -190,12 +194,12 @@ class HomForm:
     @classmethod
     def from_terms(cls, dim: int, degree: int, terms: dict) -> "HomForm":
         index = monomial_index(dim + 1, degree)
-        coeffs = [Fraction(0)] * comb(dim + degree, degree)
+        coeffs = [0] * comb(dim + degree, degree)
         for exps, c in terms.items():
             key = tuple(int(e) for e in exps)
             if len(key) != dim + 1 or any(e < 0 for e in key) or sum(key) != degree:
                 raise ArgumentError("bad exponent tuple %r for degree %d" % (exps, degree))
-            coeffs[index[key]] += Fraction(c)
+            coeffs[index[key]] += c if type(c) is int else Fraction(c)
         if not any(coeffs):
             raise ArgumentError("form is identically zero")
         return cls(dim, degree, tuple(coeffs))

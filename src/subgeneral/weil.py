@@ -193,14 +193,14 @@ def _column(target: Target, points, xs, maxes, mode: str, places):
                     else:
                         q.append(None)
                 per_comp.append(q)
-            exact = _least(per_comp, marks, lambda q: Fraction(*q))
+            exact = _least(per_comp, marks, _least_ratio)
             value = [None if q is None else log(q[0]) - log(q[1]) for q in exact]
         else:
             per_comp = [
                 [(_ord_p(v, p) if v % p == 0 else 0) if v else None for v in col]
                 for col in cols
             ]
-            exact = _least(per_comp, marks, None)
+            exact = _least(per_comp, marks, min)
             logp = log(p)
             value = [None if e is None else e * logp for e in exact]
         exacts.append(exact)
@@ -243,17 +243,26 @@ def _support_mark(point: ProjPoint, target: Target, vals, mode: str):
     return zero_idx
 
 
-def _least(per_comp, marks, key):
-    """Per point, the least value (by key) over the components live there;
-    None at a support hit.  A form's one column is its value column."""
+def _least(per_comp, marks, least):
+    """Per point, least(list of the values of the components live there,
+    never empty); None at a support hit.  A form's one column is its value
+    column."""
     if len(per_comp) == 1:
         return per_comp[0]
     return [
-        min((q for q in qs if q is not None), key=key)
-        if isinstance(mark, tuple)
-        else None
+        least([q for q in qs if q is not None]) if isinstance(mark, tuple) else None
         for qs, mark in zip(zip(*per_comp), marks)
     ]
+
+
+def _least_ratio(qs):
+    """The first least of (num, den) pairs with den > 0, compared by
+    cross-multiplying: num/den < a/b exactly when num*b < a*den."""
+    best = qs[0]
+    for q in qs[1:]:
+        if q[0] * best[1] < best[0] * q[1]:
+            best = q
+    return best
 
 
 def _raise_hit(marks) -> None:

@@ -16,7 +16,9 @@ replaced: one target at one point, each place in turn.  The sampler
 reference is the point-by-point sampler the candidate streams replaced: a
 loop per geometry, each point tested against each support on its own.  The
 form reference is the per-point monomial loop that the forms' column rules
-replaced.
+replaced.  The parse reference reads every number through Fraction, as the
+parse edge did before integral text became an int; the draw reference is
+the random-draw stream with its nested loop over the basis rows.
 """
 
 import math
@@ -31,6 +33,7 @@ from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from subgeneral import experiments
 from subgeneral.errors import ArgumentError, SupportError
+from subgeneral.jsonio import json_int
 from subgeneral.experiments import (
     SampleResult,
     _coprime_pairs,
@@ -39,7 +42,7 @@ from subgeneral.experiments import (
 )
 from subgeneral.linalg import in_rowspace, intersect_rowspaces, primitive
 from subgeneral.places import _ord_p
-from subgeneral.projective import LinearForm, ProjPoint, point_from_canonical
+from subgeneral.projective import HomForm, LinearForm, ProjPoint, point_from_canonical
 from subgeneral.weil import SubschemeSpec, is_on_support
 
 
@@ -485,3 +488,51 @@ def sample_points_by_point(
             seen.add(coords)
             out.append(pt)
     return SampleResult(tuple(out), len(out) < count, attempts)
+
+
+def parse_rat_by_fraction(s) -> Fraction:
+    """A number's text read by Fraction, whatever its value."""
+    try:
+        return Fraction(str(s).strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ArgumentError("not a rational: %r" % (s,)) from exc
+
+
+def target_by_fraction(data):
+    """A JSON Weil target with every coefficient read by Fraction: a bare
+    coefficient list, or a linear, form or subscheme object."""
+    if isinstance(data, list):
+        return LinearForm(tuple(parse_rat_by_fraction(c) for c in data))
+    kind = data["type"]
+    if kind == "linear":
+        return LinearForm(tuple(parse_rat_by_fraction(c) for c in data["coeffs"]))
+    if kind == "form":
+        terms = {
+            tuple(json_int(x, "exponent") for x in e): parse_rat_by_fraction(c)
+            for e, c in data["terms"]
+        }
+        return HomForm.from_terms(data["dim"], data["degree"], terms)
+    comps = tuple(target_by_fraction(c) for c in data["components"])
+    return SubschemeSpec(comps, str(data.get("label", "")))
+
+
+def draw_stream_by_loop(variety, lo: int, hi: int, seed: int):
+    """The random-draw candidates, vec built by a loop over the basis rows
+    and their coordinates."""
+    rng = random.Random(seed)
+    basis = variety.kernel_basis()
+    ncols = variety.ambient_dim + 1
+    seen = set()
+    while True:
+        u = [rng.randint(-hi, hi) for _ in basis]
+        vec = [0] * ncols
+        for uk, b in zip(u, basis):
+            if uk:
+                for i in range(ncols):
+                    vec[i] += uk * b[i]
+        coords = primitive(vec) if any(vec) else None
+        if coords is None or coords in seen or not lo <= max(map(abs, coords)) <= hi:
+            yield None
+        else:
+            seen.add(coords)
+            yield coords

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -44,11 +45,11 @@ from subgeneral import (
     weil_batch,
 )
 from subgeneral.cli import main
-from subgeneral.experiments import _defect_batch, _Evaluator
+from subgeneral.experiments import _defect_batch, _draw_stream, _Evaluator
 from subgeneral.jsonio import stable_dumps
 
 from gen import rand_hom_form, rand_linear_form
-from oracles import rank_fraction_gauss, sample_points_by_point
+from oracles import draw_stream_by_loop, rank_fraction_gauss, sample_points_by_point
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -571,6 +572,19 @@ def test_report_config_round_trips():
     )
     echoed = json.loads(run_main_experiment(cfg).to_json())["config"]
     assert ExperimentConfig.from_json_dict(echoed) == cfg
+
+
+def test_integral_epsilon_texts_give_byte_identical_reports(capsys):
+    data = violator_config(epsilon=Fraction(1)).to_json_dict()
+    reports = set()
+    for text in ("1", "1/1", "+1", "1.0", "2/2"):
+        data["epsilon"] = text
+        cfg = ExperimentConfig.from_json_dict(data)
+        assert type(cfg.epsilon) is int and cfg.epsilon == 1
+        assert main(["experiment", "run", "--config", json.dumps(data)]) == 0
+        reports.add(capsys.readouterr().out)
+    assert len(reports) == 1
+    assert json.loads(reports.pop())["config"]["epsilon"] == "1"
 
 
 def test_config_ambient_dim_cross_check():
@@ -1225,6 +1239,22 @@ def _sampler_cases():
     # all 49 points of height <= log 2 on P^2, then 200*50 + 1000 draws
     cases.append((P2, 0.0, math.log(2), 50, 0, (), "strict", 2_000_000))
     return cases
+
+
+def test_draw_stream_yields_the_nested_loop_candidates():
+    rng = random.Random(43)
+    varieties = [v for v in SAMPLER_GEOMETRIES if v.dim > 1]
+    plane = (LinearForm((2, 1, 1, 0, 0)), LinearForm((0, 3, 0, 1, -1)))
+    varieties.append(LinearSubvariety(4, plane))
+    drawn = 0
+    for variety in varieties:
+        for seed in range(15):
+            lo = rng.choice((1, 1, 3, 50))
+            hi = lo + rng.choice((0, 2, 10, 300, 10**6, 10**15))
+            got = list(islice(_draw_stream(variety, lo, hi, seed), 300))
+            assert got == list(islice(draw_stream_by_loop(variety, lo, hi, seed), 300))
+            drawn += sum(c is not None for c in got)
+    assert drawn > 10_000
 
 
 def _sample_or_error(sampler, case):

@@ -232,6 +232,27 @@ def test_certificate_json_round_trip():
     assert again.to_json() == text
 
 
+def test_certificate_round_trip_keeps_int_entries_sound():
+    rng = random.Random(19)
+    certs = [worked_cert((INF, Place(2)))]
+    for n, l in ((1, 2), (2, 3), (2, 4), (3, 4)):
+        forms, variety = strict_arrangement(rng, n, l)
+        certs.append(quang_combine(forms, variety, (INF, Place(3))))
+    for cert in certs:
+        again = CombinationCertificate.from_json_dict(cert.to_json_dict())
+        assert again == cert
+        assert again.verify_soundness()
+        entries = [c for row in again.matrix for c in row]
+        assert all(type(c) is int for c in entries if c.denominator == 1)
+    # the built matrices hold integral Fractions, which come back as ints
+    assert any(
+        type(c) is Fraction and c.denominator == 1
+        for cert in certs
+        for row in cert.matrix
+        for c in row
+    )
+
+
 def test_construction_is_deterministic():
     a = quang_combine([X0, X1, LinearForm((1, -1, 0))], X_LINE)
     b = quang_combine([X0, X1, LinearForm((1, -1, 0))], X_LINE)

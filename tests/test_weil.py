@@ -34,7 +34,8 @@ from subgeneral import (
     weil_subscheme,
 )
 
-from subgeneral.weil import _column, _coordinate_columns
+import subgeneral.weil
+from subgeneral.weil import _column, _coordinate_columns, _least_ratio
 
 from gen import point_off_targets, rand_hom_form, rand_linear_form, rand_point
 from oracles import ledger_by_row, weil_ratio_reference
@@ -561,3 +562,111 @@ def test_weil_batch_support_rows_match_one_point_values():
         # the line at [3:3:7]; the subscheme at [1:-2:1], and in strict
         # mode also at [1:2:1]
         assert support == len(places) * (2 if mode == "lenient" else 3)
+
+
+# ---------------------------------------------------------------------------
+# integer input stays on ints; the subscheme minimum at inf cross-multiplies
+
+
+def _count_fractions(monkeypatch):
+    """Count Fraction constructions from here on; returns the one-cell tally."""
+    tally = [0]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        tally[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return tally
+
+
+def test_weil_batch_on_integer_input_constructs_no_fraction(monkeypatch):
+    rng = random.Random(17)
+    lin = [rand_linear_form(rng, 3) for _ in range(3)]
+    hyp = [rand_hom_form(rng, 3, d) for d in (2, 3)]
+    targets = lin + hyp + [SubschemeSpec((lin[0], lin[1])), SubschemeSpec((lin[2], hyp[0]))]
+    points = [rand_point(rng, 3, 10**4).to_json() for _ in range(20)]
+    points += [[1, 0, 0, 0], ["-0012", "+4", "1000", " 7 "]]  # JSON ints, integer text
+    manifest = {
+        "points": points,
+        "targets": [target_to_json(t) for t in targets],
+        "places": ["inf", "p=2", "p=3", "p=5", "p=7"],
+    }
+    tally = _count_fractions(monkeypatch)
+    rows = weil_batch(manifest)
+    assert len(rows) == len(points) * len(targets) * 5
+    assert tally[0] == 0
+    # the counter sees a rational coordinate
+    manifest["points"] = [["1/2", "1", "1", "1"]]
+    weil_batch(manifest)
+    assert tally[0] > 0
+
+
+def test_least_ratio_keeps_the_first_least_pair():
+    rng = random.Random(29)
+    ties = 0
+    for _ in range(2000):
+        qs = [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:
+            # the least ratio again, written unreduced, anywhere in the list
+            num, den = min(qs, key=lambda q: Fraction(*q))
+            k = rng.randint(2, 4)
+            qs.insert(rng.randint(0, len(qs)), (num * k, den * k))
+        want = min(qs, key=lambda q: Fraction(*q))
+        ties += sum(Fraction(*q) == Fraction(*want) for q in qs) > 1
+        assert _least_ratio(qs) is want
+    assert ties > 500
+
+
+def _subscheme_columns():
+    """(spec, points) on P^2: components with equal values at planted points
+    (a repeated component, and x0 + x1 + a*x2 against x0 - x1 + a*x2 where
+    x1 = 0), and points on one component or on all of them."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(8):
+        a = rng.randint(1, 3)
+        plus, minus = LinearForm((1, 1, a)), LinearForm((1, -1, a))
+        other, quad = rand_linear_form(rng, 2), rand_hom_form(rng, 2, 2, hi=2)
+        spec = SubschemeSpec(rng.sample([plus, minus, other, quad], rng.randint(2, 4)) + [plus])
+        pts = [rand_point(rng, 2, 30) for _ in range(40)]
+        pts += [ProjPoint((rng.randint(1, 30), 0, rng.randint(-30, 30))) for _ in range(10)]
+        on = [_cross(c.coeffs, rand_point(rng, 2, 5).coords) for c in (plus, minus)]
+        on.append(_cross(plus.coeffs, minus.coeffs))
+        pts += [ProjPoint(v) for v in on if any(v)]
+        cases.append((spec, pts))
+    return cases
+
+
+def _inf_ratio(pt, comp):
+    return Fraction(height_exact(pt) ** comp.degree * comp._max_coeff, abs(comp.evaluate(pt)))
+
+
+def test_cross_multiplied_minimum_matches_the_fraction_minimum(monkeypatch):
+    places = (INF, Place(2), Place(3))
+    runs = []
+    for spec, pts in _subscheme_columns():
+        xs, maxes = _coordinate_columns(pts), [height_exact(pt) for pt in pts]
+        for mode in ("lenient", "strict"):
+            runs.append((spec, pts, mode, _column(spec, pts, xs, maxes, mode, places)))
+    monkeypatch.setattr(
+        subgeneral.weil, "_least_ratio", lambda qs: min(qs, key=lambda q: Fraction(*q))
+    )
+    dropped = support = ties = 0
+    for spec, pts, mode, (exacts, values, marks) in runs:
+        xs, maxes = _coordinate_columns(pts), [height_exact(pt) for pt in pts]
+        ref_exacts, ref_values, ref_marks = _column(spec, pts, xs, maxes, mode, places)
+        assert exacts == ref_exacts and values == ref_values
+        assert [m if isinstance(m, tuple) else str(m) for m in marks] == [
+            m if isinstance(m, tuple) else str(m) for m in ref_marks
+        ]
+        dropped += sum(bool(m) and isinstance(m, tuple) for m in marks)
+        support += sum(not isinstance(m, tuple) for m in marks)
+        for pt, q in zip(pts, exacts[0]):
+            if q is not None:
+                live = {c: _inf_ratio(pt, c) for c in spec.components if c.evaluate(pt)}
+                assert Fraction(*q) == min(live.values())
+                # two different forms share the least value
+                ties += list(live.values()).count(Fraction(*q)) > 1
+    assert dropped >= 10 and support >= 10 and ties >= 20
