@@ -22,10 +22,9 @@ import re
 import sys
 from dataclasses import replace
 
-from .errors import ConfigRejectedError, SubgeneralError
+from .errors import ArgumentError, ConfigRejectedError, SubgeneralError
 from .experiments import (
     ExperimentConfig,
-    chain_check,
     delta_budget,
     run_evertse_ferretti_baseline,
     run_main_experiment,
@@ -34,7 +33,7 @@ from .jsonio import parse_rat, rat_str, stable_dumps_pretty
 from .places import log_norm, parse_place, product_formula_residual
 from .position import check_subgeneral
 from .projective import LinearForm, LinearSubvariety, ProjPoint, projective_space
-from .quang import CombinationCertificate, quang_combine
+from .quang import CombinationCertificate, chain_check, quang_combine
 from .seshadri import seshadri_constant
 from .weil import (
     height,
@@ -203,6 +202,8 @@ def _cmd_seshadri(args) -> int:
 
 def _cmd_chain_check(args) -> int:
     cert = _doc_arg("--cert", args.cert, CombinationCertificate.from_json_dict)
+    if not cert.verify_soundness():
+        raise ArgumentError("--cert: the certificate fails its replay")
     pt = ProjPoint.parse(args.point)
     v = parse_place(args.place)
     rec = chain_check(pt, v, cert)

@@ -11,22 +11,8 @@ same ledger with n+1 targets per place in general position against the bound
 float ratio within its rounding bound of the threshold is decided exactly);
 the scanner fits minimal linear spans through violator clusters with exact
 integer kernels, reporting candidates only (never a certified exceptional
-set).
-
-chain_check verifies, point by point and place by place, the telescoping
-estimate behind the main bound with a fully explicit constant:
-
-    sum_{j=1}^{l+1} lambda_{H_j,v}(P)
-        <= (l-n+1) sum_{t=1}^{n+1} lambda_{H'_t,v}(P) + K_v,
-
-    K_v = n*log C_v + l*log B_v + n(l-n)*gamma_v,
-
-where C_v is the chain constant of the certificate rebuilt on the family
-re-sorted so that ||H_j(P)||_v ascends (the estimate is false without that
-re-sorting), B_v = max_j ||H_j||_v (exactly 1 at finite places), and gamma_v
-is log(M+1) at the archimedean place and 0 elsewhere.  Both sides are
-compared exactly: integer valuation ledgers at finite places, rational norm
-products at the archimedean place; only the reported floats are rounded.
+set).  Each report ends with a summary of quang.chain_check over the first
+_CHAIN_CHECK_CAP sample points at each place holding l+1 hyperplanes.
 
 Bulk ledgers (weighted_defect over a sample) evaluate each distinct target
 once per sample and read every local value from the exact kernel of the
@@ -45,13 +31,12 @@ there with a partial sample.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from array import array
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Optional
@@ -59,8 +44,8 @@ from typing import Optional
 from .errors import ArgumentError, ConfigRejectedError, DomainError, SupportError
 from .jsonio import json_int, parse_rat, rat_str, stable_dumps
 # rank_rows stays bound, unused: the benchmark's perfbench/tests/test_tracer.py asserts it
-from .linalg import nullspace, primitive, rank_rows
-from .places import Place, _ord_p, parse_place
+from .linalg import dot_products, nullspace, primitive, rank_rows
+from .places import Place, parse_place
 from .position import check_subgeneral
 from .projective import (
     LinearForm,
@@ -68,19 +53,14 @@ from .projective import (
     ProjPoint,
     point_from_canonical,
 )
-from .quang import (
-    CombinationCertificate,
-    _norm_keys,
-    _perm_from_keys,
-    chain_constant,
-    quang_combine_cached,
-)
+from .quang import chain_check, quang_combine_cached
 from .seshadri import seshadri_constant
 from .weil import (
     SubschemeSpec,
     Target,
     _column,
     _coordinate_columns,
+    _hits,
     _one_point,
     _raise_hit,
     target_from_json,
@@ -396,11 +376,7 @@ def _accept(stream, count, cap, excluded, mode: str) -> SampleResult:
         xs = _coordinate_columns(batch)
         hits = set()
         for target in supports:
-            marks = _column(target, batch, xs, (), mode, ())[2]
-            if marks.count(()) != len(marks):
-                # the few truthy marks: dropped components or support hits
-                truthy = compress(range(len(marks)), marks)
-                hits.update(i for i in truthy if not isinstance(marks[i], tuple))
+            hits.update(_hits(_column(target, batch, xs, (), mode, ())[2]))
         out += (pt for i, pt in enumerate(batch) if i not in hits)
     return SampleResult(tuple(out), count is not None and len(out) < count, attempts)
 
@@ -531,138 +507,6 @@ def delta_budget(level: int, dim: int, epsilon) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# chain check
-
-
-@dataclass(frozen=True)
-class ChainCheckRecord:
-    point: str
-    place: Place
-    perm: tuple[int, ...]
-    lhs: float
-    rhs: float  # includes the constant
-    constant_k: float
-    chain_c: str  # C_v for the re-sorted certificate, as a rational string
-    slack: float
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "place": str(self.place),
-            "perm": list(self.perm),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "k": self.constant_k,
-            "chain_c": self.chain_c,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
-
-
-@functools.lru_cache(maxsize=100000)
-def _chain_terms(
-    forms: tuple[LinearForm, ...], variety: LinearSubvariety, place: Place
-):
-    """The part of a chain check fixed by the re-sorted family and the place:
-    (certificate, C_v as a rational string, K_v exactly, K_v as a float).
-
-    Exactly, K_v is the rational e^(K_v) at the archimedean place and the
-    integer K_v / log p = n*ord_p(C_v) at a finite one."""
-    cert = quang_combine_cached(forms, variety)
-    c_v = chain_constant(cert, place)
-    l = len(forms) - 1
-    n = variety.dim
-    if place.is_archimedean:
-        big_b = max(f._max_coeff for f in forms)
-        k_q = (
-            c_v**n
-            * Fraction(big_b) ** l
-            * Fraction(variety.ambient_dim + 1) ** (n * (l - n))
-        )
-        k_f = math.log(k_q.numerator) - math.log(k_q.denominator)
-        return cert, rat_str(c_v), k_q, k_f
-    # K_v = n*log C_v and C_v is a power of p, so log_p C_v = ord_p(C_v)
-    p = place.p
-    k_e = n * (_ord_p(c_v.numerator, p) - _ord_p(c_v.denominator, p))
-    return cert, rat_str(c_v), k_e, k_e * math.log(p)
-
-
-def chain_check(
-    point: ProjPoint,
-    place: Place,
-    certificate: CombinationCertificate,
-    arrangement=None,
-) -> ChainCheckRecord:
-    """Exact verification of the telescoping estimate at one (point, place).
-
-    The family is re-sorted by ||H(P)||_v ascending, the combination is
-    rebuilt on the sorted family, and both sides are compared exactly.
-    Raises SupportError when P sits on an input or on a rebuilt combination;
-    that makes the sample point inadmissible, not the estimate false.
-    """
-    forms = list(certificate.inputs)
-    if arrangement is not None:
-        if sorted(f.coeffs for f in arrangement) != sorted(f.coeffs for f in forms):
-            raise ArgumentError("arrangement does not match the certificate inputs")
-        forms = list(arrangement)
-    variety = certificate.variety
-    l = len(forms) - 1
-    n = variety.dim
-    in_vals, keys = _norm_keys(point, place, forms)
-    perm = _perm_from_keys(keys)
-    cert, chain_c, k_exact, k_f = _chain_terms(
-        tuple(forms[i - 1] for i in perm), variety, place
-    )
-    out_vals = []
-    for f in cert.outputs:
-        v = f.evaluate(point)
-        if v == 0:
-            raise SupportError(
-                "point %s lies on combination %s" % (point, f),
-                point=str(point),
-                subject=str(f),
-            )
-        out_vals.append(v)
-    if place.is_archimedean:
-        maxx = max(abs(c) for c in point.coords)
-        lhs_q = Fraction(
-            math.prod(maxx * f._max_coeff for f in forms),
-            abs(math.prod(in_vals)),
-        )
-        prod_hat = Fraction(
-            math.prod(maxx * f._max_coeff for f in cert.outputs),
-            abs(math.prod(out_vals)),
-        )
-        rhs_q = prod_hat ** (l - n + 1) * k_exact
-        lhs = math.log(lhs_q.numerator) - math.log(lhs_q.denominator)
-        rhs = math.log(rhs_q.numerator) - math.log(rhs_q.denominator)
-        passed = lhs_q <= rhs_q
-        ratio = rhs_q / lhs_q
-        slack = math.log(ratio.numerator) - math.log(ratio.denominator)
-    else:
-        p = place.p
-        logp = math.log(p)
-        lhs_e = -sum(keys)  # the keys are -ord_p of the input values
-        hat_e = sum(_ord_p(v, p) for v in out_vals)
-        rhs_e = (l - n + 1) * hat_e + k_exact
-        lhs, rhs = lhs_e * logp, rhs_e * logp
-        passed = lhs_e <= rhs_e
-        slack = (rhs_e - lhs_e) * logp
-    return ChainCheckRecord(
-        point=str(point),
-        place=place,
-        perm=perm,
-        lhs=lhs,
-        rhs=rhs,
-        constant_k=k_f,
-        chain_c=chain_c,
-        slack=slack,
-        passed=passed,
-    )
-
-
-# ---------------------------------------------------------------------------
 # exceptional candidates
 
 
@@ -733,12 +577,9 @@ def exceptional_scan(
             if len(forms) != ncols - (k + 1):
                 continue  # dependent seeds
             # the span of the seeds is the annihilator of this kernel basis,
-            # so membership is a row of integer dot products, all zero
-            members = tuple(
-                i
-                for i in range(total)
-                if not any(sum(map(mul, f, coords[i])) for f in forms)
-            )
+            # so a violator is a member when its products with the basis are 0
+            products = zip(*dot_products(coords, forms))
+            members = tuple(i for i, row in enumerate(products) if not any(row))
             if Fraction(len(members), total) < fraction:
                 continue
             # k ascends, so the first span found for a key is a least one

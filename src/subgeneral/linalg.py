@@ -15,8 +15,9 @@ annihilator_products(vectors, E, ncols) reduces E once, to an integer basis
 N = nullspace(E), and returns the products v . N_k: v lies in rowspace(E)
 exactly when all of its products are zero, and a combination c . vectors
 does exactly when c . P_k = 0 for every product tuple P_k.  The combination
-construction and intersect_rowspaces test membership this way; combine
-forms the integer (or rational) combinations themselves.
+construction, intersect_rowspaces and the exceptional scan (through
+dot_products, as it keeps N) test membership this way; combine forms the
+integer (or rational) combinations themselves.
 """
 
 from __future__ import annotations
@@ -147,13 +148,15 @@ def combine(coeffs, rows) -> list:
     return total
 
 
+def dot_products(vectors, basis) -> list[tuple[int, ...]]:
+    """For each vector b of basis, the tuple of v . b over the given
+    vectors: the matrix (vectors . basis^T), column by column."""
+    return [tuple(sum(map(mul, v, b)) for v in vectors) for b in basis]
+
+
 def annihilator_products(vectors, rows, ncols: int) -> list[tuple[int, ...]]:
-    """For each vector N_k of nullspace(rows, ncols), the tuple of v . N_k
-    over the given vectors: the matrix (vectors . N^T), column by column."""
-    return [
-        tuple(sum(map(mul, v, nvec)) for v in vectors)
-        for nvec in nullspace(rows, ncols)
-    ]
+    """dot_products of the vectors with the basis nullspace(rows, ncols)."""
+    return dot_products(vectors, nullspace(rows, ncols))
 
 
 def intersect_rowspaces(rows_a, rows_b, ncols: int) -> list[tuple[int, ...]]:

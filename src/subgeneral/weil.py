@@ -265,12 +265,19 @@ def _least_ratio(qs):
     return best
 
 
+def _hits(marks) -> list[int]:
+    """The indices of the support hits among a column's marks, ascending."""
+    if marks.count(()) == len(marks):
+        return []
+    truthy = compress(range(len(marks)), marks)  # dropped components or hits
+    return [i for i in truthy if not isinstance(marks[i], tuple)]
+
+
 def _raise_hit(marks) -> None:
     """Raise the first support hit among a column's marks."""
-    if marks.count(()) != len(marks):
-        for mark in marks:
-            if not isinstance(mark, tuple):
-                raise mark
+    hits = _hits(marks)
+    if hits:
+        raise marks[hits[0]]
 
 
 def _one_point(point: ProjPoint, target: Target, mode: str, places):
@@ -319,8 +326,8 @@ def local_weil(
 
 def is_on_support(point: ProjPoint, target: Target, mode: str = "lenient") -> bool:
     """True when local_weil would raise SupportError at every place."""
-    _, _, (mark,) = _column(target, (point,), [[x] for x in point.coords], (), mode, ())
-    return not isinstance(mark, tuple)
+    _, _, marks = _column(target, (point,), [[x] for x in point.coords], (), mode, ())
+    return bool(_hits(marks))
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,17 @@ loop per geometry, each point tested against each support on its own.  The
 form reference is the per-point monomial loop that the forms' column rules
 replaced.  The parse reference reads every number through Fraction, as the
 parse edge did before integral text became an int; the draw reference is
-the random-draw stream with its nested loop over the basis rows.
+the random-draw stream with its nested loop over the basis rows.  The scan
+reference is the exceptional scan as it tested span membership by hand, one
+short-circuiting row of dot products per violator; the marks reference is
+the support-mark decode that the sampler, _raise_hit and is_on_support each
+wrote out before they shared one.
 """
 
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import gcd, log
 from operator import mul
 
@@ -35,12 +39,14 @@ from subgeneral import experiments
 from subgeneral.errors import ArgumentError, SupportError
 from subgeneral.jsonio import json_int
 from subgeneral.experiments import (
+    Candidate,
     SampleResult,
     _coprime_pairs,
     _int_window,
     _line_param_bound,
 )
-from subgeneral.linalg import in_rowspace, intersect_rowspaces, primitive
+from subgeneral.jsonio import rat_str
+from subgeneral.linalg import in_rowspace, intersect_rowspaces, nullspace, primitive
 from subgeneral.places import _ord_p
 from subgeneral.projective import HomForm, LinearForm, ProjPoint, point_from_canonical
 from subgeneral.weil import SubschemeSpec, is_on_support
@@ -536,3 +542,85 @@ def draw_stream_by_loop(variety, lo: int, hi: int, seed: int):
         else:
             seen.add(coords)
             yield coords
+
+
+def exceptional_scan_by_hand(
+    violators,
+    variety,
+    fraction: Fraction = Fraction(1, 20),
+    max_candidates: int = 10,
+):
+    """Greedy cover of the violators by small linear spans.
+
+    Spans are fitted through evenly spaced seed subsets with an exact
+    integer kernel (a reported span of dimension k really is k-dimensional,
+    and a violator is a member when every kernel form vanishes on it),
+    qualify when they hold at least `fraction` of all violators, and are then
+    picked greedily by uncovered gain, ties to smaller dimension, then
+    canonical label order.
+    """
+    pts = sorted({str(p): p for p in violators}.items())
+    total = len(pts)
+    if total == 0:
+        return []
+    labels = [s for s, _ in pts]
+    coords = [list(p.coords) for _, p in pts]
+    max_dim = variety.dim - 1
+    nseeds = min(total, 48)
+    if nseeds == total:
+        seeds = list(range(total))
+    else:
+        seeds = sorted({round(i * (total - 1) / (nseeds - 1)) for i in range(nseeds)})
+    ncols = variety.ambient_dim + 1
+    pool = {}
+    for k in range(0, max_dim + 1):
+        for subset in combinations(seeds, k + 1):
+            forms = nullspace([coords[i] for i in subset], ncols)
+            if len(forms) != ncols - (k + 1):
+                continue  # dependent seeds
+            # the span of the seeds is the annihilator of this kernel basis,
+            # so membership is a row of integer dot products, all zero
+            members = tuple(
+                i
+                for i in range(total)
+                if not any(sum(map(mul, f, coords[i])) for f in forms)
+            )
+            if Fraction(len(members), total) < fraction:
+                continue
+            # k ascends, so the first span found for a key is a least one
+            key = tuple(labels[i] for i in members)
+            pool.setdefault(key, (k, subset, members, forms))
+    chosen = []
+    covered: set[int] = set()
+    entries = sorted(pool.items())
+    while entries and len(chosen) < max_candidates and len(covered) < total:
+        best = None
+        for key, (k, subset, members, forms) in entries:
+            gain = sum(1 for i in members if i not in covered)
+            rank_key = (-gain, k, key)
+            if gain > 0 and (best is None or rank_key < best[0]):
+                best = (rank_key, key, k, subset, members, forms)
+        if best is None:
+            break
+        _, key, k, subset, members, forms = best
+        entries = [e for e in entries if e[0] != key]
+        covered.update(members)
+        chosen.append(
+            Candidate(
+                dim=k,
+                span_points=tuple(labels[i] for i in subset),
+                defining_forms=tuple(forms),
+                members=key,
+                coverage=rat_str(Fraction(len(members), total)),
+            )
+        )
+    return chosen
+
+
+def support_hits_by_decode(marks) -> list:
+    """The indices of a column's support hits, decoded as the sampler did:
+    a column of all () has none, else the truthy marks that are no tuple."""
+    if marks.count(()) == len(marks):
+        return []
+    truthy = compress(range(len(marks)), marks)
+    return [i for i in truthy if not isinstance(marks[i], tuple)]

@@ -296,6 +296,28 @@ def test_chain_check_round_trip(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_chain_check_refuses_an_unsound_certificate(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    argv = ["quang", "combine", "--forms", WORKED_FORMS, "--x", LINE_X,
+            "--places", "inf,p=2", "--out", str(cert_path)]
+    assert main(argv) == 0
+    cert = json.loads(cert_path.read_text())
+    check = ["--point", "[1:2:0]", "--place", "inf"]
+    assert main(["chain", "check", "--cert", json.dumps(cert)] + check) == 0
+    capsys.readouterr()
+    for constants in ({"inf": "1/1000", "p=2": "7"}, {"inf": "1", "p=2": "2"}):
+        tampered = json.dumps({**cert, "constants": constants})
+        assert main(["chain", "check", "--cert", tampered] + check) == 65
+        captured = capsys.readouterr()
+        assert "fails its replay" in captured.err and captured.out == ""
+    tampered = json.dumps({**cert, "matrix": [["1", "0", "0"], ["0", "0", "1"]]})
+    assert main(["chain", "check", "--cert", tampered] + check) == 65
+    assert "fails its replay" in capsys.readouterr().err
+    not_a_place = json.dumps({**cert, "constants": {"inf": "1", "q=2": "1"}})
+    assert main(["chain", "check", "--cert", not_a_place] + check) == 65
+    assert "not a place" in capsys.readouterr().err
+
+
 def test_delta(capsys):
     data = run_json(capsys, ["delta", "--l", "2", "--n", "2", "--epsilon", "1"])
     assert data == {"delta": "1/8", "epsilon": "1", "l": 2, "n": 2}

@@ -41,15 +41,21 @@ from subgeneral import (
     sample_points,
     seshadri_constant,
     target_to_json,
+    valuation,
     weighted_defect,
     weil_batch,
 )
 from subgeneral.cli import main
 from subgeneral.experiments import _defect_batch, _draw_stream, _Evaluator
-from subgeneral.jsonio import stable_dumps
+from subgeneral.jsonio import rat_str, stable_dumps
 
-from gen import rand_hom_form, rand_linear_form
-from oracles import draw_stream_by_loop, rank_fraction_gauss, sample_points_by_point
+from gen import rand_hom_form, rand_linear_form, rand_point
+from oracles import (
+    draw_stream_by_loop,
+    exceptional_scan_by_hand,
+    rank_fraction_gauss,
+    sample_points_by_point,
+)
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -328,20 +334,28 @@ def test_chain_check_equality_when_level_is_dim():
     assert rec2.slack == 0.0 and rec2.passed
 
 
-def test_chain_check_arrangement_argument():
-    cert = worked_cert()
-    pt = ProjPoint((1, 3, 0))
-    base = chain_check(pt, INF, cert)
-    shuffled = chain_check(
-        pt, INF, cert, arrangement=[cert.inputs[1], cert.inputs[2], cert.inputs[0]]
-    )
-    assert shuffled.lhs == base.lhs
-    assert shuffled.rhs == base.rhs
-    assert shuffled.slack == base.slack
-    with pytest.raises(ArgumentError):
-        chain_check(pt, INF, cert, arrangement=[cert.inputs[0], cert.inputs[1]])
-    with pytest.raises(ArgumentError):
-        chain_check(pt, INF, cert, arrangement=[cert.inputs[0]] * 3)
+def test_chain_check_is_independent_of_the_input_order():
+    # at a point where no two local norms tie, the re-sorting sees the same
+    # order whatever the input order, so a certificate of the shuffled family
+    # gives the same sides
+    forms = [LinearForm((1, 0, 0)), LinearForm((0, 1, 0)), LinearForm((1, -1, 0))]
+    rng = random.Random(43)
+    pts = sample_points(X_LINE, 0.0, math.log(40), 80, seed=5).points
+    compared = 0
+    for pt in pts:
+        values = [f.evaluate(pt) for f in forms]
+        if 0 in values:
+            continue
+        for place in (INF, Place(2), Place(3)):
+            keys = [abs(x) if place.p is None else valuation(x, place.p) for x in values]
+            if len(set(keys)) < len(keys):
+                continue
+            shuffled = rng.sample(forms, len(forms))
+            base = chain_check(pt, place, quang_combine(forms, X_LINE))
+            other = chain_check(pt, place, quang_combine(shuffled, X_LINE))
+            assert (other.lhs, other.rhs, other.slack) == (base.lhs, base.rhs, base.slack)
+            compared += 1
+    assert compared > 40
 
 
 def test_chain_check_support_point_is_inadmissible():
@@ -450,6 +464,65 @@ def test_surface_scan_ranks_no_seed_subset(monkeypatch):
     got = exceptional_scan(pts, P2, fraction=Fraction(1, 5))
     assert calls == []
     assert got[0].members == tuple(sorted(str(p) for p in line))
+
+
+def _span_cluster(rng, basis, count, hi=6):
+    """count points s . basis, s seeded in [-hi, hi]^k, not all zero."""
+    out = []
+    while len(out) < count:
+        s = [rng.randint(-hi, hi) for _ in basis]
+        vec = [sum(a * b for a, b in zip(s, col)) for col in zip(*basis)]
+        if any(vec):
+            out.append(ProjPoint(tuple(vec)))
+    return out
+
+
+def seeded_scan_cases():
+    """(violators, X) on X of dimension 1, 2 and 3: collinear and coplanar
+    clusters, scatter, rescaled duplicates, a single violator, more than 48
+    violators, and a line holding exactly one fifth of twenty."""
+    rng = random.Random(47)
+    P3 = projective_space(3)
+
+    def scatter(ambient, count, hi=40):
+        return [rand_point(rng, ambient, hi) for _ in range(count)]
+
+    def line(ambient):
+        return [rand_point(rng, ambient, 3).coords for _ in range(2)]
+
+    def dup(pts):
+        return [ProjPoint(tuple(3 * x for x in p.coords)) for p in rng.sample(pts, 3)]
+
+    on_axis = [ProjPoint((p.coords[0], p.coords[1], 0)) for p in scatter(1, 12)]
+    yield scatter(1, 10) + scatter(1, 2, 2), P1
+    yield on_axis + dup(on_axis), X_LINE
+    for _ in range(4):
+        pts = _span_cluster(rng, line(2), 8) + _span_cluster(rng, line(2), 6) + scatter(2, 6)
+        yield pts + dup(pts), P2
+    yield [rand_point(rng, 2, 9)], P2
+    yield _span_cluster(rng, line(2), 30) + scatter(2, 40), P2
+    a, b = line(2)
+    four = [ProjPoint(tuple(s * x + t * y for x, y in zip(a, b)))
+            for s, t in ((1, 0), (0, 1), (1, 1), (1, -1))]
+    yield four + scatter(2, 16, hi=1000), P2
+    plane = [rand_point(rng, 3, 3).coords for _ in range(3)]
+    for _ in range(2):
+        pts = _span_cluster(rng, plane, 8) + _span_cluster(rng, line(3), 5) + scatter(3, 6)
+        yield pts + dup(pts), P3
+
+
+def test_scan_matches_the_hand_written_membership_test():
+    fractions = (Fraction(1, 20), Fraction(1, 5), Fraction(1, 2))
+    found = exact = 0
+    for violators, variety in seeded_scan_cases():
+        for fraction in fractions:
+            for cap in (1, 10):
+                got = exceptional_scan(violators, variety, fraction, cap)
+                assert got == exceptional_scan_by_hand(violators, variety, fraction, cap)
+                assert len(got) <= cap
+                found += bool(got)
+                exact += any(c.coverage == rat_str(fraction) for c in got)
+    assert found >= 30 and exact >= 2
 
 
 def test_scan_dedupes_projectively_equal_points():

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and a rule's
+private helpers stay with the module that owns the rule."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,16 @@ def test_no_module_imports_a_name_it_never_uses():
         tree = ast.parse(path.read_text(), filename=str(path))
         unused += [(path.stem, name) for name in _unused_imports(tree)]
     assert set(unused) == ALLOWED
+
+
+def test_experiments_imports_no_private_name_of_quang_or_places():
+    path = Path(subgeneral.__file__).parent / "experiments.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        (node.module, a.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("quang", "places")
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert private == []

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from subgeneral import (
     valuation,
 )
 from subgeneral.experiments import chain_check
+from subgeneral.jsonio import parse_rat, rat_str
 
 from gen import rand_linear_form, strict_arrangement
 from oracles import avoiding_by_rank, quang_step_by_intersection
@@ -251,6 +253,49 @@ def test_certificate_round_trip_keeps_int_entries_sound():
         for row in cert.matrix
         for c in row
     )
+
+
+def test_soundness_replays_the_listed_constants():
+    cert = worked_cert((INF, Place(2)))
+    data = cert.to_json_dict()
+    assert CombinationCertificate.from_json_dict(data).verify_soundness()
+    for constants in (
+        {"inf": "1/1000", "p=2": "7"},
+        {"inf": "1", "p=2": "2"},
+        {"inf": "2", "p=2": "1"},
+        {"inf": "1", "p=2": "1", "p=3": "1/3"},
+    ):
+        tampered = CombinationCertificate.from_json_dict({**data, "constants": constants})
+        assert not tampered.verify_soundness()
+    # a place listed that the certificate was not built for is replayed too
+    extra = {**data, "constants": {"inf": "1", "p=2": "1", "p=7": "1"}}
+    assert CombinationCertificate.from_json_dict(extra).verify_soundness()
+
+
+def test_soundness_replays_constants_on_seeded_certificates():
+    rng = random.Random(23)
+    for n, l in ((1, 2), (2, 3), (2, 4), (3, 5)):
+        forms, variety = strict_arrangement(rng, n, l)
+        cert = quang_combine(forms, variety, (INF, Place(2), Place(3)))
+        assert cert.verify_soundness()
+        for k, (place, c) in enumerate(cert.constants):
+            edited = list(cert.constants)
+            edited[k] = (place, rat_str(2 * parse_rat(c)))
+            assert not replace(cert, constants=tuple(edited)).verify_soundness()
+
+
+@pytest.mark.parametrize("key", ["x", "p=4", "q=5", "1"])
+def test_certificate_constants_keys_must_name_places(key):
+    data = worked_cert().to_json_dict()
+    with pytest.raises(ArgumentError):
+        CombinationCertificate.from_json_dict({**data, "constants": {key: "1"}})
+
+
+def test_combination_takes_linear_forms_only():
+    with pytest.raises(ArgumentError, match="linear forms only"):
+        quang_combine([X0, X1, (1, -1, 0)], X_LINE)
+    with pytest.raises(ArgumentError, match="linear forms only"):
+        quang_combine(["[1,0,0]", "[0,1,0]", "[1,-1,0]"], X_LINE)
 
 
 def test_construction_is_deterministic():

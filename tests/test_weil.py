@@ -35,10 +35,10 @@ from subgeneral import (
 )
 
 import subgeneral.weil
-from subgeneral.weil import _column, _coordinate_columns, _least_ratio
+from subgeneral.weil import _column, _coordinate_columns, _hits, _least_ratio, _raise_hit
 
 from gen import point_off_targets, rand_hom_form, rand_linear_form, rand_point
-from oracles import ledger_by_row, weil_ratio_reference
+from oracles import ledger_by_row, support_hits_by_decode, weil_ratio_reference
 
 
 def hom(dim, degree, terms):
@@ -670,3 +670,44 @@ def test_cross_multiplied_minimum_matches_the_fraction_minimum(monkeypatch):
                 # two different forms share the least value
                 ties += list(live.values()).count(Fraction(*q)) > 1
     assert dropped >= 10 and support >= 10 and ties >= 20
+
+
+def _seeded_mark_columns():
+    """Mark columns of the kernel over _subscheme_columns in both modes (all
+    three kinds of mark), one per form target (all () or hits), and seeded
+    columns drawn from (), dropped-component tuples and SupportErrors."""
+    for spec, pts in _subscheme_columns():
+        xs = _coordinate_columns(pts)
+        for target in (spec,) + spec.components:
+            for mode in ("lenient", "strict"):
+                yield pts, target, mode, _column(target, pts, xs, (), mode, ())[2]
+    rng = random.Random(37)
+    kinds = [(), (1,), (2, 3), None]  # None: a support hit
+    for _ in range(300):
+        weights = [rng.randint(1, 20), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)]
+        col = rng.choices(kinds, weights, k=rng.randint(0, 30))
+        yield None, None, None, [
+            SupportError("hit %d" % i) if m is None else m for i, m in enumerate(col)
+        ]
+
+
+def test_support_hits_match_the_sampler_decode():
+    seen = {"none": 0, "dropped": 0, "hits": 0}
+    for pts, target, mode, marks in _seeded_mark_columns():
+        hits = _hits(marks)
+        assert hits == support_hits_by_decode(marks)
+        assert hits == [i for i, m in enumerate(marks) if isinstance(m, SupportError)]
+        seen["none"] += marks.count(()) == len(marks)
+        seen["dropped"] += any(m and isinstance(m, tuple) for m in marks)
+        seen["hits"] += bool(hits)
+        if hits:
+            with pytest.raises(SupportError) as err:
+                _raise_hit(marks)
+            assert err.value is marks[hits[0]]
+        else:
+            _raise_hit(marks)
+        if pts is not None:
+            assert [is_on_support(pt, target, mode) for pt in pts] == [
+                i in hits for i in range(len(pts))
+            ]
+    assert min(seen.values()) >= 20
