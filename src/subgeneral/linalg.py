@@ -5,19 +5,21 @@ columns, so clarity and exactness win over asymptotics.  rank_rows and
 nullspace run one fraction-free elimination with gcd trimming: each row
 enters as its primitive() integer row (same span, so rational input needs no
 second path) and extends an integer row echelon (extend_echelon, which the
-position sweep also grows one row per subset); _gauss_jordan finishes it to
-the RREF up to row scale, which nullspace reads as a primitive basis, one
-vector per free column, and intersect_rowspaces as primitive rows.
+position sweep also grows one row per subset, and the combination
+construction one spanning input per step: an input that does not grow it
+lies in its rowspace); _gauss_jordan finishes it to the RREF up to row
+scale, which nullspace reads as a primitive basis, one vector per free
+column, and intersect_rowspaces as primitive rows.
 
 Rowspace membership: in_rowspace compares two ranks, two eliminations per
 vector.  Over Q the rowspace of E is the annihilator of its nullspace, so
 annihilator_products(vectors, E, ncols) reduces E once, to an integer basis
 N = nullspace(E), and returns the products v . N_k: v lies in rowspace(E)
 exactly when all of its products are zero, and a combination c . vectors
-does exactly when c . P_k = 0 for every product tuple P_k.  The combination
-construction, intersect_rowspaces and the exceptional scan (through
-dot_products, as it keeps N) test membership this way; combine forms the
-integer (or rational) combinations themselves.
+does exactly when c . P_k = 0 for every product tuple P_k.  The avoidance
+search (quang.avoid_subspaces), intersect_rowspaces and the exceptional
+scan (through dot_products, as it keeps N) test membership this way;
+combine forms the integer (or rational) combinations themselves.
 """
 
 from __future__ import annotations

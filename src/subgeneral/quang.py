@@ -12,30 +12,31 @@ X meet {L'_1 = ... = L'_{t-1} = 0}; because X and the forms are linear that
 locus is a single linear subspace and the forbidden combinations form a
 proper subspace, so a small-height integer candidate always exists.
 
-Candidates are enumerated deterministically: increasing max-absolute
-coefficient, ties broken by reading coefficients against the later spanning
-forms first, with each coordinate running through 0, 1, -1, 2, -2, ...
-That order makes already-general families reproduce themselves (the
-identity pattern) and keeps certificates reproducible bit for bit.
+Candidates are taken in a fixed order: increasing max-absolute coefficient,
+ties broken by reading coefficients against the later spanning forms first,
+with each coordinate running through 0, 1, -1, 2, -2, ...  The excluded
+set is one rowspace, W = rowspace(X's forms, L'_1..L'_{t-1}), so the
+candidates that land in W form a subspace, and the first candidate outside
+W is the unit vector of the first spanning input L_j outside W: every
+earlier candidate is supported on inputs that lie in W.  So a step is an
+echelon walk, with no candidate enumeration: one integer echelon
+(linalg.extend_echelon), seeded with X's forms and L_1, is extended by the
+spanning inputs in order; the first input that grows it is L'_t, and the
+inputs it skipped stay in W for every later step.  Each L'_t is a single
+input, the coefficient matrix is 0/1, and certificates reproduce bit for
+bit.  avoid_subspaces, which excludes several rowspaces at once (their
+union is no subspace), still enumerates the candidates.
 
-Membership is tested without elimination per candidate.  Each round reduces
-the excluded rowspace once, to an integer nullspace basis N, and forms the
-integer matrix M = (spanning rows) . N^T (linalg.annihilator_products).  A
-candidate coefficient vector c gives a combination inside the excluded
-rowspace exactly when c . M = 0, so a candidate costs a few integer dot
-products, and linalg.combine forms the combination of the one that passes.
-The construction excludes rowspace(X's forms, L'_1..L'_{t-1}) itself: every
-candidate lies in the span, so that is the same as excluding its
-intersection with the span.
-
-The certificate records the exact rational coefficient matrix (combination
-scaled by the output's normalization), so replaying it reproduces the
-output forms exactly, and the per-place constants
+The certificate records the coefficient matrix (integer rows here; a
+parsed certificate may carry any rational rows that respect the span
+discipline), so replaying it reproduces the output forms exactly, and the
+per-place constants
 
     C_v = max_t max_j ||c_tj||_v          (finite v)
     C_inf = max_t (#nonzero c_tj) * max_j |c_tj|
 
-make ||L'_t(P)||_v <= C_v * max_j ||L_j(P)||_v pointwise.
+make ||L'_t(P)||_v <= C_v * max_j ||L_j(P)||_v pointwise.  With 0/1 unit
+rows, C_v = 1 at every place.
 
 chain_check verifies, point by point and place by place, the telescoping
 estimate behind the main bound with a fully explicit constant:
@@ -49,8 +50,12 @@ where C_v is the chain constant of the certificate rebuilt on the family
 re-sorted so that ||H_j(P)||_v ascends (the estimate is false without that
 re-sorting), B_v = max_j ||H_j||_v (exactly 1 at finite places), and gamma_v
 is log(M+1) at the archimedean place and 0 elsewhere.  Both sides are
-compared exactly: integer valuation ledgers at finite places, rational norm
-products at the archimedean place; only the reported floats are rounded.
+compared exactly: integer valuation ledgers at finite places, and at the
+archimedean place the two norm products as integer (numerator, denominator)
+pairs, cross-multiplied; only the reported floats are rounded, each from
+its reduced fraction.  The check reads only the given certificate's inputs
+and X: it rebuilds its own certificate on the re-sorted family, so the
+given certificate's matrix, outputs and constants never reach a record.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .errors import (
     SupportError,
 )
 from .jsonio import parse_rat, rat_str, stable_dumps
-from .linalg import annihilator_products, combine, primitive, rank_rows
+from .linalg import annihilator_products, combine, extend_echelon, rank_rows
 from .places import INF, Place, _ord_p, parse_place
 from .position import PositionReport, check_general, check_subgeneral
 from .projective import LinearForm, LinearSubvariety, ProjPoint
@@ -140,7 +145,7 @@ class CombinationCertificate:
     variety: LinearSubvariety
     inputs: tuple[LinearForm, ...]
     outputs: tuple[LinearForm, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]  # (n+1) rows, (l+1) columns
+    matrix: tuple[tuple[int | Fraction, ...], ...]  # (n+1) rows, (l+1) columns
     position: PositionReport  # general-position report for the outputs
     constants: tuple[tuple[str, str], ...]  # (place string, C_v) pairs
 
@@ -162,7 +167,7 @@ class CombinationCertificate:
             return False
         if self.outputs[0] != self.inputs[0]:
             return False
-        if list(self.matrix[0]) != [Fraction(1)] + [Fraction(0)] * l:
+        if tuple(self.matrix[0]) != _unit_row(0, l):
             return False
         input_rows = [f.coeffs for f in self.inputs]
         for r in range(1, n + 1):
@@ -213,6 +218,13 @@ class CombinationCertificate:
         )
 
 
+def _unit_row(j: int, l: int) -> tuple[int, ...]:
+    """Row of the coefficient matrix that picks input j (0-based) of l+1."""
+    row = [0] * (l + 1)
+    row[j] = 1
+    return tuple(row)
+
+
 @functools.lru_cache(maxsize=100000)
 def _subgeneral_ok(sorted_forms, variety: LinearSubvariety, level: int) -> bool:
     # position is permutation-invariant, so cache on the sorted multiset;
@@ -244,26 +256,23 @@ def quang_combine(
             report=report,
         )
     outputs = [forms[0]]
-    rows: list[tuple[Fraction, ...]] = [
-        tuple([Fraction(1)] + [Fraction(0)] * l)
-    ]
-    gamma_stack = [list(f.coeffs) for f in variety.forms] + [list(forms[0].coeffs)]
+    rows = [_unit_row(0, l)]
+    echelon: list = []  # of W = rowspace(X's forms, L'_1..L'_{t-1})
+    for f in variety.forms + (forms[0],):
+        echelon = extend_echelon(echelon, f.coeffs)
+    j = 1  # 0-based index of the next spanning input; earlier ones lie in W
     for t in range(2, n + 2):
         hi = l - n + t  # spanning forms are inputs 2..hi (1-based)
-        span_rows = [list(f.coeffs) for f in forms[1:hi]]
-        # the combination lies in the span, so it meets rowspace(gamma) only
-        # inside span cap rowspace(gamma): excluding rowspace(gamma) suffices
-        coeffs, vec = _enumerate_avoiding(span_rows, [gamma_stack])
-        prim = primitive(vec)
-        lead = next(i for i, v in enumerate(prim) if v)
-        scale = Fraction(prim[lead], vec[lead])
-        row = [Fraction(0)] * (l + 1)
-        for j, c in enumerate(coeffs):
-            row[1 + j] = c * scale
-        out = LinearForm(prim)
-        outputs.append(out)
-        rows.append(tuple(row))
-        gamma_stack.append(list(out.coeffs))
+        # L'_t is the first spanning input outside W (module docstring)
+        grown = echelon
+        while grown is echelon:  # extend_echelon returns W's own list for a row in W
+            if j == hi:
+                raise RuntimeError("every spanning input lies in W; this is a bug")
+            grown = extend_echelon(echelon, forms[j].coeffs)
+            j += 1
+        echelon = grown
+        outputs.append(forms[j - 1])
+        rows.append(_unit_row(j - 1, l))
     out_report = check_general(outputs, variety)
     if not out_report.verdict:
         raise RuntimeError(
@@ -289,7 +298,7 @@ def quang_combine_cached(
     return quang_combine(list(forms), variety)
 
 
-def chain_constant(cert: CombinationCertificate, place: Place) -> Fraction:
+def chain_constant(cert: CombinationCertificate, place: Place) -> int | Fraction:
     """Smallest constant of the certified shape valid for every round.
 
     finite v: max over combination rows of max_j ||c_tj||_v;
@@ -298,27 +307,28 @@ def chain_constant(cert: CombinationCertificate, place: Place) -> Fraction:
     return _rows_constant(cert.matrix[1:], place)
 
 
-def _rows_constant(rows, place: Place) -> Fraction:
-    """chain_constant of the combination rows (the matrix without row 1)."""
+def _rows_constant(rows, place: Place) -> int | Fraction:
+    """chain_constant of the combination rows (the matrix without row 1);
+    an int when it is integral, as it is whenever every entry is an int."""
     if not rows:
-        return Fraction(1)
+        return 1
     if place.is_archimedean:
-        best = Fraction(0)
+        best = 0
         for row in rows:
             nz = [abs(c) for c in row if c]
-            cand = Fraction(len(nz)) * max(nz)
-            best = max(best, cand)
+            best = max(best, len(nz) * max(nz))
         return best
+    p = place.p
     min_ord: Optional[int] = None
     for row in rows:
         for c in row:
             if c:
-                e = _ord_p(c.numerator, place.p) - _ord_p(c.denominator, place.p)
+                e = _ord_p(c.numerator, p) - _ord_p(c.denominator, p)
                 if min_ord is None or e < min_ord:
                     min_ord = e
-    if min_ord is None:
-        return Fraction(1)
-    return Fraction(place.p) ** (-min_ord)
+    if not min_ord:  # no nonzero entry, or max_j ||c_tj||_p = 1
+        return 1
+    return p**-min_ord if min_ord < 0 else Fraction(1, p**min_ord)
 
 
 @dataclass(frozen=True)
@@ -336,24 +346,23 @@ class Ordering:
         return {"place": str(self.place), "perm": list(self.perm)}
 
 
-def _norm_keys(point: ProjPoint, place: Place, forms) -> tuple[list[int], list[int]]:
-    """(values L_j(P), sort keys): |L_j(P)| at the archimedean place and
-    -ord_p(L_j(P)) at p, since ||val||_p = p^(-ord).  Ascending keys mean
-    ascending local norm.  Raises SupportError if P lies on any form."""
-    values = []
-    keys = []
-    for i, f in enumerate(forms):
-        val = f.evaluate(point)
-        if val == 0:
-            raise SupportError(
-                "point %s lies on form %d (%s)" % (point, i + 1, f),
-                point=str(point),
-                subject=str(f),
-                component=i + 1,
-            )
-        values.append(val)
-        keys.append(abs(val) if place.is_archimedean else -_ord_p(val, place.p))
-    return values, keys
+def _on_form(point: ProjPoint, i: int, form: LinearForm) -> SupportError:
+    return SupportError(
+        "point %s lies on form %d (%s)" % (point, i + 1, form),
+        point=str(point),
+        subject=str(form),
+        component=i + 1,
+    )
+
+
+def _keys(values, place: Place) -> list[int]:
+    """Sort keys of nonzero values L_j(P): |L_j(P)| at the archimedean place
+    and -ord_p(L_j(P)) at p, since ||val||_p = p^(-ord).  Ascending keys
+    mean ascending local norm."""
+    if place.is_archimedean:
+        return list(map(abs, values))
+    p = place.p
+    return [-_ord_p(v, p) for v in values]
 
 
 def _perm_from_keys(keys) -> tuple[int, ...]:
@@ -370,8 +379,13 @@ def reorder_by_local_norm(point: ProjPoint, place: Place, forms) -> Ordering:
     forms = list(forms)
     if not forms:
         raise ArgumentError("nothing to order")
-    _, keys = _norm_keys(point, place, forms)
-    return Ordering(place, _perm_from_keys(keys))
+    values = []
+    for i, f in enumerate(forms):
+        val = f.evaluate(point)
+        if val == 0:
+            raise _on_form(point, i, f)
+        values.append(val)
+    return Ordering(place, _perm_from_keys(_keys(values, place)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,27 +421,42 @@ class ChainCheckRecord:
 @functools.lru_cache(maxsize=100000)
 def _chain_terms(forms: tuple[LinearForm, ...], variety: LinearSubvariety, place: Place):
     """The part of a chain check fixed by the re-sorted family and the place:
-    (certificate, C_v as a rational string, K_v exactly, K_v as a float).
+    (C_v as a rational string, each output's index in the family, the
+    products of the inputs' and of the outputs' max|coeff|, K_v exactly, K_v
+    as a float).  Every output is an input (module docstring), so a check
+    reads the output values from the input values by these indices; should
+    an output ever not be an input, forms.index raises here instead.
 
-    Exactly, K_v is the rational e^(K_v) at the archimedean place and the
-    integer K_v / log p = n*ord_p(C_v) at a finite one."""
+    Exactly, K_v is the rational e^(K_v) as a reduced (num, den) pair of
+    integers at the archimedean place and the integer K_v / log p =
+    n*ord_p(C_v) at a finite one."""
     cert = quang_combine_cached(forms, variety)
     c_v = chain_constant(cert, place)
     l = len(forms) - 1
     n = variety.dim
+    out_idx = tuple(map(forms.index, cert.outputs))
+    b_in = math.prod(f._max_coeff for f in forms)
+    b_out = math.prod(f._max_coeff for f in cert.outputs)
     if place.is_archimedean:
         big_b = max(f._max_coeff for f in forms)
         k_q = (
-            c_v**n
-            * Fraction(big_b) ** l
-            * Fraction(variety.ambient_dim + 1) ** (n * (l - n))
+            Fraction(c_v) ** n
+            * big_b**l
+            * (variety.ambient_dim + 1) ** (n * (l - n))
         )
-        k_f = math.log(k_q.numerator) - math.log(k_q.denominator)
-        return cert, rat_str(c_v), k_q, k_f
+        k_exact = (k_q.numerator, k_q.denominator)
+        return rat_str(c_v), out_idx, b_in, b_out, k_exact, _log_ratio(*k_exact)
     # K_v = n*log C_v and C_v is a power of p, so log_p C_v = ord_p(C_v)
     p = place.p
     k_e = n * (_ord_p(c_v.numerator, p) - _ord_p(c_v.denominator, p))
-    return cert, rat_str(c_v), k_e, k_e * math.log(p)
+    return rat_str(c_v), out_idx, b_in, b_out, k_e, k_e * math.log(p)
+
+
+def _log_ratio(num: int, den: int) -> float:
+    """log(num/den) of positive integers, as log(a) - log(b) of the reduced
+    fraction a/b: every reported archimedean float is read this way."""
+    g = math.gcd(num, den)
+    return math.log(num // g) - math.log(den // g)
 
 
 def chain_check(
@@ -437,50 +466,52 @@ def chain_check(
 
     The family is re-sorted by ||H(P)||_v ascending, the combination is
     rebuilt on the sorted family, and both sides are compared exactly.
-    Raises SupportError when P sits on an input or on a rebuilt combination;
-    that makes the sample point inadmissible, not the estimate false.
+    Only the certificate's inputs and X are read.  Raises SupportError when
+    P sits on an input, which makes the sample point inadmissible, not the
+    estimate false; every rebuilt combination is an input, so P on one of
+    them is P on an input.
     """
     forms = certificate.inputs
     variety = certificate.variety
     l = len(forms) - 1
     n = variety.dim
-    in_vals, keys = _norm_keys(point, place, forms)
+    coords = point.coords
+    if len(coords) != len(forms[0].coeffs):
+        # the forms share X's ambient space, so one check covers them all
+        raise ArgumentError(
+            "form on P^%d evaluated at point of P^%d" % (forms[0].dim, point.dim)
+        )
+    in_vals = [sum(map(mul, f.coeffs, coords)) for f in forms]
+    if 0 in in_vals:
+        i = in_vals.index(0)
+        raise _on_form(point, i, forms[i])
+    keys = _keys(in_vals, place)
     perm = _perm_from_keys(keys)
-    cert, chain_c, k_exact, k_f = _chain_terms(
+    chain_c, out_idx, b_in, b_out, k_exact, k_f = _chain_terms(
         tuple(forms[i - 1] for i in perm), variety, place
     )
-    out_vals = []
-    for f in cert.outputs:
-        v = f.evaluate(point)
-        if v == 0:
-            raise SupportError(
-                "point %s lies on combination %s" % (point, f),
-                point=str(point),
-                subject=str(f),
-            )
-        out_vals.append(v)
+    # output t is sorted input out_idx[t], that is input perm[out_idx[t]]
+    out_keys = [keys[perm[j] - 1] for j in out_idx]
+    e = l - n + 1
     if place.is_archimedean:
-        maxx = max(abs(c) for c in point.coords)
-        lhs_q = Fraction(
-            math.prod(maxx * f._max_coeff for f in forms),
-            abs(math.prod(in_vals)),
-        )
-        prod_hat = Fraction(
-            math.prod(maxx * f._max_coeff for f in cert.outputs),
-            abs(math.prod(out_vals)),
-        )
-        rhs_q = prod_hat ** (l - n + 1) * k_exact
-        lhs = math.log(lhs_q.numerator) - math.log(lhs_q.denominator)
-        rhs = math.log(rhs_q.numerator) - math.log(rhs_q.denominator)
-        passed = lhs_q <= rhs_q
-        ratio = rhs_q / lhs_q
-        slack = math.log(ratio.numerator) - math.log(ratio.denominator)
+        # lhs = maxx^(l+1) B_in / |prod L_j(P)|,
+        # rhs = (maxx^(n+1) B_out / |prod L'_t(P)|)^(l-n+1) e^(K_v)
+        maxx = max(map(abs, coords))
+        lhs_num = maxx ** (l + 1) * b_in
+        lhs_den = math.prod(keys)  # the keys are |L_j(P)|
+        rhs_num = (maxx ** (n + 1) * b_out) ** e * k_exact[0]
+        rhs_den = math.prod(out_keys) ** e * k_exact[1]
+        lhs_cross = lhs_num * rhs_den
+        rhs_cross = rhs_num * lhs_den
+        passed = lhs_cross <= rhs_cross
+        lhs = _log_ratio(lhs_num, lhs_den)
+        rhs = _log_ratio(rhs_num, rhs_den)
+        slack = _log_ratio(rhs_cross, lhs_cross)
     else:
         p = place.p
         logp = math.log(p)
-        lhs_e = -sum(keys)  # the keys are -ord_p of the input values
-        hat_e = sum(_ord_p(v, p) for v in out_vals)
-        rhs_e = (l - n + 1) * hat_e + k_exact
+        lhs_e = -sum(keys)  # the keys are -ord_p(L_j(P))
+        rhs_e = -e * sum(out_keys) + k_exact
         lhs, rhs = lhs_e * logp, rhs_e * logp
         passed = lhs_e <= rhs_e
         slack = (rhs_e - lhs_e) * logp

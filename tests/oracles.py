@@ -9,7 +9,10 @@ is the subset loop the position sweep replaced, one fresh rank per subset; the
 nullspace reference is the RREF-over-Fractions basis.  The avoidance reference keeps the
 rank-based membership test the combination construction used to run:
 two fresh eliminations per candidate, after an explicit intersection of
-the span with the excluded rowspace.  The local Weil reference takes the
+the span with the excluded rowspace; the construction reference runs the
+whole candidate enumeration through it, round by round, as the
+construction did before it became an echelon walk, and the chain-check
+reference is the check as it ran on Fractions.  The local Weil reference takes the
 max-norm definition at face value, over Fractions, with no normalization
 assumed.  The row reference is the one-point kernel the column kernel
 replaced: one target at one point, each place in turn.  The sampler
@@ -47,8 +50,15 @@ from subgeneral.experiments import (
 )
 from subgeneral.jsonio import rat_str
 from subgeneral.linalg import in_rowspace, intersect_rowspaces, nullspace, primitive
-from subgeneral.places import _ord_p
+from subgeneral.places import INF, _ord_p
+from subgeneral.position import check_general
 from subgeneral.projective import HomForm, LinearForm, ProjPoint, point_from_canonical
+from subgeneral.quang import (
+    ChainCheckRecord,
+    CombinationCertificate,
+    chain_constant,
+    quang_combine_cached,
+)
 from subgeneral.weil import SubschemeSpec, is_on_support
 
 
@@ -251,6 +261,131 @@ def quang_step_by_intersection(span_rows, excluded_rowsets):
     ncols = len(span_rows[0])
     forbidden = [intersect_rowspaces(span_rows, ex, ncols) for ex in excluded_rowsets]
     return avoiding_by_rank(span_rows, [[list(v) for v in f] for f in forbidden if f])
+
+
+def quang_combine_by_enumeration(forms, variety, constant_places=(INF,)):
+    """The combination construction as it ran before the echelon walk: each
+    round enumerates candidates (quang_step_by_intersection) against
+    rowspace(X's forms, L'_1..L'_{t-1}), keeps the primitive combination,
+    and records its coefficients as Fractions scaled to that output.  The
+    constants are read entry by entry from the local norms (_norm_at).
+    Takes a family the caller knows to be l-subgeneral on X."""
+    forms = list(forms)
+    l = len(forms) - 1
+    n = variety.dim
+    outputs = [forms[0]]
+    rows = [tuple([Fraction(1)] + [Fraction(0)] * l)]
+    gamma_stack = [list(f.coeffs) for f in variety.forms] + [list(forms[0].coeffs)]
+    for t in range(2, n + 2):
+        hi = l - n + t
+        span_rows = [list(f.coeffs) for f in forms[1:hi]]
+        coeffs, vec = quang_step_by_intersection(span_rows, [gamma_stack])
+        prim = primitive(vec)
+        lead = next(i for i, v in enumerate(prim) if v)
+        scale = Fraction(prim[lead], vec[lead])
+        row = [Fraction(0)] * (l + 1)
+        for j, c in enumerate(coeffs):
+            row[1 + j] = c * scale
+        out = LinearForm(prim)
+        outputs.append(out)
+        rows.append(tuple(row))
+        gamma_stack.append(list(out.coeffs))
+    constants = []
+    for v in constant_places:
+        p = None if v.is_archimedean else v.p
+        c = Fraction(0)
+        for row in rows[1:]:
+            nz = [x for x in row if x]
+            if p is None:
+                c = max(c, len(nz) * max(abs(x) for x in nz))
+            else:
+                c = max([c] + [_norm_at(x, p) for x in nz])
+        constants.append((str(v), rat_str(c)))
+    return CombinationCertificate(
+        variety=variety,
+        inputs=tuple(forms),
+        outputs=tuple(outputs),
+        matrix=tuple(rows),
+        position=check_general(outputs, variety),
+        constants=tuple(sorted(constants)),
+    )
+
+
+def chain_check_by_fractions(point, place, certificate):
+    """The chain check as it ran before integer cross-multiplication: each
+    form evaluated with its own dimension check, the certificate rebuilt on
+    the re-sorted family, and at inf every norm product, K_v and the ratio
+    built as a Fraction and compared as one."""
+    forms = certificate.inputs
+    variety = certificate.variety
+    l = len(forms) - 1
+    n = variety.dim
+    in_vals, keys = [], []
+    for i, f in enumerate(forms):
+        val = f.evaluate(point)
+        if val == 0:
+            raise SupportError(
+                "point %s lies on form %d (%s)" % (point, i + 1, f),
+                point=str(point),
+                subject=str(f),
+                component=i + 1,
+            )
+        in_vals.append(val)
+        keys.append(abs(val) if place.is_archimedean else -_ord_p(val, place.p))
+    perm = tuple(i + 1 for _, i in sorted(zip(keys, range(len(keys)))))
+    cert = quang_combine_cached(tuple(forms[i - 1] for i in perm), variety)
+    c_v = Fraction(chain_constant(cert, place))
+    out_vals = []
+    for f in cert.outputs:
+        v = f.evaluate(point)
+        if v == 0:
+            raise SupportError(
+                "point %s lies on combination %s" % (point, f),
+                point=str(point),
+                subject=str(f),
+            )
+        out_vals.append(v)
+    if place.is_archimedean:
+        big_b = max(f._max_coeff for f in forms)
+        gamma = Fraction(variety.ambient_dim + 1) ** (n * (l - n))
+        k_q = c_v**n * Fraction(big_b) ** l * gamma
+        k_f = math.log(k_q.numerator) - math.log(k_q.denominator)
+        maxx = max(abs(c) for c in point.coords)
+        lhs_q = Fraction(
+            math.prod(maxx * f._max_coeff for f in forms), abs(math.prod(in_vals))
+        )
+        prod_hat = Fraction(
+            math.prod(maxx * f._max_coeff for f in cert.outputs),
+            abs(math.prod(out_vals)),
+        )
+        rhs_q = prod_hat ** (l - n + 1) * k_q
+        lhs = math.log(lhs_q.numerator) - math.log(lhs_q.denominator)
+        rhs = math.log(rhs_q.numerator) - math.log(rhs_q.denominator)
+        passed = lhs_q <= rhs_q
+        ratio = rhs_q / lhs_q
+        slack = math.log(ratio.numerator) - math.log(ratio.denominator)
+    else:
+        p = place.p
+        logp = math.log(p)
+        k_e = n * (_ord_p(c_v.numerator, p) - _ord_p(c_v.denominator, p))
+        k_f = k_e * logp
+        lhs_e = -sum(keys)
+        hat_e = sum(_ord_p(v, p) for v in out_vals)
+        rhs_e = (l - n + 1) * hat_e + k_e
+        lhs, rhs = lhs_e * logp, rhs_e * logp
+        passed = lhs_e <= rhs_e
+        slack = (rhs_e - lhs_e) * logp
+    return ChainCheckRecord(
+        point=str(point),
+        place=place,
+        perm=perm,
+        lhs=lhs,
+        rhs=rhs,
+        constant_k=k_f,
+        chain_c=rat_str(c_v),
+        slack=slack,
+        passed=passed,
+    )
 
 
 def _norm_at(r: Fraction, p) -> Fraction:

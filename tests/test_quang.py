@@ -1,5 +1,6 @@
 """Combination construction: avoidance, certificates, constants, orderings."""
 
+import math
 import random
 import sys
 from dataclasses import replace
@@ -23,6 +24,7 @@ from subgeneral import (
     SupportError,
     avoid_subspaces,
     chain_constant,
+    check_subgeneral,
     projective_space,
     quang_combine,
     reorder_by_local_norm,
@@ -33,7 +35,13 @@ from subgeneral.experiments import chain_check
 from subgeneral.jsonio import parse_rat, rat_str
 
 from gen import rand_linear_form, strict_arrangement
-from oracles import avoiding_by_rank, quang_step_by_intersection
+from oracles import (
+    avoiding_by_rank,
+    chain_check_by_fractions,
+    nullspace_by_rref,
+    quang_combine_by_enumeration,
+    rank_int_crossmul,
+)
 
 X0 = LinearForm((1, 0, 0))
 X1 = LinearForm((0, 1, 0))
@@ -116,16 +124,54 @@ def test_enumerate_avoiding_edge_cases_match_reference():
         avoid_subspaces([X1, X2], [[X0], [X1, X2, X0]])
 
 
-def test_quang_combine_matches_intersection_reference(monkeypatch):
+def subgeneral_families(rng):
+    """(forms, variety) per (n, l) class, n in {1,2,3}, l in [n,6]: a strict
+    family (X = P^n at l = n, codim 1 above), the same family shuffled, and
+    l+1 seeded forms on an X of codimension 0, 1 or 2 that are l-subgeneral
+    there."""
+    for n in (1, 2, 3):
+        for l in range(n, 7):
+            forms, variety = strict_arrangement(rng, n, l)
+            yield forms, variety
+            yield rng.sample(forms, len(forms)), variety
+            codim = rng.choice((0, 1, 2))
+            ambient = n + codim
+            variety = LinearSubvariety(
+                ambient,
+                tuple(LinearForm(tuple(int(i == k) for i in range(ambient + 1)))
+                      for k in range(n + 1, ambient + 1)),
+            )
+            while True:
+                forms = [rand_linear_form(rng, ambient, hi=3) for _ in range(l + 1)]
+                if check_subgeneral(forms, variety, l, verdict_only=True).verdict:
+                    break
+            yield forms, variety
+
+
+def test_quang_combine_matches_intersection_reference():
     rng = random.Random(41)
-    cases = [(n, l) for n in (1, 2, 3) for l in range(n, 7)]
-    certs = []
-    for n, l in cases:
-        forms, variety = strict_arrangement(rng, n, l)
-        certs.append((forms, variety, quang_combine(forms, variety).to_json()))
-    monkeypatch.setattr(quang, "_enumerate_avoiding", quang_step_by_intersection)
-    for forms, variety, text in certs:
-        assert quang_combine(forms, variety).to_json() == text
+    places = (INF, Place(2), Place(3))
+    for forms, variety in subgeneral_families(rng):
+        got = quang_combine(forms, variety, places).to_json()
+        assert got == quang_combine_by_enumeration(forms, variety, places).to_json()
+
+
+def test_each_step_is_the_first_spanning_input_outside_the_rowspace():
+    rng = random.Random(43)
+    for forms, variety in subgeneral_families(rng):
+        cert = quang_combine(forms, variety)
+        l, n = cert.level, variety.dim
+        w = [list(f.coeffs) for f in variety.forms] + [list(forms[0].coeffs)]
+        for r in range(1, n + 1):
+            hi = l - n + r + 1
+            outside = [
+                j for j in range(1, hi)
+                if rank_int_crossmul(w + [list(forms[j].coeffs)]) > rank_int_crossmul(w)
+            ]
+            j = outside[0]
+            assert cert.matrix[r] == tuple(int(i == j) for i in range(l + 1))
+            assert cert.outputs[r] == forms[j]
+            w.append(list(forms[j].coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +292,8 @@ def test_certificate_round_trip_keeps_int_entries_sound():
         assert again.verify_soundness()
         entries = [c for row in again.matrix for c in row]
         assert all(type(c) is int for c in entries if c.denominator == 1)
-    # the built matrices hold integral Fractions, which come back as ints
-    assert any(
-        type(c) is Fraction and c.denominator == 1
-        for cert in certs
-        for row in cert.matrix
-        for c in row
-    )
+    # the built matrices hold ints, as the parsed ones do
+    assert all(type(c) is int for cert in certs for row in cert.matrix for c in row)
 
 
 def test_soundness_replays_the_listed_constants():
@@ -507,3 +548,87 @@ def test_cold_certificates_do_no_rank_work(monkeypatch):
     # the wrapper does see the public entry point
     linalg.in_rowspace([1, 0], [[1, 0]])
     assert len(calls) == 2
+
+
+def test_cold_certificates_enumerate_no_candidates(monkeypatch):
+    rng = random.Random(7)
+    families = [
+        strict_arrangement(rng, n, l) for n in (1, 2, 3) for l in range(n, 7)
+    ]
+    counts = {"nullspace": 0, "_enumerate_avoiding": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # replace every binding of nullspace, wherever it was imported
+    original = linalg.nullspace
+    wrapper = counting("nullspace", original)
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.startswith(subgeneral.__name__):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    monkeypatch.setattr(
+        quang,
+        "_enumerate_avoiding",
+        counting("_enumerate_avoiding", quang._enumerate_avoiding),
+    )
+    quang._subgeneral_ok.cache_clear()
+    for forms, variety in families:
+        cert = quang_combine(forms, variety, (INF, Place(2), Place(3)))
+        assert cert.verify_soundness() and cert.position.verdict
+    assert counts == {"nullspace": 0, "_enumerate_avoiding": 0}
+    # the wrappers do see the public entry point
+    avoid_subspaces([X1, X2], [[X1]])
+    assert counts["nullspace"] >= 1 and counts["_enumerate_avoiding"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the chain check against the Fraction reference
+
+
+def _support_point(rng, form, variety):
+    """A point of X on the hyperplane {form = 0}, seeded."""
+    rows = [f.coeffs for f in variety.forms] + [form.coeffs]
+    basis = nullspace_by_rref(rows, variety.ambient_dim + 1)
+    while True:
+        coords = linalg.combine([rng.randint(-3, 3) for _ in basis], basis)
+        if any(coords):
+            return ProjPoint(tuple(coords))
+
+
+def _outcome(check, point, place, cert):
+    try:
+        return check(point, place, cert)
+    except SupportError as exc:
+        return ("SupportError", str(exc), exc.component, exc.point, exc.subject)
+    except ArgumentError as exc:
+        return ("ArgumentError", str(exc))
+
+
+def test_chain_check_matches_fraction_reference():
+    rng = random.Random(47)
+    places = (INF, Place(2), Place(3))
+    kinds = set()
+    for n in (1, 2, 3):
+        for l in range(n, 7):
+            forms, variety = strict_arrangement(rng, n, l)
+            cert = quang_combine(forms, variety)
+            pts = list(
+                sample_points(
+                    variety, 0.0, math.log(30), 40, seed=rng.randrange(2**31),
+                    excluded=tuple(forms), mode="strict",
+                ).points
+            )
+            pts += [_support_point(rng, rng.choice(forms), variety) for _ in range(3)]
+            pts.append(ProjPoint(tuple(range(1, variety.ambient_dim + 3))))
+            for pt in pts:
+                for place in places:
+                    got = _outcome(chain_check, pt, place, cert)
+                    assert got == _outcome(chain_check_by_fractions, pt, place, cert)
+                    kinds.add(got[0] if isinstance(got, tuple) else type(got).__name__)
+    assert kinds == {"ChainCheckRecord", "SupportError", "ArgumentError"}
