@@ -21,6 +21,15 @@ size, so they come out smallest subfamily first, then lexicographically,
 as a size-by-size subset loop finds them.  verdict_only keeps the first
 witness in that order: once a witness of size s is found, nothing of size
 s or more is visited again.
+
+Rank rule: with q <= l+1 forms the whole family is the worst subfamily.  The
+condition reads #J - rank(J mod X) <= l - n, and that nullity never falls
+when a form is added (#J grows by one, the rank by at most one).  So such a
+family is l-subgeneral exactly when its reduced rows have rank at least
+q - (l - n); for q = l+1 that is full rank n+1 on X.  One echelon of the
+reduced rows decides a passing family before any sweep, and a failing one
+is swept as above for its witnesses.  At l < dim X the rule never fires:
+q <= l+1 <= n leaves the threshold above q.
 """
 
 from __future__ import annotations
@@ -103,6 +112,16 @@ def _violations(rows, variety: LinearSubvariety, level: int, verdict_only: bool 
         reduced.append([rem[c] for c in free])
     n = variety.dim
     q = len(reduced)
+    if q <= level + 1:
+        # rank rule (module docstring): the whole family decides the verdict
+        need = q - (level - n)
+        echelon: list = []
+        for row in reduced:
+            if len(echelon) >= need:
+                break
+            echelon = extend_echelon(echelon, row)
+        if len(echelon) >= need:
+            return [], True
     found: list[list[Witness]] = [[] for _ in range(min(level + 1, q) + 1)]
     cap = len(found) - 1  # largest subset size still worth visiting
 

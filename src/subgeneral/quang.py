@@ -24,8 +24,14 @@ echelon walk, with no candidate enumeration: one integer echelon
 spanning inputs in order; the first input that grows it is L'_t, and the
 inputs it skipped stay in W for every later step.  Each L'_t is a single
 input, the coefficient matrix is 0/1, and certificates reproduce bit for
-bit.  avoid_subspaces, which excludes several rowspaces at once (their
-union is no subspace), still enumerates the candidates.
+bit.  Neither position report needs a subset sweep.  The input test is one
+echelon (position's rank rule: l+1 forms are l-subgeneral on X exactly when
+their rows have rank n+1 modulo X); only a failing family is swept, for the
+witnesses its PositionError carries.  The output report is read off the
+walk: its echelon ends with codim X + n + 1 rows, so the n+1 outputs have
+rank n+1 modulo X and are in general position.  avoid_subspaces, which
+excludes several rowspaces at once (their union is no subspace), still
+enumerates the candidates.
 
 The certificate records the coefficient matrix (integer rows here; a
 parsed certificate may carry any rational rows that respect the span
@@ -65,7 +71,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import attrgetter, mul
+from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -225,13 +231,6 @@ def _unit_row(j: int, l: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-@functools.lru_cache(maxsize=100000)
-def _subgeneral_ok(sorted_forms, variety: LinearSubvariety, level: int) -> bool:
-    # position is permutation-invariant, so cache on the sorted multiset;
-    # the forms are the caller's, swept without being rebuilt
-    return check_subgeneral(sorted_forms, variety, level, verdict_only=True).verdict
-
-
 def quang_combine(
     forms, variety: LinearSubvariety, constant_places: tuple[Place, ...] = (INF,)
 ) -> CombinationCertificate:
@@ -248,8 +247,8 @@ def quang_combine(
     n = variety.dim
     if l < n:
         raise ArgumentError("need at least dim X + 1 forms, got %d" % (l + 1))
-    if not _subgeneral_ok(tuple(sorted(forms, key=attrgetter("coeffs"))), variety, l):
-        report = check_subgeneral(forms, variety, l)
+    report = check_subgeneral(forms, variety, l)  # one echelon when it passes
+    if not report.verdict:
         raise PositionError(
             "inputs are not %d-subgeneral on X (%d witnesses)"
             % (l, len(report.witnesses)),
@@ -273,11 +272,6 @@ def quang_combine(
         echelon = grown
         outputs.append(forms[j - 1])
         rows.append(_unit_row(j - 1, l))
-    out_report = check_general(outputs, variety)
-    if not out_report.verdict:
-        raise RuntimeError(
-            "construction produced a non-general family; this is a bug"
-        )
     constants = sorted(
         (str(v), rat_str(_rows_constant(rows[1:], v))) for v in constant_places
     )
@@ -286,7 +280,9 @@ def quang_combine(
         inputs=tuple(forms),
         outputs=tuple(outputs),
         matrix=tuple(rows),
-        position=out_report,
+        # the walk's echelon ends at rank codim X + n + 1, so the n+1
+        # outputs have full rank on X: general position by the rank rule
+        position=PositionReport(True, n, n + 1, variety),
         constants=tuple(constants),
     )
 

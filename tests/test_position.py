@@ -1,9 +1,12 @@
 """Exact subgeneral/general position verdicts against the brute-force oracle."""
 
 import random
+import sys
 
 import pytest
 
+import subgeneral
+from subgeneral import linalg
 from subgeneral import (
     ArgumentError,
     HomForm,
@@ -223,9 +226,21 @@ def _sweep_cases(rng, count):
 
 def test_sweep_matches_the_rank_oracle():
     rng = random.Random(41)
-    seen = {"q > l+1": 0, "repeated": 0, "codim >= 2": 0, "below dim X": 0, "pruned": 0}
+    seen = {
+        "q > l+1": 0,
+        "repeated": 0,
+        "codim >= 2": 0,
+        "below dim X": 0,
+        "pruned": 0,
+        "q <= l+1, full rank": 0,
+        "q <= l+1, rank-deficient": 0,
+        "q <= l+1, rank-deficient, passes": 0,
+    }
     for fam, variety in _sweep_cases(rng, 150):
         q = len(fam)
+        full = rank_int_crossmul(
+            [f.coeffs for f in variety.forms + tuple(fam)]
+        ) == variety.ambient_dim + 1
         for level in range(0, q + 2):
             want, _ = witnesses_by_rank(fam, variety, level)
             got = violations_at(fam, variety, level)
@@ -237,9 +252,13 @@ def test_sweep_matches_the_rank_oracle():
             seen["below dim X"] += level < variety.dim
             # some n+1 forms already meet X in the empty set below the top
             # size, so the sweep stops extending those subsets
-            seen["pruned"] += variety.dim + 1 < top and rank_int_crossmul(
-                [f.coeffs for f in variety.forms + tuple(fam)]
-            ) == variety.ambient_dim + 1
+            seen["pruned"] += variety.dim + 1 < top and full
+            # the rank rule decides these families before any sweep
+            seen["q <= l+1, full rank"] += q <= level + 1 and full
+            seen["q <= l+1, rank-deficient"] += q <= level + 1 and not full
+            seen["q <= l+1, rank-deficient, passes"] += (
+                q <= level + 1 and not full and not want
+            )
             if level < variety.dim:
                 continue
             for verdict_only in (False, True):
@@ -249,3 +268,26 @@ def test_sweep_matches_the_rank_oracle():
                 assert report.complete == (complete or not want)
                 assert report.verdict == (not want)
     assert min(seen.values()) >= 10, seen
+
+
+def test_generic_forms_at_the_top_level_take_one_echelon(monkeypatch):
+    # 12 forms at level 11 pass by the rank rule; a subset sweep would grow
+    # sum_{k <= 4} C(12, k) = 793 echelons on P^3
+    rng = random.Random(13)
+    fam = [rand_linear_form(rng, 3) for _ in range(12)]
+    calls = []
+    original = linalg.extend_echelon
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # replace every binding of extend_echelon, wherever it was imported
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.startswith(subgeneral.__name__):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    report = check_subgeneral(fam, projective_space(3), 11)
+    assert report.verdict and report.complete and report.witnesses == ()
+    assert len(calls) <= 12

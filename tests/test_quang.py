@@ -24,6 +24,7 @@ from subgeneral import (
     SupportError,
     avoid_subspaces,
     chain_constant,
+    check_general,
     check_subgeneral,
     projective_space,
     quang_combine,
@@ -41,6 +42,7 @@ from oracles import (
     nullspace_by_rref,
     quang_combine_by_enumeration,
     rank_int_crossmul,
+    witnesses_by_rank,
 )
 
 X0 = LinearForm((1, 0, 0))
@@ -154,6 +156,18 @@ def test_quang_combine_matches_intersection_reference():
     for forms, variety in subgeneral_families(rng):
         got = quang_combine(forms, variety, places).to_json()
         assert got == quang_combine_by_enumeration(forms, variety, places).to_json()
+
+
+def test_walk_report_equals_the_output_sweep():
+    rng = random.Random(41)
+    count = 0
+    for forms, variety in subgeneral_families(rng):
+        cert = quang_combine(forms, variety)
+        got = cert.position.to_json()
+        assert got == check_general(list(cert.outputs), variety).to_json()
+        assert witnesses_by_rank(cert.outputs, variety, variety.dim) == ([], True)
+        count += 1
+    assert count == 45
 
 
 def test_each_step_is_the_first_spanning_input_outside_the_rowspace():
@@ -540,7 +554,6 @@ def test_cold_certificates_do_no_rank_work(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counting)
-    quang._subgeneral_ok.cache_clear()
     for forms, variety in families:
         cert = quang_combine(forms, variety, (INF, Place(2)))
         assert cert.verify_soundness() and cert.position.verdict
@@ -577,7 +590,6 @@ def test_cold_certificates_enumerate_no_candidates(monkeypatch):
         "_enumerate_avoiding",
         counting("_enumerate_avoiding", quang._enumerate_avoiding),
     )
-    quang._subgeneral_ok.cache_clear()
     for forms, variety in families:
         cert = quang_combine(forms, variety, (INF, Place(2), Place(3)))
         assert cert.verify_soundness() and cert.position.verdict
@@ -585,6 +597,41 @@ def test_cold_certificates_enumerate_no_candidates(monkeypatch):
     # the wrappers do see the public entry point
     avoid_subspaces([X1, X2], [[X1]])
     assert counts["nullspace"] >= 1 and counts["_enumerate_avoiding"] == 1
+
+
+def test_cold_certificates_make_few_reductions(monkeypatch):
+    # the input test is one echelon and the output report is the walk's:
+    # each of the two reduces at most X's rows and the l+1 inputs
+    rng = random.Random(7)
+    families = [
+        strict_arrangement(rng, n, l) for n in (1, 2, 3) for l in range(n, 7)
+    ]
+    calls = []
+    original = linalg.extend_echelon
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # replace every binding of extend_echelon, wherever it was imported
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.startswith(subgeneral.__name__):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    made = {}
+    for forms, variety in families:
+        start = len(calls)
+        cert = quang_combine(forms, variety, (INF, Place(2), Place(3)))
+        assert cert.verify_soundness() and cert.position.verdict
+        bound = 2 * (len(variety.forms) + len(forms))
+        made[variety.dim, len(forms) - 1] = (len(calls) - start, bound)
+    assert len(made) == 15
+    assert all(got <= bound for got, bound in made.values()), made
+    # the wrapper does see the public entry point
+    start = len(calls)
+    linalg.rank_rows([[1, 0], [0, 1]])
+    assert len(calls) == start + 2
 
 
 # ---------------------------------------------------------------------------
