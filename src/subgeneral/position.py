@@ -28,8 +28,8 @@ when a form is added (#J grows by one, the rank by at most one).  So such a
 family is l-subgeneral exactly when its reduced rows have rank at least
 q - (l - n); for q = l+1 that is full rank n+1 on X.  One echelon of the
 reduced rows decides a passing family before any sweep, and a failing one
-is swept as above for its witnesses.  At l < dim X the rule never fires:
-q <= l+1 <= n leaves the threshold above q.
+is swept as above for its witnesses.  At l < dim X the threshold
+q + (n - l) exceeds q, so the rule is not tried there.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def _violations(rows, variety: LinearSubvariety, level: int, verdict_only: bool 
         reduced.append([rem[c] for c in free])
     n = variety.dim
     q = len(reduced)
-    if q <= level + 1:
+    if n <= level and q <= level + 1:
         # rank rule (module docstring): the whole family decides the verdict
         need = q - (level - n)
         echelon: list = []

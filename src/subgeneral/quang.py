@@ -28,8 +28,14 @@ bit.  Neither position report needs a subset sweep.  The input test is one
 echelon (position's rank rule: l+1 forms are l-subgeneral on X exactly when
 their rows have rank n+1 modulo X); only a failing family is swept, for the
 witnesses its PositionError carries.  The output report is read off the
-walk: its echelon ends with codim X + n + 1 rows, so the n+1 outputs have
-rank n+1 modulo X and are in general position.  avoid_subspaces, which
+walk.  Each step grows its echelon by one row, because l-subgeneral
+position gives L_1..L_{l-n+t} rank at least t modulo X; so the walk ends
+with codim X + n + 1 rows, and the n+1 outputs have rank n+1 modulo X and
+are in general position, exactly when L_1 does not vanish on X.  When
+l > n, l-subgeneral position allows L_1 to vanish on X (it needs only
+dim(H_1 meet X) = n <= l-1); then no output family holding L'_1 = L_1 is
+general, the walk ends one row short, and the family is refused with a
+PositionError carrying the outputs' report.  avoid_subspaces, which
 excludes several rowspaces at once (their union is no subspace), still
 enumerates the candidates.
 
@@ -237,8 +243,10 @@ def quang_combine(
     """Run the construction on an l-subgeneral family of l+1 hyperplanes.
 
     Raises PositionError (with the failing report) when the input family is
-    not l-subgeneral on X for l = len(forms) - 1, and ArgumentError when a
-    form is not a LinearForm.
+    not l-subgeneral on X for l = len(forms) - 1, or when L_1 vanishes on X
+    (allowed in l-subgeneral position once l > n), so that L'_1 = L_1 keeps
+    the outputs out of general position (the report is then the outputs');
+    ArgumentError when a form is not a LinearForm.
     """
     forms = list(forms)
     if not all(isinstance(f, LinearForm) for f in forms):
@@ -272,6 +280,14 @@ def quang_combine(
         echelon = grown
         outputs.append(forms[j - 1])
         rows.append(_unit_row(j - 1, l))
+    if len(echelon) <= variety.ambient_dim:
+        # one row short of codim X + n + 1: L_1 lies in rowspace(X)
+        out_report = check_general(outputs, variety)
+        raise PositionError(
+            "L_1 vanishes on X, so the outputs are not in general position"
+            " (%d witnesses)" % len(out_report.witnesses),
+            report=out_report,
+        )
     constants = sorted(
         (str(v), rat_str(_rows_constant(rows[1:], v))) for v in constant_places
     )
@@ -280,8 +296,8 @@ def quang_combine(
         inputs=tuple(forms),
         outputs=tuple(outputs),
         matrix=tuple(rows),
-        # the walk's echelon ends at rank codim X + n + 1, so the n+1
-        # outputs have full rank on X: general position by the rank rule
+        # the walk's echelon has rank codim X + n + 1, so the n+1 outputs
+        # have full rank on X: general position by the rank rule
         position=PositionReport(True, n, n + 1, variety),
         constants=tuple(constants),
     )

@@ -227,6 +227,14 @@ def test_quang_combine_rejects_bad_position(capsys):
     assert "subgeneral" in capsys.readouterr().err
 
 
+def test_quang_combine_refuses_first_form_vanishing_on_x(capsys):
+    # 2-subgeneral on the line, but L'_1 = x2 is zero there
+    forms = "[[0,0,1],[1,0,0],[0,1,0]]"
+    assert main(["quang", "combine", "--forms", forms, "--x", LINE_X]) == 65
+    out = capsys.readouterr()
+    assert out.out == "" and "L_1 vanishes on X" in out.err
+
+
 def test_seshadri(capsys):
     cubic = json.dumps(
         {

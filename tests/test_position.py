@@ -1,11 +1,9 @@
 """Exact subgeneral/general position verdicts against the brute-force oracle."""
 
 import random
-import sys
 
 import pytest
 
-import subgeneral
 from subgeneral import linalg
 from subgeneral import (
     ArgumentError,
@@ -270,24 +268,12 @@ def test_sweep_matches_the_rank_oracle():
     assert min(seen.values()) >= 10, seen
 
 
-def test_generic_forms_at_the_top_level_take_one_echelon(monkeypatch):
+def test_generic_forms_at_the_top_level_take_one_echelon(count_calls):
     # 12 forms at level 11 pass by the rank rule; a subset sweep would grow
     # sum_{k <= 4} C(12, k) = 793 echelons on P^3
     rng = random.Random(13)
     fam = [rand_linear_form(rng, 3) for _ in range(12)]
-    calls = []
-    original = linalg.extend_echelon
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    # replace every binding of extend_echelon, wherever it was imported
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and name.startswith(subgeneral.__name__):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counting)
+    calls = count_calls(linalg.extend_echelon)
     report = check_subgeneral(fam, projective_space(3), 11)
     assert report.verdict and report.complete and report.witnesses == ()
     assert len(calls) <= 12

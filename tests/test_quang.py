@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -168,6 +167,25 @@ def test_walk_report_equals_the_output_sweep():
         assert witnesses_by_rank(cert.outputs, variety, variety.dim) == ([], True)
         count += 1
     assert count == 45
+
+
+def test_first_form_vanishing_on_x_is_refused():
+    # x2, x0, x1 are 2-subgeneral on X = {x2 = 0}: {x2} alone meets X in
+    # the whole line, dimension 1 <= l - 1.  L'_1 = x2 vanishes on X, so the
+    # outputs (x2, x0) are not in general position, and the walk ends one
+    # row short of codim X + n + 1
+    forms = [X2, X0, X1]
+    assert check_subgeneral(forms, X_LINE, 2).verdict
+    with pytest.raises(PositionError) as exc:
+        quang_combine(forms, X_LINE)
+    assert "L_1 vanishes on X" in str(exc.value)
+    report = exc.value.report
+    assert report.to_json() == check_general([X2, X0], X_LINE).to_json()
+    assert not report.verdict
+    # with the same forms reordered the construction applies
+    cert = quang_combine([X0, X1, X2], X_LINE)
+    assert cert.position.verdict
+    assert cert.position.to_json() == check_general(list(cert.outputs), X_LINE).to_json()
 
 
 def test_each_step_is_the_first_spanning_input_outside_the_rowspace():
@@ -485,16 +503,7 @@ def test_reorder_sorts_by_exact_norm():
 # work on the warm chain-check path
 
 
-def test_warm_chain_check_does_no_elimination_or_primality_work(monkeypatch):
-    counts = {"rank_rows": 0, "is_prime": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
+def test_warm_chain_check_does_no_elimination_or_primality_work(count_calls):
     rng = random.Random(5)
     forms, variety = strict_arrangement(rng, 2, 4)
     cert = quang_combine(forms, variety)
@@ -513,47 +522,24 @@ def test_warm_chain_check_does_no_elimination_or_primality_work(monkeypatch):
 
     warm = run_checks()
     assert warm
-    # replace every binding of the two functions, wherever it was imported
-    modules = [
-        mod
-        for name, mod in list(sys.modules.items())
-        if mod is not None and name.startswith(subgeneral.__name__)
-    ]
-    for name, original in (
-        ("rank_rows", linalg.rank_rows),
-        ("is_prime", subgeneral.places._is_prime),
-    ):
-        wrapper = counting(name, original)
-        for mod in modules:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, wrapper)
+    rank_calls = count_calls(linalg.rank_rows)
+    prime_calls = count_calls(subgeneral.places._is_prime)
     assert run_checks() == warm
-    assert counts == {"rank_rows": 0, "is_prime": 0}
+    assert rank_calls == [] and prime_calls == []
     # the wrappers do see the public entry points
     valuation(12, 2)
     linalg.in_rowspace([1, 0, 0, 0], [[1, 0, 0, 0]])
-    assert counts["is_prime"] >= 1 and counts["rank_rows"] >= 1
+    assert prime_calls and rank_calls
 
 
-def test_cold_certificates_do_no_rank_work(monkeypatch):
+def _cold_certificate_families():
     rng = random.Random(7)
-    families = [
-        strict_arrangement(rng, n, l) for n in (1, 2, 3) for l in range(n, 7)
-    ]
-    calls = []
-    original = linalg.rank_rows
+    return [strict_arrangement(rng, n, l) for n in (1, 2, 3) for l in range(n, 7)]
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
 
-    # replace every binding of rank_rows, wherever it was imported
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and name.startswith(subgeneral.__name__):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counting)
+def test_cold_certificates_do_no_rank_work(count_calls):
+    families = _cold_certificate_families()
+    calls = count_calls(linalg.rank_rows)
     for forms, variety in families:
         cert = quang_combine(forms, variety, (INF, Place(2)))
         assert cert.verify_soundness() and cert.position.verdict
@@ -563,75 +549,30 @@ def test_cold_certificates_do_no_rank_work(monkeypatch):
     assert len(calls) == 2
 
 
-def test_cold_certificates_enumerate_no_candidates(monkeypatch):
-    rng = random.Random(7)
-    families = [
-        strict_arrangement(rng, n, l) for n in (1, 2, 3) for l in range(n, 7)
-    ]
-    counts = {"nullspace": 0, "_enumerate_avoiding": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    # replace every binding of nullspace, wherever it was imported
-    original = linalg.nullspace
-    wrapper = counting("nullspace", original)
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and name.startswith(subgeneral.__name__):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, wrapper)
-    monkeypatch.setattr(
-        quang,
-        "_enumerate_avoiding",
-        counting("_enumerate_avoiding", quang._enumerate_avoiding),
-    )
-    for forms, variety in families:
-        cert = quang_combine(forms, variety, (INF, Place(2), Place(3)))
-        assert cert.verify_soundness() and cert.position.verdict
-    assert counts == {"nullspace": 0, "_enumerate_avoiding": 0}
-    # the wrappers do see the public entry point
-    avoid_subspaces([X1, X2], [[X1]])
-    assert counts["nullspace"] >= 1 and counts["_enumerate_avoiding"] == 1
-
-
-def test_cold_certificates_make_few_reductions(monkeypatch):
-    # the input test is one echelon and the output report is the walk's:
-    # each of the two reduces at most X's rows and the l+1 inputs
-    rng = random.Random(7)
-    families = [
-        strict_arrangement(rng, n, l) for n in (1, 2, 3) for l in range(n, 7)
-    ]
-    calls = []
-    original = linalg.extend_echelon
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    # replace every binding of extend_echelon, wherever it was imported
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and name.startswith(subgeneral.__name__):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counting)
+def test_cold_certificates_enumerate_no_candidates(count_calls):
+    # nor do they sweep subsets: the input test is one echelon and the
+    # output report is the walk's, each reducing at most X's rows and the
+    # l+1 inputs
+    families = _cold_certificate_families()
+    null_calls = count_calls(linalg.nullspace)
+    enum_calls = count_calls(quang._enumerate_avoiding)
+    echelon_calls = count_calls(linalg.extend_echelon)
     made = {}
     for forms, variety in families:
-        start = len(calls)
+        start = len(echelon_calls)
         cert = quang_combine(forms, variety, (INF, Place(2), Place(3)))
         assert cert.verify_soundness() and cert.position.verdict
         bound = 2 * (len(variety.forms) + len(forms))
-        made[variety.dim, len(forms) - 1] = (len(calls) - start, bound)
+        made[variety.dim, len(forms) - 1] = (len(echelon_calls) - start, bound)
+    assert null_calls == [] and enum_calls == []
     assert len(made) == 15
     assert all(got <= bound for got, bound in made.values()), made
-    # the wrapper does see the public entry point
-    start = len(calls)
+    # the wrappers do see the public entry points
+    avoid_subspaces([X1, X2], [[X1]])
+    assert null_calls and len(enum_calls) == 1
+    start = len(echelon_calls)
     linalg.rank_rows([[1, 0], [0, 1]])
-    assert len(calls) == start + 2
+    assert len(echelon_calls) == start + 2
 
 
 # ---------------------------------------------------------------------------
