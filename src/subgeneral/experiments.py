@@ -11,13 +11,21 @@ same ledger with n+1 targets per place in general position against the bound
 float ratio within its rounding bound of the threshold is decided exactly);
 the scanner fits minimal linear spans through violator clusters with exact
 integer kernels, reporting candidates only (never a certified exceptional
-set).  Each report ends with a summary of quang.chain_check over the first
-_CHAIN_CHECK_CAP sample points at each place holding l+1 hyperplanes.
+set).  Each report ends with a summary of Quang's chain estimate over the
+first _CHAIN_CHECK_CAP sample points at each place holding l+1 hyperplanes:
+one quang.chain_check_column per place, which evaluates each input once
+over the column and looks up the re-sorted family's certificate once per
+distinct ordering.  A
+point on an input counts as skipped; a place whose first hyperplane
+vanishes on X (l-subgeneral position allows it once l > n) has no
+combination, and its summary reads not applicable.
 
 Bulk ledgers (weighted_defect over a sample) evaluate each distinct target
 once per sample and read every local value from the exact kernel of the
 local-value module, the one the one-point routines read, so a weighted sum is
-bit-equal to the fsum of the weighted one-point values.  A run builds one
+bit-equal to the fsum of the weighted one-point values: one float column
+per weighted (target, place) term, the kernel's own column at weight 1.0
+(every hyperplane's), and one fsum per point.  A run builds one
 evaluation plan, read by its float defects, tie band and exact tie
 decisions.  The sampler has already dropped every point on a support: it is
 one acceptance loop over a candidate stream per geometry (the parameter
@@ -41,7 +49,9 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
-from .errors import ArgumentError, ConfigRejectedError, DomainError, SupportError
+from json.encoder import encode_basestring_ascii
+
+from .errors import ArgumentError, ConfigRejectedError, DomainError, PositionError
 from .jsonio import json_int, parse_rat, rat_str, stable_dumps
 # rank_rows stays bound, unused: the benchmark's perfbench/tests/test_tracer.py asserts it
 from .linalg import dot_products, nullspace, primitive, rank_rows
@@ -53,7 +63,8 @@ from .projective import (
     ProjPoint,
     point_from_canonical,
 )
-from .quang import chain_check, quang_combine_cached
+# chain_check stays bound, unused: the benchmark's tracer wraps it here
+from .quang import chain_check, chain_check_column, quang_combine_cached
 from .seshadri import seshadri_constant
 from .weil import (
     SubschemeSpec,
@@ -465,17 +476,23 @@ def weighted_defect(point: ProjPoint, config: ExperimentConfig) -> float:
     return _defect_batch(_Evaluator(config), (point,))[0]
 
 
-def _defect_batch(ev: _Evaluator, pts) -> list:
+def _defect_batch(ev: _Evaluator, pts, maxes=None) -> list:
     """The weighted defect of each point: one kernel call per plan entry over
-    the whole column, one float column per weighted (target, place) term,
-    and one fsum per point.  Raises the first support hit it meets."""
+    the whole column, and one fsum per point over one float column per
+    weighted (target, place) term.  A term of weight 1.0 (every hyperplane's)
+    is the kernel's column as it is, since 1.0 * v is v; any other is that
+    column times the weight.  maxes[i] is max|x_i| of pts[i], computed here
+    when not given.  Raises the first support hit it meets."""
     xs = _coordinate_columns(pts)
-    maxes = [max(map(abs, pt.coords)) for pt in pts]
+    if maxes is None:
+        maxes = [max(map(abs, pt.coords)) for pt in pts]
     terms = []
     for target, places, _, weights in ev.plan:
         _, values, marks = _column(target, pts, xs, maxes, ev.mode, places)
         _raise_hit(marks)
-        terms += (array("d", [w * v for v in col]) for w, col in zip(weights, values))
+        terms += (
+            col if w == 1.0 else [w * v for v in col] for w, col in zip(weights, values)
+        )
     return [math.fsum(t) for t in zip(*terms)]
 
 
@@ -671,13 +688,36 @@ class DefectReport:
             out["records"] = [list(row[:4]) for row in self._rows()]
         return out
 
+    def _height_texts(self) -> dict:
+        """repr of each distinct height, formatted once: a height is log
+        max|x_i|, so a report holds few distinct ones."""
+        return {h: repr(h) for h in set(self.heights)}
+
     def to_json(self, include_records: bool = True) -> str:
-        return stable_dumps(self.to_json_dict(include_records))
+        """stable_dumps(self.to_json_dict(include_records)), byte for byte;
+        the records are written here, at the sorted position of their key."""
+        out = self.to_json_dict(include_records=False)
+        if not include_records:
+            return stable_dumps(out)
+        texts = self._height_texts()
+        records = ",".join(
+            "[%s,%s,%r,%r]" % (encode_basestring_ascii(p), texts[h], s, r)
+            for p, h, s, r in zip(self.points, self.heights, self.sums, self.ratios)
+        )
+        # every other key sorts on one side of "records" or the other, and
+        # stable_dumps sorts the keys
+        before = stable_dumps({k: v for k, v in out.items() if k < "records"})
+        after = stable_dumps({k: v for k, v in out.items() if k > "records"})
+        return '%s,"records":[%s],%s' % (before[:-1], records, after[1:])
 
     def write_csv(self, fh) -> None:
+        texts = self._height_texts()
+        flagged = set(self.violators)
         fh.write(",".join(_RECORD_FIELDS) + "\n")
-        for row in self._rows():
-            fh.write("%s,%r,%r,%r,%d\n" % row)
+        fh.write("".join(
+            "%s,%s,%r,%r,%d\n" % (p, texts[h], s, r, p in flagged)
+            for p, h, s, r in zip(self.points, self.heights, self.sums, self.ratios)
+        ))
 
 
 def _validate_positions(config: ExperimentConfig, level: int) -> dict:
@@ -709,35 +749,30 @@ _CHAIN_CHECK_CAP = 200
 
 
 def _chain_summary(config: ExperimentConfig, eff_level: int, pts) -> dict:
-    """chain_check over the first _CHAIN_CHECK_CAP sample points, per
-    applicable place."""
+    """The chain check over the first _CHAIN_CHECK_CAP sample points, one
+    column per applicable place: a place holding eff_level+1 hyperplanes
+    whose combination exists.  It does not exist when the first of them
+    vanishes on X, which l-subgeneral position allows once l > n."""
+    head = pts[:_CHAIN_CHECK_CAP]
     summary = {}
     for place, targets in config.arrangements:
         key = str(place)
+        summary[key] = {"applicable": False}
         if len(targets) != eff_level + 1 or not all(
             isinstance(t, LinearForm) for t in targets
         ):
-            summary[key] = {"applicable": False}
             continue
-        cert = quang_combine_cached(tuple(targets), config.variety)
-        checked = passed = skipped = 0
-        min_slack = None
-        for pt in pts[:_CHAIN_CHECK_CAP]:
-            try:
-                rec = chain_check(pt, place, cert)
-            except SupportError:
-                skipped += 1
-                continue
-            checked += 1
-            passed += rec.passed
-            if min_slack is None or rec.slack < min_slack:
-                min_slack = rec.slack
+        try:
+            cert = quang_combine_cached(tuple(targets), config.variety)
+        except PositionError:
+            continue
+        cells = [c for c in chain_check_column(head, place, cert) if c is not None]
         summary[key] = {
             "applicable": True,
-            "checked": checked,
-            "passed": passed,
-            "support_skipped": skipped,
-            "min_slack": min_slack,
+            "checked": len(cells),
+            "passed": sum(passed for passed, _ in cells),
+            "support_skipped": len(head) - len(cells),
+            "min_slack": min((slack for _, slack in cells), default=None),
         }
     return summary
 
@@ -758,8 +793,10 @@ def _run(
         mode=config.mode,
     )
     pts = list(sample.points)
+    maxes = [max(map(abs, pt.coords)) for pt in pts]
     ev = _Evaluator(config)
-    defects = _defect_batch(ev, pts)
+    defects = _defect_batch(ev, pts, maxes)
+    log_of = {m: math.log(m) for m in set(maxes)}  # h(P) = log max|x_i|
     labels = [str(p) for p in pts]
     order = sorted(range(len(pts)), key=labels.__getitem__)
     points: list[str] = []
@@ -775,11 +812,11 @@ def _run(
     for i in order:
         d = defects[i]
         label = labels[i]
-        hmax = max(map(abs, pts[i].coords))
+        hmax = maxes[i]
         if hmax == 1:
             excluded_height.append(label)
             continue
-        h = math.log(hmax)
+        h = log_of[hmax]
         r = d / h
         points.append(label)
         heights.append(h)

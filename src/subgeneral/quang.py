@@ -68,6 +68,12 @@ pairs, cross-multiplied; only the reported floats are rounded, each from
 its reduced fraction.  The check reads only the given certificate's inputs
 and X: it rebuilds its own certificate on the re-sorted family, so the
 given certificate's matrix, outputs and constants never reach a record.
+chain_check_column makes the same comparison (one helper,
+_chain_inequality, holds it for both) over a column of points, for the
+experiments' chain summary: each input is evaluated once over the
+coordinate columns, the re-sorted family's terms are looked up once per
+distinct permutation, a point on an input is marked instead of raised, and
+only (passed, slack) is kept, with no record and no point label.
 """
 
 from __future__ import annotations
@@ -358,6 +364,12 @@ class Ordering:
         return {"place": str(self.place), "perm": list(self.perm)}
 
 
+def _wrong_space(form: LinearForm, point: ProjPoint) -> ArgumentError:
+    return ArgumentError(
+        "form on P^%d evaluated at point of P^%d" % (form.dim, point.dim)
+    )
+
+
 def _on_form(point: ProjPoint, i: int, form: LinearForm) -> SupportError:
     return SupportError(
         "point %s lies on form %d (%s)" % (point, i + 1, form),
@@ -371,15 +383,15 @@ def _keys(values, place: Place) -> list[int]:
     """Sort keys of nonzero values L_j(P): |L_j(P)| at the archimedean place
     and -ord_p(L_j(P)) at p, since ||val||_p = p^(-ord).  Ascending keys
     mean ascending local norm."""
-    if place.is_archimedean:
-        return list(map(abs, values))
     p = place.p
-    return [-_ord_p(v, p) for v in values]
+    if p is None:
+        return list(map(abs, values))
+    return [-_ord_p(v, p) if v % p == 0 else 0 for v in values]
 
 
 def _perm_from_keys(keys) -> tuple[int, ...]:
-    # ties broken by original index
-    return tuple(i + 1 for _, i in sorted(zip(keys, range(len(keys)))))
+    # ties broken by original index, since sorted is stable
+    return tuple(map((1).__add__, sorted(range(len(keys)), key=keys.__getitem__)))
 
 
 def reorder_by_local_norm(point: ProjPoint, place: Place, forms) -> Ordering:
@@ -471,6 +483,34 @@ def _log_ratio(num: int, den: int) -> float:
     return math.log(num // g) - math.log(den // g)
 
 
+def _chain_inequality(keys, perm, terms, maxx, n: int, p: Optional[int]):
+    """The telescoping estimate at one point, compared exactly: (passed,
+    slack, lhs, rhs) from the inputs' sort keys (_keys), their permutation
+    and the re-sorted family's _chain_terms.  slack is the reported float;
+    lhs and rhs are exact: at inf e^lhs and e^rhs as integer (num, den)
+    pairs, with maxx = max|x_i| of the point, and at a prime p (p None at
+    inf) the integers lhs/log p and rhs/log p (maxx unread)."""
+    _, out_idx, b_in, b_out, k_exact, _ = terms
+    l = len(keys) - 1
+    e = l - n + 1
+    # output t is sorted input out_idx[t], that is input perm[out_idx[t]]
+    out_keys = [keys[perm[j] - 1] for j in out_idx]
+    if p is None:
+        # lhs = maxx^(l+1) B_in / |prod L_j(P)|,
+        # rhs = (maxx^(n+1) B_out / |prod L'_t(P)|)^(l-n+1) e^(K_v)
+        lhs = maxx ** (l + 1) * b_in, math.prod(keys)  # the keys are |L_j(P)|
+        rhs = (
+            (maxx ** (n + 1) * b_out) ** e * k_exact[0],
+            math.prod(out_keys) ** e * k_exact[1],
+        )
+        lhs_cross = lhs[0] * rhs[1]
+        rhs_cross = rhs[0] * lhs[1]
+        return lhs_cross <= rhs_cross, _log_ratio(rhs_cross, lhs_cross), lhs, rhs
+    lhs = -sum(keys)  # the keys are -ord_p(L_j(P))
+    rhs = -e * sum(out_keys) + k_exact
+    return lhs <= rhs, (rhs - lhs) * math.log(p), lhs, rhs
+
+
 def chain_check(
     point: ProjPoint, place: Place, certificate: CombinationCertificate
 ) -> ChainCheckRecord:
@@ -485,56 +525,76 @@ def chain_check(
     """
     forms = certificate.inputs
     variety = certificate.variety
-    l = len(forms) - 1
-    n = variety.dim
     coords = point.coords
     if len(coords) != len(forms[0].coeffs):
         # the forms share X's ambient space, so one check covers them all
-        raise ArgumentError(
-            "form on P^%d evaluated at point of P^%d" % (forms[0].dim, point.dim)
-        )
+        raise _wrong_space(forms[0], point)
     in_vals = [sum(map(mul, f.coeffs, coords)) for f in forms]
     if 0 in in_vals:
         i = in_vals.index(0)
         raise _on_form(point, i, forms[i])
     keys = _keys(in_vals, place)
     perm = _perm_from_keys(keys)
-    chain_c, out_idx, b_in, b_out, k_exact, k_f = _chain_terms(
-        tuple(forms[i - 1] for i in perm), variety, place
-    )
-    # output t is sorted input out_idx[t], that is input perm[out_idx[t]]
-    out_keys = [keys[perm[j] - 1] for j in out_idx]
-    e = l - n + 1
-    if place.is_archimedean:
-        # lhs = maxx^(l+1) B_in / |prod L_j(P)|,
-        # rhs = (maxx^(n+1) B_out / |prod L'_t(P)|)^(l-n+1) e^(K_v)
-        maxx = max(map(abs, coords))
-        lhs_num = maxx ** (l + 1) * b_in
-        lhs_den = math.prod(keys)  # the keys are |L_j(P)|
-        rhs_num = (maxx ** (n + 1) * b_out) ** e * k_exact[0]
-        rhs_den = math.prod(out_keys) ** e * k_exact[1]
-        lhs_cross = lhs_num * rhs_den
-        rhs_cross = rhs_num * lhs_den
-        passed = lhs_cross <= rhs_cross
-        lhs = _log_ratio(lhs_num, lhs_den)
-        rhs = _log_ratio(rhs_num, rhs_den)
-        slack = _log_ratio(rhs_cross, lhs_cross)
+    terms = _chain_terms(tuple([forms[i - 1] for i in perm]), variety, place)
+    p = place.p
+    maxx = max(map(abs, coords)) if p is None else None
+    passed, slack, lhs, rhs = _chain_inequality(keys, perm, terms, maxx, variety.dim, p)
+    if p is None:
+        lhs, rhs = _log_ratio(*lhs), _log_ratio(*rhs)
     else:
-        p = place.p
         logp = math.log(p)
-        lhs_e = -sum(keys)  # the keys are -ord_p(L_j(P))
-        rhs_e = -e * sum(out_keys) + k_exact
-        lhs, rhs = lhs_e * logp, rhs_e * logp
-        passed = lhs_e <= rhs_e
-        slack = (rhs_e - lhs_e) * logp
+        lhs, rhs = lhs * logp, rhs * logp
     return ChainCheckRecord(
         point=str(point),
         place=place,
         perm=perm,
         lhs=lhs,
         rhs=rhs,
-        constant_k=k_f,
-        chain_c=chain_c,
+        constant_k=terms[5],
+        chain_c=terms[0],
         slack=slack,
         passed=passed,
     )
+
+
+def chain_check_column(
+    points, place: Place, certificate: CombinationCertificate
+) -> list:
+    """chain_check over a column of points, with no record: (passed, slack)
+    at each point, equal to that point's chain_check record, or None where
+    the point lies on an input (where chain_check raises SupportError).
+
+    Each input is evaluated once over the coordinate columns, the re-sorted
+    family's _chain_terms are looked up once per distinct permutation, and
+    each point is compared by chain_check's own _chain_inequality.  Raises
+    chain_check's ArgumentError when a point lies outside the inputs'
+    ambient space.
+    """
+    forms = certificate.inputs
+    variety = certificate.variety
+    coords = [pt.coords for pt in points]
+    width = len(forms[0].coeffs)
+    for pt, c in zip(points, coords):
+        if len(c) != width:
+            raise _wrong_space(forms[0], pt)
+    if not coords:
+        return []
+    xs = list(zip(*coords))
+    p = place.p
+    n = variety.dim
+    terms_of: dict = {}
+    out = []
+    for c, vals in zip(coords, zip(*[f.column(xs) for f in forms])):
+        if 0 in vals:
+            out.append(None)
+            continue
+        keys = _keys(vals, place)
+        perm = _perm_from_keys(keys)
+        terms = terms_of.get(perm)
+        if terms is None:
+            terms = terms_of[perm] = _chain_terms(
+                tuple([forms[i - 1] for i in perm]), variety, place
+            )
+        maxx = max(map(abs, c)) if p is None else None
+        out.append(_chain_inequality(keys, perm, terms, maxx, n, p)[:2])
+    return out

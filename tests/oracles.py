@@ -759,3 +759,12 @@ def support_hits_by_decode(marks) -> list:
         return []
     truthy = compress(range(len(marks)), marks)
     return [i for i in truthy if not isinstance(marks[i], tuple)]
+
+
+def write_csv_by_row(report, fh) -> None:
+    """DefectReport.write_csv as it ran before heights were formatted once:
+    one write and one %r per float per record."""
+    flagged = set(report.violators)
+    fh.write("point,height,weighted_sum,ratio,violator\n")
+    for row in zip(report.points, report.heights, report.sums, report.ratios):
+        fh.write("%s,%r,%r,%r,%d\n" % (row + (row[0] in flagged,)))

@@ -442,6 +442,30 @@ def test_experiment_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_first_target_vanishing_on_x_leaves_the_chain_summary_inapplicable(capsys):
+    # x2, x0, x1 are 2-subgeneral on X = {x2 = 0}, but x2 vanishes on X, so
+    # no combination with L'_1 = x2 is general: the config is accepted and
+    # its chain summary does not apply, in either order of the targets
+    targets = [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]
+    cfg = violator_config(
+        x=json.loads(LINE_X), arrangements={"inf": targets, "p=2": targets[::-1]}, l=2
+    )
+    data = run_json(capsys, ["experiment", "run", "--config", json.dumps(cfg)])
+    assert data["position_checks"]["inf"]["verdict"] is True
+    # every point of X lies on x2, so the sampler keeps none
+    assert data["n_points"] == 0 and data["records"] == []
+    assert data["chain_summary"] == {
+        "inf": {"applicable": False},
+        "p=2": {
+            "applicable": True,
+            "checked": 0,
+            "passed": 0,
+            "support_skipped": 0,
+            "min_slack": None,
+        },
+    }
+
+
 def test_io_failures_exit_66(capsys, tmp_path):
     assert main(["experiment", "run", "--config", "@%s/missing.json" % tmp_path]) == 66
     assert main(["height", "[1:2]", "--out", "%s/no/dir/x.json" % tmp_path]) == 66

@@ -55,6 +55,7 @@ from oracles import (
     exceptional_scan_by_hand,
     rank_fraction_gauss,
     sample_points_by_point,
+    write_csv_by_row,
 )
 
 P1 = projective_space(1)
@@ -738,6 +739,41 @@ def test_report_rows_agree_across_formats():
     assert sum(r["violator"] for r in records) == len(report.violators)
 
 
+def _writer_reports():
+    """Seeded main and baseline reports on a curve and on a surface, each
+    with violators and with points of height 0 (max|x_i| = 1)."""
+    curve = replace(violator_config(places=(INF, Place(2), Place(3))), h_min=0.0)
+    rng = random.Random(0)
+    forms = tuple(rand_linear_form(rng, 2, hi=9) for _ in range(3))
+    surface = ExperimentConfig(
+        variety=P2,
+        arrangements=tuple((v, forms) for v in (INF, Place(2), Place(3))),
+        level=2,
+        epsilon=Fraction(1, 100),
+        h_min=0.0,
+        h_max=math.log(12),
+        sample_count=400,
+        seed=0,
+    )
+    return [
+        run(cfg)
+        for cfg in (curve, surface)
+        for run in (run_main_experiment, run_evertse_ferretti_baseline)
+    ]
+
+
+def test_writers_match_the_generic_dump_and_the_row_writer():
+    for report in _writer_reports():
+        assert report.violators and report.excluded_height
+        assert len(set(report.heights)) < len(report.heights)
+        for records in (True, False):
+            assert report.to_json(records) == stable_dumps(report.to_json_dict(records))
+        buf, ref = io.StringIO(), io.StringIO()
+        report.write_csv(buf)
+        write_csv_by_row(report, ref)
+        assert buf.getvalue() == ref.getvalue()
+
+
 def test_rerun_with_candidate_exclusions_clears_violators():
     report = run_main_experiment(violator_config())
     cleaned_cfg = replace(
@@ -1045,6 +1081,10 @@ def test_ledgers_never_evaluate_a_form_point_by_point(monkeypatch):
 
 
 def test_bulk_ledger_is_bit_equal_to_one_point_values():
+    # both kinds of ledger term: the kernel's own column at weight 1.0 (every
+    # hyperplane) and a weighted copy (the cubic's 1/3, the subscheme's)
+    weights = {w for cfg in _kernel_configs() for *_, ws in _Evaluator(cfg).plan for w in ws}
+    assert 1.0 in weights and 1 / 3 in weights
     for cfg in _kernel_configs():
         pts, targets = _kernel_sample(cfg)
         assert len(pts) > 300

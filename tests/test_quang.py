@@ -598,10 +598,15 @@ def _outcome(check, point, place, cert):
         return ("ArgumentError", str(exc))
 
 
-def test_chain_check_matches_fraction_reference():
+def test_chain_check_matches_fraction_reference(count_calls):
+    # and chain_check_column matches the records: (passed, slack) at each
+    # point, None where chain_check raises SupportError, one _chain_terms
+    # lookup per distinct permutation, and chain_check's ArgumentError
     rng = random.Random(47)
     places = (INF, Place(2), Place(3))
     kinds = set()
+    terms_calls = count_calls(quang._chain_terms)
+    repeated = 0
     for n in (1, 2, 3):
         for l in range(n, 7):
             forms, variety = strict_arrangement(rng, n, l)
@@ -613,10 +618,24 @@ def test_chain_check_matches_fraction_reference():
                 ).points
             )
             pts += [_support_point(rng, rng.choice(forms), variety) for _ in range(3)]
-            pts.append(ProjPoint(tuple(range(1, variety.ambient_dim + 3))))
-            for pt in pts:
-                for place in places:
-                    got = _outcome(chain_check, pt, place, cert)
-                    assert got == _outcome(chain_check_by_fractions, pt, place, cert)
-                    kinds.add(got[0] if isinstance(got, tuple) else type(got).__name__)
+            wrong = ProjPoint(tuple(range(1, variety.ambient_dim + 3)))
+            for place in places:
+                start = len(terms_calls)
+                cells = quang.chain_check_column(pts, place, cert)
+                made = len(terms_calls) - start
+                got = [_outcome(chain_check, pt, place, cert) for pt in pts + [wrong]]
+                ref = [_outcome(chain_check_by_fractions, pt, place, cert) for pt in pts + [wrong]]
+                assert got == ref
+                kinds.update(r[0] if isinstance(r, tuple) else type(r).__name__ for r in got)
+                assert cells == [
+                    None if isinstance(r, tuple) else (r.passed, r.slack) for r in got[:-1]
+                ]
+                perms = [r.perm for r in got if not isinstance(r, tuple)]
+                assert made == len(set(perms))
+                repeated += len(perms) > len(set(perms))
+                with pytest.raises(ArgumentError) as exc:
+                    quang.chain_check_column(pts + [wrong], place, cert)
+                assert ("ArgumentError", str(exc.value)) == got[-1]
     assert kinds == {"ChainCheckRecord", "SupportError", "ArgumentError"}
+    assert repeated > 0
+    assert quang.chain_check_column([], INF, cert) == []
