@@ -42,10 +42,6 @@ class PositionError(DomainError):
         self.report = report
 
 
-class InfeasibleAvoidanceError(DomainError):
-    """No vector in the span avoids the excluded subspaces."""
-
-
 class UnsupportedSubschemeError(DomainError):
     """Requested closed-form value is only defined for recognized classes."""
 

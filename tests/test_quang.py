@@ -1,5 +1,6 @@
-"""Combination construction: avoidance, certificates, constants, orderings."""
+"""Combination construction: certificates, constants, orderings."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -14,14 +15,12 @@ from subgeneral import (
     ArgumentError,
     CombinationCertificate,
     INF,
-    InfeasibleAvoidanceError,
     LinearForm,
     LinearSubvariety,
     Place,
     PositionError,
     ProjPoint,
     SupportError,
-    avoid_subspaces,
     chain_constant,
     check_general,
     check_subgeneral,
@@ -36,7 +35,6 @@ from subgeneral.jsonio import parse_rat, rat_str
 
 from gen import rand_linear_form, strict_arrangement
 from oracles import (
-    avoiding_by_rank,
     chain_check_by_fractions,
     nullspace_by_rref,
     quang_combine_by_enumeration,
@@ -48,81 +46,6 @@ X0 = LinearForm((1, 0, 0))
 X1 = LinearForm((0, 1, 0))
 X2 = LinearForm((0, 0, 1))
 X_LINE = LinearSubvariety(2, (X2,))
-
-
-# ---------------------------------------------------------------------------
-# avoidance
-
-
-def test_avoid_subspaces_frozen_choices():
-    assert avoid_subspaces([X1, X2], [[X1]]) == X2
-    assert avoid_subspaces([X1, X2], []) == X1
-    assert avoid_subspaces([X1, X2], [[X1], [X2]]) == LinearForm((0, 1, 1))
-
-
-def test_avoid_subspaces_infeasible_and_empty():
-    with pytest.raises(InfeasibleAvoidanceError):
-        avoid_subspaces([X1, X2], [[X1, X2]])
-    with pytest.raises(InfeasibleAvoidanceError):
-        avoid_subspaces([X1], [[X0, X1, X2]])
-    with pytest.raises(ArgumentError):
-        avoid_subspaces([], [[X1]])
-
-
-def test_avoid_subspaces_result_in_span():
-    got = avoid_subspaces([X1, X2], [[LinearForm((0, 1, 1))]])
-    assert got.coeffs[0] == 0  # stays inside span(x1, x2)
-    assert got != LinearForm((0, 1, 1))
-
-
-def seeded_avoidance_cases(rng):
-    """(span rows, excluded rowsets) in P^3, including dependent span rows,
-    no excluded sets, and excluded sets that meet the span or hold part of it."""
-    for _ in range(40):
-        k = rng.randint(1, 3)
-        span = [list(rand_linear_form(rng, 3, hi=3).coeffs) for _ in range(k)]
-        if rng.random() < 0.3:
-            a, b = rng.choice((1, -1, 2)), rng.choice((1, -2, 3))
-            span.append([a * x + b * y for x, y in zip(span[0], span[-1])])
-        excluded = []
-        for _ in range(rng.randint(0, 2)):
-            rows = [
-                list(rand_linear_form(rng, 3, hi=3).coeffs)
-                for _ in range(rng.randint(1, 2))
-            ]
-            if rng.random() < 0.5:
-                rows.append(list(span[rng.randrange(len(span))]))
-            excluded.append(rows)
-        yield span, excluded
-
-
-def test_enumerate_avoiding_matches_rank_reference():
-    rng = random.Random(31)
-    for span, excluded in seeded_avoidance_cases(rng):
-        forms = [LinearForm(tuple(r)) for r in span if any(r)]
-        ex_forms = [[LinearForm(tuple(r)) for r in ex] for ex in excluded]
-        if any(all(linalg.in_rowspace(row, ex) for row in span) for ex in excluded):
-            with pytest.raises(InfeasibleAvoidanceError):
-                avoid_subspaces(forms, ex_forms)
-            continue
-        expected = avoiding_by_rank(span, excluded)
-        assert quang._enumerate_avoiding(span, excluded) == expected
-        assert avoid_subspaces(forms, ex_forms) == LinearForm(tuple(expected[1]))
-
-
-def test_enumerate_avoiding_edge_cases_match_reference():
-    dependent = [[0, 1, 0], [0, 0, 1], [0, 1, 1]]
-    for excluded in ([], [[[0, 1, 0]]], [[[0, 1, 1], [1, 0, 0]]]):
-        assert quang._enumerate_avoiding(dependent, excluded) == avoiding_by_rank(
-            dependent, excluded
-        )
-    # an excluded set that swallows the span: the enumeration runs dry
-    with pytest.raises(RuntimeError):
-        quang._enumerate_avoiding([[0, 1, 0]], [[[0, 1, 0], [1, 0, 0]]])
-    with pytest.raises(RuntimeError):
-        avoiding_by_rank([[0, 1, 0]], [[[0, 1, 0], [1, 0, 0]]])
-    with pytest.raises(InfeasibleAvoidanceError):
-        avoid_subspaces([X1, X2], [[X0], [X1, X2, X0]])
 
 
 def subgeneral_families(rng):
@@ -155,6 +78,49 @@ def test_quang_combine_matches_intersection_reference():
     for forms, variety in subgeneral_families(rng):
         got = quang_combine(forms, variety, places).to_json()
         assert got == quang_combine_by_enumeration(forms, variety, places).to_json()
+
+
+def test_every_ordering_matches_the_enumeration_or_is_refused():
+    # every ordering of a strict family per (n, l) class with l <= 4, of a
+    # planted failing family per class (no form reads x0 modulo X, so the
+    # rows have rank at most n there) and of x2, x0, x1 on X = {x2 = 0},
+    # which is 2-subgeneral and whose first form may vanish on X
+    rng = random.Random(53)
+    places = (INF, Place(2), Place(3))
+    families = [([X2, X0, X1], X_LINE)]
+    for n in (1, 2, 3):
+        for l in range(n, 5):
+            forms, variety = strict_arrangement(rng, n, l)
+            failing = []
+            while len(failing) <= l:
+                f = rand_linear_form(rng, variety.ambient_dim, hi=3)
+                if f.coeffs[0] == 0:
+                    failing.append(f)
+            families += [(forms, variety), (failing, variety)]
+    seen = {"combined": 0, "L_1 on X": 0, "not subgeneral": 0}
+    for family, variety in families:
+        l = len(family) - 1
+        x_rows = [list(f.coeffs) for f in variety.forms]
+        for forms in itertools.permutations(family):
+            forms = list(forms)
+            if witnesses_by_rank(forms, variety, l)[0]:
+                with pytest.raises(PositionError) as exc:
+                    quang_combine(forms, variety, places)
+                report = check_subgeneral(forms, variety, l)
+                assert exc.value.report == report
+                assert str(exc.value) == "inputs are not %d-subgeneral on X (%d witnesses)" % (
+                    l, len(report.witnesses)
+                )
+                seen["not subgeneral"] += 1
+            elif rank_int_crossmul(x_rows + [list(forms[0].coeffs)]) == len(x_rows):
+                with pytest.raises(PositionError, match="L_1 vanishes on X"):
+                    quang_combine(forms, variety, places)
+                seen["L_1 on X"] += 1
+            else:
+                got = quang_combine(forms, variety, places).to_json()
+                assert got == quang_combine_by_enumeration(forms, variety, places).to_json()
+                seen["combined"] += 1
+    assert seen == {"combined": 446 + 4, "L_1 on X": 2, "not subgeneral": 446}
 
 
 def test_walk_report_equals_the_output_sweep():
@@ -550,26 +516,28 @@ def test_cold_certificates_do_no_rank_work(count_calls):
 
 
 def test_cold_certificates_enumerate_no_candidates(count_calls):
-    # nor do they sweep subsets: the input test is one echelon and the
-    # output report is the walk's, each reducing at most X's rows and the
-    # l+1 inputs
+    # nor do they sweep subsets or build a second echelon: the inputs' greedy
+    # basis modulo X is the rank rule's echelon and the walk, which reduces
+    # X's rows and then at most the l+1 inputs, and check_subgeneral runs
+    # only for a failing family
     families = _cold_certificate_families()
     null_calls = count_calls(linalg.nullspace)
-    enum_calls = count_calls(quang._enumerate_avoiding)
+    check_calls = count_calls(subgeneral.position.check_subgeneral)
     echelon_calls = count_calls(linalg.extend_echelon)
     made = {}
     for forms, variety in families:
         start = len(echelon_calls)
         cert = quang_combine(forms, variety, (INF, Place(2), Place(3)))
         assert cert.verify_soundness() and cert.position.verdict
-        bound = 2 * (len(variety.forms) + len(forms))
+        bound = len(variety.forms) + len(forms)
         made[variety.dim, len(forms) - 1] = (len(echelon_calls) - start, bound)
-    assert null_calls == [] and enum_calls == []
+    assert null_calls == [] and check_calls == []
     assert len(made) == 15
     assert all(got <= bound for got, bound in made.values()), made
     # the wrappers do see the public entry points
-    avoid_subspaces([X1, X2], [[X1]])
-    assert null_calls and len(enum_calls) == 1
+    linalg.nullspace([[1, 0]], 2)
+    subgeneral.check_subgeneral([X0, X1, X2], projective_space(2), 2)
+    assert len(null_calls) == 1 and len(check_calls) == 1
     start = len(echelon_calls)
     linalg.rank_rows([[1, 0], [0, 1]])
     assert len(echelon_calls) == start + 2
