@@ -14,8 +14,7 @@ integer kernels, reporting candidates only (never a certified exceptional
 set).  Each report ends with a summary of Quang's chain estimate over the
 first _CHAIN_CHECK_CAP sample points at each place holding l+1 hyperplanes:
 one quang.chain_check_column per place, which evaluates each input once
-over the column and looks up the re-sorted family's certificate once per
-distinct ordering.  A
+over the column and reads each ordering from the certificate's table.  A
 point on an input counts as skipped; a place whose first hyperplane
 vanishes on X (l-subgeneral position allows it once l > n) has no
 combination, and its summary reads not applicable.

@@ -99,7 +99,9 @@ def greedy_basis(forms, variety: LinearSubvariety, rank: int):
     echelon, and kept in the n+1 columns that are not X's pivots.  picks are
     the 0-based indices of the forms that grow one echelon of those rows,
     in input order, until it reaches the given rank: the greedy basis of the
-    family modulo X.
+    family modulo X.  Reduction stops at the pick that reaches a positive
+    rank, so the reduced rows are all the family's only when the picks fall
+    short of it or the rank is 0: the cases in which the sweep reads them.
     """
     forms = list(forms)
     if not forms:
@@ -126,6 +128,8 @@ def greedy_basis(forms, variety: LinearSubvariety, rank: int):
             if grown is not echelon:  # the same list back means row lies in it
                 picks.append(j)
                 echelon = grown
+                if len(picks) == rank:
+                    break
     return reduced, picks
 
 

@@ -58,21 +58,21 @@ estimate behind the main bound with a fully explicit constant:
 
     K_v = n*log C_v + l*log B_v + n(l-n)*gamma_v,
 
-where C_v is the chain constant of the certificate rebuilt on the family
-re-sorted so that ||H_j(P)||_v ascends (the estimate is false without that
-re-sorting), B_v = max_j ||H_j||_v (exactly 1 at finite places), and gamma_v
-is log(M+1) at the archimedean place and 0 elsewhere.  Both sides are
-compared exactly: integer valuation ledgers at finite places, and at the
-archimedean place the two norm products as integer (numerator, denominator)
-pairs, cross-multiplied; only the reported floats are rounded, each from
-its reduced fraction.  The check reads only the given certificate's inputs
-and X: it rebuilds its own certificate on the re-sorted family, so the
-given certificate's matrix, outputs and constants never reach a record.
-chain_check_column makes the same comparison (one helper,
-_chain_inequality, holds it for both) over a column of points, for the
-experiments' chain summary: each input is evaluated once over the
-coordinate columns, the re-sorted family's terms are looked up once per
-distinct permutation, a point on an input is marked instead of raised, and
+where the H'_t are the outputs on the family re-sorted so that ||H_j(P)||_v
+ascends (the estimate is false without that re-sorting): the greedy basis
+of the re-sorted inputs modulo X, with C_v = 1.  B_v = max_j ||H_j||_v
+(exactly 1 at finite places), and gamma_v is log(M+1) at the archimedean
+place and 0 elsewhere, so K_v does not depend on the order.  The check uses
+the certificate's inputs and X only, through a table kept on the
+certificate: per sort order, the re-sorted family's greedy basis (refused
+as quang_combine refuses it), and per place, K_v; no certificate is built
+per order.  Both sides are compared exactly: integer valuation ledgers at
+finite places, and at the archimedean place the two norm products as
+integer (numerator, denominator) pairs, cross-multiplied; only the reported
+floats are rounded, each from its reduced fraction.  chain_check_column
+makes the same comparison (_chain_inequality) over a column of points, for
+the experiments' chain summary: each input is evaluated once over the
+coordinate columns, a point on an input is marked instead of raised, and
 only (passed, slack) is kept, with no record and no point label.
 """
 
@@ -111,6 +111,12 @@ class CombinationCertificate:
     @property
     def rounds(self) -> int:
         return len(self.outputs)
+
+    @functools.cached_property
+    def _chain_table(self) -> dict:
+        """The chain check's table (module docstring), filled by _table_terms.
+        Not a field, so ==, hash and the JSON never see it."""
+        return {}
 
     def verify_soundness(self) -> bool:
         """Replay the matrix: row 1 is the first input, later rows respect
@@ -317,9 +323,9 @@ def _keys(values, place: Place) -> list[int]:
     return [-_ord_p(v, p) if v % p == 0 else 0 for v in values]
 
 
-def _perm_from_keys(keys) -> tuple[int, ...]:
-    # ties broken by original index, since sorted is stable
-    return tuple(map((1).__add__, sorted(range(len(keys)), key=keys.__getitem__)))
+def _sort_order(keys) -> tuple[int, ...]:
+    # 0-based; ties broken by original index, since sorted is stable
+    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
 
 def reorder_by_local_norm(point: ProjPoint, place: Place, forms) -> Ordering:
@@ -337,7 +343,7 @@ def reorder_by_local_norm(point: ProjPoint, place: Place, forms) -> Ordering:
         if val == 0:
             raise _on_form(point, i, f)
         values.append(val)
-    return Ordering(place, _perm_from_keys(_keys(values, place)))
+    return Ordering(place, tuple([i + 1 for i in _sort_order(_keys(values, place))]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +358,7 @@ class ChainCheckRecord:
     lhs: float
     rhs: float  # includes the constant
     constant_k: float
-    chain_c: str  # C_v for the re-sorted certificate, as a rational string
+    chain_c: str  # C_v of the re-sorted family's outputs, as a rational string
     slack: float
     passed: bool
 
@@ -370,38 +376,39 @@ class ChainCheckRecord:
         }
 
 
-@functools.lru_cache(maxsize=100000)
-def _chain_terms(forms: tuple[LinearForm, ...], variety: LinearSubvariety, place: Place):
-    """The part of a chain check fixed by the re-sorted family and the place:
-    (C_v as a rational string, each output's index in the family, the
-    products of the inputs' and of the outputs' max|coeff|, K_v exactly, K_v
-    as a float).  Every output is an input (module docstring), so a check
-    reads the output values from the input values by these indices; should
-    an output ever not be an input, forms.index raises here instead.
-
-    Exactly, K_v is the rational e^(K_v) as a reduced (num, den) pair of
-    integers at the archimedean place and the integer K_v / log p =
-    n*ord_p(C_v) at a finite one."""
-    cert = quang_combine_cached(forms, variety)
-    c_v = chain_constant(cert, place)
-    l = len(forms) - 1
-    n = variety.dim
-    out_idx = tuple(map(forms.index, cert.outputs))
-    b_in = math.prod(f._max_coeff for f in forms)
-    b_out = math.prod(f._max_coeff for f in cert.outputs)
-    if place.is_archimedean:
-        big_b = max(f._max_coeff for f in forms)
-        k_q = (
-            Fraction(c_v) ** n
-            * big_b**l
-            * (variety.ambient_dim + 1) ** (n * (l - n))
-        )
-        k_exact = (k_q.numerator, k_q.denominator)
-        return rat_str(c_v), out_idx, b_in, b_out, k_exact, _log_ratio(*k_exact)
-    # K_v = n*log C_v and C_v is a power of p, so log_p C_v = ord_p(C_v)
+def _table_terms(cert: CombinationCertificate, order: tuple[int, ...], place: Place):
+    """The certificate's chain table read at a sort order (0-based input
+    indices) and a place, order first.  Per order: (perm, outputs, B_out),
+    with perm the order 1-based, the outputs the greedy basis of the
+    re-sorted inputs modulo X as input indices, and B_out the product of
+    their max|coeff|; a family that quang_combine refuses raises its error,
+    unkept.  Per place.p: (C_v as a rational string, B_in, K_v exactly, K_v
+    as a float), with B_in the inputs' product of max|coeff| and K_v exactly
+    the integer e^(K_v) at inf and K_v / log p = 0 at a prime."""
+    table = cert._chain_table
+    by_order = table.get(order)
+    if by_order is None:
+        forms = [cert.inputs[i] for i in order]
+        n = cert.variety.dim
+        picks = greedy_basis(forms, cert.variety, n + 1)[1]
+        if len(picks) <= n or picks[0]:
+            quang_combine(forms, cert.variety)  # raises: the same test refuses
+        out = tuple([order[j] for j in picks])
+        b_out = math.prod([cert.inputs[i]._max_coeff for i in out])
+        by_order = table[order] = tuple([i + 1 for i in order]), out, b_out
     p = place.p
-    k_e = n * (_ord_p(c_v.numerator, p) - _ord_p(c_v.denominator, p))
-    return rat_str(c_v), out_idx, b_in, b_out, k_e, k_e * math.log(p)
+    at_place = table.get(p)
+    if at_place is None:
+        forms = cert.inputs
+        b_in = math.prod(f._max_coeff for f in forms)
+        if p is None:
+            l, n = len(forms) - 1, cert.variety.dim
+            big_b = max(f._max_coeff for f in forms)
+            k = big_b**l * (cert.variety.ambient_dim + 1) ** (n * (l - n))
+            at_place = table[p] = "1", b_in, k, _log_ratio(k, 1)
+        else:
+            at_place = table[p] = "1", b_in, 0, 0.0
+    return by_order, at_place
 
 
 def _log_ratio(num: int, den: int) -> float:
@@ -411,32 +418,33 @@ def _log_ratio(num: int, den: int) -> float:
     return math.log(num // g) - math.log(den // g)
 
 
-def _chain_inequality(keys, perm, terms, maxx, n: int, p: Optional[int]):
-    """The telescoping estimate at one point, compared exactly: (passed,
-    slack, lhs, rhs) from the inputs' sort keys (_keys), their permutation
-    and the re-sorted family's _chain_terms.  slack is the reported float;
-    lhs and rhs are exact: at inf e^lhs and e^rhs as integer (num, den)
-    pairs, with maxx = max|x_i| of the point, and at a prime p (p None at
-    inf) the integers lhs/log p and rhs/log p (maxx unread)."""
-    _, out_idx, b_in, b_out, k_exact, _ = terms
+def _chain_inequality(cert: CombinationCertificate, place: Place, keys, maxx):
+    """The telescoping estimate at one point, compared exactly, from the
+    inputs' sort keys (_keys) and the certificate's table: (passed, slack,
+    lhs, rhs, then _table_terms).  slack is the reported float; lhs and rhs
+    are exact: at inf e^lhs and e^rhs as integer (num, den) pairs, with maxx
+    = max|x_i| of the point, and at a prime p the integers lhs/log p and
+    rhs/log p (maxx unread)."""
+    by_order, at_place = _table_terms(cert, _sort_order(keys), place)
+    _, out_pos, b_out = by_order
+    _, b_in, k, _ = at_place
     l = len(keys) - 1
+    n = cert.variety.dim
     e = l - n + 1
-    # output t is sorted input out_idx[t], that is input perm[out_idx[t]]
-    out_keys = [keys[perm[j] - 1] for j in out_idx]
+    out_keys = [keys[i] for i in out_pos]
+    p = place.p
     if p is None:
         # lhs = maxx^(l+1) B_in / |prod L_j(P)|,
         # rhs = (maxx^(n+1) B_out / |prod L'_t(P)|)^(l-n+1) e^(K_v)
         lhs = maxx ** (l + 1) * b_in, math.prod(keys)  # the keys are |L_j(P)|
-        rhs = (
-            (maxx ** (n + 1) * b_out) ** e * k_exact[0],
-            math.prod(out_keys) ** e * k_exact[1],
-        )
+        rhs = (maxx ** (n + 1) * b_out) ** e * k, math.prod(out_keys) ** e
         lhs_cross = lhs[0] * rhs[1]
         rhs_cross = rhs[0] * lhs[1]
-        return lhs_cross <= rhs_cross, _log_ratio(rhs_cross, lhs_cross), lhs, rhs
+        slack = _log_ratio(rhs_cross, lhs_cross)
+        return lhs_cross <= rhs_cross, slack, lhs, rhs, by_order, at_place
     lhs = -sum(keys)  # the keys are -ord_p(L_j(P))
-    rhs = -e * sum(out_keys) + k_exact
-    return lhs <= rhs, (rhs - lhs) * math.log(p), lhs, rhs
+    rhs = -e * sum(out_keys) + k
+    return lhs <= rhs, (rhs - lhs) * math.log(p), lhs, rhs, by_order, at_place
 
 
 def chain_check(
@@ -444,15 +452,14 @@ def chain_check(
 ) -> ChainCheckRecord:
     """Exact verification of the telescoping estimate at one (point, place).
 
-    The family is re-sorted by ||H(P)||_v ascending, the combination is
-    rebuilt on the sorted family, and both sides are compared exactly.
-    Only the certificate's inputs and X are read.  Raises SupportError when
-    P sits on an input, which makes the sample point inadmissible, not the
-    estimate false; every rebuilt combination is an input, so P on one of
-    them is P on an input.
+    The family is re-sorted by ||H(P)||_v ascending, and both sides are
+    compared exactly, from the certificate's inputs and X through its table
+    (module docstring).  Raises SupportError when P sits on an input, which
+    makes the sample point inadmissible, not the estimate false (every
+    output is an input); and quang_combine's PositionError when that
+    refuses the re-sorted family.
     """
     forms = certificate.inputs
-    variety = certificate.variety
     coords = point.coords
     if len(coords) != len(forms[0].coeffs):
         # the forms share X's ambient space, so one check covers them all
@@ -461,12 +468,11 @@ def chain_check(
     if 0 in in_vals:
         i = in_vals.index(0)
         raise _on_form(point, i, forms[i])
-    keys = _keys(in_vals, place)
-    perm = _perm_from_keys(keys)
-    terms = _chain_terms(tuple([forms[i - 1] for i in perm]), variety, place)
     p = place.p
     maxx = max(map(abs, coords)) if p is None else None
-    passed, slack, lhs, rhs = _chain_inequality(keys, perm, terms, maxx, variety.dim, p)
+    passed, slack, lhs, rhs, by_order, at_place = _chain_inequality(
+        certificate, place, _keys(in_vals, place), maxx
+    )
     if p is None:
         lhs, rhs = _log_ratio(*lhs), _log_ratio(*rhs)
     else:
@@ -475,11 +481,11 @@ def chain_check(
     return ChainCheckRecord(
         point=str(point),
         place=place,
-        perm=perm,
+        perm=by_order[0],
         lhs=lhs,
         rhs=rhs,
-        constant_k=terms[5],
-        chain_c=terms[0],
+        constant_k=at_place[3],
+        chain_c=at_place[0],
         slack=slack,
         passed=passed,
     )
@@ -492,14 +498,12 @@ def chain_check_column(
     at each point, equal to that point's chain_check record, or None where
     the point lies on an input (where chain_check raises SupportError).
 
-    Each input is evaluated once over the coordinate columns, the re-sorted
-    family's _chain_terms are looked up once per distinct permutation, and
-    each point is compared by chain_check's own _chain_inequality.  Raises
-    chain_check's ArgumentError when a point lies outside the inputs'
-    ambient space.
+    Each input is evaluated once over the coordinate columns, and each point
+    is compared by chain_check's own _chain_inequality, from the same table
+    on the certificate.  Raises chain_check's ArgumentError when a point
+    lies outside the inputs' ambient space.
     """
     forms = certificate.inputs
-    variety = certificate.variety
     coords = [pt.coords for pt in points]
     width = len(forms[0].coeffs)
     for pt, c in zip(points, coords):
@@ -508,21 +512,12 @@ def chain_check_column(
     if not coords:
         return []
     xs = list(zip(*coords))
-    p = place.p
-    n = variety.dim
-    terms_of: dict = {}
+    inf = place.p is None
     out = []
     for c, vals in zip(coords, zip(*[f.column(xs) for f in forms])):
         if 0 in vals:
             out.append(None)
             continue
-        keys = _keys(vals, place)
-        perm = _perm_from_keys(keys)
-        terms = terms_of.get(perm)
-        if terms is None:
-            terms = terms_of[perm] = _chain_terms(
-                tuple([forms[i - 1] for i in perm]), variety, place
-            )
-        maxx = max(map(abs, c)) if p is None else None
-        out.append(_chain_inequality(keys, perm, terms, maxx, n, p)[:2])
+        maxx = max(map(abs, c)) if inf else None
+        out.append(_chain_inequality(certificate, place, _keys(vals, place), maxx)[:2])
     return out

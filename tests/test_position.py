@@ -17,7 +17,9 @@ from subgeneral import (
     violations_at,
 )
 
-from gen import rand_linear_form
+from subgeneral.position import greedy_basis
+
+from gen import rand_linear_form, strict_arrangement
 from oracles import rank_int_crossmul, subgeneral_bruteforce, witnesses_by_rank
 
 P2 = projective_space(2)
@@ -277,3 +279,25 @@ def test_generic_forms_at_the_top_level_take_one_echelon(count_calls):
     report = check_subgeneral(fam, projective_space(3), 11)
     assert report.verdict and report.complete and report.witnesses == ()
     assert len(calls) <= 12
+
+
+def test_greedy_basis_reduces_no_input_after_the_pick_that_reaches_the_rank(count_calls):
+    # strict families whose greedy basis modulo X ends before their last
+    # input: those inputs are never reduced, while the sweep's two cases (a
+    # rank not reached, and rank 0) still reduce every input
+    rng = random.Random(59)
+    calls = count_calls(linalg.reduce_row)
+    cut = 0
+    for n in (1, 2, 3):
+        for l in range(n + 1, 7):
+            fam, variety = strict_arrangement(rng, n, l)
+            last = greedy_basis(fam, variety, n + 1)[1][-1]
+            cut += last < l
+            for rank, stop in ((n + 1, last + 1), (n + 2, l + 1), (0, l + 1)):
+                del calls[:]
+                reduced, picks = greedy_basis(fam, variety, rank)
+                # the input reductions, not the echelon's
+                inputs = [a for a in calls if any(a[1] is f.coeffs for f in fam)]
+                assert len(reduced) == len(inputs) == stop
+                assert len(picks) == min(rank, n + 1)
+    assert cut >= 5

@@ -80,11 +80,26 @@ def test_quang_combine_matches_intersection_reference():
         assert got == quang_combine_by_enumeration(forms, variety, places).to_json()
 
 
+def _holding(forms, variety):
+    """A certificate holding these inputs and X, whatever they are: the
+    chain check's table reads nothing else."""
+    return replace(worked_cert(), variety=variety, inputs=tuple(forms))
+
+
+def _table_refusal(cert, order):
+    with pytest.raises(PositionError) as exc:
+        quang._table_terms(cert, order, INF)
+    assert order not in cert._chain_table
+    return str(exc.value), exc.value.report
+
+
 def test_every_ordering_matches_the_enumeration_or_is_refused():
     # every ordering of a strict family per (n, l) class with l <= 4, of a
     # planted failing family per class (no form reads x0 modulo X, so the
     # rows have rank at most n there) and of x2, x0, x1 on X = {x2 = 0},
-    # which is 2-subgeneral and whose first form may vanish on X
+    # which is 2-subgeneral and whose first form may vanish on X.  The chain
+    # check's table on the family agrees with the construction on every
+    # ordering: the same outputs, or the same refusal, which it does not keep
     rng = random.Random(53)
     places = (INF, Place(2), Place(3))
     families = [([X2, X0, X1], X_LINE)]
@@ -101,8 +116,9 @@ def test_every_ordering_matches_the_enumeration_or_is_refused():
     for family, variety in families:
         l = len(family) - 1
         x_rows = [list(f.coeffs) for f in variety.forms]
-        for forms in itertools.permutations(family):
-            forms = list(forms)
+        table = _holding(family, variety)
+        for order in itertools.permutations(range(l + 1)):
+            forms = [family[i] for i in order]
             if witnesses_by_rank(forms, variety, l)[0]:
                 with pytest.raises(PositionError) as exc:
                     quang_combine(forms, variety, places)
@@ -111,14 +127,20 @@ def test_every_ordering_matches_the_enumeration_or_is_refused():
                 assert str(exc.value) == "inputs are not %d-subgeneral on X (%d witnesses)" % (
                     l, len(report.witnesses)
                 )
+                assert _table_refusal(table, order) == (str(exc.value), report)
                 seen["not subgeneral"] += 1
             elif rank_int_crossmul(x_rows + [list(forms[0].coeffs)]) == len(x_rows):
-                with pytest.raises(PositionError, match="L_1 vanishes on X"):
+                with pytest.raises(PositionError, match="L_1 vanishes on X") as exc:
                     quang_combine(forms, variety, places)
+                assert _table_refusal(table, order) == (str(exc.value), exc.value.report)
                 seen["L_1 on X"] += 1
             else:
-                got = quang_combine(forms, variety, places).to_json()
+                cert = quang_combine(forms, variety, places)
+                got = cert.to_json()
                 assert got == quang_combine_by_enumeration(forms, variety, places).to_json()
+                picked = tuple(order[row.index(1)] for row in cert.matrix)
+                perm = tuple(i + 1 for i in order)
+                assert quang._table_terms(table, order, INF)[0][:2] == (perm, picked)
                 seen["combined"] += 1
     assert seen == {"combined": 446 + 4, "L_1 on X": 2, "not subgeneral": 446}
 
@@ -568,12 +590,16 @@ def _outcome(check, point, place, cert):
 
 def test_chain_check_matches_fraction_reference(count_calls):
     # and chain_check_column matches the records: (passed, slack) at each
-    # point, None where chain_check raises SupportError, one _chain_terms
-    # lookup per distinct permutation, and chain_check's ArgumentError
+    # point, None where chain_check raises SupportError, and chain_check's
+    # ArgumentError.  Both read one table on the certificate: over every
+    # place, one greedy basis per distinct permutation and no certificate
     rng = random.Random(47)
     places = (INF, Place(2), Place(3))
     kinds = set()
-    terms_calls = count_calls(quang._chain_terms)
+    counted = [
+        count_calls(fn)
+        for fn in (subgeneral.position.greedy_basis, quang.quang_combine, quang.quang_combine_cached)
+    ]
     repeated = 0
     for n in (1, 2, 3):
         for l in range(n, 7):
@@ -587,23 +613,65 @@ def test_chain_check_matches_fraction_reference(count_calls):
             )
             pts += [_support_point(rng, rng.choice(forms), variety) for _ in range(3)]
             wrong = ProjPoint(tuple(range(1, variety.ambient_dim + 3)))
+            start = [len(calls) for calls in counted]
+            checked = []
             for place in places:
-                start = len(terms_calls)
                 cells = quang.chain_check_column(pts, place, cert)
-                made = len(terms_calls) - start
                 got = [_outcome(chain_check, pt, place, cert) for pt in pts + [wrong]]
+                with pytest.raises(ArgumentError) as exc:
+                    quang.chain_check_column(pts + [wrong], place, cert)
+                checked.append((place, cells, got, exc.value))
+            made = [len(calls) - s for calls, s in zip(counted, start)]
+            perms = [r.perm for _, _, got, _ in checked for r in got if not isinstance(r, tuple)]
+            assert made == [len(set(perms)), 0, 0]
+            repeated += len(perms) > len(set(perms))
+            for place, cells, got, err in checked:
                 ref = [_outcome(chain_check_by_fractions, pt, place, cert) for pt in pts + [wrong]]
                 assert got == ref
                 kinds.update(r[0] if isinstance(r, tuple) else type(r).__name__ for r in got)
                 assert cells == [
                     None if isinstance(r, tuple) else (r.passed, r.slack) for r in got[:-1]
                 ]
-                perms = [r.perm for r in got if not isinstance(r, tuple)]
-                assert made == len(set(perms))
-                repeated += len(perms) > len(set(perms))
-                with pytest.raises(ArgumentError) as exc:
-                    quang.chain_check_column(pts + [wrong], place, cert)
-                assert ("ArgumentError", str(exc.value)) == got[-1]
+                assert ("ArgumentError", str(err)) == got[-1]
     assert kinds == {"ChainCheckRecord", "SupportError", "ArgumentError"}
     assert repeated > 0
     assert quang.chain_check_column([], INF, cert) == []
+
+
+def _refusals(point, cert):
+    """(message, report) of the PositionError that chain_check and
+    chain_check_column raise at one point, twice each: nothing is kept."""
+    seen = []
+    for check in (chain_check, lambda pt, v, c: quang.chain_check_column([pt], v, c)):
+        for _ in range(2):
+            with pytest.raises(PositionError) as exc:
+                check(point, INF, cert)
+            seen.append((str(exc.value), exc.value.report))
+    assert cert._chain_table == {}
+    assert len(set(seen)) == 1
+    return seen[0]
+
+
+def test_chain_check_refuses_a_nearest_input_that_vanishes_on_x():
+    # at a point off X = {x2 = 0}, |x2| is the smallest of the three values,
+    # so the re-sorted family starts with x2 and the construction refuses it
+    cert = quang_combine([X0, X1, X2], X_LINE)
+    message, report = _refusals(ProjPoint((3, 2, 1)), cert)
+    assert message == "L_1 vanishes on X, so the outputs are not in general position (2 witnesses)"
+    assert report == check_general([X2, X1], X_LINE)
+    with pytest.raises(PositionError) as exc:
+        quang_combine([X2, X1, X0], X_LINE)
+    assert (str(exc.value), exc.value.report) == (message, report)
+
+
+def test_chain_check_refuses_parsed_inputs_that_are_not_subgeneral():
+    # x0, x0 + x2, x0 - x2 all read x0 on X = {x2 = 0}: rank 1 there, so
+    # they are not 2-subgeneral, whatever outputs the document lists
+    bad = [X0, LinearForm((1, 0, 1)), LinearForm((1, 0, -1))]
+    data = worked_cert().to_json_dict()
+    data["inputs"] = [f.to_json() for f in bad]
+    cert = CombinationCertificate.from_json_dict(data)
+    message, report = _refusals(ProjPoint((1, 2, 3)), cert)
+    resorted = [bad[0], bad[2], bad[1]]  # |1|, |-2|, |4|
+    assert message == "inputs are not 2-subgeneral on X (1 witnesses)"
+    assert report == check_subgeneral(resorted, X_LINE, 2)
