@@ -13,11 +13,11 @@ the scanner fits minimal linear spans through violator clusters with exact
 integer kernels, reporting candidates only (never a certified exceptional
 set).  Each report ends with a summary of Quang's chain estimate over the
 first _CHAIN_CHECK_CAP sample points at each place holding l+1 hyperplanes:
-one quang.chain_check_column per place, which evaluates each input once
-over the column and reads each ordering from the certificate's table.  A
-point on an input counts as skipped; a place whose first hyperplane
-vanishes on X (l-subgeneral position allows it once l > n) has no
-combination, and its summary reads not applicable.
+one quang.chain_check_column per place, which checks the points one cell
+at a time and reads each ordering from the certificate's table.  A point
+on an input counts as skipped.  The position gate refuses a linear target
+that vanishes on X (l-subgeneral position allows it once l > n, but no
+point of X lies off its support), so every such place has a combination.
 
 Bulk ledgers (weighted_defect over a sample) evaluate each distinct target
 once per sample and read every local value from the exact kernel of the
@@ -50,12 +50,12 @@ from typing import Optional
 
 from json.encoder import encode_basestring_ascii
 
-from .errors import ArgumentError, ConfigRejectedError, DomainError, PositionError
+from .errors import ArgumentError, ConfigRejectedError, DomainError
 from .jsonio import json_int, parse_rat, rat_str, stable_dumps
 # rank_rows stays bound, unused: the benchmark's perfbench/tests/test_tracer.py asserts it
 from .linalg import dot_products, nullspace, primitive, rank_rows
 from .places import Place, parse_place
-from .position import check_subgeneral
+from .position import check_subgeneral, intersection_dim
 from .projective import (
     LinearForm,
     LinearSubvariety,
@@ -720,12 +720,15 @@ class DefectReport:
 
 
 def _validate_positions(config: ExperimentConfig, level: int) -> dict:
-    """Position report per place at level (dim X for general position)."""
+    """Position report per place at level (dim X for general position);
+    then a linear target that vanishes on X is refused: no point of X lies
+    off its support, though l-subgeneral position allows it once l > n."""
+    x = config.variety
     checks = {}
     for place, targets in config.arrangements:
         linear = [t for t in targets if isinstance(t, LinearForm)]
         if len(linear) == len(targets):
-            report = check_subgeneral(linear, config.variety, level)
+            report = check_subgeneral(linear, x, level)
             checks[str(place)] = {
                 "verdict": report.verdict,
                 "witnesses": len(report.witnesses),
@@ -741,6 +744,9 @@ def _validate_positions(config: ExperimentConfig, level: int) -> dict:
                     "non-linear targets at %s need position_asserted=true" % place
                 )
             checks[str(place)] = {"verdict": None, "witnesses": 0, "asserted": True}
+        for t in targets:
+            if isinstance(t, LinearForm) and intersection_dim([t], x) == x.dim:
+                raise ConfigRejectedError("target %s at %s vanishes on X" % (t, place))
     return checks
 
 
@@ -749,9 +755,8 @@ _CHAIN_CHECK_CAP = 200
 
 def _chain_summary(config: ExperimentConfig, eff_level: int, pts) -> dict:
     """The chain check over the first _CHAIN_CHECK_CAP sample points, one
-    column per applicable place: a place holding eff_level+1 hyperplanes
-    whose combination exists.  It does not exist when the first of them
-    vanishes on X, which l-subgeneral position allows once l > n."""
+    column per applicable place: a place holding eff_level+1 hyperplanes.
+    The position gate has passed them, so their combination exists."""
     head = pts[:_CHAIN_CHECK_CAP]
     summary = {}
     for place, targets in config.arrangements:
@@ -761,10 +766,7 @@ def _chain_summary(config: ExperimentConfig, eff_level: int, pts) -> dict:
             isinstance(t, LinearForm) for t in targets
         ):
             continue
-        try:
-            cert = quang_combine_cached(tuple(targets), config.variety)
-        except PositionError:
-            continue
+        cert = quang_combine_cached(tuple(targets), config.variety)
         cells = [c for c in chain_check_column(head, place, cert) if c is not None]
         summary[key] = {
             "applicable": True,

@@ -40,6 +40,13 @@ def normalize_coords(values) -> tuple[int, ...]:
     return primitive(vals)
 
 
+def wrong_space_error(form, point) -> ArgumentError:
+    """The error for a form (or subscheme) read at a point of another space."""
+    return ArgumentError(
+        "form on P^%d evaluated at point of P^%d" % (form.dim, point.dim)
+    )
+
+
 def _parse_vector(text):
     # accepts "[1:2:3]", "[1,2,3]", "1,2,3", or an iterable of rationals
     if isinstance(text, str):
@@ -107,9 +114,7 @@ class LinearForm:
 
     def evaluate(self, point: ProjPoint) -> int:
         if len(point.coords) != len(self.coeffs):
-            raise ArgumentError(
-                "form on P^%d evaluated at point of P^%d" % (self.dim, point.dim)
-            )
+            raise wrong_space_error(self, point)
         return sum(map(mul, self.coeffs, point.coords))
 
     def column(self, xs) -> list:
@@ -224,9 +229,7 @@ class HomForm:
 
     def evaluate(self, point: ProjPoint) -> int:
         if point.dim != self.dim:
-            raise ArgumentError(
-                "form on P^%d evaluated at point of P^%d" % (self.dim, point.dim)
-            )
+            raise wrong_space_error(self, point)
         return self.column([[x] for x in point.coords])[0]
 
     def column(self, xs) -> list:

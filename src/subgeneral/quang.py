@@ -62,18 +62,19 @@ where the H'_t are the outputs on the family re-sorted so that ||H_j(P)||_v
 ascends (the estimate is false without that re-sorting): the greedy basis
 of the re-sorted inputs modulo X, with C_v = 1.  B_v = max_j ||H_j||_v
 (exactly 1 at finite places), and gamma_v is log(M+1) at the archimedean
-place and 0 elsewhere, so K_v does not depend on the order.  The check uses
-the certificate's inputs and X only, through a table kept on the
-certificate: per sort order, the re-sorted family's greedy basis (refused
-as quang_combine refuses it), and per place, K_v; no certificate is built
-per order.  Both sides are compared exactly: integer valuation ledgers at
-finite places, and at the archimedean place the two norm products as
-integer (numerator, denominator) pairs, cross-multiplied; only the reported
-floats are rounded, each from its reduced fraction.  chain_check_column
-makes the same comparison (_chain_inequality) over a column of points, for
-the experiments' chain summary: each input is evaluated once over the
-coordinate columns, a point on an input is marked instead of raised, and
-only (passed, slack) is kept, with no record and no point label.
+place and 0 elsewhere, so K_v does not depend on the order (K_v = 0 at
+every prime).  The check uses the certificate's inputs and X only: a table
+on the certificate holds, per sort order, the re-sorted family's greedy
+basis from quang_combine's own walk (_walk), which refuses what
+quang_combine refuses and then keeps nothing; B_in and K_inf are kept once
+per certificate.  Both sides are compared exactly: integer valuation
+ledgers at finite places, and at the archimedean place the two norm
+products as integer (numerator, denominator) pairs, cross-multiplied; only
+the reported floats are rounded, each from its reduced fraction.  Each
+point is one cell (_cell): its space is checked, the inputs are evaluated,
+a point on an input is marked, and _chain_inequality compares.
+chain_check_column, for the experiments' chain summary, checks every
+point's space first and keeps (passed, slack) per cell, with no record.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ from .jsonio import parse_rat, rat_str, stable_dumps
 from .linalg import combine, rank_rows
 from .places import INF, Place, _ord_p, parse_place
 from .position import PositionReport, check_general, check_subgeneral, greedy_basis
-from .projective import LinearForm, LinearSubvariety, ProjPoint
+from .projective import LinearForm, LinearSubvariety, ProjPoint, wrong_space_error
 
 @dataclass(frozen=True)
 class CombinationCertificate:
@@ -114,9 +115,20 @@ class CombinationCertificate:
 
     @functools.cached_property
     def _chain_table(self) -> dict:
-        """The chain check's table (module docstring), filled by _table_terms.
-        Not a field, so ==, hash and the JSON never see it."""
+        """The chain check's table of sort orders (module docstring), filled
+        by _table_terms.  Not a field, so ==, hash and the JSON never see it."""
         return {}
+
+    @functools.cached_property
+    def _chain_constants(self) -> tuple:
+        """(B_in, e^(K_inf), K_inf) for the chain check: B_in the inputs'
+        product of max|coeff| and K_inf = l*log B + n(l-n)*log(M+1) with
+        B = max|coeff| (C_v = 1); K_v = 0 at every prime."""
+        forms = self.inputs
+        l, n = len(forms) - 1, self.variety.dim
+        big_b = max(f._max_coeff for f in forms)
+        k = big_b**l * (self.variety.ambient_dim + 1) ** (n * (l - n))
+        return math.prod(f._max_coeff for f in forms), k, math.log(k)
 
     def verify_soundness(self) -> bool:
         """Replay the matrix: row 1 is the first input, later rows respect
@@ -199,13 +211,30 @@ def quang_combine(
     ArgumentError when a form is not a LinearForm.
     """
     forms = list(forms)
+    picks = _walk(forms, variety)
+    l, n = len(forms) - 1, variety.dim
+    return CombinationCertificate(
+        variety=variety,
+        inputs=tuple(forms),
+        outputs=tuple([forms[j] for j in picks]),
+        matrix=tuple([_unit_row(j, l) for j in picks]),
+        # the n+1 outputs have full rank on X: general position by the rank rule
+        position=PositionReport(True, n, n + 1, variety),
+        # unit rows: C_v = 1 at every place
+        constants=tuple(sorted((str(v), "1") for v in constant_places)),
+    )
+
+
+def _walk(forms: list, variety: LinearSubvariety) -> list[int]:
+    """quang_combine's checks and refusals on a family: the 0-based picks of
+    its greedy basis modulo X (the walk, module docstring), n+1 of them with
+    the first 0, or the error that quang_combine raises."""
     if not all(isinstance(f, LinearForm) for f in forms):
         raise ArgumentError("the combination takes linear forms only")
     l = len(forms) - 1
     n = variety.dim
     if l < n:
         raise ArgumentError("need at least dim X + 1 forms, got %d" % (l + 1))
-    # the greedy basis of the inputs modulo X: the walk (module docstring)
     picks = greedy_basis(forms, variety, n + 1)[1]
     if len(picks) <= n:
         # rank rule: l+1 forms are l-subgeneral exactly at full rank n+1 on X
@@ -225,16 +254,7 @@ def quang_combine(
             " (%d witnesses)" % len(out_report.witnesses),
             report=out_report,
         )
-    return CombinationCertificate(
-        variety=variety,
-        inputs=tuple(forms),
-        outputs=tuple([forms[j] for j in picks]),
-        matrix=tuple([_unit_row(j, l) for j in picks]),
-        # the n+1 outputs have full rank on X: general position by the rank rule
-        position=PositionReport(True, n, n + 1, variety),
-        # unit rows: C_v = 1 at every place
-        constants=tuple(sorted((str(v), "1") for v in constant_places)),
-    )
+    return picks
 
 
 @functools.lru_cache(maxsize=100000)
@@ -296,12 +316,6 @@ class Ordering:
 
     def to_json_dict(self) -> dict:
         return {"place": str(self.place), "perm": list(self.perm)}
-
-
-def _wrong_space(form: LinearForm, point: ProjPoint) -> ArgumentError:
-    return ArgumentError(
-        "form on P^%d evaluated at point of P^%d" % (form.dim, point.dim)
-    )
 
 
 def _on_form(point: ProjPoint, i: int, form: LinearForm) -> SupportError:
@@ -376,39 +390,19 @@ class ChainCheckRecord:
         }
 
 
-def _table_terms(cert: CombinationCertificate, order: tuple[int, ...], place: Place):
-    """The certificate's chain table read at a sort order (0-based input
-    indices) and a place, order first.  Per order: (perm, outputs, B_out),
-    with perm the order 1-based, the outputs the greedy basis of the
-    re-sorted inputs modulo X as input indices, and B_out the product of
-    their max|coeff|; a family that quang_combine refuses raises its error,
-    unkept.  Per place.p: (C_v as a rational string, B_in, K_v exactly, K_v
-    as a float), with B_in the inputs' product of max|coeff| and K_v exactly
-    the integer e^(K_v) at inf and K_v / log p = 0 at a prime."""
-    table = cert._chain_table
-    by_order = table.get(order)
-    if by_order is None:
-        forms = [cert.inputs[i] for i in order]
-        n = cert.variety.dim
-        picks = greedy_basis(forms, cert.variety, n + 1)[1]
-        if len(picks) <= n or picks[0]:
-            quang_combine(forms, cert.variety)  # raises: the same test refuses
+def _table_terms(cert: CombinationCertificate, order: tuple[int, ...]):
+    """The certificate's chain table at a sort order (0-based input indices):
+    (perm, outputs, B_out), with perm the order 1-based, the outputs the
+    greedy basis of the re-sorted inputs modulo X as input indices, and
+    B_out the product of their max|coeff|.  A family that quang_combine
+    refuses raises its error from the same walk, and nothing is kept."""
+    terms = cert._chain_table.get(order)
+    if terms is None:
+        picks = _walk([cert.inputs[i] for i in order], cert.variety)
         out = tuple([order[j] for j in picks])
         b_out = math.prod([cert.inputs[i]._max_coeff for i in out])
-        by_order = table[order] = tuple([i + 1 for i in order]), out, b_out
-    p = place.p
-    at_place = table.get(p)
-    if at_place is None:
-        forms = cert.inputs
-        b_in = math.prod(f._max_coeff for f in forms)
-        if p is None:
-            l, n = len(forms) - 1, cert.variety.dim
-            big_b = max(f._max_coeff for f in forms)
-            k = big_b**l * (cert.variety.ambient_dim + 1) ** (n * (l - n))
-            at_place = table[p] = "1", b_in, k, _log_ratio(k, 1)
-        else:
-            at_place = table[p] = "1", b_in, 0, 0.0
-    return by_order, at_place
+        terms = cert._chain_table[order] = tuple([i + 1 for i in order]), out, b_out
+    return terms
 
 
 def _log_ratio(num: int, den: int) -> float:
@@ -421,19 +415,18 @@ def _log_ratio(num: int, den: int) -> float:
 def _chain_inequality(cert: CombinationCertificate, place: Place, keys, maxx):
     """The telescoping estimate at one point, compared exactly, from the
     inputs' sort keys (_keys) and the certificate's table: (passed, slack,
-    lhs, rhs, then _table_terms).  slack is the reported float; lhs and rhs
-    are exact: at inf e^lhs and e^rhs as integer (num, den) pairs, with maxx
-    = max|x_i| of the point, and at a prime p the integers lhs/log p and
-    rhs/log p (maxx unread)."""
-    by_order, at_place = _table_terms(cert, _sort_order(keys), place)
-    _, out_pos, b_out = by_order
-    _, b_in, k, _ = at_place
+    lhs, rhs, perm).  slack is the reported float; lhs and rhs are exact:
+    at inf e^lhs and e^rhs as integer (num, den) pairs, with maxx = max|x_i|
+    of the point, and at a prime p the integers lhs/log p and rhs/log p
+    (maxx unread, and K_v = 0)."""
+    perm, out_pos, b_out = _table_terms(cert, _sort_order(keys))
     l = len(keys) - 1
     n = cert.variety.dim
     e = l - n + 1
     out_keys = [keys[i] for i in out_pos]
     p = place.p
     if p is None:
+        b_in, k, _ = cert._chain_constants
         # lhs = maxx^(l+1) B_in / |prod L_j(P)|,
         # rhs = (maxx^(n+1) B_out / |prod L'_t(P)|)^(l-n+1) e^(K_v)
         lhs = maxx ** (l + 1) * b_in, math.prod(keys)  # the keys are |L_j(P)|
@@ -441,10 +434,29 @@ def _chain_inequality(cert: CombinationCertificate, place: Place, keys, maxx):
         lhs_cross = lhs[0] * rhs[1]
         rhs_cross = rhs[0] * lhs[1]
         slack = _log_ratio(rhs_cross, lhs_cross)
-        return lhs_cross <= rhs_cross, slack, lhs, rhs, by_order, at_place
+        return lhs_cross <= rhs_cross, slack, lhs, rhs, perm
     lhs = -sum(keys)  # the keys are -ord_p(L_j(P))
-    rhs = -e * sum(out_keys) + k
-    return lhs <= rhs, (rhs - lhs) * math.log(p), lhs, rhs, by_order, at_place
+    rhs = -e * sum(out_keys)
+    return lhs <= rhs, (rhs - lhs) * math.log(p), lhs, rhs, perm
+
+
+def _in_space(cert: CombinationCertificate, point: ProjPoint) -> None:
+    forms = cert.inputs
+    if len(point.coords) != len(forms[0].coeffs):
+        # the forms share X's ambient space, so one check covers them all
+        raise wrong_space_error(forms[0], point)
+
+
+def _cell(cert: CombinationCertificate, place: Place, point: ProjPoint):
+    """One point of the chain check: _chain_inequality's tuple, or the
+    0-based index of the first input that vanishes at the point."""
+    _in_space(cert, point)
+    coords = point.coords
+    vals = [sum(map(mul, f.coeffs, coords)) for f in cert.inputs]
+    if 0 in vals:
+        return vals.index(0)
+    maxx = max(map(abs, coords)) if place.p is None else None
+    return _chain_inequality(cert, place, _keys(vals, place), maxx)
 
 
 def chain_check(
@@ -459,33 +471,25 @@ def chain_check(
     output is an input); and quang_combine's PositionError when that
     refuses the re-sorted family.
     """
-    forms = certificate.inputs
-    coords = point.coords
-    if len(coords) != len(forms[0].coeffs):
-        # the forms share X's ambient space, so one check covers them all
-        raise _wrong_space(forms[0], point)
-    in_vals = [sum(map(mul, f.coeffs, coords)) for f in forms]
-    if 0 in in_vals:
-        i = in_vals.index(0)
-        raise _on_form(point, i, forms[i])
+    cell = _cell(certificate, place, point)
+    if type(cell) is int:
+        raise _on_form(point, cell, certificate.inputs[cell])
+    passed, slack, lhs, rhs, perm = cell
     p = place.p
-    maxx = max(map(abs, coords)) if p is None else None
-    passed, slack, lhs, rhs, by_order, at_place = _chain_inequality(
-        certificate, place, _keys(in_vals, place), maxx
-    )
     if p is None:
         lhs, rhs = _log_ratio(*lhs), _log_ratio(*rhs)
+        k = certificate._chain_constants[2]
     else:
         logp = math.log(p)
-        lhs, rhs = lhs * logp, rhs * logp
+        lhs, rhs, k = lhs * logp, rhs * logp, 0.0
     return ChainCheckRecord(
         point=str(point),
         place=place,
-        perm=by_order[0],
+        perm=perm,
         lhs=lhs,
         rhs=rhs,
-        constant_k=at_place[3],
-        chain_c=at_place[0],
+        constant_k=k,
+        chain_c="1",
         slack=slack,
         passed=passed,
     )
@@ -498,26 +502,13 @@ def chain_check_column(
     at each point, equal to that point's chain_check record, or None where
     the point lies on an input (where chain_check raises SupportError).
 
-    Each input is evaluated once over the coordinate columns, and each point
-    is compared by chain_check's own _chain_inequality, from the same table
-    on the certificate.  Raises chain_check's ArgumentError when a point
-    lies outside the inputs' ambient space.
+    Every point is chain_check's own cell, compared from the same table on
+    the certificate.  Every point's space is checked before any comparison,
+    so a point outside the inputs' ambient space raises chain_check's
+    ArgumentError even after a point whose ordering is refused.
     """
-    forms = certificate.inputs
-    coords = [pt.coords for pt in points]
-    width = len(forms[0].coeffs)
-    for pt, c in zip(points, coords):
-        if len(c) != width:
-            raise _wrong_space(forms[0], pt)
-    if not coords:
-        return []
-    xs = list(zip(*coords))
-    inf = place.p is None
-    out = []
-    for c, vals in zip(coords, zip(*[f.column(xs) for f in forms])):
-        if 0 in vals:
-            out.append(None)
-            continue
-        maxx = max(map(abs, c)) if inf else None
-        out.append(_chain_inequality(certificate, place, _keys(vals, place), maxx)[:2])
-    return out
+    points = list(points)
+    for pt in points:
+        _in_space(certificate, pt)
+    cells = [_cell(certificate, place, pt) for pt in points]
+    return [None if type(c) is int else c[:2] for c in cells]

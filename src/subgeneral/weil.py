@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 from .errors import ArgumentError, SupportError
 from .places import Place, _ord_p, parse_place
-from .projective import HomForm, LinearForm, ProjPoint
+from .projective import HomForm, LinearForm, ProjPoint, wrong_space_error
 
 Target = Union[LinearForm, HomForm, "SubschemeSpec"]
 
@@ -170,9 +170,7 @@ def _column(target: Target, points, xs, maxes, mode: str, places):
     width = target.dim + 1
     if xs is None or len(xs) != width:
         bad = next(pt for pt in points if len(pt.coords) != width)
-        raise ArgumentError(
-            "form on P^%d evaluated at point of P^%d" % (target.dim, bad.dim)
-        )
+        raise wrong_space_error(target, bad)
     cols = [c.column(xs) for c in comps]
     marks = [()] * len(points)
     zeros = {i for col in cols if not all(col) for i in compress(count(), map(not_, col))}

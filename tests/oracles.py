@@ -6,13 +6,15 @@ cross-multiplication for the bulk runs) instead of fraction-free elimination
 with gcd trimming, position verdicts come from a raw subset sweep, and
 factorization and primality are delegated to sympy.  The witness reference
 is the subset loop the position sweep replaced, one fresh rank per subset; the
-nullspace reference is the RREF-over-Fractions basis.  The avoidance reference keeps the
-rank-based membership test the combination construction used to run:
+nullspace reference is the RREF-over-Fractions basis.  The avoidance
+reference keeps the rank-based membership test the combination
+construction used to run, on the Gauss-Jordan rank over Fractions above:
 two fresh eliminations per candidate, after an explicit intersection of
-the span with the excluded rowspace; the construction reference runs the
-whole candidate enumeration through it, round by round, as the
-construction did before it became an echelon walk, and the chain-check
-reference is the check as it ran on Fractions.  The local Weil reference takes the
+the span with the excluded rowspace through RREF kernels, so it reads no
+elimination of the package.  The construction reference runs the whole
+candidate enumeration through it, round by round, as the construction did
+before it became an echelon walk, and the chain-check reference is the
+check as it ran on Fractions.  The local Weil reference takes the
 max-norm definition at face value, over Fractions, with no normalization
 assumed.  The row reference is the one-point kernel the column kernel
 replaced: one target at one point, each place in turn.  The sampler
@@ -49,7 +51,7 @@ from subgeneral.experiments import (
     _line_param_bound,
 )
 from subgeneral.jsonio import rat_str
-from subgeneral.linalg import in_rowspace, intersect_rowspaces, nullspace, primitive
+from subgeneral.linalg import nullspace, primitive
 from subgeneral.places import INF, _ord_p
 from subgeneral.position import check_general
 from subgeneral.projective import HomForm, LinearForm, ProjPoint, point_from_canonical
@@ -230,9 +232,14 @@ def strong_lucas_reference(n: int) -> bool:
     return bool(is_strong_lucas_prp(n))
 
 
+def _in_span_by_rank(vec, rows) -> bool:
+    """vec lies in rowspace(rows): appending it leaves the rank over Q as is."""
+    return rank_fraction_gauss(list(rows) + [vec]) == rank_fraction_gauss(rows)
+
+
 def avoiding_by_rank(span_rows, excluded_rowsets, max_coeff: int = 32):
     """First (coeffs, combination) in the construction's candidate order
-    whose combination is nonzero and in no excluded rowspace, by in_rowspace.
+    whose combination is nonzero and in no excluded rowspace, by rank over Q.
 
     The order: increasing max |coefficient| m, and within one m the
     coefficient vectors read right to left through 0, 1, -1, ..., m, -m.
@@ -250,17 +257,30 @@ def avoiding_by_rank(span_rows, excluded_rowsets, max_coeff: int = 32):
                 sum(c * row[i] for c, row in zip(coeffs, span_rows))
                 for i in range(ncols)
             ]
-            if any(vec) and not any(in_rowspace(vec, ex) for ex in excluded_rowsets):
+            if any(vec) and not any(_in_span_by_rank(vec, ex) for ex in excluded_rowsets):
                 return coeffs, vec
     raise RuntimeError("no avoiding candidate")
+
+
+def _intersection_by_rref(rows_a, rows_b, ncols: int):
+    """Nonzero vectors spanning rowspace(A) meet rowspace(B): rowspace(B) is
+    the common kernel of its annihilator K = nullspace_by_rref(B), so u.A
+    lies in it exactly when u is in the kernel of the products (A K^T)^T."""
+    annihilator = nullspace_by_rref(rows_b, ncols)
+    products = [[sum(map(mul, a, k)) for a in rows_a] for k in annihilator]
+    span = [
+        [sum(c * a[i] for c, a in zip(u, rows_a)) for i in range(ncols)]
+        for u in nullspace_by_rref(products, len(rows_a))
+    ]
+    return [v for v in span if any(v)]
 
 
 def quang_step_by_intersection(span_rows, excluded_rowsets):
     """One construction round as it used to run: intersect the span with each
     excluded rowspace first, then avoid the intersections by rank."""
     ncols = len(span_rows[0])
-    forbidden = [intersect_rowspaces(span_rows, ex, ncols) for ex in excluded_rowsets]
-    return avoiding_by_rank(span_rows, [[list(v) for v in f] for f in forbidden if f])
+    forbidden = [_intersection_by_rref(span_rows, ex, ncols) for ex in excluded_rowsets]
+    return avoiding_by_rank(span_rows, [f for f in forbidden if f])
 
 
 def quang_combine_by_enumeration(forms, variety, constant_places=(INF,)):

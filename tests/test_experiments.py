@@ -31,6 +31,7 @@ from subgeneral import (
     SupportError,
     candidate_targets,
     chain_check,
+    check_subgeneral,
     delta_budget,
     exceptional_scan,
     local_weil,
@@ -955,6 +956,27 @@ def test_main_rejects_bad_position():
     with pytest.raises(ConfigRejectedError) as exc:
         run_main_experiment(cfg)
     assert exc.value.report is not None
+
+
+def test_main_refuses_a_linear_target_that_vanishes_on_x():
+    # l-subgeneral position allows x2 on X = {x2 = 0} at l = 2 > n, but no
+    # point of X lies off its support; the gate refuses it after the verdict
+    x2, x0, x1 = LinearForm((0, 0, 1)), LinearForm((1, 0, 0)), LinearForm((0, 1, 0))
+    for place, targets in ((INF, (x2, x0, x1)), (Place(2), (x0, x1, x2))):
+        cfg = ExperimentConfig(
+            variety=X_LINE,
+            arrangements=((place, targets),),
+            level=2,
+            epsilon=Fraction(1),
+            h_min=0.0,
+            h_max=3.0,
+            sample_count=10,
+            seed=0,
+        )
+        assert check_subgeneral(list(targets), X_LINE, 2).verdict
+        with pytest.raises(ConfigRejectedError) as exc:
+            run_main_experiment(cfg)
+        assert str(exc.value) == "target x2 at %s vanishes on X" % place
 
 
 def test_nonlinear_targets_need_the_assertion():

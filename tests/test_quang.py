@@ -88,7 +88,7 @@ def _holding(forms, variety):
 
 def _table_refusal(cert, order):
     with pytest.raises(PositionError) as exc:
-        quang._table_terms(cert, order, INF)
+        quang._table_terms(cert, order)
     assert order not in cert._chain_table
     return str(exc.value), exc.value.report
 
@@ -140,7 +140,7 @@ def test_every_ordering_matches_the_enumeration_or_is_refused():
                 assert got == quang_combine_by_enumeration(forms, variety, places).to_json()
                 picked = tuple(order[row.index(1)] for row in cert.matrix)
                 perm = tuple(i + 1 for i in order)
-                assert quang._table_terms(table, order, INF)[0][:2] == (perm, picked)
+                assert quang._table_terms(table, order)[:2] == (perm, picked)
                 seen["combined"] += 1
     assert seen == {"combined": 446 + 4, "L_1 on X": 2, "not subgeneral": 446}
 
@@ -675,3 +675,36 @@ def test_chain_check_refuses_parsed_inputs_that_are_not_subgeneral():
     resorted = [bad[0], bad[2], bad[1]]  # |1|, |-2|, |4|
     assert message == "inputs are not 2-subgeneral on X (1 witnesses)"
     assert report == check_subgeneral(resorted, X_LINE, 2)
+
+
+def test_chain_table_holds_one_entry_per_ordering_and_nothing_else():
+    # the place constants live on the certificate, not in the table: after
+    # checks at inf, p=2 and p=3 its keys are exactly the sort orders seen
+    rng = random.Random(59)
+    forms, variety = strict_arrangement(rng, 2, 4)
+    cert = quang_combine(forms, variety)
+    pts = sample_points(
+        variety, 0.0, math.log(30), 40, seed=59, excluded=tuple(forms), mode="strict"
+    ).points
+    orders = {
+        tuple(i - 1 for i in chain_check(pt, place, cert).perm)
+        for pt in pts
+        for place in (INF, Place(2), Place(3))
+    }
+    assert len(orders) > 1
+    assert set(cert._chain_table) == orders
+
+
+def test_column_checks_every_space_before_a_refused_ordering():
+    # the first point's ordering is refused (x2 nearest, and x2 vanishes on
+    # X), the second lies in P^3: the column raises chain_check's
+    # ArgumentError for the second, and keeps nothing
+    cert = quang_combine([X0, X1, X2], X_LINE)
+    refused, wrong = ProjPoint((3, 2, 1)), ProjPoint((1, 2, 3, 4))
+    with pytest.raises(ArgumentError) as exc:
+        quang.chain_check_column([refused, wrong], INF, cert)
+    assert str(exc.value) == "form on P^2 evaluated at point of P^3"
+    assert _outcome(chain_check, wrong, INF, cert) == ("ArgumentError", str(exc.value))
+    assert cert._chain_table == {}
+    with pytest.raises(PositionError):
+        quang.chain_check_column([refused], INF, cert)
