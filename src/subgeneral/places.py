@@ -13,8 +13,8 @@ double-precision approximation.
 
 from __future__ import annotations
 
+import functools
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,11 +139,20 @@ INF = Place()
 
 
 def parse_place(s) -> Place:
-    """Accepts 'inf', 'p=7', '7', or an int."""
+    """Accepts 'inf', 'p=7', '7', or an int.  A string is parsed once per
+    text (a bounded cache of immutable Places, so the primality test of a
+    finite place runs once per text); a text that names no place raises
+    ArgumentError every time."""
     if isinstance(s, Place):
         return s
+    if type(s) is str:
+        return _parse_place_text(s)
     if isinstance(s, int):
         return Place(s)
+    return _place_of(s)
+
+
+def _place_of(s) -> Place:
     text = str(s).strip().lower()
     if text in ("inf", "infinity", "oo"):
         return INF
@@ -153,6 +162,9 @@ def parse_place(s) -> Place:
         return Place(int(text))
     except ValueError as exc:
         raise ArgumentError("not a place: %r" % (s,)) from exc
+
+
+_parse_place_text = functools.lru_cache(maxsize=1024)(_place_of)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +225,10 @@ def log_norm(x, v: Place) -> LogNorm:
 # the primes of g are walked, and only while p^2 <= g; n is divided by those
 # primes alone.  The gcd's cost grows with the product, so the bound stays at
 # 3000: one gcd took 3.4 us there, 11.7 us at 10^4 and 35 us at 3*10^4.  A
-# cofactor below 3001^2 with no sieve factor is prime, with no test.  sympy's
+# cofactor below 3001^2 with no sieve factor is prime, with no test, and so is
+# any piece of it that rho splits off below 3001^2.  Rho starts the same way
+# on every call (y = 2, c = 1, then the next c), with no generator to seed,
+# so a factorization's dict order is fixed by n.  sympy's
 # factorint, the test oracle, measured ~3x slower on uniform 10^12 inputs,
 # which busts the product-formula check's time budget.
 
@@ -230,15 +245,17 @@ def _small_primes(bound: int) -> list[int]:
 
 _SMALL_PRIMES = _small_primes(_SIEVE_BOUND)
 _SIEVE_PRODUCT = math.prod(_SMALL_PRIMES)
+_PRIME_BELOW = (_SIEVE_BOUND + 1) ** 2  # a cofactor below this is prime
 
 
 def _brent_rho(n: int) -> int:
-    # returns a nontrivial divisor of composite odd n
-    rng = random.Random(n)
+    # returns a nontrivial divisor of composite odd n: the walk
+    # y -> y^2 + c from y = 2, with c = 1, 2, 3, ... until one splits n
+    m = 128
+    c = 0
     while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
+        c += 1
+        y = 2
         g = r = q = 1
         x = ys = y
         while g == 1:
@@ -250,7 +267,7 @@ def _brent_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # gcd ignores the sign
                 g = math.gcd(q, n)
                 k += m
             r <<= 1
@@ -258,7 +275,7 @@ def _brent_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
 
@@ -284,13 +301,14 @@ def factor_int(n: int) -> dict[int, int]:
             n //= p
             e += 1
         out[p] = e
-    if 1 < n < (_SIEVE_BOUND + 1) ** 2:  # every prime factor exceeds the bound
+    if 1 < n < _PRIME_BELOW:  # every prime factor exceeds the bound
         out[n] = 1
     elif n > 1:
         stack = [n]
         while stack:
             m = stack.pop()
-            if _is_prime(m):
+            # a piece below 3001^2 is prime: every prime factor exceeds 3000
+            if m < _PRIME_BELOW or _is_prime(m):
                 out[m] = out.get(m, 0) + 1
             else:
                 d = _brent_rho(m)

@@ -58,6 +58,14 @@ def _parse_vector(text):
     return list(text)
 
 
+@lru_cache(maxsize=64)
+def _label_format(count: int) -> str:
+    """The label format of a point with count coordinates, "[%d:...:%d]":
+    canonical coordinates are ints, which %d writes as str does.  Kept once
+    per length, not once per point."""
+    return "[%s]" % ":".join(["%d"] * count)
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """A rational point of P^M in canonical integer coordinates."""
@@ -76,7 +84,7 @@ class ProjPoint:
         return len(self.coords) - 1
 
     def __str__(self) -> str:
-        return "[%s]" % ":".join(map(str, self.coords))
+        return _label_format(len(self.coords)) % self.coords
 
     __repr__ = __str__
 

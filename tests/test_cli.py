@@ -222,6 +222,15 @@ def test_quang_combine_worked_example(capsys):
     assert data["position"]["verdict"] is True
 
 
+def test_quang_combine_refuses_a_place_listed_twice(capsys):
+    argv = ["quang", "combine", "--forms", WORKED_FORMS, "--x", LINE_X]
+    assert main(argv + ["--places", "inf,p=2,inf"]) == 65
+    captured = capsys.readouterr()
+    assert "duplicate places" in captured.err and captured.out == ""
+    assert main(argv + ["--places", "p=2,inf"]) == 0
+    capsys.readouterr()
+
+
 def test_quang_combine_rejects_bad_position(capsys):
     assert main(["quang", "combine", "--forms", CONCURRENT]) == 65
     assert "subgeneral" in capsys.readouterr().err
@@ -621,6 +630,16 @@ def test_non_finite_height_windows_exit_65(capsys, window, fmt):
     captured = capsys.readouterr()
     assert "must be finite" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_a_manifest_place_that_is_not_text_stays_exit_65(capsys):
+    # parse_place reads a string once per text; other input keeps its own path
+    manifest = {"points": [["1", "4"]], "targets": [["1", "0"]]}
+    for place in ([2], {"p": 2}):
+        assert main(["weil", "--manifest", json.dumps({**manifest, "places": [place]})]) == 65
+        assert "not a place" in capsys.readouterr().err
+    assert main(["weil", "--manifest", json.dumps({**manifest, "places": [2]})]) == 0
+    capsys.readouterr()
 
 
 def test_well_formed_bad_values_stay_exit_65(capsys):

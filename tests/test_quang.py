@@ -333,6 +333,25 @@ def test_soundness_replays_the_listed_constants():
     assert CombinationCertificate.from_json_dict(extra).verify_soundness()
 
 
+def test_soundness_replays_a_row_that_is_not_a_unit_row():
+    # a parsed certificate may carry any row that respects the span
+    # discipline: 2*L_2 + L_3 = x0 + x1, with C_inf = 2*2 and C_2 = 1
+    data = {
+        **worked_cert().to_json_dict(),
+        "outputs": [["1", "0", "0"], ["1", "1", "0"]],
+        "matrix": [["1", "0", "0"], ["0", "2", "1"]],
+        "constants": {"inf": "4", "p=2": "1"},
+    }
+    assert CombinationCertificate.from_json_dict(data).verify_soundness()
+    for edit in (
+        {"outputs": [["1", "0", "0"], ["0", "1", "0"]]},
+        {"matrix": [["1", "0", "0"], ["0", "1", "1"]]},
+        {"constants": {"inf": "1", "p=2": "1"}},
+    ):
+        edited = CombinationCertificate.from_json_dict({**data, **edit})
+        assert not edited.verify_soundness()
+
+
 def test_soundness_replays_constants_on_seeded_certificates():
     rng = random.Random(23)
     for n, l in ((1, 2), (2, 3), (2, 4), (3, 5)):
@@ -525,7 +544,7 @@ def _cold_certificate_families():
     return [strict_arrangement(rng, n, l) for n in (1, 2, 3) for l in range(n, 7)]
 
 
-def test_cold_certificates_do_no_rank_work(count_calls):
+def test_cold_certificates_do_no_rank_work(cold_caches, count_calls):
     families = _cold_certificate_families()
     calls = count_calls(linalg.rank_rows)
     for forms, variety in families:
@@ -537,7 +556,7 @@ def test_cold_certificates_do_no_rank_work(count_calls):
     assert len(calls) == 2
 
 
-def test_cold_certificates_enumerate_no_candidates(count_calls):
+def test_cold_certificates_enumerate_no_candidates(cold_caches, count_calls):
     # nor do they sweep subsets or build a second echelon: the inputs' greedy
     # basis modulo X is the rank rule's echelon and the walk, which reduces
     # X's rows and then at most the l+1 inputs, and check_subgeneral runs
@@ -563,6 +582,54 @@ def test_cold_certificates_enumerate_no_candidates(count_calls):
     start = len(echelon_calls)
     linalg.rank_rows([[1, 0], [0, 1]])
     assert len(echelon_calls) == start + 2
+
+
+def test_warm_certificates_equal_cold_ones(cold_caches):
+    # what X and the place set fix is kept once; a certificate built from the
+    # kept values, on an equal but distinct X, is the cold one byte for byte
+    places = (INF, Place(2), Place(3))
+    for forms, variety in _cold_certificate_families():
+        cold_caches()
+        cold = quang_combine(forms, variety, places)
+        twin = LinearSubvariety(
+            variety.ambient_dim, tuple(LinearForm(f.coeffs) for f in variety.forms)
+        )
+        warm = quang_combine(list(forms), twin, places)
+        assert twin is not variety and twin == variety
+        assert warm == cold and warm.to_json() == cold.to_json()
+        assert warm.verify_soundness() and cold.verify_soundness()
+
+
+def test_a_warm_certificate_pays_only_for_its_family(count_calls):
+    # X = {x3 = 0} in P^3 and the place set were seen before: the second
+    # family on an equal X tests no prime and reduces none of X's forms
+    rng = random.Random(11)
+    places = (INF, Place(2), Place(3))
+    forms, variety = strict_arrangement(rng, 2, 4)
+    assert quang_combine(forms, variety, places).verify_soundness()
+    forms, twin = strict_arrangement(rng, 2, 4)
+    assert twin == variety and twin is not variety
+    x_rows = {f.coeffs for f in twin.forms}
+    prime_calls = count_calls(subgeneral.places._is_prime)
+    echelon_calls = count_calls(linalg.extend_echelon)
+    assert quang_combine(forms, twin, places).verify_soundness()
+    assert prime_calls == []
+    assert echelon_calls  # the family's own walk
+    assert not [args for args in echelon_calls if tuple(args[1]) in x_rows]
+    # the wrappers do see the public entry points
+    Place(5)
+    linalg.rank_rows([list(f.coeffs) for f in twin.forms])
+    assert prime_calls == [(5,)]
+    assert any(tuple(args[1]) in x_rows for args in echelon_calls)
+
+
+def test_constant_places_listed_twice_are_refused():
+    forms, variety = [X0, X1, X2], projective_space(2)
+    for places in ((INF, Place(2), INF), (Place(3), Place(3))):
+        with pytest.raises(ArgumentError, match="duplicate"):
+            quang_combine(forms, variety, places)
+    cert = quang_combine(forms, variety, (Place(3), INF, Place(2)))
+    assert CombinationCertificate.from_json_dict(cert.to_json_dict()) == cert
 
 
 # ---------------------------------------------------------------------------
