@@ -13,7 +13,6 @@ double-precision approximation.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -139,20 +138,11 @@ INF = Place()
 
 
 def parse_place(s) -> Place:
-    """Accepts 'inf', 'p=7', '7', or an int.  A string is parsed once per
-    text (a bounded cache of immutable Places, so the primality test of a
-    finite place runs once per text); a text that names no place raises
-    ArgumentError every time."""
+    """Accepts 'inf', 'p=7', '7', or an int."""
     if isinstance(s, Place):
         return s
-    if type(s) is str:
-        return _parse_place_text(s)
     if isinstance(s, int):
         return Place(s)
-    return _place_of(s)
-
-
-def _place_of(s) -> Place:
     text = str(s).strip().lower()
     if text in ("inf", "infinity", "oo"):
         return INF
@@ -162,9 +152,6 @@ def _place_of(s) -> Place:
         return Place(int(text))
     except ValueError as exc:
         raise ArgumentError("not a place: %r" % (s,)) from exc
-
-
-_parse_place_text = functools.lru_cache(maxsize=1024)(_place_of)
 
 
 # ---------------------------------------------------------------------------

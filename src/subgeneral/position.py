@@ -8,15 +8,11 @@ subvariety X of dimension n when every subfamily J with #J <= l+1 satisfies
 with dim(empty) = -1.  General position is the case l = n.
 
 Dimensions are exact, from fraction-free integer elimination.
-greedy_basis reduces each input form once against X's integer echelon,
-so everything here works modulo X, in the n+1 columns that are not X's
-pivots: dim(J meet X) = n - (rank of J's reduced rows).  That echelon and
-its free columns are computed once per X, not once per family: a bounded
-cache keyed by the LinearSubvariety (an immutable value, so an equal X
-hits it) holds them as tuples, and the rank rule, the sweep,
-intersection_dim, every certificate and every chain-table miss read them.
-The sweep walks the subsets depth first in lexicographic order, and each
-subset's echelon is its prefix's extended by one row reduction
+greedy_basis reduces X's forms to an integer echelon once and each input
+form against it once, so everything here works modulo X, in the n+1
+columns that are not X's pivots: dim(J meet X) = n - (rank of J's reduced
+rows).  The sweep walks the subsets depth first in lexicographic order,
+and each subset's echelon is its prefix's extended by one row reduction
 (linalg.extend_echelon): one reduction per subset, and one echelon per
 level of the walk in memory.  A subset whose intersection with X is
 already empty is not extended: a superset J' with #J' <= l+1 meets X in
@@ -44,7 +40,6 @@ first pick is L_1 they are the construction's outputs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .errors import ArgumentError
@@ -111,12 +106,16 @@ def greedy_basis(forms, variety: LinearSubvariety, rank: int):
     forms = list(forms)
     if not forms:
         raise ArgumentError("need at least one form")
-    base, free, width = _modulo(variety)
     for f in forms:
         if not isinstance(f, LinearForm):
             raise ArgumentError("position checks take linear forms only")
-        if len(f.coeffs) != width:
+        if f.dim != variety.ambient_dim:
             raise ArgumentError("form lives in the wrong ambient space")
+    base: list = []
+    for f in variety.forms:
+        base = extend_echelon(base, f.coeffs)
+    pivots = {col for col, _ in base}
+    free = [c for c in range(variety.ambient_dim + 1) if c not in pivots]
     reduced = []
     picks = []
     echelon: list = []
@@ -132,20 +131,6 @@ def greedy_basis(forms, variety: LinearSubvariety, rank: int):
                 if len(picks) == rank:
                     break
     return reduced, picks
-
-
-@functools.lru_cache(maxsize=1024)
-def _modulo(variety: LinearSubvariety):
-    """(echelon, free columns, M+1) of X in P^M, for greedy_basis: X's
-    forms as an integer echelon of (pivot column, row) tuples, and the n+1
-    columns that are not its pivots.  Built once per X, and immutable."""
-    base: list = []
-    for f in variety.forms:
-        base = extend_echelon(base, f.coeffs)
-    width = variety.ambient_dim + 1
-    pivots = {col for col, _ in base}
-    free = tuple([c for c in range(width) if c not in pivots])
-    return tuple([(col, tuple(row)) for col, row in base]), free, width
 
 
 def _violations(forms, variety: LinearSubvariety, level: int, verdict_only: bool = False):

@@ -46,20 +46,11 @@ per-place constants
 
 make ||L'_t(P)||_v <= C_v * max_j ||L_j(P)||_v pointwise.  Every row that
 quang_combine builds is a 0/1 unit row, so C_v = 1 at every place:
-quang_combine writes "1" for each place, and a replay that finds unit rows
-compares each output with the input its row picks and every listed
-constant with 1, with no combination formed and no valuation read.
-Rational rows are combined and read entry by entry.
-
-A certificate pays only for its family.  What X fixes is computed once per
-X: its echelon and free columns (in position) and the outputs' general
-report.  The constants tuple is computed once per place set (where a place
-listed twice is refused), each unit row once per (j, l), and a replay
-parses each place text once (places.parse_place).  Each of these is a
-bounded cache keyed by an immutable value (the LinearSubvariety, the place
-tuple, the row's position, the text) that holds only tuples and frozen
-records, so certificates are the same values, with the same JSON, whether
-the caches are cold or warm.
+quang_combine writes "1" for each place (a place listed twice is refused:
+the JSON object of constants would keep it once), and a replay that finds
+unit rows compares every listed constant with 1, with no place parsed and
+no valuation read (from_json_dict refuses a key that names no place).
+Rational rows are read entry by entry, at the place each key names.
 
 chain_check verifies, point by point and place by place, the telescoping
 estimate behind the main bound with a fully explicit constant:
@@ -153,23 +144,20 @@ class CombinationCertificate:
             return False
         if tuple(self.matrix[0]) != _unit_row(0, l):
             return False
-        rows = self.matrix[1:]
-        fixed = _unit_rows(rows)  # then C_v = 1 at every place
         input_rows = [f.coeffs for f in self.inputs]
-        for r, row in enumerate(rows, 1):
+        for r in range(1, n + 1):
+            row = self.matrix[r]
             hi = l - n + r + 1  # 1-based top usable input index of L'_{r+1}
             if len(row) != l + 1 or row[0] or any(row[hi:]):
                 return False
-            # a unit row's combination is the input it picks, as it is
-            out = input_rows[row.index(1)] if fixed else tuple(combine(row, input_rows))
-            if out != self.outputs[r].coeffs:
+            if combine(row, input_rows) != list(self.outputs[r].coeffs):
                 return False
+        rows = self.matrix[1:]
+        fixed = _unit_rows(rows)  # then C_v = 1 at every place
         for v, c in self.constants:
-            place = parse_place(v)  # refuses a key that names no place
-            if fixed:
-                if c != "1" and parse_rat(c) != 1:  # "1" is the canonical text
-                    return False
-            elif parse_rat(c) != _rows_constant(rows, place):
+            # a place is read only where C_v depends on it; from_json_dict
+            # refuses a key that names no place
+            if parse_rat(c) != (1 if fixed else _rows_constant(rows, parse_place(v))):
                 return False
         return True
 
@@ -207,10 +195,8 @@ class CombinationCertificate:
         )
 
 
-@functools.lru_cache(maxsize=1024)
 def _unit_row(j: int, l: int) -> tuple[int, ...]:
-    """Row of the coefficient matrix that picks input j (0-based) of l+1,
-    built once per (j, l)."""
+    """Row of the coefficient matrix that picks input j (0-based) of l+1."""
     row = [0] * (l + 1)
     row[j] = 1
     return tuple(row)
@@ -225,39 +211,25 @@ def quang_combine(
     not l-subgeneral on X for l = len(forms) - 1, or when L_1 vanishes on X
     (allowed in l-subgeneral position once l > n), so that L'_1 = L_1 keeps
     the outputs out of general position (the report is then the outputs');
-    ArgumentError when a form is not a LinearForm.
+    ArgumentError when a form is not a LinearForm or a place is listed
+    twice in constant_places.
     """
     forms = list(forms)
-    constants = _unit_constants(tuple(constant_places))
+    keys = sorted([str(v) for v in constant_places])
+    if len(set(keys)) != len(keys):  # the JSON object would keep it once
+        raise ArgumentError("duplicate places in constant_places")
     picks = _walk(forms, variety)
-    l = len(forms) - 1
+    l, n = len(forms) - 1, variety.dim
     return CombinationCertificate(
         variety=variety,
         inputs=tuple(forms),
         outputs=tuple([forms[j] for j in picks]),
         matrix=tuple([_unit_row(j, l) for j in picks]),
-        position=_outputs_report(variety),
-        constants=constants,
+        # the n+1 outputs have full rank on X: general position by the rank rule
+        position=PositionReport(True, n, n + 1, variety),
+        # unit rows: C_v = 1 at every place
+        constants=tuple([(v, "1") for v in keys]),
     )
-
-
-@functools.lru_cache(maxsize=1024)
-def _outputs_report(variety: LinearSubvariety) -> PositionReport:
-    """The report of any n+1 outputs of the walk on X: they have full rank on
-    X, so they are in general position by the rank rule.  Once per X."""
-    n = variety.dim
-    return PositionReport(True, n, n + 1, variety)
-
-
-@functools.lru_cache(maxsize=1024)
-def _unit_constants(places: tuple) -> tuple[tuple[str, str], ...]:
-    """The constants of unit rows, C_v = "1", keyed and sorted by place text.
-    Once per place set; a place listed twice is refused, since the JSON
-    object of constants would keep it once."""
-    keys = sorted([str(v) for v in places])
-    if len(set(keys)) != len(keys):
-        raise ArgumentError("duplicate places in constant_places")
-    return tuple([(v, "1") for v in keys])
 
 
 def _walk(forms: list, variety: LinearSubvariety) -> list[int]:

@@ -1,6 +1,6 @@
 # Marks tests/ as the rootdir for helper imports (oracles, gen) without
 # turning the directory into a package, prints the acceptance summary, and
-# provides the count_calls and cold_caches fixtures.
+# provides the count_calls fixture.
 
 import re
 import sys
@@ -31,30 +31,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line("criterion %d: %s" % (num, verdict))
 
 
-def _package_modules():
-    return [
-        mod
-        for name, mod in list(sys.modules.items())
-        if mod is not None and (name == "subgeneral" or name.startswith("subgeneral."))
-    ]
-
-
-@pytest.fixture
-def cold_caches():
-    """Clears every lru_cache in the subgeneral package (each function with a
-    cache_clear, wherever it is bound) before the test, and returns the
-    clearing function so that a test can go cold again."""
-
-    def clear():
-        for mod in _package_modules():
-            for value in list(vars(mod).values()):
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
-
-    clear()
-    return clear
-
-
 @pytest.fixture
 def count_calls(monkeypatch):
     """count_calls(fn) replaces every binding of fn in the subgeneral
@@ -68,10 +44,13 @@ def count_calls(monkeypatch):
             calls.append(args)
             return original(*args, **kwargs)
 
-        for mod in _package_modules():
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counting)
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and (
+                name == "subgeneral" or name.startswith("subgeneral.")
+            ):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
         return calls
 
     return install

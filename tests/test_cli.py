@@ -633,7 +633,8 @@ def test_non_finite_height_windows_exit_65(capsys, window, fmt):
 
 
 def test_a_manifest_place_that_is_not_text_stays_exit_65(capsys):
-    # parse_place reads a string once per text; other input keeps its own path
+    # a place that is not text or an int names no place (a cache keyed by the
+    # place would refuse it as unhashable instead)
     manifest = {"points": [["1", "4"]], "targets": [["1", "0"]]}
     for place in ([2], {"p": 2}):
         assert main(["weil", "--manifest", json.dumps({**manifest, "places": [place]})]) == 65

@@ -544,7 +544,7 @@ def _cold_certificate_families():
     return [strict_arrangement(rng, n, l) for n in (1, 2, 3) for l in range(n, 7)]
 
 
-def test_cold_certificates_do_no_rank_work(cold_caches, count_calls):
+def test_cold_certificates_do_no_rank_work(count_calls):
     families = _cold_certificate_families()
     calls = count_calls(linalg.rank_rows)
     for forms, variety in families:
@@ -556,7 +556,7 @@ def test_cold_certificates_do_no_rank_work(cold_caches, count_calls):
     assert len(calls) == 2
 
 
-def test_cold_certificates_enumerate_no_candidates(cold_caches, count_calls):
+def test_cold_certificates_enumerate_no_candidates(count_calls):
     # nor do they sweep subsets or build a second echelon: the inputs' greedy
     # basis modulo X is the rank rule's echelon and the walk, which reduces
     # X's rows and then at most the l+1 inputs, and check_subgeneral runs
@@ -584,43 +584,20 @@ def test_cold_certificates_enumerate_no_candidates(cold_caches, count_calls):
     assert len(echelon_calls) == start + 2
 
 
-def test_warm_certificates_equal_cold_ones(cold_caches):
-    # what X and the place set fix is kept once; a certificate built from the
-    # kept values, on an equal but distinct X, is the cold one byte for byte
+def test_a_unit_row_replay_parses_no_place(count_calls):
+    # C_v = 1 on unit rows whatever the place, so neither the build nor the
+    # replay makes a Place, and no prime is tested
     places = (INF, Place(2), Place(3))
-    for forms, variety in _cold_certificate_families():
-        cold_caches()
-        cold = quang_combine(forms, variety, places)
-        twin = LinearSubvariety(
-            variety.ambient_dim, tuple(LinearForm(f.coeffs) for f in variety.forms)
-        )
-        warm = quang_combine(list(forms), twin, places)
-        assert twin is not variety and twin == variety
-        assert warm == cold and warm.to_json() == cold.to_json()
-        assert warm.verify_soundness() and cold.verify_soundness()
-
-
-def test_a_warm_certificate_pays_only_for_its_family(count_calls):
-    # X = {x3 = 0} in P^3 and the place set were seen before: the second
-    # family on an equal X tests no prime and reduces none of X's forms
-    rng = random.Random(11)
-    places = (INF, Place(2), Place(3))
-    forms, variety = strict_arrangement(rng, 2, 4)
-    assert quang_combine(forms, variety, places).verify_soundness()
-    forms, twin = strict_arrangement(rng, 2, 4)
-    assert twin == variety and twin is not variety
-    x_rows = {f.coeffs for f in twin.forms}
+    families = _cold_certificate_families()
     prime_calls = count_calls(subgeneral.places._is_prime)
-    echelon_calls = count_calls(linalg.extend_echelon)
-    assert quang_combine(forms, twin, places).verify_soundness()
-    assert prime_calls == []
-    assert echelon_calls  # the family's own walk
-    assert not [args for args in echelon_calls if tuple(args[1]) in x_rows]
+    place_calls = count_calls(subgeneral.places.parse_place)
+    for forms, variety in families:
+        assert quang_combine(forms, variety, places).verify_soundness()
+    assert prime_calls == [] and place_calls == []
     # the wrappers do see the public entry points
     Place(5)
-    linalg.rank_rows([list(f.coeffs) for f in twin.forms])
-    assert prime_calls == [(5,)]
-    assert any(tuple(args[1]) in x_rows for args in echelon_calls)
+    subgeneral.parse_place("inf")
+    assert prime_calls == [(5,)] and place_calls == [("inf",)]
 
 
 def test_constant_places_listed_twice_are_refused():
