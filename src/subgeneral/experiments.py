@@ -14,10 +14,11 @@ integer kernels, reporting candidates only (never a certified exceptional
 set).  Each report ends with a summary of Quang's chain estimate over the
 first _CHAIN_CHECK_CAP sample points at each place holding l+1 hyperplanes:
 one quang.chain_check_column per place, which checks the points one cell
-at a time and reads each ordering from the certificate's table.  A point
-on an input counts as skipped.  The position gate refuses a linear target
-that vanishes on X (l-subgeneral position allows it once l > n, but no
-point of X lies off its support), so every such place has a combination.
+at a time, on the inputs' values that the sampler kept, and reads each
+ordering from the certificate's table.  A point on an input counts as
+skipped.  The position gate refuses a linear target that vanishes on X
+(l-subgeneral position allows it once l > n, but no point of X lies off its
+support), so every such place has a combination.
 
 Bulk ledgers (weighted_defect over a sample) evaluate each distinct target
 once per sample and read every local value from the exact kernel of the
@@ -28,12 +29,15 @@ per weighted (target, place) term, the kernel's own column at weight 1.0
 evaluation plan, read by its float defects, tie band and exact tie
 decisions.  The sampler has already dropped every point on a support: it is
 one acceptance loop over a candidate stream per geometry (the parameter
-sweep on a curve, seeded draws otherwise), and tests each batch of
-candidates against each distinct support with the same kernel, called with
-no places.  The whole ledger runs in the calling process: no pool, no
-threads.  Exhaustive windows predicted to need more than _SWEEP_BUDGET
-sampler attempts are refused; a count-limited sweep or random draw stops
-there with a partial sample.
+sweep on a curve, seeded draws otherwise, built a block of attempts at a
+time), and tests each batch of candidates against each distinct support
+with the same kernel, called with no places.  It keeps each support's
+component columns over the points it accepts, and the ledger and the chain
+summary read them, so a report evaluates each target once.  The whole
+ledger runs in the calling process: no pool, no threads.  Exhaustive
+windows predicted to need more than _SWEEP_BUDGET sampler attempts are
+refused; a count-limited sweep or random draw stops there with a partial
+sample.
 """
 
 from __future__ import annotations
@@ -41,11 +45,10 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import gcd, lcm
-from operator import mul
 from typing import Optional
 
 from json.encoder import encode_basestring_ascii
@@ -60,6 +63,7 @@ from .projective import (
     LinearForm,
     LinearSubvariety,
     ProjPoint,
+    linear_column,
     point_from_canonical,
 )
 # chain_check stays bound, unused: the benchmark's tracer wraps it here
@@ -69,6 +73,7 @@ from .weil import (
     SubschemeSpec,
     Target,
     _column,
+    _component_columns,
     _coordinate_columns,
     _hits,
     _one_point,
@@ -216,9 +221,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SampleResult:
+    """The sample, and per excluded support its component columns over the
+    points (weil._component_columns), which the ledger and the chain summary
+    read instead of evaluating again; columns take no part in == or hash."""
+
     points: tuple[ProjPoint, ...]
     partial: bool
     attempts: int
+    columns: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 # Exhaustive sweeps predicted to need more attempts than this are refused.
@@ -342,23 +352,57 @@ def _line_stream(basis, lo: int, hi: int, m_lo: int, m_hi: int):
     return (v if lo <= max(map(abs, v)) <= hi else None for v in vecs)
 
 
+# Attempts that _draw_stream draws and builds at a time.
+_DRAW_BLOCK = 512
+
+
 def _draw_stream(variety: LinearSubvariety, lo: int, hi: int, seed: int):
     """Seeded draws u . basis, u in [-hi, hi]^(n+1), one per attempt: the
     primitive coordinates the first time they are drawn inside the window,
-    else None."""
-    rng = random.Random(seed)
+    else None.
+
+    Each u_i is random.Random(seed).randint(-hi, hi) as CPython 3.10-3.12
+    draws it: r = getrandbits(k) with k = (2*hi+1).bit_length(), drawn again
+    while r >= 2*hi+1, and u_i = r - hi; u_0..u_n per attempt, attempt after
+    attempt.  The draws of _DRAW_BLOCK attempts are taken at once, and their
+    vectors built one coordinate column at a time (linear_column over the
+    columns of u); the primitive vector is the column's gcd per attempt and
+    a sign flip.  Dedup, the window test and the yields stay one per attempt.
+    """
+    getrandbits = random.Random(seed).getrandbits
     basis = variety.kernel_basis()
-    columns = list(zip(*basis))
+    rows = list(zip(*basis))  # coordinate i of every basis vector
+    nb = len(basis)
+    width = 2 * hi + 1
+    k = width.bit_length()
+    need = _DRAW_BLOCK * nb
+    pending: list[int] = []
     seen = set()
     while True:
-        u = [rng.randint(-hi, hi) for _ in basis]
-        vec = [sum(map(mul, u, col)) for col in columns]
-        coords = primitive(vec) if any(vec) else None
-        if coords is None or coords in seen or not lo <= max(map(abs, coords)) <= hi:
-            yield None
-        else:
-            seen.add(coords)
-            yield coords
+        # the rng serves this stream only, so draws past the block wait in
+        # pending, in order, for the next block
+        while len(pending) < need:
+            pending += [r - hi for r in map(getrandbits, repeat(k, need)) if r < width]
+        drawn, pending = pending[:need], pending[need:]
+        us = [drawn[j::nb] for j in range(nb)]
+        cols = [linear_column(row, us) for row in rows]
+        tops = map(max, *[map(abs, col) for col in cols])
+        for vec, g, top in zip(zip(*cols), map(gcd, *cols), tops):
+            # max|coords| = top / g, so the window test needs no division
+            if not g or not lo * g <= top <= hi * g:
+                yield None
+                continue
+            for x in vec:
+                if x:
+                    break
+            if x < 0:
+                g = -g
+            coords = vec if g == 1 else tuple([x // g for x in vec])
+            if coords in seen:
+                yield None
+            else:
+                seen.add(coords)
+                yield coords
 
 
 def _accept(stream, count, cap, excluded, mode: str) -> SampleResult:
@@ -367,8 +411,10 @@ def _accept(stream, count, cap, excluded, mode: str) -> SampleResult:
 
     A batch never holds more candidates than would complete the count if
     none sat on a support, so the result is the point-by-point loop's.  Its
-    support test is one kernel call per distinct support."""
+    support test is one kernel call per distinct support, on the support's
+    component columns, which are kept for the accepted points."""
     supports = tuple(dict.fromkeys(excluded))
+    kept: dict = {}  # target -> its component columns over out
     out: list[ProjPoint] = []
     attempts, more = 0, True
     while more and attempts != cap and (count is None or len(out) < count):
@@ -385,10 +431,19 @@ def _accept(stream, count, cap, excluded, mode: str) -> SampleResult:
             continue
         xs = _coordinate_columns(batch)
         hits = set()
+        batch_cols = []
         for target in supports:
-            hits.update(_hits(_column(target, batch, xs, (), mode, ())[2]))
-        out += (pt for i, pt in enumerate(batch) if i not in hits)
-    return SampleResult(tuple(out), count is not None and len(out) < count, attempts)
+            cols = _component_columns(target, batch, xs)
+            hits.update(_hits(_column(target, batch, xs, (), mode, (), cols)[2]))
+            batch_cols.append(cols)
+        keep = [i not in hits for i in range(len(batch))] if hits else None
+        out += batch if keep is None else compress(batch, keep)
+        for target, cols in zip(supports, batch_cols):
+            acc = kept.setdefault(target, [[] for _ in cols])
+            for a, col in zip(acc, cols):
+                a += col if keep is None else compress(col, keep)
+    partial = count is not None and len(out) < count
+    return SampleResult(tuple(out), partial, attempts, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +530,23 @@ def weighted_defect(point: ProjPoint, config: ExperimentConfig) -> float:
     return _defect_batch(_Evaluator(config), (point,))[0]
 
 
-def _defect_batch(ev: _Evaluator, pts, maxes=None) -> list:
+def _defect_batch(ev: _Evaluator, pts, maxes=None, columns=None) -> list:
     """The weighted defect of each point: one kernel call per plan entry over
     the whole column, and one fsum per point over one float column per
     weighted (target, place) term.  A term of weight 1.0 (every hyperplane's)
     is the kernel's column as it is, since 1.0 * v is v; any other is that
     column times the weight.  maxes[i] is max|x_i| of pts[i], computed here
-    when not given.  Raises the first support hit it meets."""
-    xs = _coordinate_columns(pts)
+    when not given.  columns, when given (SampleResult.columns), hold every
+    plan target's component columns over pts, which are then not evaluated
+    again.  Raises the first support hit it meets."""
+    xs = _coordinate_columns(pts) if columns is None else None
+    columns = columns or {}  # an empty sample keeps no columns
     if maxes is None:
         maxes = [max(map(abs, pt.coords)) for pt in pts]
     terms = []
     for target, places, _, weights in ev.plan:
-        _, values, marks = _column(target, pts, xs, maxes, ev.mode, places)
+        cols = columns.get(target)
+        _, values, marks = _column(target, pts, xs, maxes, ev.mode, places, cols)
         _raise_hit(marks)
         terms += (
             col if w == 1.0 else [w * v for v in col] for w, col in zip(weights, values)
@@ -753,10 +812,12 @@ def _validate_positions(config: ExperimentConfig, level: int) -> dict:
 _CHAIN_CHECK_CAP = 200
 
 
-def _chain_summary(config: ExperimentConfig, eff_level: int, pts) -> dict:
+def _chain_summary(config: ExperimentConfig, eff_level: int, pts, columns) -> dict:
     """The chain check over the first _CHAIN_CHECK_CAP sample points, one
     column per applicable place: a place holding eff_level+1 hyperplanes.
-    The position gate has passed them, so their combination exists."""
+    The position gate has passed them, so their combination exists.  The
+    inputs' values are read from the sampler's columns (a hyperplane's one
+    component column), not evaluated again."""
     head = pts[:_CHAIN_CHECK_CAP]
     summary = {}
     for place, targets in config.arrangements:
@@ -767,7 +828,8 @@ def _chain_summary(config: ExperimentConfig, eff_level: int, pts) -> dict:
         ):
             continue
         cert = quang_combine_cached(tuple(targets), config.variety)
-        cells = [c for c in chain_check_column(head, place, cert) if c is not None]
+        values = [columns[t][0][:_CHAIN_CHECK_CAP] for t in targets] if head else None
+        cells = [c for c in chain_check_column(head, place, cert, values) if c is not None]
         summary[key] = {
             "applicable": True,
             "checked": len(cells),
@@ -796,7 +858,7 @@ def _run(
     pts = list(sample.points)
     maxes = [max(map(abs, pt.coords)) for pt in pts]
     ev = _Evaluator(config)
-    defects = _defect_batch(ev, pts, maxes)
+    defects = _defect_batch(ev, pts, maxes, sample.columns)
     log_of = {m: math.log(m) for m in set(maxes)}  # h(P) = log max|x_i|
     labels = [str(p) for p in pts]
     order = sorted(range(len(pts)), key=labels.__getitem__)
@@ -851,7 +913,7 @@ def _run(
         partial=sample.partial,
         attempts=sample.attempts,
         position_checks=checks,
-        chain_summary=_chain_summary(config, eff_level, pts),
+        chain_summary=_chain_summary(config, eff_level, pts, sample.columns),
     )
 
 

@@ -31,6 +31,19 @@ def _exact(values) -> list:
     return [v if type(v) is int else Fraction(v) for v in values]
 
 
+def linear_column(coeffs, xs) -> list:
+    """sum_k coeffs[k] * xs[k] at every index, from the columns xs: one
+    chained map per nonzero coefficient, and a column of 0 when there is
+    none."""
+    terms = [map(a.__mul__, x) for a, x in zip(coeffs, xs) if a]
+    if not terms:
+        return [0] * len(xs[0])
+    total = terms[0]
+    for term in terms[1:]:
+        total = map(add, total, term)
+    return list(total)
+
+
 def normalize_coords(values) -> tuple[int, ...]:
     vals = _exact(values)
     if len(vals) < 2:
@@ -127,11 +140,7 @@ class LinearForm:
 
     def column(self, xs) -> list:
         """a_0*x_0 + ... + a_M*x_M at every point, from the coordinate columns."""
-        terms = [map(a.__mul__, x) for a, x in zip(self.coeffs, xs) if a]
-        total = terms[0]
-        for term in terms[1:]:
-            total = map(add, total, term)
-        return list(total)
+        return linear_column(self.coeffs, xs)
 
     def __str__(self) -> str:
         parts = []

@@ -49,7 +49,8 @@ quang_combine builds is a 0/1 unit row, so C_v = 1 at every place:
 quang_combine writes "1" for each place (a place listed twice is refused:
 the JSON object of constants would keep it once), and a replay that finds
 unit rows compares every listed constant with 1, with no place parsed and
-no valuation read (from_json_dict refuses a key that names no place).
+no valuation read (from_json_dict refuses a key that names no place, and
+two keys that name one place, such as "inf" and "oo").
 Rational rows are read entry by entry, at the place each key names.
 
 chain_check verifies, point by point and place by place, the telescoping
@@ -76,7 +77,10 @@ the reported floats are rounded, each from its reduced fraction.  Each
 point is one cell (_cell): its space is checked, the inputs are evaluated,
 a point on an input is marked, and _chain_inequality compares.
 chain_check_column, for the experiments' chain summary, checks every
-point's space first and keeps (passed, slack) per cell, with no record.
+point's space first, reads the inputs' values from columns (the sampler's
+in an experiment, else one evaluation per input over the coordinate
+columns), hands each point's values to its cell, and keeps (passed, slack)
+per cell, with no record.
 """
 
 from __future__ import annotations
@@ -95,6 +99,7 @@ from .linalg import combine, rank_rows
 from .places import INF, Place, _ord_p, parse_place
 from .position import PositionReport, check_general, check_subgeneral, greedy_basis
 from .projective import LinearForm, LinearSubvariety, ProjPoint, wrong_space_error
+from .weil import _coordinate_columns
 
 @dataclass(frozen=True)
 class CombinationCertificate:
@@ -183,8 +188,15 @@ class CombinationCertificate:
             tuple(parse_rat(c) for c in row) for row in data["matrix"]
         )
         constants = tuple(sorted(data.get("constants", {}).items()))
+        places = set()
         for v, c in constants:
-            parse_place(v), parse_rat(c)  # refuses a key that names no place
+            place = parse_place(v)  # refuses a key that names no place
+            parse_rat(c)
+            # two keys for one place are refused, as quang_combine refuses a
+            # place listed twice
+            if place in places:
+                raise ArgumentError("constants name the place %s twice" % place)
+            places.add(place)
         return cls(
             variety=variety,
             inputs=inputs,
@@ -454,12 +466,15 @@ def _in_space(cert: CombinationCertificate, point: ProjPoint) -> None:
         raise wrong_space_error(forms[0], point)
 
 
-def _cell(cert: CombinationCertificate, place: Place, point: ProjPoint):
+def _cell(cert: CombinationCertificate, place: Place, point: ProjPoint, vals=None):
     """One point of the chain check: _chain_inequality's tuple, or the
-    0-based index of the first input that vanishes at the point."""
-    _in_space(cert, point)
+    0-based index of the first input that vanishes at the point.  vals, the
+    inputs' values at the point, are evaluated here when not given, after
+    the point's space is checked."""
     coords = point.coords
-    vals = [sum(map(mul, f.coeffs, coords)) for f in cert.inputs]
+    if vals is None:
+        _in_space(cert, point)
+        vals = [sum(map(mul, f.coeffs, coords)) for f in cert.inputs]
     if 0 in vals:
         return vals.index(0)
     maxx = max(map(abs, coords)) if place.p is None else None
@@ -503,19 +518,29 @@ def chain_check(
 
 
 def chain_check_column(
-    points, place: Place, certificate: CombinationCertificate
+    points, place: Place, certificate: CombinationCertificate, columns=None
 ) -> list:
     """chain_check over a column of points, with no record: (passed, slack)
     at each point, equal to that point's chain_check record, or None where
     the point lies on an input (where chain_check raises SupportError).
 
     Every point is chain_check's own cell, compared from the same table on
-    the certificate.  Every point's space is checked before any comparison,
-    so a point outside the inputs' ambient space raises chain_check's
+    the certificate, on the inputs' values read from columns: columns[j][i]
+    is input j at points[i] (the experiments pass the sampler's columns),
+    and when not given each input is evaluated once over the coordinate
+    columns.  Every point's space is checked before any comparison, so a
+    point outside the inputs' ambient space raises chain_check's
     ArgumentError even after a point whose ordering is refused.
     """
     points = list(points)
     for pt in points:
         _in_space(certificate, pt)
-    cells = [_cell(certificate, place, pt) for pt in points]
+    if not points:
+        return []
+    if columns is None:
+        xs = _coordinate_columns(points)
+        columns = [f.column(xs) for f in certificate.inputs]
+    cells = [
+        _cell(certificate, place, pt, vals) for pt, vals in zip(points, zip(*columns))
+    ]
     return [None if type(c) is int else c[:2] for c in cells]

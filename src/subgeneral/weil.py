@@ -137,10 +137,12 @@ class WeilValue:
 # and the float formula; every local value in the package is read from it
 
 
-def _column(target: Target, points, xs, maxes, mode: str, places):
+def _column(target: Target, points, xs, maxes, mode: str, places, cols=None):
     """(exacts, values, marks): one target's local values over a column of
     points, with xs = _coordinate_columns(points) and maxes[i] = max|x_i| of
-    points[i] (read only at inf).
+    points[i] (read only at inf).  cols, when given, are the target's
+    component columns over the points (_component_columns, kept by the
+    sampler); xs is then not read.
 
     exacts[k] and values[k] are the exact and the float column at
     places[k].  marks[i] is the tuple of 1-based indices of the components
@@ -149,7 +151,8 @@ def _column(target: Target, points, xs, maxes, mode: str, places):
     SupportError that a one-point caller raises; that point's cells are
     None.  Nothing is raised per point.
 
-    Each component is evaluated once over the column, by its column(xs).
+    Each component is evaluated once over the column, by its column(xs),
+    unless cols holds its values already.
     At a finite place the exact value is the int e = ord_p(F(P)) (canonical
     coordinates make the max-norms of x and of the coefficients 1 there) and
     the float is e*log p, log p taken once per place.  At inf it is the
@@ -157,21 +160,13 @@ def _column(target: Target, points, xs, maxes, mode: str, places):
     log(num) - log(den).  A subscheme takes the least exact value over its
     components nonzero at the point.
     """
-    if isinstance(target, SubschemeSpec):
-        if mode not in ("lenient", "strict"):
-            raise ArgumentError("mode must be 'lenient' or 'strict'")
-        comps = target.components
-    elif isinstance(target, (LinearForm, HomForm)):
-        comps = (target,)
-    else:
-        raise ArgumentError("not a Weil target: %r" % (target,))
+    comps = _components(target)
+    if isinstance(target, SubschemeSpec) and mode not in ("lenient", "strict"):
+        raise ArgumentError("mode must be 'lenient' or 'strict'")
     if not points:
         return [[] for _ in places], [[] for _ in places], []
-    width = target.dim + 1
-    if xs is None or len(xs) != width:
-        bad = next(pt for pt in points if len(pt.coords) != width)
-        raise wrong_space_error(target, bad)
-    cols = [c.column(xs) for c in comps]
+    if cols is None:
+        cols = _component_columns(target, points, xs)
     marks = [()] * len(points)
     zeros = {i for col in cols if not all(col) for i in compress(count(), map(not_, col))}
     for i in zeros:
@@ -204,6 +199,27 @@ def _column(target: Target, points, xs, maxes, mode: str, places):
         exacts.append(exact)
         values.append(value)
     return exacts, values, marks
+
+
+def _components(target: Target) -> tuple:
+    """The forms whose values make the target's local value: a subscheme's
+    components, or the form itself."""
+    if isinstance(target, SubschemeSpec):
+        return target.components
+    if isinstance(target, (LinearForm, HomForm)):
+        return (target,)
+    raise ArgumentError("not a Weil target: %r" % (target,))
+
+
+def _component_columns(target: Target, points, xs) -> list:
+    """Each component's values over a column of points, by its column(xs),
+    after one dimension check: a point of another space raises the
+    one-point ArgumentError."""
+    width = target.dim + 1
+    if xs is None or len(xs) != width:
+        bad = next(pt for pt in points if len(pt.coords) != width)
+        raise wrong_space_error(target, bad)
+    return [c.column(xs) for c in _components(target)]
 
 
 def _coordinate_columns(points):

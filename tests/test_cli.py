@@ -1,5 +1,6 @@
 """End-to-end command-line coverage through main(argv), one process, no shell."""
 
+import hashlib
 import json
 import math
 import os
@@ -333,6 +334,11 @@ def test_chain_check_refuses_an_unsound_certificate(capsys, tmp_path):
     not_a_place = json.dumps({**cert, "constants": {"inf": "1", "q=2": "1"}})
     assert main(["chain", "check", "--cert", not_a_place] + check) == 65
     assert "not a place" in capsys.readouterr().err
+    # one place under two keys: a document quang combine cannot write
+    twice = json.dumps({**cert, "constants": {"inf": "1", "oo": "1", "p=2": "1", "2": "1"}})
+    assert main(["chain", "check", "--cert", twice] + check) == 65
+    captured = capsys.readouterr()
+    assert "constants name the place" in captured.err and captured.out == ""
 
 
 def test_delta(capsys):
@@ -661,3 +667,76 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     capsys.readouterr()
     assert path.read_text() == stdout_text
     assert json.loads(stdout_text)["delta"] == "1/16"
+
+
+# ---------------------------------------------------------------------------
+# report bytes: digests of two small seeded reports, so a change that moves
+# a byte of either fails here and not only in the benchmark's digests
+
+_GOLDEN_FORMS = [
+    ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+    ["1", "1", "1", "0"], ["1", "-2", "3", "0"],
+]
+GOLDEN_REPORTS = (
+    (
+        "json",
+        {
+            "x": {"ambient_dim": 1, "forms": []},
+            "arrangements": {
+                "inf": [["1", "0"], ["0", "1"], ["1", "3"]],
+                "p=2": [["1", "0"], ["0", "1"], ["1", "-5"]],
+                "p=3": [["1", "0"], ["0", "1"], ["2", "7"]],
+            },
+            "l": 2,
+            "epsilon": "1/10",
+            "height_window": [0.0, math.log(60)],
+            "sample_count": None,
+            "seed": 1,
+        },
+        "1f1abf25af1c9a859f7e9100101d89996e3bb68634dce5731d043cbe347adcd2",
+    ),
+    (
+        "csv",
+        {
+            "x": {"ambient_dim": 3, "forms": [["0", "0", "0", "1"]]},
+            "arrangements": {
+                "inf": _GOLDEN_FORMS,
+                "p=2": [
+                    ["1", "2", "0", "1"], ["0", "1", "1", "0"], ["1", "0", "3", "0"],
+                    ["2", "1", "1", "5"], ["1", "1", "-1", "0"],
+                ],
+                "p=3": _GOLDEN_FORMS,
+            },
+            "l": 4,
+            "epsilon": "1/10",
+            "height_window": [0.0, math.log(40)],
+            "sample_count": 600,
+            "seed": 17,
+            "excluded_supports": [
+                {
+                    "type": "form", "dim": 3, "degree": 2,
+                    "terms": [[[2, 0, 0, 0], "1"], [[0, 1, 1, 0], "-3"], [[0, 0, 2, 0], "2"]],
+                },
+                {
+                    "type": "subscheme", "label": "",
+                    "components": [
+                        {"type": "linear", "coeffs": ["1", "0", "-1", "0"]},
+                        {"type": "linear", "coeffs": ["0", "1", "2", "0"]},
+                    ],
+                },
+            ],
+        },
+        "fa28c7a743625ed37c0c1daa27df842fe8be661ed604bf3ed1a09dd8f8a27ebd",
+    ),
+)
+
+
+@pytest.mark.parametrize("fmt, config, digest", GOLDEN_REPORTS, ids=["curve-json", "surface-csv"])
+def test_seeded_reports_keep_their_bytes(tmp_path, fmt, config, digest):
+    # a curve JSON report (exhaustive sweep, records and chain summary at
+    # three places) and a surface CSV report (600 draws, which cross a draw
+    # block, with a quadric and a point as excluded supports)
+    out = tmp_path / ("report." + fmt)
+    argv = ["experiment", "run", "--config", json.dumps(config), "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

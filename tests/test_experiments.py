@@ -1139,11 +1139,11 @@ def test_bulk_ledger_calls_the_kernel_once_per_plan_entry(monkeypatch):
     calls = []
     column = subgeneral.experiments._column
 
-    def counting(target, points, *args):
+    def counting(target, points, xs, maxes, mode, places, cols=None):
         # the ledger's calls are the ones with places; the sampler's have none
-        if args[-1]:
+        if places:
             calls.append((target, len(points)))
-        return column(target, points, *args)
+        return column(target, points, xs, maxes, mode, places, cols)
 
     monkeypatch.setattr(subgeneral.experiments, "_column", counting)
     for cfg in _kernel_configs():
@@ -1153,6 +1153,83 @@ def test_bulk_ledger_calls_the_kernel_once_per_plan_entry(monkeypatch):
         assert n > 300
         plan = _Evaluator(cfg).plan
         assert calls == [(target, n) for target, *_ in plan]
+
+
+def _chain_surface_config():
+    """A seeded P^2 config whose chain summary applies at both places (three
+    lines in general position, l = 2), with a quadric and a point subscheme
+    as excluded supports."""
+    quadric = HomForm.from_terms(2, 2, {(2, 0, 0): 1, (0, 1, 1): -3, (0, 0, 2): 2})
+    point = SubschemeSpec((LinearForm((1, 0, -1)), LinearForm((0, 1, 2))))
+    return ExperimentConfig(
+        variety=P2,
+        arrangements=(
+            (INF, (LinearForm((1, 0, 0)), LinearForm((0, 1, 0)), LinearForm((0, 0, 1)))),
+            (Place(3), (LinearForm((1, 1, 0)), LinearForm((0, 1, 1)), LinearForm((1, 0, 1)))),
+        ),
+        level=2,
+        epsilon=Fraction(1, 5),
+        h_min=0.0,
+        h_max=math.log(50),
+        sample_count=500,
+        seed=3,
+        excluded_supports=(quadric, point),
+    )
+
+
+def test_a_report_evaluates_each_form_once_per_sampler_batch(monkeypatch):
+    # the sampler evaluates each distinct support's components once per
+    # batch and keeps the columns; the ledger and the chain summary read
+    # them and evaluate no form again
+    sampler_calls = []
+    column = subgeneral.experiments._column
+
+    def counting_kernel(target, points, xs, maxes, mode, places, *cols):
+        if not places:
+            sampler_calls.append(target)
+        return column(target, points, xs, maxes, mode, places, *cols)
+
+    monkeypatch.setattr(subgeneral.experiments, "_column", counting_kernel)
+    evaluated = []
+    for cls in (LinearForm, HomForm):
+        def counting_column(form, xs, original=cls.column):
+            evaluated.append(form)
+            return original(form, xs)
+
+        monkeypatch.setattr(cls, "column", counting_column)
+    summarized = []
+    chain_check_column = subgeneral.experiments.chain_check_column
+
+    def recording_summary(points, place, cert, *values):
+        summarized.append((points, cert, values))
+        return chain_check_column(points, place, cert, *values)
+
+    monkeypatch.setattr(subgeneral.experiments, "chain_check_column", recording_summary)
+    several_batches = False
+    curve, surface = _kernel_configs()
+    for cfg, chained in ((curve, True), (surface, False), (_chain_surface_config(), True)):
+        sampler_calls.clear()
+        evaluated.clear()
+        summarized.clear()
+        report = run_main_experiment(cfg)
+        assert len(report.points) > 300
+        supports = list(dict.fromkeys(
+            [t for _, ts in cfg.arrangements for t in ts] + list(cfg.excluded_supports)
+        ))
+        batches, rest = divmod(len(sampler_calls), len(supports))
+        assert rest == 0 and sampler_calls == supports * batches
+        components = [
+            c for t in supports for c in (t.components if isinstance(t, SubschemeSpec) else (t,))
+        ]
+        assert evaluated == components * batches
+        several_batches |= batches > 1
+        assert all(s["applicable"] == chained for s in report.chain_summary.values())
+        # the chain summary got each input's values at its own points
+        assert len(summarized) == (len(cfg.arrangements) if chained else 0)
+        for points, cert, values in summarized:
+            assert len(points) == 200
+            assert values == ([[f.evaluate(pt) for pt in points] for f in cert.inputs],)
+    assert several_batches
 
 
 def test_ledgers_do_no_primality_work(count_calls):
@@ -1367,6 +1444,29 @@ def test_draw_stream_yields_the_nested_loop_candidates():
             assert got == list(islice(draw_stream_by_loop(variety, lo, hi, seed), 300))
             drawn += sum(c is not None for c in got)
     assert drawn > 10_000
+
+
+def test_draw_stream_matches_the_nested_loop_across_blocks():
+    # 1,700 attempts cross three block boundaries (the stream draws 512
+    # attempts at a time), on X = {x3 = 0} in P^3, on P^2 and on a plane of
+    # codimension 2 in P^4, at window tops where randint's rejection draws
+    # are frequent (2*hi+1 just above a power of 2) and at hi >= 2^32
+    assert subgeneral.experiments._DRAW_BLOCK * 3 < 1700
+    plane = (LinearForm((2, 1, 1, 0, 0)), LinearForm((0, 3, 0, 1, -1)))
+    varieties = (
+        LinearSubvariety(3, (LinearForm((0, 0, 0, 1)),)),
+        P2,
+        LinearSubvariety(4, plane),
+    )
+    tops = (1, 2, 4, 50, 2**32, 2**32 + 1, 3 * 2**40, 10**15)
+    drawn = 0
+    for variety in varieties:
+        for seed, hi in enumerate(tops):
+            lo = 1 if hi < 50 else hi // 3
+            got = list(islice(_draw_stream(variety, lo, hi, seed), 1700))
+            assert got == list(islice(draw_stream_by_loop(variety, lo, hi, seed), 1700))
+            drawn += sum(c is not None for c in got[1536:])
+    assert drawn > 1000
 
 
 def _sample_or_error(sampler, case):

@@ -371,6 +371,25 @@ def test_certificate_constants_keys_must_name_places(key):
         CombinationCertificate.from_json_dict({**data, "constants": {key: "1"}})
 
 
+@pytest.mark.parametrize(
+    "constants",
+    [
+        {"inf": "1", "oo": "1", "p=2": "1", "2": "1"},
+        {"inf": "1", "INF": "1"},
+        {"p=2": "1", "p=02": "1"},
+        {"inf": "1", "p=3": "1", "3": "1"},
+    ],
+)
+def test_certificate_constants_refuse_one_place_named_twice(constants):
+    # quang_combine refuses a place listed twice, so a document that names
+    # one place under two keys is refused too, not replayed
+    data = worked_cert((INF, Place(2))).to_json_dict()
+    with pytest.raises(ArgumentError, match="twice"):
+        CombinationCertificate.from_json_dict({**data, "constants": constants})
+    with pytest.raises(ArgumentError, match="duplicate places"):
+        quang_combine([X0, X1, X2], X_LINE, (INF, Place(2), INF))
+
+
 def test_combination_takes_linear_forms_only():
     with pytest.raises(ArgumentError, match="linear forms only"):
         quang_combine([X0, X1, (1, -1, 0)], X_LINE)
