@@ -16,8 +16,9 @@ first _CHAIN_CHECK_CAP sample points at each place holding l+1 hyperplanes:
 one quang.chain_check_column per place, which checks the points one cell
 at a time, on the inputs' values that the sampler kept, and reads each
 ordering from the certificate's table.  A point on an input counts as
-skipped.  The position gate refuses a linear target that vanishes on X
-(l-subgeneral position allows it once l > n, but no point of X lies off its
+skipped.  The position gate refuses a target of any kind that vanishes on
+X (l-subgeneral position allows a hyperplane that does once l > n, and an
+asserted position any hypersurface, but no point of X lies off its
 support), so every such place has a combination.
 
 Bulk ledgers (weighted_defect over a sample) evaluate each distinct target
@@ -58,12 +59,13 @@ from .jsonio import json_int, parse_rat, rat_str, stable_dumps
 # rank_rows stays bound, unused: the benchmark's perfbench/tests/test_tracer.py asserts it
 from .linalg import dot_products, nullspace, primitive, rank_rows
 from .places import Place, parse_place
-from .position import check_subgeneral, intersection_dim
+from .position import check_subgeneral
 from .projective import (
     LinearForm,
     LinearSubvariety,
     ProjPoint,
     linear_column,
+    monomials,
     point_from_canonical,
 )
 # chain_check stays bound, unused: the benchmark's tracer wraps it here
@@ -778,11 +780,32 @@ class DefectReport:
         ))
 
 
+def _vanishes_on(target: Target, basis, mode: str) -> bool:
+    """Whether every point of X, with kernel basis b, lies on the target's
+    support under mode: the form vanishes on X, or every component of a
+    subscheme does (one does in strict mode, where any vanishing component
+    puts a point on the support).  A degree-d form F vanishes on X exactly
+    when F(t_0*b_0 + ... + t_n*b_n), a degree-d form in the parameters t, is
+    zero; that holds exactly when it is zero at the C(n+d, d) points t >= 0
+    with t_0 + ... + t_n = d, the principal lattice of the simplex, which is
+    unisolvent for degree d (Nicolaides 1972)."""
+    cols = list(zip(*basis))  # cols[k][j]: coordinate k of basis vector j
+
+    def vanishes(form) -> bool:
+        params = list(zip(*monomials(len(basis), form.degree)))
+        return not any(form.column([linear_column(c, params) for c in cols]))
+
+    forms = target.components if isinstance(target, SubschemeSpec) else (target,)
+    return (any if mode == "strict" else all)(map(vanishes, forms))
+
+
 def _validate_positions(config: ExperimentConfig, level: int) -> dict:
     """Position report per place at level (dim X for general position);
-    then a linear target that vanishes on X is refused: no point of X lies
-    off its support, though l-subgeneral position allows it once l > n."""
+    then a target that vanishes on X is refused: no point of X lies off its
+    support, though l-subgeneral position allows a hyperplane that does once
+    l > n."""
     x = config.variety
+    basis = x.kernel_basis()
     checks = {}
     for place, targets in config.arrangements:
         linear = [t for t in targets if isinstance(t, LinearForm)]
@@ -804,7 +827,7 @@ def _validate_positions(config: ExperimentConfig, level: int) -> dict:
                 )
             checks[str(place)] = {"verdict": None, "witnesses": 0, "asserted": True}
         for t in targets:
-            if isinstance(t, LinearForm) and intersection_dim([t], x) == x.dim:
+            if _vanishes_on(t, basis, config.mode):
                 raise ConfigRejectedError("target %s at %s vanishes on X" % (t, place))
     return checks
 

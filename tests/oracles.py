@@ -27,7 +27,9 @@ the random-draw stream with its nested loop over the basis rows.  The scan
 reference is the exceptional scan as it tested span membership by hand, one
 short-circuiting row of dot products per violator; the marks reference is
 the support-mark decode that the sampler, _raise_hit and is_on_support each
-wrote out before they shared one.
+wrote out before they shared one.  The vanishing reference expands a form
+over X's RREF kernel basis with sympy, where the position gate evaluates it
+at the lattice points of a simplex.
 """
 
 import math
@@ -214,6 +216,26 @@ def nullspace_by_rref(rows, ncols: int):
             ints = [-x for x in ints]
         basis.append(tuple(ints))
     return basis
+
+
+def vanishes_on_by_expansion(target, variety, mode: str = "lenient") -> bool:
+    """Whether every point of X lies on the target's support: the form, or
+    every component of a subscheme (any one in strict mode), vanishes on X.
+    The coordinates become t . (RREF kernel basis of X's forms) and sympy
+    expands each form in the t."""
+    forms = target.components if isinstance(target, SubschemeSpec) else (target,)
+    ncols = variety.ambient_dim + 1
+    basis = nullspace_by_rref([f.coeffs for f in variety.forms], ncols)
+    t = sympy.symbols("t0:%d" % len(basis))
+    xs = [sum(tj * b[k] for tj, b in zip(t, basis)) for k in range(ncols)]
+    zero = []
+    for f in forms:
+        if isinstance(f, LinearForm):
+            poly = sum(a * x for a, x in zip(f.coeffs, xs))
+        else:
+            poly = sum(c * sympy.prod([x**e for x, e in zip(xs, exps)]) for exps, c in f.terms())
+        zero.append(sympy.expand(poly) == 0)
+    return any(zero) if mode == "strict" else all(zero)
 
 
 def factor_reference(n: int) -> dict:

@@ -476,6 +476,20 @@ def test_target_vanishing_on_x_is_refused_with_exit_2(capsys):
         )
 
 
+def test_nonlinear_target_vanishing_on_x_is_refused_with_exit_2(capsys):
+    # x0 * x2 vanishes on X = {x2 = 0}: with the position asserted, the
+    # sampler would keep no point, so the gate refuses it as it does a line
+    quad = {"type": "form", "dim": 2, "degree": 2, "terms": [[[1, 0, 1], "1"]]}
+    targets = [["1", "0", "0"], ["0", "1", "0"], quad]
+    cfg = violator_config(
+        x=json.loads(LINE_X), arrangements={"inf": targets}, l=2, position_asserted=True
+    )
+    assert main(["experiment", "run", "--config", json.dumps(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "config rejected: target +1*x0*x2 at inf vanishes on X"
+
+
 def test_io_failures_exit_66(capsys, tmp_path):
     assert main(["experiment", "run", "--config", "@%s/missing.json" % tmp_path]) == 66
     assert main(["height", "[1:2]", "--out", "%s/no/dir/x.json" % tmp_path]) == 66

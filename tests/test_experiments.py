@@ -34,6 +34,7 @@ from subgeneral import (
     check_subgeneral,
     delta_budget,
     exceptional_scan,
+    is_on_support,
     local_weil,
     projective_space,
     quang_combine,
@@ -47,7 +48,7 @@ from subgeneral import (
     weil_batch,
 )
 from subgeneral.cli import main
-from subgeneral.experiments import _defect_batch, _draw_stream, _Evaluator
+from subgeneral.experiments import _defect_batch, _draw_stream, _Evaluator, _vanishes_on
 from subgeneral.jsonio import rat_str, stable_dumps
 
 from gen import rand_hom_form, rand_linear_form, rand_point
@@ -56,6 +57,7 @@ from oracles import (
     exceptional_scan_by_hand,
     rank_fraction_gauss,
     sample_points_by_point,
+    vanishes_on_by_expansion,
     write_csv_by_row,
 )
 
@@ -979,6 +981,91 @@ def test_main_refuses_a_linear_target_that_vanishes_on_x():
         assert str(exc.value) == "target x2 at %s vanishes on X" % place
 
 
+def _product_form(f: LinearForm, g: HomForm) -> HomForm:
+    terms = {}
+    for k, a in enumerate(f.coeffs):
+        for exps, c in g.terms():
+            key = tuple(e + (i == k) for i, e in enumerate(exps))
+            terms[key] = terms.get(key, 0) + a * c
+    return HomForm.from_terms(g.dim, g.degree + 1, terms)
+
+
+def test_vanishing_on_x_matches_the_expanded_restriction():
+    # forms that vanish on X (multiples of one of X's forms, combinations of
+    # them), forms that do not, and subschemes of either kind, on X of
+    # codimension 0, 1 and 2 in P^3
+    rng = random.Random(81)
+    answers = []
+    for i in range(90):
+        codim = i % 3
+        while True:
+            forms = tuple(rand_linear_form(rng, 3, 3) for _ in range(codim))
+            try:
+                x = LinearSubvariety(3, forms)
+                break
+            except ArgumentError:
+                continue
+        degree = rng.randint(1, 3)
+        targets = [rand_hom_form(rng, 3, degree, 2), rand_linear_form(rng, 3, 2)]
+        if codim:
+            targets.append(_product_form(forms[0], rand_hom_form(rng, 3, degree, 2)))
+            mults = [rng.randint(1, 3) for _ in forms]
+            targets.append(LinearForm(tuple(
+                sum(a * f.coeffs[k] for a, f in zip(mults, forms)) for k in range(4)
+            )))
+            targets.append(SubschemeSpec((targets[2], targets[3])))
+            targets.append(SubschemeSpec((targets[2], targets[0])))
+        for t in targets:
+            for mode in ("lenient", "strict"):
+                got = _vanishes_on(t, x.kernel_basis(), mode)
+                assert got == vanishes_on_by_expansion(t, x, mode), (t, x, mode)
+                answers.append(got)
+    # the subscheme cap(F*L; L0) vanishes on X in strict mode only
+    assert answers.count(True) == 420 and answers.count(False) == 420
+
+
+def test_main_refuses_any_target_that_vanishes_on_x():
+    # on X = {x2 = 0} the quadric x0*x2 and the subscheme cap(x2; x0*x2)
+    # vanish everywhere; the quadric x0^2 - x1^2 + x2^2 meets X in the two
+    # points [1:1:0] and [1:-1:0], and cap(x2; x0) in [0:1:0], so those run
+    # (cap(x2; x0) only in lenient mode: in strict mode x2 puts every point
+    # of X on its support)
+    x2, x0, x1 = LinearForm((0, 0, 1)), LinearForm((1, 0, 0)), LinearForm((0, 1, 0))
+    quad = HomForm.from_terms(2, 2, {(1, 0, 1): 1})
+    vanishing = (quad, SubschemeSpec((x2, quad), label="cap(x2; x0*x2)"))
+    meeting = (
+        HomForm.from_terms(2, 2, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): 1}),
+        SubschemeSpec((x2, x0)),
+    )
+
+    def cfg(place, targets):
+        return ExperimentConfig(
+            variety=X_LINE,
+            arrangements=((place, targets),),
+            level=2,
+            epsilon=Fraction(1),
+            h_min=0.0,
+            h_max=3.0,
+            sample_count=10,
+            seed=0,
+            position_asserted=True,
+        )
+
+    for place in (INF, Place(2)):
+        for bad in vanishing:
+            with pytest.raises(ConfigRejectedError) as exc:
+                run_main_experiment(cfg(place, (x0, bad, x1)))
+            assert str(exc.value) == "target %s at %s vanishes on X" % (bad, place)
+        for ok in meeting:
+            report = run_main_experiment(cfg(place, (x0, x1, ok)))
+            assert len(report.points) + len(report.excluded_height) == 10
+            assert not any(is_on_support(ProjPoint.parse(p), ok) for p in report.points)
+    strict = replace(cfg(INF, (x0, x1, meeting[1])), mode="strict")
+    with pytest.raises(ConfigRejectedError) as exc:
+        run_main_experiment(strict)
+    assert str(exc.value) == "target %s at inf vanishes on X" % (meeting[1],)
+
+
 def test_nonlinear_targets_need_the_assertion():
     quad = HomForm.from_terms(1, 2, {(2, 0): 1, (0, 2): 1})
     cfg = config_p1(targets=(X0, quad), sample_count=8)
@@ -1205,11 +1292,24 @@ def test_a_report_evaluates_each_form_once_per_sampler_batch(monkeypatch):
         return chain_check_column(points, place, cert, *values)
 
     monkeypatch.setattr(subgeneral.experiments, "chain_check_column", recording_summary)
+    # the position gate evaluates targets at lattice points of X's parameter
+    # space, before any point is sampled; those calls are kept apart
+    gated = []
+    validate = subgeneral.experiments._validate_positions
+
+    def gate(config, level):
+        out = validate(config, level)
+        gated.extend(evaluated)
+        evaluated.clear()
+        return out
+
+    monkeypatch.setattr(subgeneral.experiments, "_validate_positions", gate)
     several_batches = False
     curve, surface = _kernel_configs()
     for cfg, chained in ((curve, True), (surface, False), (_chain_surface_config(), True)):
         sampler_calls.clear()
         evaluated.clear()
+        gated.clear()
         summarized.clear()
         report = run_main_experiment(cfg)
         assert len(report.points) > 300
@@ -1222,6 +1322,7 @@ def test_a_report_evaluates_each_form_once_per_sampler_batch(monkeypatch):
             c for t in supports for c in (t.components if isinstance(t, SubschemeSpec) else (t,))
         ]
         assert evaluated == components * batches
+        assert gated and set(gated) <= set(components)
         several_batches |= batches > 1
         assert all(s["applicable"] == chained for s in report.chain_summary.values())
         # the chain summary got each input's values at its own points

@@ -141,12 +141,87 @@ def test_product_formula_ledger_json_shape():
     assert d["residual_exact_zero"] is True
 
 
+# the chunks (a, b] whose prime products split a composite cofactor
+CHUNK_EDGES = (3000, 6000, 12000, 24000, 48000, 96000)
+
+
+def _prev_prime(n: int) -> int:
+    while not prime_reference(n):
+        n -= 1
+    return n
+
+
+def _chunk_of(p: int) -> int:
+    """0 for a sieve prime, k for the k-th chunk, 6 above the last."""
+    return sum(p > e for e in CHUNK_EDGES)
+
+
+# one prime in each chunk and one above them all
+_PARTNERS = (3011, 7001, 20011, 40009, 70001, 1000003)
+
+
 def test_factor_int_against_reference():
     rng = random.Random(104)
     values = [rng.randint(2, 10**12) for _ in range(60)]
     values += [2**40, 3 * 5 * 7 * 11 * 13, 10**12 - 11, 999983**2]
+    # the primes at each chunk edge, times a prime of another chunk or above
+    edge_primes = []
+    for e in CHUNK_EDGES:
+        edge_primes += [_prev_prime(e), next_prime_reference(e)]
+    for p in edge_primes:
+        values += [p * q for q in _PARTNERS if _chunk_of(q) != _chunk_of(p)]
+        values += [p**2, p**3, 2**5 * p**2 * 1000003]
+    # two primes of one chunk: the chunk's gcd is the whole cofactor
+    values += [3001 * 5987, 6007 * 11981, 12007 * 23993, 48017 * 95989, 3001**2 * 5987]
+    # three-prime cofactors, within and across chunks
+    values += [3001 * 20011 * 1000003, 7 * 3001 * 10007 * 70001, 48017 * 95989 * 70001]
+    # every prime above the last chunk: only rho splits it
+    values += [next_prime_reference(96000) * next_prime_reference(10**6), 1000003 * 1000033]
     for n in values:
-        assert factor_int(n) == factor_reference(n)
+        assert factor_int(n) == factor_reference(n), n
+
+
+def test_chunk_gcds_split_cofactors_with_a_prime_below_96000_without_rho(monkeypatch):
+    calls = []
+    rho = subgeneral.places._brent_rho
+
+    def counting(n):
+        calls.append(n)
+        return rho(n)
+
+    monkeypatch.setattr(subgeneral.places, "_brent_rho", counting)
+    rng = random.Random(105)
+    lows = CHUNK_EDGES + (10**9,)
+    for _ in range(300):
+        p = next_prime_reference(rng.randint(3000, 95900))
+        k = rng.choice([k for k in range(1, 7) if k != _chunk_of(p)])
+        q = next_prime_reference(rng.randint(lows[k - 1], lows[k] - 100))
+        smooth = rng.choice((1, 2, 3 * 5**4, 2999))
+        assert factor_int(smooth * p * q) == factor_reference(smooth * p * q)
+    assert calls == []
+    # a cofactor with both primes above the last chunk reaches rho
+    p, q = next_prime_reference(96000), next_prime_reference(10**7)
+    assert factor_int(p * q) == {p: 1, q: 1}
+    assert calls
+
+
+def test_importing_the_package_builds_no_chunk_product():
+    src = str(Path(subgeneral.__file__).resolve().parents[1])
+    code = (
+        "import subgeneral, subgeneral.cli\n"
+        "from subgeneral import places\n"
+        "before = places._chunk_products.cache_info().misses\n"
+        "places.factor_int(3001 * 3011)\n"
+        "print(before, places._chunk_products.cache_info().misses)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_factor_int_edges():
