@@ -15,14 +15,15 @@ set).  Each report ends with a summary of Quang's chain estimate over the
 first _CHAIN_CHECK_CAP sample points at each place holding l+1 hyperplanes:
 one quang.chain_check_column per place, which checks the points one cell
 at a time, on the inputs' values that the sampler kept, and reads each
-ordering from the certificate's table.  A point on an input counts as
-skipped.  The position gate refuses a target of any kind that vanishes on
-X (l-subgeneral position allows a hyperplane that does once l > n, and an
-asserted position any hypersurface, but no point of X lies off its
-support), so every such place has a combination.
+ordering from the certificate's table.  The sampler excludes every target's
+support, so no checked point lies on an input.  The position gate refuses a
+target of any kind that vanishes on X (l-subgeneral position allows a
+hyperplane that does once l > n, and an asserted position any hypersurface,
+but no point of X lies off its support), so every such place has a
+combination.
 
-Bulk ledgers (weighted_defect over a sample) evaluate each distinct target
-once per sample and read every local value from the exact kernel of the
+The bulk ledger (_defect_batch over a sample) evaluates each distinct target
+once per sample and reads every local value from the exact kernel of the
 local-value module, the one the one-point routines read, so a weighted sum is
 bit-equal to the fsum of the weighted one-point values: one float column
 per weighted (target, place) term, the kernel's own column at weight 1.0
@@ -527,28 +528,22 @@ class _Evaluator:
         )
 
 
-def weighted_defect(point: ProjPoint, config: ExperimentConfig) -> float:
-    """sum over places and targets of eps_j * lambda_{j,v}(P), Seshadri-weighted."""
-    return _defect_batch(_Evaluator(config), (point,))[0]
-
-
-def _defect_batch(ev: _Evaluator, pts, maxes=None, columns=None) -> list:
-    """The weighted defect of each point: one kernel call per plan entry over
-    the whole column, and one fsum per point over one float column per
-    weighted (target, place) term.  A term of weight 1.0 (every hyperplane's)
-    is the kernel's column as it is, since 1.0 * v is v; any other is that
-    column times the weight.  maxes[i] is max|x_i| of pts[i], computed here
-    when not given.  columns, when given (SampleResult.columns), hold every
-    plan target's component columns over pts, which are then not evaluated
-    again.  Raises the first support hit it meets."""
-    xs = _coordinate_columns(pts) if columns is None else None
-    columns = columns or {}  # an empty sample keeps no columns
-    if maxes is None:
-        maxes = [max(map(abs, pt.coords)) for pt in pts]
+def _defect_batch(ev: _Evaluator, pts, maxes, columns) -> list:
+    """The weighted defect of each point, sum over places and targets of
+    eps_j * lambda_{j,v}(P): one kernel call per plan entry over the whole
+    column, and one fsum per point over one float column per weighted
+    (target, place) term.  A term of weight 1.0 (every hyperplane's) is the
+    kernel's column as it is, since 1.0 * v is v; any other is that column
+    times the weight.  maxes[i] is max|x_i| of pts[i], and columns
+    (SampleResult.columns) hold every plan target's component columns over
+    pts, which are not evaluated again.  Raises the first support hit it
+    meets."""
+    if not pts:  # an empty sample keeps no columns
+        return []
     terms = []
     for target, places, _, weights in ev.plan:
-        cols = columns.get(target)
-        _, values, marks = _column(target, pts, xs, maxes, ev.mode, places, cols)
+        cols = columns[target]
+        _, values, marks = _column(target, pts, None, maxes, ev.mode, places, cols)
         _raise_hit(marks)
         terms += (
             col if w == 1.0 else [w * v for v in col] for w, col in zip(weights, values)
@@ -709,7 +704,6 @@ class DefectReport:
     violators: list[str]
     candidates: list[Candidate]
     unassigned: list[str]
-    excluded_support: list[str]  # empty: the sampler skips support points
     excluded_height: list[str]
     partial: bool
     attempts: int
@@ -722,10 +716,6 @@ class DefectReport:
         for row in zip(self.points, self.heights, self.sums, self.ratios):
             yield row + (row[0] in flagged,)
 
-    def iter_records(self):
-        for row in self._rows():
-            yield dict(zip(_RECORD_FIELDS, row))
-
     def to_json_dict(self, include_records: bool = True) -> dict:
         out = {
             "kind": self.kind,
@@ -737,7 +727,6 @@ class DefectReport:
             "violators": list(self.violators),
             "candidates": [c.to_json_dict() for c in self.candidates],
             "unassigned": list(self.unassigned),
-            "excluded_support": list(self.excluded_support),
             "excluded_height": list(self.excluded_height),
             "partial": self.partial,
             "attempts": self.attempts,
@@ -840,7 +829,8 @@ def _chain_summary(config: ExperimentConfig, eff_level: int, pts, columns) -> di
     column per applicable place: a place holding eff_level+1 hyperplanes.
     The position gate has passed them, so their combination exists.  The
     inputs' values are read from the sampler's columns (a hyperplane's one
-    component column), not evaluated again."""
+    component column), not evaluated again; the sampler excluded every
+    target's support, so every point is checked."""
     head = pts[:_CHAIN_CHECK_CAP]
     summary = {}
     for place, targets in config.arrangements:
@@ -852,12 +842,11 @@ def _chain_summary(config: ExperimentConfig, eff_level: int, pts, columns) -> di
             continue
         cert = quang_combine_cached(tuple(targets), config.variety)
         values = [columns[t][0][:_CHAIN_CHECK_CAP] for t in targets] if head else None
-        cells = [c for c in chain_check_column(head, place, cert, values) if c is not None]
+        cells = chain_check_column(head, place, cert, values)
         summary[key] = {
             "applicable": True,
             "checked": len(cells),
             "passed": sum(passed for passed, _ in cells),
-            "support_skipped": len(head) - len(cells),
             "min_slack": min((slack for _, slack in cells), default=None),
         }
     return summary
@@ -931,7 +920,6 @@ def _run(
         violators=violators,
         candidates=candidates,
         unassigned=unassigned,
-        excluded_support=[],
         excluded_height=excluded_height,
         partial=sample.partial,
         attempts=sample.attempts,

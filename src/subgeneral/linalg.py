@@ -13,13 +13,11 @@ column, and intersect_rowspaces as primitive rows.
 
 Rowspace membership: in_rowspace compares two ranks, two eliminations per
 vector.  Over Q the rowspace of E is the annihilator of its nullspace, so
-annihilator_products(vectors, E, ncols) reduces E once, to an integer basis
-N = nullspace(E), and returns the products v . N_k: v lies in rowspace(E)
-exactly when all of its products are zero, and a combination c . vectors
-does exactly when c . P_k = 0 for every product tuple P_k.
-intersect_rowspaces and the exceptional scan (through dot_products, as it
-keeps N) test membership this way;
-combine forms the integer (or rational) combinations themselves.
+with an integer basis N = nullspace(E) a vector v lies in rowspace(E)
+exactly when its products v . N_k (dot_products) are all zero, and a
+combination c . vectors does exactly when c . P_k = 0 for every product
+tuple P_k.  intersect_rowspaces and the exceptional scan test membership
+this way; combine forms the integer (or rational) combinations themselves.
 """
 
 from __future__ import annotations
@@ -156,18 +154,14 @@ def dot_products(vectors, basis) -> list[tuple[int, ...]]:
     return [tuple(sum(map(mul, v, b)) for v in vectors) for b in basis]
 
 
-def annihilator_products(vectors, rows, ncols: int) -> list[tuple[int, ...]]:
-    """dot_products of the vectors with the basis nullspace(rows, ncols)."""
-    return dot_products(vectors, nullspace(rows, ncols))
-
-
 def intersect_rowspaces(rows_a, rows_b, ncols: int) -> list[tuple[int, ...]]:
     """Primitive basis of rowspace(A) intersect rowspace(B).
 
     u.A lies in rowspace(B) exactly when u . P_k = 0 for every tuple P_k of
-    annihilator_products(A, B), so the u form the nullspace of those tuples.
+    products of A's rows with the basis nullspace(B), so the u form the
+    nullspace of those tuples.
     """
     a = [list(r) for r in rows_a if any(r)]
-    coeffs = nullspace(annihilator_products(a, rows_b, ncols), len(a))
+    coeffs = nullspace(dot_products(a, nullspace(rows_b, ncols)), len(a))
     span = [combine(u, a) for u in coeffs]
     return [primitive(r) for r in _gauss_jordan(span)[1]]

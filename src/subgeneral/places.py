@@ -378,10 +378,6 @@ class ProductFormulaLedger:
             prod *= Fraction(p) ** e
         return prod == abs(self.x)
 
-    def residual_float(self) -> float:
-        # arch term plus finite terms, each log||x||_v; zero up to rounding
-        return math.fsum([self.arch_log] + [-e * math.log(p) for p, e in self.finite])
-
     def to_json_dict(self) -> dict:
         return {
             "x": rat_str(self.x),

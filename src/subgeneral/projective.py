@@ -361,9 +361,6 @@ class LinearSubvariety:
     def dim(self) -> int:
         return self.ambient_dim - len(self.forms)
 
-    def contains(self, point: ProjPoint) -> bool:
-        return all(f.evaluate(point) == 0 for f in self.forms)
-
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Primitive integer basis of the solution space, dim+1 vectors."""
         return nullspace([f.coeffs for f in self.forms], self.ambient_dim + 1)

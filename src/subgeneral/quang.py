@@ -75,7 +75,7 @@ ledgers at finite places, and at the archimedean place the two norm
 products as integer (numerator, denominator) pairs, cross-multiplied; only
 the reported floats are rounded, each from its reduced fraction.  Each
 point is one cell (_cell): its space is checked, the inputs are evaluated,
-a point on an input is marked, and _chain_inequality compares.
+a point on an input raises SupportError, and _chain_inequality compares.
 chain_check_column, for the experiments' chain summary, checks every
 point's space first, reads the inputs' values from columns (the sampler's
 in an experiment, else one evaluation per input over the coordinate
@@ -116,10 +116,6 @@ class CombinationCertificate:
     def level(self) -> int:
         return len(self.inputs) - 1
 
-    @property
-    def rounds(self) -> int:
-        return len(self.outputs)
-
     @functools.cached_property
     def _chain_table(self) -> dict:
         """The chain check's table of sort orders (module docstring), filled
@@ -140,7 +136,8 @@ class CombinationCertificate:
     def verify_soundness(self) -> bool:
         """Replay the matrix: row 1 is the first input, later rows respect
         the span discipline and reproduce the outputs exactly, and each
-        listed (place, C_v) is the constant of those rows."""
+        listed (place, C_v) is the constant of those rows.  Every input lives
+        in X's ambient space, so an output of another length is no replay."""
         l = self.level
         n = self.variety.dim
         if len(self.outputs) != n + 1 or len(self.matrix) != n + 1:
@@ -150,6 +147,9 @@ class CombinationCertificate:
         if tuple(self.matrix[0]) != _unit_row(0, l):
             return False
         input_rows = [f.coeffs for f in self.inputs]
+        # combine would cut a longer input to the first input's length
+        if set(map(len, input_rows)) != {self.variety.ambient_dim + 1}:
+            return False
         for r in range(1, n + 1):
             row = self.matrix[r]
             hi = l - n + r + 1  # 1-based top usable input index of L'_{r+1}
@@ -468,7 +468,7 @@ def _in_space(cert: CombinationCertificate, point: ProjPoint) -> None:
 
 def _cell(cert: CombinationCertificate, place: Place, point: ProjPoint, vals=None):
     """One point of the chain check: _chain_inequality's tuple, or the
-    0-based index of the first input that vanishes at the point.  vals, the
+    SupportError of the first input that vanishes at the point.  vals, the
     inputs' values at the point, are evaluated here when not given, after
     the point's space is checked."""
     coords = point.coords
@@ -476,7 +476,8 @@ def _cell(cert: CombinationCertificate, place: Place, point: ProjPoint, vals=Non
         _in_space(cert, point)
         vals = [sum(map(mul, f.coeffs, coords)) for f in cert.inputs]
     if 0 in vals:
-        return vals.index(0)
+        i = vals.index(0)
+        raise _on_form(point, i, cert.inputs[i])
     maxx = max(map(abs, coords)) if place.p is None else None
     return _chain_inequality(cert, place, _keys(vals, place), maxx)
 
@@ -493,10 +494,7 @@ def chain_check(
     output is an input); and quang_combine's PositionError when that
     refuses the re-sorted family.
     """
-    cell = _cell(certificate, place, point)
-    if type(cell) is int:
-        raise _on_form(point, cell, certificate.inputs[cell])
-    passed, slack, lhs, rhs, perm = cell
+    passed, slack, lhs, rhs, perm = _cell(certificate, place, point)
     p = place.p
     if p is None:
         lhs, rhs = _log_ratio(*lhs), _log_ratio(*rhs)
@@ -521,8 +519,7 @@ def chain_check_column(
     points, place: Place, certificate: CombinationCertificate, columns=None
 ) -> list:
     """chain_check over a column of points, with no record: (passed, slack)
-    at each point, equal to that point's chain_check record, or None where
-    the point lies on an input (where chain_check raises SupportError).
+    at each point, equal to that point's chain_check record.
 
     Every point is chain_check's own cell, compared from the same table on
     the certificate, on the inputs' values read from columns: columns[j][i]
@@ -530,7 +527,9 @@ def chain_check_column(
     and when not given each input is evaluated once over the coordinate
     columns.  Every point's space is checked before any comparison, so a
     point outside the inputs' ambient space raises chain_check's
-    ArgumentError even after a point whose ordering is refused.
+    ArgumentError even after a point whose ordering is refused or that lies
+    on an input; then the first point that chain_check refuses raises its
+    error (SupportError on an input, or PositionError).
     """
     points = list(points)
     for pt in points:
@@ -540,7 +539,6 @@ def chain_check_column(
     if columns is None:
         xs = _coordinate_columns(points)
         columns = [f.column(xs) for f in certificate.inputs]
-    cells = [
-        _cell(certificate, place, pt, vals) for pt, vals in zip(points, zip(*columns))
+    return [
+        _cell(certificate, place, pt, vals)[:2] for pt, vals in zip(points, zip(*columns))
     ]
-    return [None if type(c) is int else c[:2] for c in cells]

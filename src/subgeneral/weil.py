@@ -1,4 +1,4 @@
-"""Local Weil functions, heights, and proximity sums over Q.
+"""Local Weil functions and heights over Q.
 
 For a linear form L and a point P with canonical coordinates x,
 
@@ -338,14 +338,8 @@ def local_weil(
     return WeilValue(value, place, str(target), str(point), ledger, dropped)
 
 
-def is_on_support(point: ProjPoint, target: Target, mode: str = "lenient") -> bool:
-    """True when local_weil would raise SupportError at every place."""
-    _, _, marks = _column(target, (point,), [[x] for x in point.coords], (), mode, ())
-    return bool(_hits(marks))
-
-
 # ---------------------------------------------------------------------------
-# heights and proximity
+# heights
 
 
 def height_exact(point: ProjPoint) -> int:
@@ -363,14 +357,6 @@ def height_scaled(point: ProjPoint, degree) -> float:
     if d <= 0:
         raise ArgumentError("degree must be positive")
     return float(d) * height(point)
-
-
-def proximity_sum(point: ProjPoint, target: Target, places, mode: str = "lenient") -> float:
-    """m_S(P, target) = sum of local Weil values over the places in S."""
-    seq = list(places)
-    if len(set(seq)) != len(seq):
-        raise ArgumentError("duplicate places in S")
-    return math.fsum(_one_point(point, target, mode, seq)[1]) if seq else 0.0
 
 
 # ---------------------------------------------------------------------------

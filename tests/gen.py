@@ -5,11 +5,13 @@ from fractions import Fraction
 
 from subgeneral import (
     HomForm,
+    INF,
     LinearForm,
     LinearSubvariety,
     ProjPoint,
+    SupportError,
     check_general,
-    is_on_support,
+    local_weil,
     monomials,
     projective_space,
     violations_at,
@@ -40,6 +42,16 @@ def rand_hom_form(rng: random.Random, dim: int, degree: int, hi: int = 4) -> Hom
         coeffs = tuple(rng.randint(-hi, hi) for _ in monomials(dim + 1, degree))
         if any(coeffs):
             return HomForm(dim, degree, coeffs)
+
+
+def is_on_support(point: ProjPoint, target, mode: str = "lenient") -> bool:
+    """True when local_weil raises SupportError: the support convention does
+    not depend on the place, so one place decides."""
+    try:
+        local_weil(point, target, INF, mode)
+    except SupportError:
+        return True
+    return False
 
 
 def point_off_targets(rng: random.Random, targets, dim: int, hi: int = 60) -> ProjPoint:

@@ -26,10 +26,12 @@ parse edge did before integral text became an int; the draw reference is
 the random-draw stream with its nested loop over the basis rows.  The scan
 reference is the exceptional scan as it tested span membership by hand, one
 short-circuiting row of dot products per violator; the marks reference is
-the support-mark decode that the sampler, _raise_hit and is_on_support each
-wrote out before they shared one.  The vanishing reference expands a form
+the support-mark decode that the sampler and _raise_hit each wrote out
+before they shared one.  The vanishing reference expands a form
 over X's RREF kernel basis with sympy, where the position gate evaluates it
-at the lattice points of a simplex.
+at the lattice points of a simplex.  The violator reference decides every
+verdict from the local Weil reference's ratios raised to integer powers,
+where a report compares floats and decides only its tie band exactly.
 """
 
 import math
@@ -63,7 +65,10 @@ from subgeneral.quang import (
     chain_constant,
     quang_combine_cached,
 )
-from subgeneral.weil import SubschemeSpec, is_on_support
+from subgeneral.seshadri import seshadri_constant
+from subgeneral.weil import SubschemeSpec
+
+from gen import is_on_support
 
 
 def rank_fraction_gauss(rows) -> int:
@@ -479,6 +484,27 @@ def weil_ratio_reference(point, target, place):
         if best is None or q < best:
             best = q
     return best
+
+
+def violator_by_fractions(point, arrangements, bound: Fraction) -> bool:
+    """Whether the weighted defect sum_j eps_j * log q_j exceeds bound * h(P),
+    with q_j = weil_ratio_reference at each (target, place) of the
+    arrangements and eps_j the target's Seshadri weight (the package's
+    closed forms, pinned by test_seshadri).  With D a common denominator of
+    the weights and the bound the test reads prod q_j^(D*eps_j) > H^(D*bound),
+    H = max|x_i|, on integers: numerators and denominators multiplied apart."""
+    terms = [
+        (weil_ratio_reference(point, t, v), Fraction(seshadri_constant(t).value))
+        for v, targets in arrangements
+        for t in targets
+    ]
+    den = math.lcm(bound.denominator, *(w.denominator for _, w in terms))
+    num_prod = den_prod = 1
+    for q, w in terms:
+        e = int(w * den)
+        num_prod *= q.numerator**e
+        den_prod *= q.denominator**e
+    return num_prod > max(map(abs, point.coords)) ** int(bound * den) * den_prod
 
 
 def form_value_by_point(terms, coords) -> int:

@@ -5,13 +5,19 @@ import json
 import math
 import os
 import subprocess
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import subgeneral
+from subgeneral import ExperimentConfig, ProjPoint, target_to_json
 from subgeneral.cli import main
+
+from gen import rand_hom_form, rand_linear_form
+from oracles import violator_by_fractions
 
 CONCURRENT = "[[1,0,0],[0,1,0],[1,1,0]]"
 WORKED_FORMS = "[[1,0,0],[0,1,0],[1,-1,0]]"
@@ -330,6 +336,15 @@ def test_chain_check_refuses_an_unsound_certificate(capsys, tmp_path):
         assert "fails its replay" in captured.err and captured.out == ""
     tampered = json.dumps({**cert, "matrix": [["1", "0", "0"], ["0", "0", "1"]]})
     assert main(["chain", "check", "--cert", tampered] + check) == 65
+    assert "fails its replay" in capsys.readouterr().err
+    # an input outside X's ambient space fails the replay, before any walk
+    x_p1 = {"ambient_dim": 1, "forms": []}
+    wrong_space = json.dumps({
+        **cert, "x": x_p1, "inputs": [["1", "0"], ["0", "1"], ["1", "1", "5"]],
+        "outputs": [["1", "0"], ["1", "1"]], "constants": {"inf": "1"},
+    })
+    assert main(["chain", "check", "--cert", wrong_space, "--point", "[1:2]",
+                 "--place", "inf"]) == 65
     assert "fails its replay" in capsys.readouterr().err
     not_a_place = json.dumps({**cert, "constants": {"inf": "1", "q=2": "1"}})
     assert main(["chain", "check", "--cert", not_a_place] + check) == 65
@@ -707,7 +722,7 @@ GOLDEN_REPORTS = (
             "sample_count": None,
             "seed": 1,
         },
-        "1f1abf25af1c9a859f7e9100101d89996e3bb68634dce5731d043cbe347adcd2",
+        "261900a8fae12a417c42414e20bb7e93a6913547d6611b503a86cf647d837b8a",
     ),
     (
         "csv",
@@ -754,3 +769,45 @@ def test_seeded_reports_keep_their_bytes(tmp_path, fmt, config, digest):
     argv = ["experiment", "run", "--config", json.dumps(config), "--format", fmt, "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _seeded_form_config():
+    """A seeded P^2 config whose places each hold three lines and a quadric,
+    so the Seshadri weights are 1 and 1/2 (position asserted)."""
+    rng = random.Random(23)
+    arrangements = {
+        place: [target_to_json(t) for t in
+                [rand_linear_form(rng, 2) for _ in range(3)] + [rand_hom_form(rng, 2, 2)]]
+        for place in ("inf", "p=2")
+    }
+    return {
+        "x": {"ambient_dim": 2, "forms": []},
+        "arrangements": arrangements,
+        "l": 2,
+        "epsilon": "1/10",
+        "height_window": [0.0, math.log(30)],
+        "sample_count": 300,
+        "seed": 23,
+        "position_asserted": True,
+    }
+
+
+def test_every_violator_verdict_matches_a_fraction_decision(tmp_path):
+    # the report compares float ratios and decides only its tie band
+    # exactly; the reference decides every point over the integers
+    flagged = []
+    for config in [config for _, config, _ in GOLDEN_REPORTS] + [_seeded_form_config()]:
+        out = tmp_path / "report.json"
+        assert main(["experiment", "run", "--config", json.dumps(config), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        arrangements = ExperimentConfig.from_json_dict(config).arrangements
+        bound = Fraction(report["bound"])
+        exact = {
+            label for label, *_ in report["records"]
+            if violator_by_fractions(ProjPoint.parse(label), arrangements, bound)
+        }
+        assert exact == set(report["violators"])
+        assert len(exact) < len(report["records"])
+        flagged.append(len(exact))
+    # the curve and the quadric configs reach violators, the surface none
+    assert [n > 0 for n in flagged] == [True, False, True]

@@ -34,7 +34,6 @@ from subgeneral import (
     check_subgeneral,
     delta_budget,
     exceptional_scan,
-    is_on_support,
     local_weil,
     projective_space,
     quang_combine,
@@ -44,14 +43,20 @@ from subgeneral import (
     seshadri_constant,
     target_to_json,
     valuation,
-    weighted_defect,
     weil_batch,
 )
 from subgeneral.cli import main
-from subgeneral.experiments import _defect_batch, _draw_stream, _Evaluator, _vanishes_on
+from subgeneral.experiments import (
+    _RECORD_FIELDS,
+    _defect_batch,
+    _draw_stream,
+    _Evaluator,
+    _vanishes_on,
+)
 from subgeneral.jsonio import rat_str, stable_dumps
+from subgeneral.weil import _component_columns
 
-from gen import rand_hom_form, rand_linear_form, rand_point
+from gen import is_on_support, rand_hom_form, rand_linear_form, rand_point
 from oracles import (
     draw_stream_by_loop,
     exceptional_scan_by_hand,
@@ -178,6 +183,37 @@ def test_sample_surface_needs_a_count():
 
 # ---------------------------------------------------------------------------
 # weighted defects
+
+
+def weighted_sum_by_point(pt, cfg) -> float:
+    """The fsum of the Seshadri-weighted local_weil values at one point."""
+    return math.fsum(
+        float(seshadri_constant(t).value) * local_weil(pt, t, v, cfg.mode).value
+        for v, ts in cfg.arrangements
+        for t in ts
+    )
+
+
+def weighted_defect(pt, cfg) -> float:
+    """The ledger's weighted defect at one point, read from the component
+    columns that the sampler keeps; it is the fsum of the weighted one-point
+    values."""
+    ev = _Evaluator(cfg)
+    columns = {t: _component_columns(t, [pt], [[x] for x in pt.coords]) for t, *_ in ev.plan}
+    got = _defect_batch(ev, [pt], [max(map(abs, pt.coords))], columns)[0]
+    assert got == weighted_sum_by_point(pt, cfg)
+    return got
+
+
+def _ledger(cfg, sample) -> list:
+    """The ledger over a sample, as a run reads it: the sampler's columns."""
+    maxes = [max(map(abs, pt.coords)) for pt in sample.points]
+    return _defect_batch(_Evaluator(cfg), sample.points, maxes, sample.columns)
+
+
+def _records(report) -> list:
+    """One dict per record row, keyed by the CSV header."""
+    return [dict(zip(_RECORD_FIELDS, row)) for row in report._rows()]
 
 
 def test_weighted_defect_frozen_line_case():
@@ -693,7 +729,6 @@ def test_main_run_finds_the_planted_violators():
     assert report.unassigned == []
     assert len(report.candidates) == 3
     assert all(c.dim == 0 for c in report.candidates)
-    assert report.excluded_support == []
     # [7:-5] lies on the target 5x0 + 7x1 inside the window: the sampler
     # skips it, so no ledger entry meets a support
     assert math.log(7) < 2.5 and LinearForm((5, 7)).evaluate(ProjPoint((7, -5))) == 0
@@ -701,7 +736,7 @@ def test_main_run_finds_the_planted_violators():
     assert "[7:-5]" not in report.excluded_height
     assert not report.partial
     # every reported ratio is sum/height and flags match the bound
-    for row in report.iter_records():
+    for row in _records(report):
         assert row["ratio"] == pytest.approx(
             row["weighted_sum"] / row["height"], abs=1e-12
         )
@@ -728,7 +763,7 @@ def test_a_run_builds_one_evaluator(monkeypatch):
 
 def test_report_rows_agree_across_formats():
     report = run_main_experiment(violator_config())
-    records = list(report.iter_records())
+    records = _records(report)
     assert len(records) == len(report.points) > 0
     fields = ["point", "height", "weighted_sum", "ratio"]
     assert report.to_json_dict()["records"] == [[r[k] for k in fields] for r in records]
@@ -813,7 +848,9 @@ def test_main_run_report_shape_and_determinism():
         "witnesses": 0,
         "asserted": False,
     }
+    assert "excluded_support" not in data
     chain = data["chain_summary"]["inf"]
+    assert set(chain) == {"applicable", "checked", "passed", "min_slack"}
     assert chain["applicable"]
     assert chain["checked"] > 0 and chain["passed"] == chain["checked"]
     assert chain["min_slack"] >= 0.0
@@ -903,7 +940,7 @@ def test_violator_tie_is_decided_exactly():
     idx = report.points.index("[2:-5]")
     assert report.ratios[idx] > float(report.bound)
     assert "[2:-5]" not in report.violators and "[3:-4]" in report.violators
-    flags = {r["point"]: r["violator"] for r in report.iter_records()}
+    flags = {r["point"]: r["violator"] for r in _records(report)}
     assert flags["[2:-5]"] is False and flags["[3:-4]"] is True
     rows = _csv_rows(report)
     assert rows["[2:-5]"].endswith(",0") and rows["[3:-4]"].endswith(",1")
@@ -930,7 +967,7 @@ def test_violator_tie_at_an_exact_float_is_not_a_violator():
     idx = report.points.index("[3:-4]")
     assert report.ratios[idx] == float(report.bound)
     assert report.violators == ["[1:-2]"]
-    flags = {r["point"]: r["violator"] for r in report.iter_records()}
+    flags = {r["point"]: r["violator"] for r in _records(report)}
     assert flags["[3:-4]"] is False and flags["[1:-2]"] is True
     rows = _csv_rows(report)
     assert rows["[3:-4]"].endswith(",0") and rows["[1:-2]"].endswith(",1")
@@ -1159,10 +1196,10 @@ def _kernel_configs():
 
 def _kernel_sample(cfg):
     targets = tuple(t for _, ts in cfg.arrangements for t in ts)
-    pts = sample_points(
+    sample = sample_points(
         cfg.variety, cfg.h_min, cfg.h_max, cfg.sample_count, cfg.seed, excluded=targets
-    ).points
-    return pts, list(dict.fromkeys(targets))
+    )
+    return sample, list(dict.fromkeys(targets))
 
 
 def test_ledgers_never_evaluate_a_form_point_by_point(monkeypatch):
@@ -1175,7 +1212,8 @@ def test_ledgers_never_evaluate_a_form_point_by_point(monkeypatch):
 
     monkeypatch.setattr(HomForm, "evaluate", counting)
     _, surface = _kernel_configs()
-    pts, targets = _kernel_sample(surface)
+    sample, targets = _kernel_sample(surface)
+    pts = sample.points
     quadric = next(t for t in targets if isinstance(t, HomForm))
     mixed = SubschemeSpec((quadric, LinearForm((1, 2, -1))))
     manifest = {
@@ -1185,7 +1223,7 @@ def test_ledgers_never_evaluate_a_form_point_by_point(monkeypatch):
     }
     calls.clear()
     assert len(weil_batch(manifest)) == len(pts) * (len(targets) + 1) * 3
-    assert _defect_batch(_Evaluator(surface), pts)
+    assert _ledger(surface, sample)
     assert calls == []
 
 
@@ -1195,17 +1233,10 @@ def test_bulk_ledger_is_bit_equal_to_one_point_values():
     weights = {w for cfg in _kernel_configs() for *_, ws in _Evaluator(cfg).plan for w in ws}
     assert 1.0 in weights and 1 / 3 in weights
     for cfg in _kernel_configs():
-        pts, targets = _kernel_sample(cfg)
+        sample, targets = _kernel_sample(cfg)
+        pts = sample.points
         assert len(pts) > 300
-        for pt in pts:
-            expected = math.fsum(
-                float(seshadri_constant(t).value) * local_weil(pt, t, v, cfg.mode).value
-                for v, ts in cfg.arrangements
-                for t in ts
-            )
-            assert weighted_defect(pt, cfg) == expected
-        bulk = _defect_batch(_Evaluator(cfg), pts)
-        assert bulk == [weighted_defect(pt, cfg) for pt in pts]
+        assert _ledger(cfg, sample) == [weighted_sum_by_point(pt, cfg) for pt in pts]
         rows = weil_batch(
             {
                 "points": [p.to_json() for p in pts],
@@ -1335,7 +1366,8 @@ def test_a_report_evaluates_each_form_once_per_sampler_batch(monkeypatch):
 
 def test_ledgers_do_no_primality_work(count_calls):
     curve, _ = _kernel_configs()
-    pts, targets = _kernel_sample(curve)
+    sample, targets = _kernel_sample(curve)
+    pts = sample.points
     # the places are built, and proved prime, before the guard goes up
     manifest = {
         "points": [p.to_json() for p in pts],
@@ -1636,13 +1668,15 @@ def test_sampler_tests_each_distinct_support_once_per_batch(monkeypatch):
 def test_ledger_builds_the_coordinate_columns_once(monkeypatch):
     _, surface = _kernel_configs()
     columns = _counting(monkeypatch, "_coordinate_columns")
-    pts, targets = _kernel_sample(surface)
+    sample, targets = _kernel_sample(surface)
+    pts = sample.points
     batches = len(columns)
     assert batches >= 1
-    _defect_batch(_Evaluator(surface), pts)
-    assert len(columns) == batches + 1
+    # the ledger reads the sampler's columns and builds none
+    _ledger(surface, sample)
+    assert len(columns) == batches
     # an empty sample is an empty column, not an error
-    assert _defect_batch(_Evaluator(surface), []) == []
+    assert _defect_batch(_Evaluator(surface), [], [], {}) == []
     manifest_columns = _counting(monkeypatch, "_coordinate_columns", subgeneral.weil)
     weil_batch(
         {

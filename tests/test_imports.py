@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module, and a rule's
-private helpers stay with the module that owns the rule."""
+"""Every name a package module imports is used in that module, a rule's
+private helpers stay with the module that owns the rule, and every public
+function is reached from outside its own module."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import subgeneral
@@ -53,3 +55,44 @@ def test_experiments_imports_no_private_name_of_quang_or_places():
         if a.name.startswith("_")
     ]
     assert private == []
+
+
+# public functions whose only callers are tests: the paper's C_v of a
+# combination and dim(J meet X) of a family of hyperplanes
+UNREACHED = {"chain_constant", "intersection_dim"}
+
+
+def _identifiers(path: Path) -> set:
+    """Every name a file spells: identifiers, attributes, imported names and
+    string constants (the benchmark's tracer names what it wraps by string)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_function_is_named_outside_its_module():
+    # by another package module, by the benchmark, or by an acceptance test
+    package = Path(subgeneral.__file__).parent
+    root = package.parents[1]
+    outside = sorted((root / "perfbench").rglob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    named = {path: _identifiers(path) for path in sorted(package.glob("*.py")) + outside}
+    unreached = set()
+    for name in subgeneral.__all__:
+        fn = getattr(subgeneral, name)
+        if not inspect.isfunction(fn):
+            continue
+        home = package / (fn.__module__.rsplit(".", 1)[1] + ".py")
+        if not any(
+            name in names for path, names in named.items()
+            if path not in (home, package / "__init__.py")
+        ):
+            unreached.add(name)
+    assert unreached == UNREACHED

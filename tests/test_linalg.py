@@ -4,8 +4,8 @@ import random
 from fractions import Fraction
 
 from subgeneral.linalg import (
-    annihilator_products,
     combine,
+    dot_products,
     in_rowspace,
     intersect_rowspaces,
     nullspace,
@@ -140,6 +140,9 @@ def test_combine_matches_fraction_sums():
 
 
 def test_annihilator_products_match_in_rowspace():
+    # a vector lies in rowspace(E) exactly when its products with the basis
+    # nullspace(E) are all zero: the rule intersect_rowspaces and the
+    # exceptional scan read
     rng = random.Random(16)
     for _ in range(200):
         ncols = rng.randint(2, 6)
@@ -151,7 +154,7 @@ def test_annihilator_products_match_in_rowspace():
             else rand_matrix(rng, 1, ncols)[0]
             for _ in range(rng.randint(1, 6))
         ]
-        products = annihilator_products(vectors, rows, ncols)
+        products = dot_products(vectors, nullspace(rows, ncols))
         assert len(products) == len(nullspace(rows, ncols))
         for i, v in enumerate(vectors):
             assert (not any(p[i] for p in products)) == in_rowspace(v, rows)

@@ -206,7 +206,6 @@ def test_worked_example_outputs():
     cert = worked_cert()
     assert cert.outputs == (X0, X1)
     assert cert.level == 2
-    assert cert.rounds == 2
     assert cert.matrix == (
         (Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1), Fraction(0)),
@@ -287,6 +286,28 @@ def test_soundness_catches_tampering():
         constants=cert.constants,
     )
     assert not bad_row.verify_soundness()
+
+
+# X = P^1, and the third input lives in P^2: combine zips rows of unequal
+# length, so row 2 reads [1, 1, 5] as the output [1, 1]
+_WRONG_SPACE_INPUT = {
+    "x": {"ambient_dim": 1, "forms": []},
+    "inputs": [["1", "0"], ["0", "1"], ["1", "1", "5"]],
+    "outputs": [["1", "0"], ["1", "1"]],
+    "matrix": [["1", "0", "0"], ["0", "0", "1"]],
+    "constants": {"inf": "1"},
+}
+
+
+def test_soundness_refuses_forms_outside_the_ambient_space():
+    cert = CombinationCertificate.from_json_dict(_WRONG_SPACE_INPUT)
+    assert not cert.verify_soundness()
+    # the same document with the input in P^1 replays sound
+    data = {**_WRONG_SPACE_INPUT, "inputs": [["1", "0"], ["0", "1"], ["1", "1"]]}
+    sound = CombinationCertificate.from_json_dict(data)
+    assert sound.verify_soundness()
+    longer = replace(sound, outputs=(sound.outputs[0], LinearForm((1, 1, 0))))
+    assert not longer.verify_soundness()
 
 
 def test_certificate_json_round_trip():
@@ -653,7 +674,7 @@ def _outcome(check, point, place, cert):
 
 def test_chain_check_matches_fraction_reference(count_calls):
     # and chain_check_column matches the records: (passed, slack) at each
-    # point, None where chain_check raises SupportError, and chain_check's
+    # point, and chain_check's SupportError at a point on an input and its
     # ArgumentError.  Both read one table on the certificate: over every
     # place, one greedy basis per distinct permutation and no certificate
     rng = random.Random(47)
@@ -674,27 +695,34 @@ def test_chain_check_matches_fraction_reference(count_calls):
                     excluded=tuple(forms), mode="strict",
                 ).points
             )
-            pts += [_support_point(rng, rng.choice(forms), variety) for _ in range(3)]
+            on_inputs = [_support_point(rng, rng.choice(forms), variety) for _ in range(3)]
             wrong = ProjPoint(tuple(range(1, variety.ambient_dim + 3)))
+            every = pts + on_inputs + [wrong]
             start = [len(calls) for calls in counted]
             checked = []
             for place in places:
                 cells = quang.chain_check_column(pts, place, cert)
-                got = [_outcome(chain_check, pt, place, cert) for pt in pts + [wrong]]
+                got = [_outcome(chain_check, pt, place, cert) for pt in every]
+                # a point on an input raises after the points before it pass
+                raised = [
+                    _outcome(lambda pt, v, c: quang.chain_check_column(pts + [pt], v, c),
+                             pt, place, cert)
+                    for pt in on_inputs
+                ]
                 with pytest.raises(ArgumentError) as exc:
-                    quang.chain_check_column(pts + [wrong], place, cert)
-                checked.append((place, cells, got, exc.value))
+                    quang.chain_check_column(every, place, cert)
+                checked.append((place, cells, got, raised, exc.value))
             made = [len(calls) - s for calls, s in zip(counted, start)]
-            perms = [r.perm for _, _, got, _ in checked for r in got if not isinstance(r, tuple)]
+            perms = [r.perm for _, _, got, _, _ in checked for r in got if not isinstance(r, tuple)]
             assert made == [len(set(perms)), 0, 0]
             repeated += len(perms) > len(set(perms))
-            for place, cells, got, err in checked:
-                ref = [_outcome(chain_check_by_fractions, pt, place, cert) for pt in pts + [wrong]]
+            for place, cells, got, raised, err in checked:
+                ref = [_outcome(chain_check_by_fractions, pt, place, cert) for pt in every]
                 assert got == ref
                 kinds.update(r[0] if isinstance(r, tuple) else type(r).__name__ for r in got)
-                assert cells == [
-                    None if isinstance(r, tuple) else (r.passed, r.slack) for r in got[:-1]
-                ]
+                assert cells == [(r.passed, r.slack) for r in got[:len(pts)]]
+                assert raised == got[len(pts):-1]
+                assert {r[0] for r in raised} == {"SupportError"}
                 assert ("ArgumentError", str(err)) == got[-1]
     assert kinds == {"ChainCheckRecord", "SupportError", "ArgumentError"}
     assert repeated > 0
@@ -760,14 +788,19 @@ def test_chain_table_holds_one_entry_per_ordering_and_nothing_else():
 
 def test_column_checks_every_space_before_a_refused_ordering():
     # the first point's ordering is refused (x2 nearest, and x2 vanishes on
-    # X), the second lies in P^3: the column raises chain_check's
-    # ArgumentError for the second, and keeps nothing
+    # X), the second lies on the input x0, the third in P^3: the column
+    # raises chain_check's ArgumentError for the third, and keeps nothing
     cert = quang_combine([X0, X1, X2], X_LINE)
-    refused, wrong = ProjPoint((3, 2, 1)), ProjPoint((1, 2, 3, 4))
+    refused, on_x0 = ProjPoint((3, 2, 1)), ProjPoint((0, 1, 1))
+    wrong = ProjPoint((1, 2, 3, 4))
     with pytest.raises(ArgumentError) as exc:
-        quang.chain_check_column([refused, wrong], INF, cert)
+        quang.chain_check_column([refused, on_x0, wrong], INF, cert)
     assert str(exc.value) == "form on P^2 evaluated at point of P^3"
     assert _outcome(chain_check, wrong, INF, cert) == ("ArgumentError", str(exc.value))
     assert cert._chain_table == {}
+    # then the first point that chain_check refuses raises its error
     with pytest.raises(PositionError):
-        quang.chain_check_column([refused], INF, cert)
+        quang.chain_check_column([refused, on_x0], INF, cert)
+    with pytest.raises(SupportError) as exc:
+        quang.chain_check_column([on_x0, refused], INF, cert)
+    assert _outcome(chain_check, on_x0, INF, cert)[1] == str(exc.value)

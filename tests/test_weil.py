@@ -1,4 +1,4 @@
-"""Local Weil values, heights, proximity sums, and their exact constants."""
+"""Local Weil values, heights, sums over places, and their exact constants."""
 
 import math
 import random
@@ -19,9 +19,7 @@ from subgeneral import (
     height,
     height_exact,
     height_scaled,
-    is_on_support,
     local_weil,
-    proximity_sum,
     target_from_json,
     target_to_json,
     ulp_distance,
@@ -37,7 +35,7 @@ from subgeneral import (
 import subgeneral.weil
 from subgeneral.weil import _column, _coordinate_columns, _hits, _least_ratio, _raise_hit
 
-from gen import point_off_targets, rand_hom_form, rand_linear_form, rand_point
+from gen import is_on_support, point_off_targets, rand_hom_form, rand_linear_form, rand_point
 from oracles import ledger_by_row, support_hits_by_decode, weil_ratio_reference
 
 
@@ -177,20 +175,9 @@ def test_height_scaled():
         height_scaled(pt, -2)
 
 
-def test_proximity_sum_frozen_cases():
-    assert proximity_sum(ProjPoint((1, 4)), LinearForm((1, 0)), ()) == 0.0
-    got = proximity_sum(ProjPoint((1, 4)), LinearForm((1, 0)), (INF, Place(2)))
-    assert got == pytest.approx(math.log(4))
-    got = proximity_sum(ProjPoint((1, 4)), LinearForm((0, 1)), (INF, Place(2)))
-    assert got == pytest.approx(math.log(4))
-
-
-def test_proximity_sum_rejects_duplicates_and_support():
-    pt = ProjPoint((1, 4))
-    with pytest.raises(ArgumentError):
-        proximity_sum(pt, LinearForm((1, 0)), (INF, INF))
-    with pytest.raises(SupportError):
-        proximity_sum(ProjPoint((0, 1)), LinearForm((1, 0)), (INF,))
+def _place_sum(point, target, places) -> float:
+    """m_S(P, target): the fsum of the local Weil values over the places in S."""
+    return math.fsum(local_weil(point, target, v).value for v in places)
 
 
 def test_finite_place_values_nonnegative():
@@ -379,7 +366,7 @@ def test_full_place_sum_recovers_height():
         a, b = a // g, b // g
         pt = ProjPoint((a, b))
         places = [INF] + [Place(p) for p in sorted(set(_prime_factors(a)))]
-        total = proximity_sum(pt, form, places)
+        total = _place_sum(pt, form, places)
         assert total == pytest.approx(height(pt), abs=1e-9)
         # exact integer identity behind it: prod p^ord = |a|
         prod = 1
@@ -406,7 +393,7 @@ def test_height_proximity_upper_bound():
             + math.log(max(abs(c) for c in f.coeffs))
             + math.log(dim + 1)
         )
-        assert proximity_sum(pt, f, places) <= bound + 1e-9
+        assert _place_sum(pt, f, places) <= bound + 1e-9
 
 
 def test_weil_batch_rows_and_support_notes():
@@ -518,7 +505,7 @@ def test_one_point_values_raise_the_kernel_support_errors():
     with pytest.raises(SupportError, match="lies on the subscheme"):
         local_weil(ProjPoint((1, -2, 1)), spec, Place(2))
     with pytest.raises(SupportError, match="lies on the support of"):
-        proximity_sum(ProjPoint((0, 1)), LinearForm((1, 0)), (INF, Place(3)))
+        local_weil(ProjPoint((0, 1)), LinearForm((1, 0)), Place(3))
     assert local_weil(on_first, spec, INF).dropped == (1,)
     with pytest.raises(ArgumentError, match=r"form on P\^2 evaluated at point of P\^3"):
         local_weil(ProjPoint((1, 2, 3, 4)), spec, INF)
