@@ -1,151 +1,108 @@
 """Exact arithmetic over the places of Q, local Weil values, subgeneral
 position checks, and the combination construction that trades l-subgeneral
 families for general-position ones, plus a deterministic experiment harness
-for the associated height inequalities."""
+for the associated height inequalities.
 
-from .errors import (
-    ArgumentError,
-    ConfigRejectedError,
-    DomainError,
-    PositionError,
-    SubgeneralError,
-    SupportError,
-    UnsupportedSubschemeError,
-)
-from .experiments import (
-    Candidate,
-    DefectReport,
-    ExperimentConfig,
-    SampleResult,
-    candidate_targets,
-    delta_budget,
-    exceptional_scan,
-    run_evertse_ferretti_baseline,
-    run_main_experiment,
-    sample_points,
-)
-from .places import (
-    INF,
-    LogNorm,
-    Place,
-    ProductFormulaLedger,
-    factor_int,
-    log_norm,
-    parse_place,
-    product_formula_residual,
-    ulp_distance,
-    valuation,
-)
-from .position import (
-    PositionReport,
-    Witness,
-    check_general,
-    check_subgeneral,
-    intersection_dim,
-    violations_at,
-)
-from .projective import (
-    HomForm,
-    LinearForm,
-    LinearSubvariety,
-    ProjPoint,
-    VeroneseLinearization,
-    monomials,
-    projective_space,
-    veronese_form,
-    veronese_point,
-)
-from .quang import (
-    ChainCheckRecord,
-    CombinationCertificate,
-    Ordering,
-    chain_check,
-    chain_check_column,
-    chain_constant,
-    quang_combine,
-    reorder_by_local_norm,
-)
-from .seshadri import SeshadriValue, seshadri_constant
-from .weil import (
-    SubschemeSpec,
-    WeilValue,
-    height,
-    height_exact,
-    height_scaled,
-    local_weil,
-    target_from_json,
-    target_to_json,
-    weil_batch,
-    weil_divisor,
-    weil_hyperplane,
-    weil_subscheme,
-)
+The package namespace is lazy: `import subgeneral` loads no module, and a
+public name imports its defining module on first use (PEP 562).  A name is
+looked up in that module on every access and never stored here, so
+`subgeneral.X` is always the module's current X, a wrapper set there
+included.  A submodule named as an attribute (`subgeneral.quang`) is
+imported the same way.  The CLI likewise imports only the modules a command
+runs, so `weil` and `norm` start without compiling experiments, quang,
+position or seshadri (README, Install, gives the start-up this saves).
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArgumentError",
-    "Candidate",
-    "ChainCheckRecord",
-    "CombinationCertificate",
-    "ConfigRejectedError",
-    "DefectReport",
-    "DomainError",
-    "ExperimentConfig",
-    "HomForm",
-    "INF",
-    "LinearForm",
-    "LinearSubvariety",
-    "LogNorm",
-    "Ordering",
-    "Place",
-    "PositionError",
-    "PositionReport",
-    "ProductFormulaLedger",
-    "ProjPoint",
-    "SampleResult",
-    "SeshadriValue",
-    "SubgeneralError",
-    "SubschemeSpec",
-    "SupportError",
-    "UnsupportedSubschemeError",
-    "VeroneseLinearization",
-    "WeilValue",
-    "Witness",
-    "candidate_targets",
-    "chain_check",
-    "chain_check_column",
-    "chain_constant",
-    "check_general",
-    "check_subgeneral",
-    "delta_budget",
-    "exceptional_scan",
-    "factor_int",
-    "height",
-    "height_exact",
-    "height_scaled",
-    "intersection_dim",
-    "local_weil",
-    "log_norm",
-    "monomials",
-    "parse_place",
-    "product_formula_residual",
-    "projective_space",
-    "quang_combine",
-    "reorder_by_local_norm",
-    "run_evertse_ferretti_baseline",
-    "run_main_experiment",
-    "sample_points",
-    "seshadri_constant",
-    "target_from_json",
-    "target_to_json",
-    "ulp_distance",
-    "valuation",
-    "veronese_form",
-    "veronese_point",
-    "violations_at",
-    "weil_batch",
-    "weil_divisor",
-    "weil_hyperplane",
-    "weil_subscheme",
-]
+# public name -> the module that defines it
+_LAZY = {
+    "ArgumentError": "errors",
+    "ConfigRejectedError": "errors",
+    "DomainError": "errors",
+    "PositionError": "errors",
+    "SubgeneralError": "errors",
+    "SupportError": "errors",
+    "UnsupportedSubschemeError": "errors",
+    "Candidate": "experiments",
+    "DefectReport": "experiments",
+    "ExperimentConfig": "experiments",
+    "SampleResult": "experiments",
+    "candidate_targets": "experiments",
+    "delta_budget": "experiments",
+    "exceptional_scan": "experiments",
+    "run_evertse_ferretti_baseline": "experiments",
+    "run_main_experiment": "experiments",
+    "sample_points": "experiments",
+    "INF": "places",
+    "LogNorm": "places",
+    "Place": "places",
+    "ProductFormulaLedger": "places",
+    "factor_int": "places",
+    "log_norm": "places",
+    "parse_place": "places",
+    "product_formula_residual": "places",
+    "ulp_distance": "places",
+    "valuation": "places",
+    "PositionReport": "position",
+    "Witness": "position",
+    "check_general": "position",
+    "check_subgeneral": "position",
+    "intersection_dim": "position",
+    "violations_at": "position",
+    "HomForm": "projective",
+    "LinearForm": "projective",
+    "LinearSubvariety": "projective",
+    "ProjPoint": "projective",
+    "VeroneseLinearization": "projective",
+    "monomials": "projective",
+    "projective_space": "projective",
+    "veronese_form": "projective",
+    "veronese_point": "projective",
+    "ChainCheckRecord": "quang",
+    "CombinationCertificate": "quang",
+    "Ordering": "quang",
+    "chain_check": "quang",
+    "chain_check_column": "quang",
+    "chain_constant": "quang",
+    "quang_combine": "quang",
+    "reorder_by_local_norm": "quang",
+    "SeshadriValue": "seshadri",
+    "seshadri_constant": "seshadri",
+    "SubschemeSpec": "weil",
+    "WeilValue": "weil",
+    "height": "weil",
+    "height_exact": "weil",
+    "height_scaled": "weil",
+    "local_weil": "weil",
+    "target_from_json": "weil",
+    "target_to_json": "weil",
+    "weil_batch": "weil",
+    "weil_divisor": "weil",
+    "weil_hyperplane": "weil",
+    "weil_subscheme": "weil",
+}
+
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is not None:
+        # the import system binds each loaded submodule here, and reading
+        # that binding is much cheaper than a call to import_module
+        loaded = globals().get(module) or _import_module("." + module, __name__)
+        return getattr(loaded, name)
+    if not name.startswith("_"):
+        try:
+            return _import_module("." + name, __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != "%s.%s" % (__name__, name):
+                raise
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,6 +11,9 @@ runner convention for experiments:
     66  file I/O failure
 
 Inline JSON arguments also accept @path to read the JSON from a file.
+
+experiments, quang, position and seshadri are imported by the handlers of
+the commands that run them, so a command loads only the modules it uses.
 """
 
 from __future__ import annotations
@@ -23,18 +26,9 @@ import sys
 from dataclasses import replace
 
 from .errors import ArgumentError, ConfigRejectedError, SubgeneralError
-from .experiments import (
-    ExperimentConfig,
-    delta_budget,
-    run_evertse_ferretti_baseline,
-    run_main_experiment,
-)
 from .jsonio import parse_rat, rat_str, stable_dumps_pretty
 from .places import log_norm, parse_place, product_formula_residual
-from .position import check_subgeneral
 from .projective import LinearForm, LinearSubvariety, ProjPoint, projective_space
-from .quang import CombinationCertificate, chain_check, quang_combine
-from .seshadri import seshadri_constant
 from .weil import (
     height,
     height_exact,
@@ -177,6 +171,8 @@ def _cmd_weil(args) -> int:
 
 
 def _cmd_position_check(args) -> int:
+    from .position import check_subgeneral
+
     forms = _doc_arg("--forms", args.forms, _forms_from_json)
     variety = _variety_arg(args, forms[0].dim if forms else 1)
     report = check_subgeneral(forms, variety, args.l, verdict_only=args.verdict_only)
@@ -185,6 +181,8 @@ def _cmd_position_check(args) -> int:
 
 
 def _cmd_quang_combine(args) -> int:
+    from .quang import quang_combine
+
     forms = _doc_arg("--forms", args.forms, _forms_from_json)
     variety = _variety_arg(args, forms[0].dim if forms else 1)
     places = tuple(parse_place(s) for s in args.places.split(","))
@@ -194,6 +192,8 @@ def _cmd_quang_combine(args) -> int:
 
 
 def _cmd_seshadri(args) -> int:
+    from .seshadri import seshadri_constant
+
     target = _doc_arg("--target", args.target, target_from_json)
     value = seshadri_constant(target)
     _emit(stable_dumps_pretty(value.to_json_dict()), args.out)
@@ -201,6 +201,8 @@ def _cmd_seshadri(args) -> int:
 
 
 def _cmd_chain_check(args) -> int:
+    from .quang import CombinationCertificate, chain_check
+
     cert = _doc_arg("--cert", args.cert, CombinationCertificate.from_json_dict)
     if not cert.verify_soundness():
         raise ArgumentError("--cert: the certificate fails its replay")
@@ -212,6 +214,8 @@ def _cmd_chain_check(args) -> int:
 
 
 def _cmd_delta(args) -> int:
+    from .experiments import delta_budget
+
     eps = parse_rat(args.epsilon)
     delta = delta_budget(args.l, args.n, eps)
     out = {
@@ -225,11 +229,19 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # the runner is looked up now, so a wrapper set on it in experiments runs
+    from .experiments import (
+        ExperimentConfig,
+        run_evertse_ferretti_baseline,
+        run_main_experiment,
+    )
+
+    runner = run_main_experiment if args.subcommand == "run" else run_evertse_ferretti_baseline
     config = _doc_arg("--config", args.config, ExperimentConfig.from_json_dict)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     try:
-        report = args.runner(config)
+        report = runner(config)
     except ConfigRejectedError as exc:
         print("config rejected: %s" % exc, file=sys.stderr)
         return 2
@@ -347,17 +359,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="sampled height-inequality experiments")
     esub = p.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name, runner, blurb in (
-        (
-            "run",
-            run_main_experiment,
-            "weighted local sums against the bound (l-n+1)(n+1)+epsilon",
-        ),
-        (
-            "baseline",
-            run_evertse_ferretti_baseline,
-            "general-position sums against the bound n+1+epsilon",
-        ),
+    for name, blurb in (
+        ("run", "weighted local sums against the bound (l-n+1)(n+1)+epsilon"),
+        ("baseline", "general-position sums against the bound n+1+epsilon"),
     ):
         ep = esub.add_parser(name, help=blurb)
         ep.add_argument("--config", required=True, help="config JSON (or @file)")
@@ -367,7 +371,7 @@ def build_parser() -> _Parser:
         ep.add_argument(
             "--no-records", action="store_true", help="omit per-point records"
         )
-        ep.set_defaults(func=_cmd_experiment, runner=runner)
+        ep.set_defaults(func=_cmd_experiment)
 
     return parser
 

@@ -430,6 +430,26 @@ def test_experiment_baseline(capsys, tmp_path):
     assert data["violators"] == []
 
 
+def test_experiment_commands_look_up_their_runner_when_they_run(capsys, monkeypatch):
+    # a wrapper set on the module after the CLI was imported is what runs
+    calls = []
+    runners = (("main", "run_main_experiment"), ("baseline", "run_evertse_ferretti_baseline"))
+    for kind, name in runners:
+        original = getattr(subgeneral.experiments, name)
+
+        def wrapper(config, kind=kind, original=original):
+            calls.append((kind, config.seed))
+            return original(config)
+
+        monkeypatch.setattr(subgeneral.experiments, name, wrapper)
+    config = json.dumps(violator_config())
+    data = run_json(capsys, ["experiment", "run", "--config", config, "--seed", "4"])
+    assert data["kind"] == "main"
+    data = run_json(capsys, ["experiment", "baseline", "--config", config])
+    assert data["kind"] == "baseline"
+    assert calls == [("main", 4), ("baseline", 0)]
+
+
 def test_experiment_bare_list_targets(capsys):
     # bare coefficient lists are linear-form shorthand in configs
     cfg = violator_config(arrangements={"inf": [["1", "0"], ["5", "7"]]})

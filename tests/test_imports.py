@@ -1,10 +1,14 @@
 """Every name a package module imports is used in that module, a rule's
-private helpers stay with the module that owns the rule, and every public
-function is reached from outside its own module."""
+private helpers stay with the module that owns the rule, every public
+function is reached from outside its own module, and the lazy package
+namespace serves exactly __all__, each name as its module holds it now."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
+
+import pytest
 
 import subgeneral
 
@@ -96,3 +100,34 @@ def test_every_public_function_is_named_outside_its_module():
         ):
             unreached.add(name)
     assert unreached == UNREACHED
+
+
+def test_the_lazy_namespace_matches_all():
+    eager = {
+        name for name, value in vars(subgeneral).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(subgeneral._LAZY) | eager == set(subgeneral.__all__)
+    for name in subgeneral.__all__:
+        value = getattr(subgeneral, name)
+        home = "subgeneral." + subgeneral._LAZY[name]
+        assert getattr(importlib.import_module(home), name) is value, name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == home, name
+    assert set(subgeneral.__all__) <= set(dir(subgeneral))
+    namespace = {}
+    exec("from subgeneral import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(subgeneral.__all__)
+    with pytest.raises(AttributeError):
+        subgeneral.no_such_name
+
+
+def test_a_package_name_is_the_defining_modules_current_value(monkeypatch):
+    # nothing is cached in the package: a wrapper set on the module shows,
+    # and once it is taken away the original does again
+    original = subgeneral.quang.quang_combine
+    monkeypatch.setattr(subgeneral.quang, "quang_combine", len)
+    assert subgeneral.quang_combine is len
+    monkeypatch.undo()
+    assert subgeneral.quang_combine is original
+    assert "quang_combine" not in vars(subgeneral)

@@ -1,5 +1,6 @@
 """Places of Q: normalized log-norms, valuations, and the product formula."""
 
+import json
 import math
 import os
 import random
@@ -350,6 +351,51 @@ def test_the_package_imports_without_sympy():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+_FRESH_PROCESS = """
+import json, os, sys, subgeneral, subgeneral.cli
+commands, experiment = json.loads(sys.argv[1])
+late = ["subgeneral." + m for m in ("experiments", "quang", "position", "seshadri")]
+print([m for m in late if m in sys.modules])
+for argv in commands:
+    assert subgeneral.cli.main(argv + ["--out", os.devnull]) == 0, argv
+print([m for m in late if m in sys.modules])
+assert subgeneral.cli.main(experiment + ["--out", os.devnull]) == 0
+print([m for m in late if m in sys.modules])
+"""
+
+
+def test_weil_and_norm_commands_import_no_experiment_module():
+    # one-shot Weil values and ledgers load none of the modules that only
+    # experiments and certificates run; an experiment loads all of them
+    src = str(Path(subgeneral.__file__).resolve().parents[1])
+    manifest = {"points": [["1", "4"]], "targets": [["1", "0"]], "places": ["inf", "p=2"]}
+    commands = [
+        ["norm", "-35/4", "--ledger"],
+        ["weil", "--point", "[1:2]", "--place", "inf", "--linear", "[1,-3]"],
+        ["weil", "--manifest", json.dumps(manifest)],
+        ["height", "[2:3:5]"],
+    ]
+    config = {
+        "x": {"ambient_dim": 1, "forms": []},
+        "arrangements": {"inf": [["1", "0"], ["5", "7"]]},
+        "l": 1,
+        "epsilon": "1/10",
+        "height_window": [0.5, 2.5],
+        "seed": 0,
+    }
+    experiment = ["experiment", "run", "--config", json.dumps(config)]
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, json.dumps([commands, experiment])],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    late = ["subgeneral.experiments", "subgeneral.quang", "subgeneral.position",
+            "subgeneral.seshadri"]
+    assert out.stdout.splitlines() == ["[]", "[]", repr(late)]
 
 
 def test_ulp_distance_basics():
