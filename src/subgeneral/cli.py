@@ -23,7 +23,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import replace
 
 from .errors import ArgumentError, ConfigRejectedError, SubgeneralError
 from .jsonio import parse_rat, rat_str, stable_dumps_pretty
@@ -147,7 +146,7 @@ def _cmd_weil(args) -> int:
                     "%s,%s,%s,%s,%s,"
                     % (
                         r["point"],
-                        '"%s"' % r["target"],
+                        '"%s"' % r["target"].replace('"', '""'),
                         r["place"],
                         "" if r["value"] is None else repr(r["value"]),
                         r["exact"],
@@ -229,6 +228,8 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from dataclasses import replace
+
     # the runner is looked up now, so a wrapper set on it in experiments runs
     from .experiments import (
         ExperimentConfig,

@@ -16,12 +16,11 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import mul
-from typing import Optional
 
+from ._frozen import Frozen
 from .errors import ArgumentError
 from .jsonio import rat_str
 
@@ -116,16 +115,37 @@ def _is_strong_lucas_prp(n: int) -> bool:
 # places
 
 
-@dataclass(frozen=True, order=True)
-class Place:
-    """A place of Q: p is None for the archimedean place, a prime otherwise."""
+class Place(Frozen):
+    """A place of Q: p is None for the archimedean place, a prime otherwise.
+    Places order by p, and comparing inf with a prime raises TypeError."""
 
-    p: Optional[int] = None
+    p: int | None
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not isinstance(self.p, int) or not _is_prime(self.p):
-                raise ArgumentError("finite place needs a prime, got %r" % (self.p,))
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            if not isinstance(p, int) or not _is_prime(p):
+                raise ArgumentError("finite place needs a prime, got %r" % (p,))
+        object.__setattr__(self, "p", p)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p,) < (other.p,)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p,) <= (other.p,)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p,) > (other.p,)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p,) >= (other.p,)
 
     @property
     def is_archimedean(self) -> bool:
@@ -185,16 +205,19 @@ def _ord_p(n: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class LogNorm:
+class LogNorm(Frozen):
     """log||x||_v with an exact ledger at finite places.
 
     exact is (p, ord_p(x)) when v is finite, None at the archimedean place;
     approx is the double value of the log-norm, -ord_p(x)*log(p) or log|x|.
     """
 
-    exact: Optional[tuple[int, int]]
+    exact: tuple[int, int] | None
     approx: float
+
+    def __init__(self, exact: tuple[int, int] | None, approx: float):
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "approx", approx)
 
 
 def log_norm(x, v: Place) -> LogNorm:
@@ -358,8 +381,7 @@ def factor_int(n: int) -> dict[int, int]:
 # product formula
 
 
-@dataclass(frozen=True)
-class ProductFormulaLedger:
+class ProductFormulaLedger(Frozen):
     """All nonzero local contributions for one rational.
 
     finite holds (p, ord_p(x)) for exactly the primes dividing numerator or
@@ -371,6 +393,11 @@ class ProductFormulaLedger:
     x: Fraction
     finite: tuple[tuple[int, int], ...]
     arch_log: float
+
+    def __init__(self, x: Fraction, finite: tuple[tuple[int, int], ...], arch_log: float):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "arch_log", arch_log)
 
     def residual_is_zero(self) -> bool:
         prod = Fraction(1)

@@ -40,34 +40,52 @@ first pick is L_1 they are the construction's outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._frozen import Frozen
 from .errors import ArgumentError
 from .linalg import extend_echelon, reduce_row
 from .projective import LinearForm, LinearSubvariety
 from .jsonio import stable_dumps
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """One violating subfamily: indices are 1-based into the arrangement."""
 
     subset: tuple[int, ...]
     dim: int
     allowed: int
 
+    def __init__(self, subset: tuple[int, ...], dim: int, allowed: int):
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "allowed", allowed)
+
     def to_json_dict(self) -> dict:
         return {"subset": list(self.subset), "dim": self.dim, "allowed": self.allowed}
 
 
-@dataclass(frozen=True)
-class PositionReport:
+class PositionReport(Frozen):
     verdict: bool
     level: int
     q: int
     variety: LinearSubvariety
-    witnesses: tuple[Witness, ...] = field(default_factory=tuple)
-    complete: bool = True  # False when verdict-only mode stopped early
+    witnesses: tuple[Witness, ...]
+    complete: bool  # False when verdict-only mode stopped early
+
+    def __init__(
+        self,
+        verdict: bool,
+        level: int,
+        q: int,
+        variety: LinearSubvariety,
+        witnesses: tuple[Witness, ...] = (),
+        complete: bool = True,
+    ):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "complete", complete)
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,13 +13,13 @@ to the form's value at every point.  HomForm.evaluate is its column of one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
 from itertools import repeat
 from operator import add, mul
 
+from ._frozen import Frozen
 from .errors import ArgumentError
 from .jsonio import json_int, parse_rat, rat_str
 from .linalg import nullspace, primitive, rank_rows
@@ -79,14 +79,13 @@ def _label_format(count: int) -> str:
     return "[%s]" % ":".join(["%d"] * count)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Frozen):
     """A rational point of P^M in canonical integer coordinates."""
 
     coords: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", normalize_coords(self.coords))
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", normalize_coords(coords))
 
     @classmethod
     def parse(cls, text) -> "ProjPoint":
@@ -109,14 +108,13 @@ class ProjPoint:
         return cls(tuple(parse_rat(c) for c in data))
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Frozen):
     """A nonzero linear form a0*x0 + ... + aM*xM, canonically normalized."""
 
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", normalize_coords(self.coeffs))
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", normalize_coords(coeffs))
 
     @classmethod
     def parse(cls, text) -> "LinearForm":
@@ -187,8 +185,7 @@ def monomial_index(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
     return {exps: i for i, exps in enumerate(monomials(nvars, degree))}
 
 
-@dataclass(frozen=True)
-class HomForm:
+class HomForm(Frozen):
     """A homogeneous form of degree d on P^M, coefficients in monomial order.
 
     coeffs is aligned with monomials(M+1, d) and canonically normalized:
@@ -199,18 +196,20 @@ class HomForm:
     degree: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.degree < 1:
+    def __init__(self, dim: int, degree: int, coeffs: tuple[int, ...]):
+        if degree < 1:
             raise ArgumentError("degree must be >= 1")
-        expected = comb(self.dim + self.degree, self.degree)
-        if len(self.coeffs) != expected:
+        expected = comb(dim + degree, degree)
+        if len(coeffs) != expected:
             raise ArgumentError(
                 "degree-%d form on P^%d needs %d coefficients, got %d"
-                % (self.degree, self.dim, expected, len(self.coeffs))
+                % (degree, dim, expected, len(coeffs))
             )
-        vals = _exact(self.coeffs)
+        vals = _exact(coeffs)
         if not any(vals):
             raise ArgumentError("form is identically zero")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", primitive(vals))
 
     @classmethod
@@ -314,13 +313,16 @@ def veronese_point(point: ProjPoint, degree: int) -> ProjPoint:
     return ProjPoint(tuple(vals))
 
 
-@dataclass(frozen=True)
-class VeroneseLinearization:
+class VeroneseLinearization(Frozen):
     """Linear form on the Veronese image plus the normalization scalar s
     with evaluate(form, veronese_point(P, d)) == s * evaluate(F, P)."""
 
     form: LinearForm
     scale: Fraction
+
+    def __init__(self, form: LinearForm, scale: Fraction):
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "scale", scale)
 
 
 def veronese_form(form: HomForm) -> VeroneseLinearization:
@@ -336,20 +338,20 @@ def veronese_form(form: HomForm) -> VeroneseLinearization:
 # linear subvarieties
 
 
-@dataclass(frozen=True)
-class LinearSubvariety:
+class LinearSubvariety(Frozen):
     """X in P^M cut out by independent linear forms; empty forms mean P^M."""
 
     ambient_dim: int
-    forms: tuple[LinearForm, ...] = ()
+    forms: tuple[LinearForm, ...]
 
-    def __post_init__(self):
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, forms: tuple[LinearForm, ...] = ()):
+        if ambient_dim < 1:
             raise ArgumentError("ambient dimension must be >= 1")
-        forms = tuple(self.forms)
+        forms = tuple(forms)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "forms", forms)
         for f in forms:
-            if f.dim != self.ambient_dim:
+            if f.dim != ambient_dim:
                 raise ArgumentError("defining form lives in the wrong ambient space")
         rows = [f.coeffs for f in forms]
         if rows and rank_rows(rows) != len(rows):

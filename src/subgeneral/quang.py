@@ -87,11 +87,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
 
+from ._frozen import Frozen
 from .errors import ArgumentError, PositionError, SupportError
 from .jsonio import parse_rat, rat_str, stable_dumps
 # rank_rows stays bound, unused: the benchmark's perfbench/tests/test_tracer.py asserts it
@@ -101,8 +100,8 @@ from .position import PositionReport, check_general, check_subgeneral, greedy_ba
 from .projective import LinearForm, LinearSubvariety, ProjPoint, wrong_space_error
 from .weil import _coordinate_columns
 
-@dataclass(frozen=True)
-class CombinationCertificate:
+
+class CombinationCertificate(Frozen):
     """Replayable witness for one run of the combination construction."""
 
     variety: LinearSubvariety
@@ -111,6 +110,22 @@ class CombinationCertificate:
     matrix: tuple[tuple[int | Fraction, ...], ...]  # (n+1) rows, (l+1) columns
     position: PositionReport  # general-position report for the outputs
     constants: tuple[tuple[str, str], ...]  # (place string, C_v) pairs
+
+    def __init__(
+        self,
+        variety: LinearSubvariety,
+        inputs: tuple[LinearForm, ...],
+        outputs: tuple[LinearForm, ...],
+        matrix: tuple[tuple[int | Fraction, ...], ...],
+        position: PositionReport,
+        constants: tuple[tuple[str, str], ...],
+    ):
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "constants", constants)
 
     @property
     def level(self) -> int:
@@ -310,7 +325,7 @@ def _rows_constant(rows, place: Place) -> int | Fraction:
             best = max(best, len(nz) * max(nz))
         return best
     p = place.p
-    min_ord: Optional[int] = None
+    min_ord: int | None = None
     for row in rows:
         for c in row:
             if c:
@@ -322,13 +337,16 @@ def _rows_constant(rows, place: Place) -> int | Fraction:
     return p**-min_ord if min_ord < 0 else Fraction(1, p**min_ord)
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(Frozen):
     """Permutation sigma (1-based) sorting forms by ||L(P)||_v ascending,
     ties broken by original index."""
 
     place: Place
     perm: tuple[int, ...]
+
+    def __init__(self, place: Place, perm: tuple[int, ...]):
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "perm", perm)
 
     def apply(self, forms) -> list:
         return [forms[i - 1] for i in self.perm]
@@ -383,8 +401,7 @@ def reorder_by_local_norm(point: ProjPoint, place: Place, forms) -> Ordering:
 # chain check
 
 
-@dataclass(frozen=True)
-class ChainCheckRecord:
+class ChainCheckRecord(Frozen):
     point: str
     place: Place
     perm: tuple[int, ...]
@@ -394,6 +411,28 @@ class ChainCheckRecord:
     chain_c: str  # C_v of the re-sorted family's outputs, as a rational string
     slack: float
     passed: bool
+
+    def __init__(
+        self,
+        point: str,
+        place: Place,
+        perm: tuple[int, ...],
+        lhs: float,
+        rhs: float,
+        constant_k: float,
+        chain_c: str,
+        slack: float,
+        passed: bool,
+    ):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "constant_k", constant_k)
+        object.__setattr__(self, "chain_c", chain_c)
+        object.__setattr__(self, "slack", slack)
+        object.__setattr__(self, "passed", passed)
 
     def to_json_dict(self) -> dict:
         return {

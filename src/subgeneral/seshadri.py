@@ -12,9 +12,9 @@ weighted experiment downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .errors import UnsupportedSubschemeError
 from .jsonio import rat_str
 from .linalg import rank_rows
@@ -22,11 +22,15 @@ from .projective import HomForm, LinearForm
 from .weil import SubschemeSpec, Target
 
 
-@dataclass(frozen=True)
-class SeshadriValue:
+class SeshadriValue(Frozen):
     value: Fraction
     subject_class: str
     justification: str
+
+    def __init__(self, value: Fraction, subject_class: str, justification: str):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "subject_class", subject_class)
+        object.__setattr__(self, "justification", justification)
 
     def to_json_dict(self) -> dict:
         return {

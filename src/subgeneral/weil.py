@@ -23,29 +23,25 @@ not, is evaluated over the coordinate columns by its form's own column().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
 from itertools import compress, count
 from operator import not_
-from typing import Optional, Union
 
+from ._frozen import Frozen
 from .errors import ArgumentError, SupportError
 from .places import Place, _ord_p, parse_place
 from .projective import HomForm, LinearForm, ProjPoint, wrong_space_error
 
-Target = Union[LinearForm, HomForm, "SubschemeSpec"]
 
-
-@dataclass(frozen=True)
-class SubschemeSpec:
+class SubschemeSpec(Frozen):
     """A closed subscheme presented as the intersection of divisor supports."""
 
     components: tuple
-    label: str = ""
+    label: str
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components: tuple, label: str = ""):
+        comps = tuple(components)
         if not comps:
             raise ArgumentError("subscheme needs at least one component")
         dims = {c.dim for c in comps}
@@ -55,6 +51,7 @@ class SubschemeSpec:
             if not isinstance(c, (LinearForm, HomForm)):
                 raise ArgumentError("components must be linear or homogeneous forms")
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "label", label)
 
     @property
     def dim(self) -> int:
@@ -73,6 +70,9 @@ class SubschemeSpec:
     def from_json(cls, data) -> "SubschemeSpec":
         comps = tuple(target_from_json(c) for c in data["components"])
         return cls(comps, str(data.get("label", "")))
+
+
+Target = LinearForm | HomForm | SubschemeSpec
 
 
 def target_to_json(t: Target) -> dict:
@@ -105,8 +105,7 @@ def target_from_json(data) -> Target:
     raise ArgumentError("unknown target type: %r" % (kind,))
 
 
-@dataclass(frozen=True)
-class WeilValue:
+class WeilValue(Frozen):
     """One local Weil value.
 
     exact is (p, e) with value == e*log(p) at finite places, None at the
@@ -118,8 +117,24 @@ class WeilValue:
     place: Place
     subject: str
     point: str
-    exact: Optional[tuple[int, int]] = None
-    dropped: tuple[int, ...] = ()
+    exact: tuple[int, int] | None
+    dropped: tuple[int, ...]
+
+    def __init__(
+        self,
+        value: float,
+        place: Place,
+        subject: str,
+        point: str,
+        exact: tuple[int, int] | None = None,
+        dropped: tuple[int, ...] = (),
+    ):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "dropped", dropped)
 
     def to_json_dict(self) -> dict:
         return {

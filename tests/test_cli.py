@@ -1,6 +1,8 @@
 """End-to-end command-line coverage through main(argv), one process, no shell."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -148,6 +150,21 @@ def test_weil_manifest_csv(capsys, tmp_path):
     assert len(lines) == 5
     assert lines[1].startswith('[1:4],"x0",inf,')
     assert lines[3] == '[0:1],"x0",inf,,support,'
+
+
+def test_weil_manifest_csv_quotes_a_label_with_quotes(capsys):
+    # a quote in a target label is doubled (RFC 4180), so every row reads
+    # back as six fields with the label intact
+    label = 'my "line", x0=x1'
+    subscheme = {"type": "subscheme", "label": label, "components": [
+        {"type": "linear", "coeffs": ["1", "-1", "0"]},
+        {"type": "linear", "coeffs": ["0", "0", "1"]},
+    ]}
+    manifest = {"points": [["1", "2", "3"]], "targets": [subscheme], "places": ["inf", "2"]}
+    assert main(["weil", "--manifest", json.dumps(manifest), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["point", "target", "place", "value", "exact", "note"]
+    assert [(len(r), r[1]) for r in rows[1:]] == [(6, label), (6, label)]
 
 
 def test_weil_manifest_points_of_the_wrong_dimension_exit_65(capsys):

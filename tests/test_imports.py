@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, a rule's
-private helpers stay with the module that owns the rule, every public
-function is reached from outside its own module, and the lazy package
-namespace serves exactly __all__, each name as its module holds it now."""
+private helpers stay with the module that owns the rule, only the experiment
+path imports dataclasses or typing, every public function is reached from
+outside its own module, and the lazy package namespace serves exactly
+__all__, each name as its module holds it now."""
 
 import ast
 import importlib
@@ -59,6 +60,42 @@ def test_experiments_imports_no_private_name_of_quang_or_places():
         if a.name.startswith("_")
     ]
     assert private == []
+
+
+def _scoped_imports(tree, modules) -> set:
+    """(enclosing function or None, module) for each import of one of modules."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.update((scope, a.name) for a in child.names if a.name in modules)
+            elif isinstance(child, ast.ImportFrom) and child.module in modules:
+                found.add((scope, child.module))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_experiments_imports_dataclasses_or_typing():
+    # value classes derive from _frozen.Frozen, so dataclasses (which imports
+    # inspect, ast and dis) and typing stay off the start-up of every command
+    # but experiment, whose handler imports dataclasses.replace when it runs
+    package = Path(subgeneral.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {
+            (path.stem, scope, module)
+            for scope, module in _scoped_imports(tree, {"dataclasses", "typing"})
+        }
+    assert found == {
+        ("experiments", None, "dataclasses"),
+        ("experiments", None, "typing"),
+        ("cli", "_cmd_experiment", "dataclasses"),
+    }
 
 
 # public functions whose only callers are tests: the paper's C_v of a

@@ -355,28 +355,24 @@ def test_the_package_imports_without_sympy():
 
 _FRESH_PROCESS = """
 import json, os, sys, subgeneral, subgeneral.cli
-commands, experiment = json.loads(sys.argv[1])
-late = ["subgeneral." + m for m in ("experiments", "quang", "position", "seshadri")]
-print([m for m in late if m in sys.modules])
-for argv in commands:
-    assert subgeneral.cli.main(argv + ["--out", os.devnull]) == 0, argv
-print([m for m in late if m in sys.modules])
-assert subgeneral.cli.main(experiment + ["--out", os.devnull]) == 0
-print([m for m in late if m in sys.modules])
+watched = ["subgeneral." + m for m in ("experiments", "quang", "position", "seshadri")]
+watched += ["dataclasses", "typing"]
+print([m for m in watched if m in sys.modules])
+for phase in json.loads(sys.argv[1]):
+    for argv in phase:
+        assert subgeneral.cli.main(argv + ["--out", os.devnull]) == 0, argv
+    print([m for m in watched if m in sys.modules])
 """
 
 
 def test_weil_and_norm_commands_import_no_experiment_module():
     # one-shot Weil values and ledgers load none of the modules that only
-    # experiments and certificates run; an experiment loads all of them
+    # experiments and certificates run, and no command but an experiment
+    # loads dataclasses or typing (run under -S: site may import typing)
     src = str(Path(subgeneral.__file__).resolve().parents[1])
     manifest = {"points": [["1", "4"]], "targets": [["1", "0"]], "places": ["inf", "p=2"]}
-    commands = [
-        ["norm", "-35/4", "--ledger"],
-        ["weil", "--point", "[1:2]", "--place", "inf", "--linear", "[1,-3]"],
-        ["weil", "--manifest", json.dumps(manifest)],
-        ["height", "[2:3:5]"],
-    ]
+    forms = "[[1,0,0],[0,1,0],[1,-1,0]]"
+    line = '{"ambient_dim": 2, "forms": [["0", "0", "1"]]}'
     config = {
         "x": {"ambient_dim": 1, "forms": []},
         "arrangements": {"inf": [["1", "0"], ["5", "7"]]},
@@ -385,17 +381,30 @@ def test_weil_and_norm_commands_import_no_experiment_module():
         "height_window": [0.5, 2.5],
         "seed": 0,
     }
-    experiment = ["experiment", "run", "--config", json.dumps(config)]
+    phases = [
+        [
+            ["norm", "-35/4", "--ledger"],
+            ["weil", "--point", "[1:2]", "--place", "inf", "--linear", "[1,-3]"],
+            ["weil", "--manifest", json.dumps(manifest)],
+            ["height", "[2:3:5]"],
+        ],
+        [
+            ["position", "check", "--forms", forms, "--l", "2"],
+            ["quang", "combine", "--forms", forms, "--x", line, "--places", "inf,p=2"],
+            ["seshadri", "--target", json.dumps(["1", "2", "3"])],
+        ],
+        [["experiment", "run", "--config", json.dumps(config)]],
+    ]
     out = subprocess.run(
-        [sys.executable, "-c", _FRESH_PROCESS, json.dumps([commands, experiment])],
+        [sys.executable, "-S", "-c", _FRESH_PROCESS, json.dumps(phases)],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
     )
-    late = ["subgeneral.experiments", "subgeneral.quang", "subgeneral.position",
-            "subgeneral.seshadri"]
-    assert out.stdout.splitlines() == ["[]", "[]", repr(late)]
+    certificates = ["subgeneral.quang", "subgeneral.position", "subgeneral.seshadri"]
+    everything = ["subgeneral.experiments", *certificates, "dataclasses", "typing"]
+    assert out.stdout.splitlines() == ["[]", "[]", repr(certificates), repr(everything)]
 
 
 def test_ulp_distance_basics():

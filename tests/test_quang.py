@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -83,7 +82,10 @@ def test_quang_combine_matches_intersection_reference():
 def _holding(forms, variety):
     """A certificate holding these inputs and X, whatever they are: the
     chain check's table reads nothing else."""
-    return replace(worked_cert(), variety=variety, inputs=tuple(forms))
+    cert = worked_cert()
+    return CombinationCertificate(
+        variety, tuple(forms), cert.outputs, cert.matrix, cert.position, cert.constants
+    )
 
 
 def _table_refusal(cert, order):
@@ -306,7 +308,14 @@ def test_soundness_refuses_forms_outside_the_ambient_space():
     data = {**_WRONG_SPACE_INPUT, "inputs": [["1", "0"], ["0", "1"], ["1", "1"]]}
     sound = CombinationCertificate.from_json_dict(data)
     assert sound.verify_soundness()
-    longer = replace(sound, outputs=(sound.outputs[0], LinearForm((1, 1, 0))))
+    longer = CombinationCertificate(
+        sound.variety,
+        sound.inputs,
+        (sound.outputs[0], LinearForm((1, 1, 0))),
+        sound.matrix,
+        sound.position,
+        sound.constants,
+    )
     assert not longer.verify_soundness()
 
 
@@ -382,7 +391,11 @@ def test_soundness_replays_constants_on_seeded_certificates():
         for k, (place, c) in enumerate(cert.constants):
             edited = list(cert.constants)
             edited[k] = (place, rat_str(2 * parse_rat(c)))
-            assert not replace(cert, constants=tuple(edited)).verify_soundness()
+            changed = CombinationCertificate(
+                cert.variety, cert.inputs, cert.outputs, cert.matrix, cert.position,
+                tuple(edited),
+            )
+            assert not changed.verify_soundness()
 
 
 @pytest.mark.parametrize("key", ["x", "p=4", "q=5", "1"])
