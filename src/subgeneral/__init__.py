@@ -29,13 +29,11 @@ _LAZY = {
     "Candidate": "experiments",
     "DefectReport": "experiments",
     "ExperimentConfig": "experiments",
-    "SampleResult": "experiments",
     "candidate_targets": "experiments",
     "delta_budget": "experiments",
     "exceptional_scan": "experiments",
     "run_evertse_ferretti_baseline": "experiments",
     "run_main_experiment": "experiments",
-    "sample_points": "experiments",
     "INF": "places",
     "LogNorm": "places",
     "Place": "places",
@@ -69,6 +67,8 @@ _LAZY = {
     "chain_constant": "quang",
     "quang_combine": "quang",
     "reorder_by_local_norm": "quang",
+    "SampleResult": "sampling",
+    "sample_points": "sampling",
     "SeshadriValue": "seshadri",
     "seshadri_constant": "seshadri",
     "SubschemeSpec": "weil",

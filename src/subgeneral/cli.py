@@ -140,10 +140,10 @@ def _cmd_weil(args) -> int:
     if args.manifest:
         rows = _doc_arg("--manifest", args.manifest, weil_batch)
         if args.format == "csv":
-            lines = ["point,target,place,value,exact,note"]
+            lines = ["point,target,place,value,exact"]
             for r in rows:
                 lines.append(
-                    "%s,%s,%s,%s,%s,"
+                    "%s,%s,%s,%s,%s"
                     % (
                         r["point"],
                         '"%s"' % r["target"].replace('"', '""'),

@@ -44,11 +44,11 @@ from operator import mul
 import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from subgeneral import experiments
+from subgeneral import sampling
 from subgeneral.errors import ArgumentError, SupportError
 from subgeneral.jsonio import json_int
-from subgeneral.experiments import (
-    Candidate,
+from subgeneral.experiments import Candidate
+from subgeneral.sampling import (
     SampleResult,
     _coprime_pairs,
     _int_window,
@@ -626,14 +626,14 @@ def sample_points_by_point(
         # (12/pi^2) * (m_hi^2 - (m_lo-1)^2); compared in pi^2 units, which a
         # huge int does not overflow
         sweep = 12 * (m_hi**2 - (m_lo - 1) ** 2)
-        if count is None and sweep > experiments._SWEEP_BUDGET * math.pi**2:
+        if count is None and sweep > sampling._SWEEP_BUDGET * math.pi**2:
             raise ArgumentError(
                 "exhaustive window up to parameter %d needs more than %d sampler "
                 "attempts; narrow the height window or set sample_count"
-                % (m_hi, experiments._SWEEP_BUDGET)
+                % (m_hi, sampling._SWEEP_BUDGET)
             )
         # a count-limited sweep is never refused, so it stops at the budget
-        cap = None if count is None else experiments._SWEEP_BUDGET
+        cap = None if count is None else sampling._SWEEP_BUDGET
         out = []
         attempts = 0
         if variety.ambient_dim == 1:
@@ -675,7 +675,7 @@ def sample_points_by_point(
     seen = set()
     out = []
     attempts = 0
-    max_attempts = min(200 * count + 1000, experiments._SWEEP_BUDGET)
+    max_attempts = min(200 * count + 1000, sampling._SWEEP_BUDGET)
     while len(out) < count and attempts < max_attempts:
         attempts += 1
         u = [rng.randint(-hi, hi) for _ in basis]

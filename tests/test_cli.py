@@ -146,15 +146,15 @@ def test_weil_manifest_csv(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "point,target,place,value,exact,note"
+    assert lines[0] == "point,target,place,value,exact"
     assert len(lines) == 5
     assert lines[1].startswith('[1:4],"x0",inf,')
-    assert lines[3] == '[0:1],"x0",inf,,support,'
+    assert lines[3] == '[0:1],"x0",inf,,support'
 
 
 def test_weil_manifest_csv_quotes_a_label_with_quotes(capsys):
     # a quote in a target label is doubled (RFC 4180), so every row reads
-    # back as six fields with the label intact
+    # back as five fields with the label intact
     label = 'my "line", x0=x1'
     subscheme = {"type": "subscheme", "label": label, "components": [
         {"type": "linear", "coeffs": ["1", "-1", "0"]},
@@ -163,8 +163,31 @@ def test_weil_manifest_csv_quotes_a_label_with_quotes(capsys):
     manifest = {"points": [["1", "2", "3"]], "targets": [subscheme], "places": ["inf", "2"]}
     assert main(["weil", "--manifest", json.dumps(manifest), "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert rows[0] == ["point", "target", "place", "value", "exact", "note"]
-    assert [(len(r), r[1]) for r in rows[1:]] == [(6, label), (6, label)]
+    assert rows[0] == ["point", "target", "place", "value", "exact"]
+    assert [(len(r), r[1]) for r in rows[1:]] == [(5, label), (5, label)]
+
+
+def test_weil_manifest_csv_rows_have_the_fields_of_the_header(capsys):
+    # the header names the fields of the JSON rows, and every row, a support
+    # hit's too, reads back with one field per header name
+    quadric = {"type": "form", "dim": 2, "degree": 2,
+               "terms": [[[2, 0, 0], "1"], [[0, 2, 0], "-1"]]}
+    subscheme = {"type": "subscheme", "components": [
+        {"type": "linear", "coeffs": ["1", "0", "0"]},
+        {"type": "linear", "coeffs": ["0", "1", "0"]},
+    ]}
+    manifest = {
+        "points": [["0", "1", "1"], ["2", "3", "5"], ["0", "0", "1"]],
+        "targets": [["1", "0", "0"], quadric, subscheme],
+        "places": ["inf", "2", "3"],
+    }
+    doc = json.dumps(manifest)
+    keys = {frozenset(row) for row in run_json(capsys, ["weil", "--manifest", doc])}
+    assert main(["weil", "--manifest", doc, "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert keys == {frozenset(header)}
+    assert len(rows) == 27 and {len(r) for r in rows} == {len(header)}
+    assert any(r[header.index("exact")] == "support" for r in rows)
 
 
 def test_weil_manifest_points_of_the_wrong_dimension_exit_65(capsys):

@@ -49,11 +49,11 @@ from subgeneral.cli import main
 from subgeneral.experiments import (
     _RECORD_FIELDS,
     _defect_batch,
-    _draw_stream,
     _Evaluator,
     _vanishes_on,
 )
 from subgeneral.jsonio import rat_str, stable_dumps
+from subgeneral.sampling import _draw_stream
 from subgeneral.weil import _component_columns
 
 from gen import is_on_support, rand_hom_form, rand_linear_form, rand_point
@@ -1300,14 +1300,14 @@ def test_a_report_evaluates_each_form_once_per_sampler_batch(monkeypatch):
     # batch and keeps the columns; the ledger and the chain summary read
     # them and evaluate no form again
     sampler_calls = []
-    column = subgeneral.experiments._column
+    column = subgeneral.sampling._column
 
     def counting_kernel(target, points, xs, maxes, mode, places, *cols):
         if not places:
             sampler_calls.append(target)
         return column(target, points, xs, maxes, mode, places, *cols)
 
-    monkeypatch.setattr(subgeneral.experiments, "_column", counting_kernel)
+    monkeypatch.setattr(subgeneral.sampling, "_column", counting_kernel)
     evaluated = []
     for cls in (LinearForm, HomForm):
         def counting_column(form, xs, original=cls.column):
@@ -1447,7 +1447,7 @@ def test_count_limited_sweep_stops_at_the_attempt_budget(monkeypatch, tmp_path):
     full = [sample_points(x, lo, hi, None, seed=0) for x, lo, hi in cases]
     # uncapped, a count beyond the window sweeps all of it
     assert [f.attempts for f in full] == [48928, 26952]
-    monkeypatch.setattr(subgeneral.experiments, "_SWEEP_BUDGET", 5000)
+    monkeypatch.setattr(subgeneral.sampling, "_SWEEP_BUDGET", 5000)
     for (x, lo, hi), whole in zip(cases, full):
         got = sample_points(x, lo, hi, 10**6, seed=0)
         assert got.attempts == 5000 and got.partial
@@ -1455,7 +1455,7 @@ def test_count_limited_sweep_stops_at_the_attempt_budget(monkeypatch, tmp_path):
         # a count reached within the budget is not partial
         few = sample_points(x, lo, hi, 10, seed=0)
         assert few.points == whole.points[:10] and not few.partial
-    monkeypatch.setattr(subgeneral.experiments, "_SWEEP_BUDGET", 40)
+    monkeypatch.setattr(subgeneral.sampling, "_SWEEP_BUDGET", 40)
     cfg = config_p1(h_max=math.log(200), sample_count=10**6)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_json_dict()))
@@ -1468,7 +1468,7 @@ def test_random_draws_stop_at_the_attempt_budget(monkeypatch, tmp_path):
     # {x0 + x1 + x2 + x3 = 0} in P^3 holds 97 points of height at most log 3
     plane = LinearSubvariety(3, (LinearForm((1, 1, 1, 1)),))
     few = sample_points(plane, 0.0, math.log(3), 10, seed=0)
-    monkeypatch.setattr(subgeneral.experiments, "_SWEEP_BUDGET", 5000)
+    monkeypatch.setattr(subgeneral.sampling, "_SWEEP_BUDGET", 5000)
     # 200 * count + 1000 would allow 21,000 attempts; the budget cuts it
     got = sample_points(plane, 0.0, math.log(3), 100, seed=0)
     assert got.attempts == 5000 and got.partial
@@ -1584,7 +1584,7 @@ def test_draw_stream_matches_the_nested_loop_across_blocks():
     # attempts at a time), on X = {x3 = 0} in P^3, on P^2 and on a plane of
     # codimension 2 in P^4, at window tops where randint's rejection draws
     # are frequent (2*hi+1 just above a power of 2) and at hi >= 2^32
-    assert subgeneral.experiments._DRAW_BLOCK * 3 < 1700
+    assert subgeneral.sampling._DRAW_BLOCK * 3 < 1700
     plane = (LinearForm((2, 1, 1, 0, 0)), LinearForm((0, 3, 0, 1, -1)))
     varieties = (
         LinearSubvariety(3, (LinearForm((0, 0, 0, 1)),)),
@@ -1615,7 +1615,7 @@ def test_one_sampler_matches_the_point_by_point_sampler(monkeypatch):
     assert len(cases) == 61
     outcomes = set()
     for case in cases:
-        monkeypatch.setattr(subgeneral.experiments, "_SWEEP_BUDGET", case[-1])
+        monkeypatch.setattr(subgeneral.sampling, "_SWEEP_BUDGET", case[-1])
         got = _sample_or_error(sample_points, case)
         assert got == _sample_or_error(sample_points_by_point, case), case
         if isinstance(got, str):
@@ -1630,8 +1630,8 @@ def test_one_sampler_matches_the_point_by_point_sampler(monkeypatch):
 
 
 def _counting(monkeypatch, name, module=None):
-    """Wrap module.<name>, by default in experiments; returns its call list."""
-    module = module or subgeneral.experiments
+    """Wrap module.<name>, by default in sampling; returns its call list."""
+    module = module or subgeneral.sampling
     calls = []
     original = getattr(module, name)
 

@@ -3,6 +3,7 @@ the field-tuple hash, immutability, the ClassName(field=...) repr, Place's
 order, and pickle and deepcopy round trips."""
 
 import copy
+import math
 import operator
 import pickle
 from fractions import Fraction
@@ -16,6 +17,7 @@ from subgeneral import (
     LinearSubvariety,
     Place,
     ProjPoint,
+    SampleResult,
     SubschemeSpec,
     check_subgeneral,
     local_weil,
@@ -24,6 +26,7 @@ from subgeneral import (
     projective_space,
     quang_combine,
     reorder_by_local_norm,
+    sample_points,
     seshadri_constant,
     veronese_form,
 )
@@ -126,6 +129,12 @@ def _samples():
             "SeshadriValue(value=Fraction(1, 1), subject_class='hypersurface(1)',"
             " justification='hyperplane: epsilon = 1')",
         ),
+        (
+            sample_points(projective_space(1), 0.0, math.log(2), None, 0, excluded=(X0,)),
+            ["points", "partial", "attempts"],
+            "SampleResult(points=([1:-1], [1:0], [1:1], [1:-2], [1:2], [2:-1], [2:1]),"
+            " partial=False, attempts=8)",
+        ),
     ]
 
 
@@ -151,6 +160,8 @@ def test_equality_holds_only_within_a_class():
     assert LinearForm((1, 2)) != (1, 2)
     assert ProjPoint((1, 2)) != ProjPoint((1, 3))
     assert len({ProjPoint((1, 2)), LinearForm((1, 2)), ProjPoint((2, 4))}) == 2
+    # a sample's kept support columns are no field
+    assert SampleResult((), False, 0, {X0: [[]]}) == SampleResult((), False, 0)
 
 
 def test_fields_cannot_be_assigned_or_deleted():

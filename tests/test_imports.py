@@ -1,12 +1,16 @@
 """Every name a package module imports is used in that module, a rule's
 private helpers stay with the module that owns the rule, only the experiment
-path imports dataclasses or typing, every public function is reached from
-outside its own module, and the lazy package namespace serves exactly
-__all__, each name as its module holds it now."""
+path imports dataclasses, the sampler stands apart from the ledger and
+certificate modules, every public function is reached from outside its own
+module, and the lazy package namespace serves exactly __all__, each name as
+its module holds it now."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,8 +85,9 @@ def _scoped_imports(tree, modules) -> set:
 
 def test_only_experiments_imports_dataclasses_or_typing():
     # value classes derive from _frozen.Frozen, so dataclasses (which imports
-    # inspect, ast and dis) and typing stay off the start-up of every command
-    # but experiment, whose handler imports dataclasses.replace when it runs
+    # inspect, ast and dis) stays off the start-up of every command but
+    # experiment, whose handler imports dataclasses.replace when it runs;
+    # annotations say int | None, so no module imports typing
     package = Path(subgeneral.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):
@@ -93,9 +98,40 @@ def test_only_experiments_imports_dataclasses_or_typing():
         }
     assert found == {
         ("experiments", None, "dataclasses"),
-        ("experiments", None, "typing"),
         ("cli", "_cmd_experiment", "dataclasses"),
     }
+
+
+def test_the_sampler_imports_no_ledger_or_certificate_module():
+    path = Path(subgeneral.__file__).parent / "sampling.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _scoped_imports(tree, {"weil"}) == {(None, "weil")}
+    assert _scoped_imports(tree, {"experiments", "quang", "position", "seshadri", "cli"}) == set()
+
+
+_SAMPLE_ONLY = """
+import sys, subgeneral
+x = subgeneral.projective_space(2)
+sample = subgeneral.sample_points(x, 0.0, 3.0, 50, 0, (subgeneral.LinearForm((1, 1, 0)),))
+assert len(sample.points) == 50
+modules = ("sampling", "experiments", "quang", "position", "seshadri")
+watched = ["subgeneral." + m for m in modules] + ["dataclasses", "typing"]
+print([m for m in watched if m in sys.modules])
+"""
+
+
+def test_sampling_points_loads_no_experiment_module():
+    # a process that only samples compiles no ledger, report or certificate
+    # code (run under -S: site may import typing)
+    src = str(Path(subgeneral.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _SAMPLE_ONLY],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == [repr(["subgeneral.sampling"])]
 
 
 # public functions whose only callers are tests: the paper's C_v of a

@@ -367,8 +367,8 @@ for phase in json.loads(sys.argv[1]):
 
 def test_weil_and_norm_commands_import_no_experiment_module():
     # one-shot Weil values and ledgers load none of the modules that only
-    # experiments and certificates run, and no command but an experiment
-    # loads dataclasses or typing (run under -S: site may import typing)
+    # experiments and certificates run, no command but an experiment loads
+    # dataclasses, and none loads typing (run under -S: site may import it)
     src = str(Path(subgeneral.__file__).resolve().parents[1])
     manifest = {"points": [["1", "4"]], "targets": [["1", "0"]], "places": ["inf", "p=2"]}
     forms = "[[1,0,0],[0,1,0],[1,-1,0]]"
@@ -403,7 +403,7 @@ def test_weil_and_norm_commands_import_no_experiment_module():
         check=True,
     )
     certificates = ["subgeneral.quang", "subgeneral.position", "subgeneral.seshadri"]
-    everything = ["subgeneral.experiments", *certificates, "dataclasses", "typing"]
+    everything = ["subgeneral.experiments", *certificates, "dataclasses"]
     assert out.stdout.splitlines() == ["[]", "[]", repr(certificates), repr(everything)]
 
 
