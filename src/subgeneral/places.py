@@ -215,10 +215,6 @@ class LogNorm(Frozen):
     exact: tuple[int, int] | None
     approx: float
 
-    def __init__(self, exact: tuple[int, int] | None, approx: float):
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "approx", approx)
-
 
 def log_norm(x, v: Place) -> LogNorm:
     """Normalized log||x||_v.  Examples: ||3/8||_2 = 8, ||-6/5||_inf = 6/5."""
@@ -393,11 +389,6 @@ class ProductFormulaLedger(Frozen):
     x: Fraction
     finite: tuple[tuple[int, int], ...]
     arch_log: float
-
-    def __init__(self, x: Fraction, finite: tuple[tuple[int, int], ...], arch_log: float):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "finite", finite)
-        object.__setattr__(self, "arch_log", arch_log)
 
     def residual_is_zero(self) -> bool:
         prod = Fraction(1)

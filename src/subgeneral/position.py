@@ -54,11 +54,6 @@ class Witness(Frozen):
     dim: int
     allowed: int
 
-    def __init__(self, subset: tuple[int, ...], dim: int, allowed: int):
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "allowed", allowed)
-
     def to_json_dict(self) -> dict:
         return {"subset": list(self.subset), "dim": self.dim, "allowed": self.allowed}
 
@@ -68,24 +63,8 @@ class PositionReport(Frozen):
     level: int
     q: int
     variety: LinearSubvariety
-    witnesses: tuple[Witness, ...]
-    complete: bool  # False when verdict-only mode stopped early
-
-    def __init__(
-        self,
-        verdict: bool,
-        level: int,
-        q: int,
-        variety: LinearSubvariety,
-        witnesses: tuple[Witness, ...] = (),
-        complete: bool = True,
-    ):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "complete", complete)
+    witnesses: tuple[Witness, ...] = ()
+    complete: bool = True  # False when verdict-only mode stopped early
 
     def to_json_dict(self) -> dict:
         return {

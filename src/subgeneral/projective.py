@@ -320,10 +320,6 @@ class VeroneseLinearization(Frozen):
     form: LinearForm
     scale: Fraction
 
-    def __init__(self, form: LinearForm, scale: Fraction):
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "scale", scale)
-
 
 def veronese_form(form: HomForm) -> VeroneseLinearization:
     """Rewrite a degree-d form as a linear form in the monomial coordinates."""

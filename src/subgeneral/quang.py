@@ -69,13 +69,20 @@ place and 0 elsewhere, so K_v does not depend on the order (K_v = 0 at
 every prime).  The check uses the certificate's inputs and X only: a table
 on the certificate holds, per sort order, the re-sorted family's greedy
 basis from quang_combine's own walk (_walk), which refuses what
-quang_combine refuses and then keeps nothing; B_in and K_inf are kept once
-per certificate.  Both sides are compared exactly: integer valuation
-ledgers at finite places, and at the archimedean place the two norm
-products as integer (numerator, denominator) pairs, cross-multiplied; only
-the reported floats are rounded, each from its reduced fraction.  Each
-point is one cell (_cell): its space is checked, the inputs are evaluated,
-a point on an input raises SupportError, and _chain_inequality compares.
+quang_combine refuses and then keeps nothing; (n, l), B_in, K_inf and the
+packed inputs are kept once per certificate.  Both sides are compared
+exactly: integer valuation ledgers at finite places, and at the
+archimedean place the two norm products as integer (numerator, denominator)
+pairs, cross-multiplied; only the reported floats are rounded, each from
+its reduced fraction.  Each point is one cell (_cell), one frame that
+checks its space, evaluates the inputs, raises SupportError for a point on
+an input, reads the table at the point's sort order and compares.  The
+inputs a_j are evaluated as one integer product: with C_i = sum_j a_ji
+2^(64j) and MASK = sum_j 2^63 2^(64j), the l+1 values L_j(P) are the
+signed 64-bit limbs of (sum_i C_i x_i + MASK) ^ MASK, read by one
+struct.unpack.  That is exact when every |L_j(P)| < 2^63, which holds
+whenever max|x_i| < 2^62 // max_j sum_i |a_ji|; a point at or above that
+bound is evaluated form by form.
 chain_check_column, for the experiments' chain summary, checks every
 point's space first, reads the inputs' values from columns (the sampler's
 in an experiment, else one evaluation per input over the coordinate
@@ -89,6 +96,7 @@ import functools
 import math
 from fractions import Fraction
 from operator import mul
+from struct import unpack
 
 from ._frozen import Frozen
 from .errors import ArgumentError, PositionError, SupportError
@@ -111,22 +119,6 @@ class CombinationCertificate(Frozen):
     position: PositionReport  # general-position report for the outputs
     constants: tuple[tuple[str, str], ...]  # (place string, C_v) pairs
 
-    def __init__(
-        self,
-        variety: LinearSubvariety,
-        inputs: tuple[LinearForm, ...],
-        outputs: tuple[LinearForm, ...],
-        matrix: tuple[tuple[int | Fraction, ...], ...],
-        position: PositionReport,
-        constants: tuple[tuple[str, str], ...],
-    ):
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "constants", constants)
-
     @property
     def level(self) -> int:
         return len(self.inputs) - 1
@@ -139,23 +131,35 @@ class CombinationCertificate(Frozen):
 
     @functools.cached_property
     def _chain_constants(self) -> tuple:
-        """(B_in, e^(K_inf), K_inf) for the chain check: B_in the inputs'
-        product of max|coeff| and K_inf = l*log B + n(l-n)*log(M+1) with
-        B = max|coeff| (C_v = 1); K_v = 0 at every prime."""
+        """What the chain check reads once per certificate:
+        (l, n, B_in, e^(K_inf), K_inf, cols, mask, nbytes, fmt, bound).
+        B_in is the inputs' product of max|coeff| and K_inf = l*log B +
+        n(l-n)*log(M+1) with B = max|coeff| (C_v = 1); K_v = 0 at every
+        prime.  The rest packs the inputs for _cell's evaluation (module
+        docstring): cols[i] = sum_j a_ji 2^(64j), mask = sum_j 2^(64j+63),
+        the struct format of the l+1 signed 64-bit values and their byte
+        count, and the bound on max|x| below which every value fits.  Ints
+        and a str only, so the certificate pickles with it."""
         forms = self.inputs
         l, n = len(forms) - 1, self.variety.dim
         big_b = max(f._max_coeff for f in forms)
         k = big_b**l * (self.variety.ambient_dim + 1) ** (n * (l - n))
-        return math.prod(f._max_coeff for f in forms), k, math.log(k)
+        rows = [f.coeffs for f in forms]
+        cols = tuple([sum([a << 64 * j for j, a in enumerate(col)]) for col in zip(*rows)])
+        mask = sum([1 << (64 * j + 63) for j in range(l + 1)])
+        bound = 2**62 // max([sum(map(abs, row)) for row in rows])
+        b_in = math.prod(f._max_coeff for f in forms)
+        return l, n, b_in, k, math.log(k), cols, mask, 8 * (l + 1), "<%dq" % (l + 1), bound
 
     def verify_soundness(self) -> bool:
         """Replay the matrix: row 1 is the first input, later rows respect
         the span discipline and reproduce the outputs exactly, and each
         listed (place, C_v) is the constant of those rows.  Every input lives
-        in X's ambient space, so an output of another length is no replay."""
+        in X's ambient space, so an output of another length is no replay,
+        and fewer than n+1 inputs are none."""
         l = self.level
         n = self.variety.dim
-        if len(self.outputs) != n + 1 or len(self.matrix) != n + 1:
+        if l < n or len(self.outputs) != n + 1 or len(self.matrix) != n + 1:
             return False
         if self.outputs[0] != self.inputs[0]:
             return False
@@ -344,10 +348,6 @@ class Ordering(Frozen):
     place: Place
     perm: tuple[int, ...]
 
-    def __init__(self, place: Place, perm: tuple[int, ...]):
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "perm", perm)
-
     def apply(self, forms) -> list:
         return [forms[i - 1] for i in self.perm]
 
@@ -371,12 +371,16 @@ def _keys(values, place: Place) -> list[int]:
     p = place.p
     if p is None:
         return list(map(abs, values))
-    return [-_ord_p(v, p) if v % p == 0 else 0 for v in values]
-
-
-def _sort_order(keys) -> tuple[int, ...]:
-    # 0-based; ties broken by original index, since sorted is stable
-    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+    # ord_p inline: a call of _ord_p per value divisible by p took a third
+    # of the keys' time at p = 2 (a value of 0 would never leave the loop)
+    keys = []
+    for v in values:
+        e = 0
+        while not v % p:
+            v //= p
+            e -= 1
+        keys.append(e)
+    return keys
 
 
 def reorder_by_local_norm(point: ProjPoint, place: Place, forms) -> Ordering:
@@ -394,7 +398,10 @@ def reorder_by_local_norm(point: ProjPoint, place: Place, forms) -> Ordering:
         if val == 0:
             raise _on_form(point, i, f)
         values.append(val)
-    return Ordering(place, tuple([i + 1 for i in _sort_order(_keys(values, place))]))
+    keys = _keys(values, place)
+    # ties broken by input index, since sorted is stable
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return Ordering(place, tuple([i + 1 for i in order]))
 
 
 # ---------------------------------------------------------------------------
@@ -411,28 +418,6 @@ class ChainCheckRecord(Frozen):
     chain_c: str  # C_v of the re-sorted family's outputs, as a rational string
     slack: float
     passed: bool
-
-    def __init__(
-        self,
-        point: str,
-        place: Place,
-        perm: tuple[int, ...],
-        lhs: float,
-        rhs: float,
-        constant_k: float,
-        chain_c: str,
-        slack: float,
-        passed: bool,
-    ):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "constant_k", constant_k)
-        object.__setattr__(self, "chain_c", chain_c)
-        object.__setattr__(self, "slack", slack)
-        object.__setattr__(self, "passed", passed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -470,55 +455,51 @@ def _log_ratio(num: int, den: int) -> float:
     return math.log(num // g) - math.log(den // g)
 
 
-def _chain_inequality(cert: CombinationCertificate, place: Place, keys, maxx):
-    """The telescoping estimate at one point, compared exactly, from the
-    inputs' sort keys (_keys) and the certificate's table: (passed, slack,
-    lhs, rhs, perm).  slack is the reported float; lhs and rhs are exact:
-    at inf e^lhs and e^rhs as integer (num, den) pairs, with maxx = max|x_i|
-    of the point, and at a prime p the integers lhs/log p and rhs/log p
-    (maxx unread, and K_v = 0)."""
-    perm, out_pos, b_out = _table_terms(cert, _sort_order(keys))
-    l = len(keys) - 1
-    n = cert.variety.dim
+def _cell(cert: CombinationCertificate, place: Place, point: ProjPoint, vals=None):
+    """One point of the chain check, compared exactly: (passed, slack, lhs,
+    rhs, perm), or the SupportError of the first input that vanishes at the
+    point.  vals, the inputs' values at the point, are evaluated here when
+    not given, after the point's space is checked: packed (module docstring)
+    while max|x_i| is below the certificate's bound, else form by form.
+    slack is the reported float; lhs and rhs are exact: at inf e^lhs and
+    e^rhs as integer (num, den) pairs, and at a prime p the integers lhs/log p
+    and rhs/log p (K_v = 0)."""
+    l, n, b_in, k, _, cols, mask, nbytes, fmt, bound = cert._chain_constants
+    coords = point.coords
+    maxx = max(map(abs, coords))
+    if vals is None:
+        if len(coords) != len(cols):
+            # the forms share X's ambient space, so one check covers them all
+            raise wrong_space_error(cert.inputs[0], point)
+        if maxx < bound:
+            packed = (sum(map(mul, cols, coords)) + mask) ^ mask
+            vals = unpack(fmt, packed.to_bytes(nbytes, "little"))
+        else:
+            vals = [sum(map(mul, f.coeffs, coords)) for f in cert.inputs]
+    if 0 in vals:
+        i = vals.index(0)
+        raise _on_form(point, i, cert.inputs[i])
+    keys = _keys(vals, place)
+    # 0-based; ties broken by input index, since sorted is stable
+    order = tuple(sorted(range(l + 1), key=keys.__getitem__))
+    terms = cert._chain_table.get(order)
+    if terms is None:
+        terms = _table_terms(cert, order)
+    perm, out_pos, b_out = terms
     e = l - n + 1
     out_keys = [keys[i] for i in out_pos]
     p = place.p
     if p is None:
-        b_in, k, _ = cert._chain_constants
         # lhs = maxx^(l+1) B_in / |prod L_j(P)|,
         # rhs = (maxx^(n+1) B_out / |prod L'_t(P)|)^(l-n+1) e^(K_v)
         lhs = maxx ** (l + 1) * b_in, math.prod(keys)  # the keys are |L_j(P)|
         rhs = (maxx ** (n + 1) * b_out) ** e * k, math.prod(out_keys) ** e
         lhs_cross = lhs[0] * rhs[1]
         rhs_cross = rhs[0] * lhs[1]
-        slack = _log_ratio(rhs_cross, lhs_cross)
-        return lhs_cross <= rhs_cross, slack, lhs, rhs, perm
+        return lhs_cross <= rhs_cross, _log_ratio(rhs_cross, lhs_cross), lhs, rhs, perm
     lhs = -sum(keys)  # the keys are -ord_p(L_j(P))
     rhs = -e * sum(out_keys)
     return lhs <= rhs, (rhs - lhs) * math.log(p), lhs, rhs, perm
-
-
-def _in_space(cert: CombinationCertificate, point: ProjPoint) -> None:
-    forms = cert.inputs
-    if len(point.coords) != len(forms[0].coeffs):
-        # the forms share X's ambient space, so one check covers them all
-        raise wrong_space_error(forms[0], point)
-
-
-def _cell(cert: CombinationCertificate, place: Place, point: ProjPoint, vals=None):
-    """One point of the chain check: _chain_inequality's tuple, or the
-    SupportError of the first input that vanishes at the point.  vals, the
-    inputs' values at the point, are evaluated here when not given, after
-    the point's space is checked."""
-    coords = point.coords
-    if vals is None:
-        _in_space(cert, point)
-        vals = [sum(map(mul, f.coeffs, coords)) for f in cert.inputs]
-    if 0 in vals:
-        i = vals.index(0)
-        raise _on_form(point, i, cert.inputs[i])
-    maxx = max(map(abs, coords)) if place.p is None else None
-    return _chain_inequality(cert, place, _keys(vals, place), maxx)
 
 
 def chain_check(
@@ -537,21 +518,11 @@ def chain_check(
     p = place.p
     if p is None:
         lhs, rhs = _log_ratio(*lhs), _log_ratio(*rhs)
-        k = certificate._chain_constants[2]
+        k = certificate._chain_constants[4]
     else:
         logp = math.log(p)
         lhs, rhs, k = lhs * logp, rhs * logp, 0.0
-    return ChainCheckRecord(
-        point=str(point),
-        place=place,
-        perm=perm,
-        lhs=lhs,
-        rhs=rhs,
-        constant_k=k,
-        chain_c="1",
-        slack=slack,
-        passed=passed,
-    )
+    return ChainCheckRecord(str(point), place, perm, lhs, rhs, k, "1", slack, passed)
 
 
 def chain_check_column(
@@ -571,13 +542,15 @@ def chain_check_column(
     error (SupportError on an input, or PositionError).
     """
     points = list(points)
+    forms = certificate.inputs
     for pt in points:
-        _in_space(certificate, pt)
+        if len(pt.coords) != len(forms[0].coeffs):
+            raise wrong_space_error(forms[0], pt)
     if not points:
         return []
     if columns is None:
         xs = _coordinate_columns(points)
-        columns = [f.column(xs) for f in certificate.inputs]
+        columns = [f.column(xs) for f in forms]
     return [
         _cell(certificate, place, pt, vals)[:2] for pt, vals in zip(points, zip(*columns))
     ]

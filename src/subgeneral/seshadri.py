@@ -27,11 +27,6 @@ class SeshadriValue(Frozen):
     subject_class: str
     justification: str
 
-    def __init__(self, value: Fraction, subject_class: str, justification: str):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "subject_class", subject_class)
-        object.__setattr__(self, "justification", justification)
-
     def to_json_dict(self) -> dict:
         return {
             "value": rat_str(self.value),

@@ -117,24 +117,8 @@ class WeilValue(Frozen):
     place: Place
     subject: str
     point: str
-    exact: tuple[int, int] | None
-    dropped: tuple[int, ...]
-
-    def __init__(
-        self,
-        value: float,
-        place: Place,
-        subject: str,
-        point: str,
-        exact: tuple[int, int] | None = None,
-        dropped: tuple[int, ...] = (),
-    ):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "dropped", dropped)
+    exact: tuple[int, int] | None = None
+    dropped: tuple[int, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -396,6 +396,22 @@ def test_chain_check_refuses_an_unsound_certificate(capsys, tmp_path):
     assert "constants name the place" in captured.err and captured.out == ""
 
 
+def test_chain_check_refuses_a_certificate_with_too_few_inputs(capsys, tmp_path):
+    # fewer than n+1 inputs fail the replay before any input is read
+    cert_path = tmp_path / "cert.json"
+    argv = ["quang", "combine", "--forms", WORKED_FORMS, "--x", LINE_X,
+            "--places", "inf,p=2", "--out", str(cert_path)]
+    assert main(argv) == 0
+    cert = json.loads(cert_path.read_text())
+    check = ["--point", "[1:2:0]", "--place", "inf"]
+    for inputs in ([], "", {}, cert["inputs"][:1]):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**cert, "inputs": inputs}))
+        assert main(["chain", "check", "--cert", "@%s" % path] + check) == 65
+        captured = capsys.readouterr()
+        assert "fails its replay" in captured.err and captured.out == ""
+
+
 def test_delta(capsys):
     data = run_json(capsys, ["delta", "--l", "2", "--n", "2", "--epsilon", "1"])
     assert data == {"delta": "1/8", "epsilon": "1", "l": 2, "n": 2}

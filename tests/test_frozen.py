@@ -1,8 +1,9 @@
 """Value semantics of the frozen value classes: equality within one class,
 the field-tuple hash, immutability, the ClassName(field=...) repr, Place's
-order, and pickle and deepcopy round trips."""
+order, pickle and deepcopy round trips, and the generated __init__."""
 
 import copy
+import inspect
 import math
 import operator
 import pickle
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import subgeneral
 from subgeneral import (
     INF,
     HomForm,
@@ -209,3 +211,63 @@ def test_pickle_and_deepcopy_round_trip_with_cached_properties_filled():
         assert chain_check(ProjPoint((3, 1)), INF, twin) == chain_check(
             ProjPoint((3, 1)), INF, cert
         )
+
+
+# the signatures of the hand-written __init__s that the generated ones
+# replaced: callers construct with these names, in this order, by keyword
+STORING_SIGNATURES = {
+    "LogNorm": "(exact, approx)",
+    "ProductFormulaLedger": "(x, finite, arch_log)",
+    "Witness": "(subset, dim, allowed)",
+    "PositionReport": "(verdict, level, q, variety, witnesses=(), complete=True)",
+    "VeroneseLinearization": "(form, scale)",
+    "CombinationCertificate": "(variety, inputs, outputs, matrix, position, constants)",
+    "Ordering": "(place, perm)",
+    "ChainCheckRecord": "(point, place, perm, lhs, rhs, constant_k, chain_c, slack, passed)",
+    "SeshadriValue": "(value, subject_class, justification)",
+    "WeilValue": "(value, place, subject, point, exact=None, dropped=())",
+}
+NORMALIZING = (
+    Place, ProjPoint, LinearForm, HomForm, LinearSubvariety, SubschemeSpec, SampleResult
+)
+
+
+def test_generated_init_keeps_the_hand_written_signature():
+    generated = {
+        type(obj).__name__ for obj, _, _ in _samples()
+        if type(obj).__init__.__code__.co_filename == "<string>"
+    }
+    assert generated == set(STORING_SIGNATURES)
+    for name, text in STORING_SIGNATURES.items():
+        cls = getattr(subgeneral, name)
+        assert str(inspect.signature(cls)) == text
+        assert cls.__init__.__qualname__ == name + ".__init__"
+
+
+def test_generated_init_stores_positional_and_keyword_arguments():
+    for name in STORING_SIGNATURES:
+        cls = getattr(subgeneral, name)
+        args = [object() for _ in cls._fields]
+        for obj in (cls(*args), cls(**dict(zip(cls._fields, args)))):
+            assert vars(obj) == dict(zip(cls._fields, args))
+            assert all(getattr(obj, f) is a for f, a in zip(cls._fields, args))
+        with pytest.raises(TypeError):
+            cls(*args, object())
+    # an omitted argument takes the class attribute of its name
+    place, variety = Place(5), projective_space(1)
+    assert vars(subgeneral.WeilValue(0.5, place, "x0", "[1:2]")) == {
+        "value": 0.5, "place": place, "subject": "x0", "point": "[1:2]", "exact": None,
+        "dropped": (),
+    }
+    report = subgeneral.PositionReport(True, 1, 2, variety, complete=False)
+    assert (report.witnesses, report.complete) == ((), False)
+    with pytest.raises(TypeError):
+        subgeneral.PositionReport(True, 1, 2)
+
+
+def test_a_class_with_its_own_init_keeps_it():
+    for cls in NORMALIZING:
+        assert cls.__init__ is vars(cls)["__init__"]
+        assert cls.__init__.__code__.co_filename == inspect.getsourcefile(cls)
+    assert ProjPoint((2, -4)).coords == ProjPoint((-1, 2)).coords
+    assert LinearForm((2, -4)).coeffs == LinearForm((-1, 2)).coeffs

@@ -2,8 +2,9 @@
 private helpers stay with the module that owns the rule, only the experiment
 path imports dataclasses, the sampler stands apart from the ledger and
 certificate modules, every public function is reached from outside its own
-module, and the lazy package namespace serves exactly __all__, each name as
-its module holds it now."""
+module, the lazy package namespace serves exactly __all__, each name as its
+module holds it now, and no value class spells the __init__ that its frozen
+base generates."""
 
 import ast
 import importlib
@@ -107,6 +108,59 @@ def test_the_sampler_imports_no_ledger_or_certificate_module():
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _scoped_imports(tree, {"weil"}) == {(None, "weil")}
     assert _scoped_imports(tree, {"experiments", "quang", "position", "seshadri", "cli"}) == set()
+
+
+def _only_stores_its_arguments(init: ast.FunctionDef) -> bool:
+    """Whether every statement of an __init__ stores one parameter unchanged
+    as an attribute: object.__setattr__(self, "name", name), or a write of
+    it into a dict such as self.__dict__."""
+    params = {a.arg for a in init.args.args[1:] + init.args.kwonlyargs}
+
+    def stores(stmt) -> bool:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+            call = stmt.value
+            return (
+                ast.unparse(call.func) == "object.__setattr__"
+                and len(call.args) == 3
+                and isinstance(call.args[2], ast.Name)
+                and call.args[2].id in params
+            )
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target, value = stmt.targets[0], stmt.value
+            if isinstance(target, ast.Subscript):
+                return isinstance(value, ast.Name) and value.id in params
+            return ast.unparse(value) == "self.__dict__"
+        return isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+
+    return all(map(stores, init.body))
+
+
+def test_no_value_class_spells_the_generated_init():
+    # _frozen.Frozen generates the __init__ that only stores its arguments;
+    # a class keeps its own only where it normalizes or checks them
+    package = Path(subgeneral.__file__).parent
+    spelled = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and "Frozen" in map(ast.unparse, node.bases):
+                spelled += [
+                    node.name for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                    and _only_stores_its_arguments(item)
+                ]
+    assert spelled == []
+    stored = ast.parse(
+        "def __init__(self, a, b=1):\n"
+        "    object.__setattr__(self, 'a', a)\n"
+        "    d = self.__dict__\n"
+        "    d['b'] = b\n"
+    ).body[0]
+    normalized = ast.parse(
+        "def __init__(self, a):\n    object.__setattr__(self, 'a', abs(a))\n"
+    ).body[0]
+    assert _only_stores_its_arguments(stored)
+    assert not _only_stores_its_arguments(normalized)
 
 
 _SAMPLE_ONLY = """

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -740,6 +741,97 @@ def test_chain_check_matches_fraction_reference(count_calls):
     assert kinds == {"ChainCheckRecord", "SupportError", "ArgumentError"}
     assert repeated > 0
     assert quang.chain_check_column([], INF, cert) == []
+
+
+def _point_of_size(rng, variety, size):
+    """A point of X with max|x_i| == size: X is P^n, or {last coordinate = 0}
+    in P^(n+1) (gen.strict_arrangement)."""
+    free = variety.dim + 1
+    while True:
+        coords = [size] + [rng.randint(-size, size) for _ in range(free - 1)]
+        rng.shuffle(coords)
+        pt = ProjPoint(tuple(coords + [0] * (variety.ambient_dim + 1 - free)))
+        if max(map(abs, pt.coords)) == size:
+            return pt
+
+
+def test_packed_and_per_form_evaluation_meet_at_the_bound(count_calls):
+    # the inputs' values are read packed while max|x_i| < bound, and form by
+    # form from the bound on: at bound - 1, at bound, above 2^64 and on an
+    # input above and below the bound, every place gives what the Fraction
+    # reference gives, and the column's (passed, slack) agree
+    rng = random.Random(67)
+    places = (INF, Place(2), Place(3))
+    packed = count_calls(struct.unpack)
+    supports = 0
+    for n in (1, 2, 3):
+        for l in range(n, 7):
+            forms, variety = strict_arrangement(rng, n, l)
+            cert = quang_combine(forms, variety)
+            bound = cert._chain_constants[-1]
+            below = [_point_of_size(rng, variety, bound - 1) for _ in range(3)]
+            beyond = [_point_of_size(rng, variety, size) for size in (bound, 2**64 + 7)]
+            # an input meets X in one point when n = 1, so only n > 1 has big
+            # points on an input: one below the bound, one above
+            rows = [f.coeffs for f in variety.forms] + [rng.choice(forms).coeffs]
+            basis = nullspace_by_rref(rows, variety.ambient_dim + 1)
+            on_input = []
+            for scale in (2**20, 2**70) if n > 1 else ():
+                coords = linalg.combine([rng.randint(scale, 2 * scale) for _ in basis], basis)
+                on_input.append(ProjPoint(tuple(coords)))
+            if on_input:
+                sizes = [max(map(abs, pt.coords)) for pt in on_input]
+                assert sizes[0] < bound <= sizes[1]
+            for place in places:
+                got = []
+                for pt in below + beyond + on_input:
+                    start = len(packed)
+                    got.append(_outcome(chain_check, pt, place, cert))
+                    assert len(packed) - start == (max(map(abs, pt.coords)) < bound)
+                    assert got[-1] == _outcome(chain_check_by_fractions, pt, place, cert)
+                records = got[:len(below + beyond)]
+                assert {type(r) for r in records} == {quang.ChainCheckRecord}
+                assert [r[0] for r in got[len(records):]] == ["SupportError"] * len(on_input)
+                cells = quang.chain_check_column(below + beyond, place, cert)
+                assert cells == [(r.passed, r.slack) for r in records]
+                supports += len(on_input)
+    assert supports == 9 * 2 * 3  # the classes with n > 1, two points, three places
+
+
+def test_packed_values_equal_the_per_form_sums(monkeypatch):
+    # random rows and coordinates below the bound, negative values and zeros
+    # included: the values the cell unpacks are the forms' integer sums
+    rng = random.Random(71)
+    seen = []
+
+    def recording(fmt, data):
+        seen.append(struct.unpack(fmt, data))
+        return seen[-1]
+
+    monkeypatch.setattr(quang, "unpack", recording)
+    zeros = negatives = 0
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        hi = rng.choice((1, 3, 2**10, 2**30))
+        forms = [rand_linear_form(rng, dim, hi) for _ in range(rng.randint(1, 7))]
+        cert = CombinationCertificate(projective_space(dim), tuple(forms), (), (), None, ())
+        bound = cert._chain_constants[-1]
+        top = rng.choice((3, bound - 1))
+        coords = [rng.choice((0, rng.randint(-top, top), top, -top)) for _ in range(dim + 1)]
+        if not any(coords):
+            coords[0] = 1
+        pt = ProjPoint(tuple(coords))
+        assert max(map(abs, pt.coords)) < bound
+        want = tuple(sum(a * x for a, x in zip(f.coeffs, pt.coords)) for f in cert.inputs)
+        seen.clear()
+        try:
+            quang._cell(cert, rng.choice((INF, Place(2))), pt)
+        except (SupportError, PositionError, ArgumentError):
+            pass
+        assert seen == [want]
+        zeros += 0 in want
+        negatives += min(want) < 0
+    assert zeros > 0 and negatives > 0
 
 
 def _refusals(point, cert):
