@@ -21,39 +21,93 @@ from itertools import compress
 from operator import mul
 
 from ._frozen import Frozen
-from .errors import ArgumentError
+from .errors import ArgumentError, DomainError
 from .jsonio import rat_str
 
 # ---------------------------------------------------------------------------
-# primality: the first k prime bases of Miller-Rabin decide every n below
-# _PSI[k-1] (OEIS A014233; Sorenson & Webster, Math. Comp. 2017).  At or above
-# the last bound the test is strong BPSW, base 2 and then a strong Lucas test
-# with Selfridge's parameters (Baillie & Wagstaff 1980), the same test as
-# sympy.isprime there; below it both tests are proven, so the answers agree.
+# primality: trial division by the primes up to 47, then Miller-Rabin to a
+# set of witnesses that decides every n below a bound with no prime factor
+# up to 47.  Below 341531 these are the first k prime bases, which decide
+# every n below A014233's psi_k (Sorenson & Webster, Math. Comp. 2017).  On
+# [341531, 4296595241) one witness does, picked by hashing n (Forisek &
+# Jancina, "Fast Primality Testing for Integers That Fit into a Machine
+# Word", 2015), and below 2^64 the sets of 3 to 7 witnesses collected at
+# miller-rabin.appspot.com do; the hash, its table and those sets are the
+# ones of sympy 1.14's isprime.  A witness that is 0 mod n is passed over.
+# Up to psi_13 the prime bases decide again, and at or above it the test
+# is strong BPSW, base 2 and then a strong Lucas test with Selfridge's
+# parameters (Baillie & Wagstaff 1980), the same test as sympy.isprime
+# there; below it every answer is proven.
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI = (
-    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-    341550071728321, 341550071728321, 3825123056546413051,
-    3825123056546413051, 3825123056546413051, 318665857834031151167461,
-    3317044064679887385961981,
+_PRIMES_TO_47 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_PRIMORIAL_47 = math.prod(_PRIMES_TO_47)
+_HASHED_FROM, _HASHED_BELOW = 341531, 4296595241
+_HASHED_WITNESSES = """
+15591 2018 166 7429 8064 16045 10503 4399 1949 1295 2776 3620 560 3128
+5212 2657 2300 2021 4652 1471 9336 4018 2398 20462 10277 8028 2213 6219
+620 3763 4852 5012 3185 1333 6227 5298 1074 2391 5113 7061 803 1269 3875
+422 751 580 4729 10239 746 2951 556 2206 3778 481 1522 3476 481 2487
+3266 5633 488 3373 6441 3344 17 15105 1490 4154 2036 1882 1813 467 3307
+14042 6371 658 1005 903 737 1887 7447 1888 2848 1784 7559 3400 951 13969
+4304 177 41 19875 3110 13221 8726 571 7043 6943 1199 352 6435 165 1169
+3315 978 233 3003 2562 2994 10587 10030 2377 1902 5354 4447 1555 263
+27027 2283 305 669 1912 601 6186 429 1930 14873 1784 1661 524 3577 236
+2360 6146 2850 55637 1753 4178 8466 222 2579 2743 2031 2226 2276 374
+2132 813 23788 1610 4422 5159 1725 3597 3366 14336 579 165 1375 10018
+12616 9816 1371 536 1867 10864 857 2206 5788 434 8085 17618 727 3639
+1595 4944 2129 2029 8195 8344 6232 9183 8126 1870 3296 7455 8947 25017
+541 19115 368 566 5674 411 522 1027 8215 2050 6544 10049 614 774 2333
+3007 35201 4706 1152 1785 1028 1540 3743 493 4474 2521 26845 8354 864
+18915 5465 2447 42 4511 1660 166 1249 6259 2553 304 272 7286 73 6554 899
+2816 5197 13330 7054 2818 3199 811 922 350 7514 4452 3449 2663 4708 418
+1621 1171 3471 88 11345 412 1559 194
+"""
+# (bound, witnesses) outside the hashed range, by increasing bound
+_LADDER = (
+    (2047, (2,)),
+    (_HASHED_FROM, (2, 3)),
+    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (
+        7999252175582851,
+        (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805),
+    ),
+    (
+        585226005592931977,
+        (
+            2, 123635709730000, 9233062284813009, 43835965440333360,
+            761179012939631437, 1263739024124850375,
+        ),
+    ),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318665857834031151167461, _PRIMES_TO_47[:12]),
+    (3317044064679887385961981, _PRIMES_TO_47[:13]),
 )
+
+
+@functools.cache
+def _hashed_witnesses() -> tuple[int, ...]:
+    """The 256 witnesses of the hashed range, decoded on first use."""
+    return tuple(map(int, _HASHED_WITNESSES.split()))
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    k = bisect_right(_PSI, n)
-    if k < len(_PSI):
-        return all(_is_strong_prp(n, a) for a in _MR_BASES[: k + 1])
+    if math.gcd(n, _PRIMORIAL_47) > 1:
+        return n in _PRIMES_TO_47
+    if _HASHED_FROM <= n < _HASHED_BELOW:
+        h = ((n >> 16) ^ n) * 0x45D9F3B
+        h = ((h >> 16) ^ h) * 0x45D9F3B
+        return _is_strong_prp(n, _hashed_witnesses()[((h >> 16) ^ h) & 255])
+    for bound, witnesses in _LADDER:
+        if n < bound:
+            return all(_is_strong_prp(n, a) for a in witnesses if a % n)
     return _is_strong_prp(n, 2) and _is_strong_lucas_prp(n)
 
 
 def _is_strong_prp(n: int, a: int) -> bool:
-    """Miller-Rabin to base a for odd n > a."""
+    """Miller-Rabin to base a for odd n > 2 that does not divide a."""
     s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s, d odd
     x = pow(a, (n - 1) >> s, n)
     if x == 1:
@@ -233,15 +287,22 @@ def log_norm(x, v: Place) -> LogNorm:
 # composite cofactor, gcds with the products of the primes in the chunks
 # (3000, 6000], (6000, 12000], ..., (48000, 96000]; then Brent's rho.  The
 # sieve gcd g is the product of the sieve primes that divide n, so only the
-# primes of g are walked, and only while p^2 <= g; n is divided by those
-# primes alone.  Every input pays the sieve gcd, so its bound stays at 3000:
-# one gcd took 3.4 us there, 11.7 us at 10^4 and 35 us at 3*10^4.  A
+# primes of g are walked, while p^2 <= g and until what is left of g is one
+# sieve prime; n is divided by those primes alone.  A ledger takes one
+# sieve gcd for its numerator and denominator together and splits it by a
+# gcd with the numerator: 2.7-3.0 us against 4.1 us for two gcds.  A
 # cofactor below 3001^2 with no sieve factor is prime, with no test, and so
-# is any piece of it that is split off below 3001^2.  Only a cofactor that
-# failed the primality test pays the chunk gcds, about 10 ns per prime of a
-# chunk (3.4 us for the first, 46 us for the last), and they stop at the
-# first chunk that shares a prime with it; rho took 0.5-0.65 us * sqrt(p) to
-# find a least prime p between 5,000 and 10^6.  The chunks stop at 96,000:
+# is any piece of it that is split off below 3001^2; above, a prime
+# cofactor's test took 2.9-3.8 us in the hashed range and 22-32 us at
+# 10^11-10^12 (6-10 us and 31-37 us with the first k prime bases).  With
+# those costs the median seed-1 ledger took 36.0-37.3 us with a sieve to
+# 1000, 34.6-36.2 us to 2000, 35.4-36.5 us to 3000, 36.8-38.7 us to 5000
+# and 39.8-41.9 us to 10^4 (best and median of 7 passes over 20,000), so
+# the bound stays at 3000.  Only a cofactor that failed the primality test
+# pays the chunk gcds, about 10 ns per prime of a chunk (3.4 us for the
+# first, 46 us for the last), and they stop at the first chunk that shares
+# a prime with it; rho took 0.5-0.65 us * sqrt(p) to find a least prime p
+# between 5,000 and 10^6.  The chunks stop at 96,000:
 # on the benchmark's seed-1 ledger rationals (20,000 integers up to 10^12),
 # factoring took 1.03 s with no chunk, 0.75 s with chunks to 96,000 and
 # no less with chunks to 192,000 or 384,000, while each added chunk about
@@ -249,22 +310,28 @@ def log_norm(x, v: Place) -> LogNorm:
 # are built on the first composite cofactor (about 4-6 ms), never at
 # import.  Rho starts the same way on every call (y = 2, c = 1, then the
 # next c), with no generator to seed, so a factorization's dict order is
-# fixed by n.
+# fixed by n.  Every n below 10^24 is factored in full: a composite
+# cofactor's least prime is below 10^12, and the next primes after 10^12
+# and 3*10^12 took 0.8 s.  From 10^24 on, rho has a budget of 2^22 steps,
+# counted once per gcd block, and a cofactor it does not split is refused
+# (DomainError) after 2-3 s.
 # sympy's factorint, the test oracle, measured ~3x slower on uniform 10^12
 # inputs, which busts the product-formula check's time budget.
 
 _SIEVE_BOUND = 3000
+_RHO_FREE_BELOW = 10**24  # rho's step budget binds from here on
+_RHO_STEPS = 1 << 22
 
 
-def _small_primes(bound: int) -> list[int]:
-    # a sieve of the odd numbers: mark[i] stands for 2i + 1
+def _odd_sieve(bound: int) -> bytearray:
+    """mark[i] is 1 exactly when 2i + 1 <= bound is prime."""
     mark = bytearray([1]) * ((bound + 1) // 2)
     mark[0] = 0
     for i in range(1, (math.isqrt(bound) + 1) // 2):
         if mark[i]:
             p = 2 * i + 1
             mark[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(mark), p)))
-    return [2, *compress(range(1, bound + 1, 2), mark)]
+    return mark
 
 
 def _product(xs: list[int]) -> int:
@@ -274,7 +341,8 @@ def _product(xs: list[int]) -> int:
     return xs[0]
 
 
-_SMALL_PRIMES = _small_primes(_SIEVE_BOUND)
+_ODD_SIEVE = _odd_sieve(_SIEVE_BOUND)
+_SMALL_PRIMES = [2, *compress(range(1, _SIEVE_BOUND + 1, 2), _ODD_SIEVE)]
 _SIEVE_PRODUCT = math.prod(_SMALL_PRIMES)
 _PRIME_BELOW = (_SIEVE_BOUND + 1) ** 2  # a cofactor below this is prime
 _CHUNK_EDGES = (_SIEVE_BOUND, 6000, 12000, 24000, 48000, 96000)
@@ -284,7 +352,8 @@ _CHUNK_EDGES = (_SIEVE_BOUND, 6000, 12000, 24000, 48000, 96000)
 def _chunk_products() -> tuple[int, ...]:
     """The product of the primes in each chunk (a, b] between _CHUNK_EDGES,
     built on the first composite cofactor, not at import."""
-    primes = _small_primes(_CHUNK_EDGES[-1])
+    bound = _CHUNK_EDGES[-1]
+    primes = [2, *compress(range(1, bound + 1, 2), _odd_sieve(bound))]
     cuts = [bisect_right(primes, e) for e in _CHUNK_EDGES]
     return tuple(_product(primes[i:j]) for i, j in zip(cuts, cuts[1:]))
 
@@ -305,9 +374,10 @@ def _brent_rho(n: int) -> int:
     # y -> y^2 + c from y = 2, with c = 1, 2, 3, ... until one splits n.
     # The product of the differences is reduced mod n and tested by a gcd
     # once per block of m steps, not reduced at every step: against a
-    # reduction per step in blocks of 128 this took 13-19% less time
+    # reduction per step in blocks of 128 this took 13-19% less time.
     m = 16
-    c = 0
+    c = steps = 0
+    budget = _RHO_STEPS if n >= _RHO_FREE_BELOW else math.inf
     while True:
         c += 1
         y = 2
@@ -326,6 +396,14 @@ def _brent_rho(n: int) -> int:
                 q %= n
                 g = math.gcd(q, n)
                 k += m
+                steps += m
+                if steps > budget:
+                    raise DomainError(
+                        "cannot factor the cofactor %d: Brent's rho found no "
+                        "factor in %d steps; factoring is complete only for "
+                        "numbers below 10^24" % (n, _RHO_STEPS)
+                    )
+            steps += r
             r <<= 1
         if g == n:
             g = 1
@@ -336,12 +414,16 @@ def _brent_rho(n: int) -> int:
             return g
 
 
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {p: multiplicity}."""
+def factor_int(n: int, *, _sieve_gcd: int | None = None) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {p: multiplicity}.
+
+    Every n below 10^24 is factored in full; from 10^24 on, a cofactor that
+    Brent's rho does not split within its step budget raises DomainError.
+    _sieve_gcd, when given, must be gcd(n, _SIEVE_PRODUCT): the ledger
+    finds it for a numerator and a denominator with one gcd."""
     if not isinstance(n, int) or n < 1:
         raise ArgumentError("factor_int needs an int n >= 1, got %r" % (n,))
-    out: dict[int, int] = {}
-    g = math.gcd(n, _SIEVE_PRODUCT)
+    g = math.gcd(n, _SIEVE_PRODUCT) if _sieve_gcd is None else _sieve_gcd
     found = []
     for p in _SMALL_PRIMES:
         if p * p > g:
@@ -349,8 +431,11 @@ def factor_int(n: int) -> dict[int, int]:
         if g % p == 0:
             g //= p
             found.append(p)
+            if g <= _SIEVE_BOUND and _ODD_SIEVE[g >> 1]:
+                break  # what is left of g is one sieve prime
     if g > 1:  # no sieve prime up to sqrt(g) divides it: a prime
         found.append(g)
+    out: dict[int, int] = {}
     for p in found:
         e = 0
         while n % p == 0:
@@ -407,15 +492,18 @@ class ProductFormulaLedger(Frozen):
 
 def product_formula_residual(x) -> ProductFormulaLedger:
     """Decompose log|x| over all places with nonzero contribution."""
-    f = Fraction(x)
-    if f == 0:
+    f = x if x.__class__ is Fraction else Fraction(x)
+    a, d = abs(f.numerator), f.denominator
+    if not a:
         raise ArgumentError("product formula needs x != 0")
-    num = factor_int(abs(f.numerator))
-    den = factor_int(f.denominator)  # coprime to the numerator, lowest terms
+    # one sieve gcd for both: a and d are coprime, so the sieve primes that
+    # do not divide a divide d
+    g = math.gcd(a * d, _SIEVE_PRODUCT)
+    ga = math.gcd(g, a)
+    num = factor_int(a, _sieve_gcd=ga)
+    den = factor_int(d, _sieve_gcd=g // ga)
     ledger = tuple(sorted([*num.items(), *((p, -e) for p, e in den.items())]))
-    a = abs(f)
-    arch = math.log(a.numerator) - math.log(a.denominator)
-    return ProductFormulaLedger(f, ledger, arch)
+    return ProductFormulaLedger(f, ledger, math.log(a) - math.log(d))
 
 
 def ulp_distance(a: float, b: float) -> float:

@@ -381,23 +381,34 @@ def weil_batch(manifest: dict) -> list[dict]:
     xs = _coordinate_columns(points)
     maxes = [height_exact(pt) for pt in points]
     columns = [_column(tg, points, xs, maxes, mode, places)[:2] for tg in targets]
+    # the exact text of each (target, place) column, each (place, e) label
+    # formatted once
+    labels = [{None: "support"} for _ in places]
+    texts = []
+    for exacts, _ in columns:
+        per_place = []
+        for v, known, es in zip(places, labels, exacts):
+            if v.p is None:
+                per_place.append(["support" if e is None else "" for e in es])
+            else:
+                for e in set(es).difference(known):
+                    known[e] = "%d^%d" % (v.p, e)
+                per_place.append(list(map(known.__getitem__, es)))
+        texts.append(per_place)
     target_labels = [str(t) for t in targets]
     place_labels = [str(v) for v in places]
     rows = []
     for i, pt in enumerate(points):
         point_label = str(pt)
-        for target_label, (exacts, values) in zip(target_labels, columns):
-            for v, place_label, es, vs in zip(places, place_labels, exacts, values):
-                e = es[i]
+        for target_label, (_, values), cells in zip(target_labels, columns, texts):
+            for place_label, vs, ts in zip(place_labels, values, cells):
                 rows.append(
                     {
                         "point": point_label,
                         "target": target_label,
                         "place": place_label,
                         "value": vs[i],
-                        "exact": "support"
-                        if e is None
-                        else "" if v.p is None else "%d^%d" % (v.p, e),
+                        "exact": ts[i],
                     }
                 )
     return rows

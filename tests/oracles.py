@@ -42,7 +42,7 @@ from math import gcd, log
 from operator import mul
 
 import sympy
-from sympy.ntheory.primetest import is_strong_lucas_prp
+from sympy.ntheory.primetest import is_strong_bpsw_prp, is_strong_lucas_prp
 
 from subgeneral import sampling
 from subgeneral.errors import ArgumentError, SupportError
@@ -257,6 +257,22 @@ def next_prime_reference(n: int) -> int:
 
 def strong_lucas_reference(n: int) -> bool:
     return bool(is_strong_lucas_prp(n))
+
+
+def prime_flags_by_sieve(bound: int) -> bytearray:
+    """flags[n] == 1 exactly when n < bound is prime (Eratosthenes)."""
+    flags = bytearray([1]) * bound
+    flags[:2] = b"\0\0"[:bound]
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return flags
+
+
+def bpsw_reference(n: int) -> bool:
+    """Strong BPSW, which shares no Miller-Rabin witness set with the
+    package's ladder below 2^64 (sympy.isprime does)."""
+    return n > 1 and bool(is_strong_bpsw_prp(n))
 
 
 def _in_span_by_rank(vec, rows) -> bool:

@@ -88,6 +88,16 @@ def test_norm_usage_and_domain_errors(capsys):
     capsys.readouterr()
 
 
+def test_norm_ledger_refuses_a_cofactor_beyond_the_factoring_bound(capsys, monkeypatch):
+    # the primes after 10^12 and 3*10^12: their product exceeds 10^24, so
+    # rho runs under its step budget, here made small
+    monkeypatch.setattr(subgeneral.places, "_RHO_STEPS", 64)
+    n = 1000000000039 * 3000000000013
+    assert main(["norm", "%d/7" % n, "--ledger"]) == 65
+    err = capsys.readouterr().err
+    assert str(n) in err and "10^24" in err
+
+
 def test_height(capsys):
     data = run_json(capsys, ["height", "[4,6,10]"])
     assert data == {

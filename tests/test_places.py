@@ -14,6 +14,7 @@ import pytest
 import subgeneral
 from subgeneral import (
     ArgumentError,
+    DomainError,
     INF,
     Place,
     factor_int,
@@ -24,12 +25,21 @@ from subgeneral import (
     valuation,
 )
 
-from subgeneral.places import _PSI, _is_prime, _is_strong_lucas_prp, _is_strong_prp
+from subgeneral.places import (
+    _HASHED_BELOW,
+    _HASHED_FROM,
+    _LADDER,
+    _is_prime,
+    _is_strong_lucas_prp,
+    _is_strong_prp,
+)
 
 from gen import rand_fraction
 from oracles import (
+    bpsw_reference,
     factor_reference,
     next_prime_reference,
+    prime_flags_by_sieve,
     prime_reference,
     strong_lucas_reference,
 )
@@ -213,9 +223,10 @@ def test_importing_the_package_builds_no_chunk_product():
     code = (
         "import subgeneral, subgeneral.cli\n"
         "from subgeneral import places\n"
-        "before = places._chunk_products.cache_info().misses\n"
+        "tables = (places._chunk_products, places._hashed_witnesses)\n"
+        "before = [t.cache_info().misses for t in tables]\n"
         "places.factor_int(3001 * 3011)\n"
-        "print(before, places._chunk_products.cache_info().misses)"
+        "print(*before, *[t.cache_info().misses for t in tables])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -224,7 +235,7 @@ def test_importing_the_package_builds_no_chunk_product():
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["0", "1"]
+    assert out.stdout.split() == ["0", "0", "1", "1"]
 
 
 def test_factor_int_edges():
@@ -262,6 +273,41 @@ def test_factor_int_takes_no_primality_test_below_the_sieve_square(monkeypatch):
     assert calls
 
 
+def test_factor_int_and_ledgers_match_sympy_on_seeded_rationals():
+    rng = random.Random(106)
+    sieve = [p for p in range(2, 3001) if prime_reference(p)]
+    rationals = [rand_fraction(rng, 10**12) for _ in range(300)]
+    # sieve primes split between numerator and denominator
+    for _ in range(100):
+        chosen = rng.sample(sieve, 6)
+        top = math.prod(chosen[:3]) * rng.randint(1, 10**4)
+        bottom = math.prod(chosen[3:]) * rng.randint(1, 10**4)
+        rationals.append(Fraction(top * rng.choice((1, -1)), bottom))
+    rationals += [Fraction(2999, 2), Fraction(210, 2999 * 2003), Fraction(1, 3001 * 3011)]
+    for x in rationals:
+        num, den = factor_reference(abs(x.numerator)), factor_reference(x.denominator)
+        assert factor_int(abs(x.numerator)) == num, x
+        assert factor_int(x.denominator) == den, x
+        expected = sorted([*num.items(), *((p, -e) for p, e in den.items())])
+        assert list(product_formula_residual(x).finite) == expected, x
+
+
+def test_factoring_refuses_a_cofactor_that_rho_does_not_split_in_its_budget(monkeypatch):
+    monkeypatch.setattr(subgeneral.places, "_RHO_STEPS", 64)
+    # both primes exceed the last chunk and p*q exceeds 10^24: rho needs
+    # about sqrt(p) = 10^6 steps, far more than the budget
+    p, q = next_prime_reference(10**12), next_prime_reference(3 * 10**12)
+    with pytest.raises(DomainError, match=r"cofactor %d\b.*10\^24" % (p * q)):
+        factor_int(2**5 * p * q)
+    with pytest.raises(DomainError, match=str(p * q)):
+        product_formula_residual(Fraction(7, p * q))
+    # below 10^24 rho has no budget: 10^6 * 10^7 takes about 10^3 steps
+    a, b = next_prime_reference(10**6), next_prime_reference(10**7)
+    assert factor_int(a * b) == {a: 1, b: 1}
+    ledger = product_formula_residual(Fraction(a * b, 5))
+    assert ledger.finite == ((5, -1), (a, 1), (b, 1))
+
+
 def test_factor_int_rejects_non_integers():
     for bad in (12.5, 10**13 + 0.0, "12", Fraction(12), -3):
         with pytest.raises(ArgumentError):
@@ -293,6 +339,18 @@ def test_is_prime_matches_sympy_on_seeded_odd_numbers():
         assert any(got), bits  # the prime answer is exercised at every size
 
 
+# A014233: the first k prime bases decide every n below psi_k
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+# every bound where the witness ladder changes its witnesses
+_RUNG_BOUNDS = sorted({_HASHED_FROM, _HASHED_BELOW, *(b for b, _ in _LADDER)})
+_BPSW_FROM = _LADDER[-1][0]
+
+
 def test_is_prime_at_the_miller_rabin_bounds_and_pseudoprimes():
     values = [psi + d for psi in _PSI for d in (-2, -1, 0, 1, 2)] + _PSEUDOPRIMES
     for n in values:
@@ -306,15 +364,103 @@ def test_is_prime_takes_bpsw_above_the_last_bound():
         factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
         assert all(prime_reference(p) for p in factors)
         n = math.prod(factors)
-        assert n > _PSI[-1] and _is_strong_prp(n, 2)
+        assert n > _BPSW_FROM and _is_strong_prp(n, 2)
         assert not _is_prime(n) and not prime_reference(n)
     for _ in range(200):
         p, q = (next_prime_reference(rng.getrandbits(48)) for _ in range(2))
-        assert p * q > _PSI[-1]
+        assert p * q > _BPSW_FROM
         assert not _is_prime(p * q) and not prime_reference(p * q)
     for e in (89, 107, 127, 521):
         assert _is_prime(2**e - 1) and prime_reference(2**e - 1)
         assert _is_prime(2**e + 1) == prime_reference(2**e + 1)
+
+
+# ---------------------------------------------------------------------------
+# the witness ladder against oracles that share none of its witnesses
+
+
+def test_is_prime_matches_a_sieve_below_one_million():
+    flags = prime_flags_by_sieve(10**6)
+    assert [n for n in range(10**6) if _is_prime(n) != flags[n]] == []
+
+
+def _rungs():
+    """[lo, hi) for each rung of the ladder, and one range above the last."""
+    bounds = [2, *_RUNG_BOUNDS, 2**100]
+    return list(zip(bounds, bounds[1:]))
+
+
+def test_is_prime_matches_bpsw_on_seeded_samples_in_every_rung():
+    rng = random.Random(271)
+    for lo, hi in _rungs():
+        values = [rng.randrange(lo, hi) | 1 for _ in range(300)]
+        # composites that pass the trial division: two primes of about
+        # half the size each, where the rung is wide enough for them
+        half = math.isqrt(lo)
+        if half > 53:
+            for _ in range(40):
+                p = next_prime_reference(rng.randrange(half, math.isqrt(hi - 1)))
+                q = next_prime_reference(rng.randrange(lo // p, (hi - 1) // p))
+                if lo <= p * q < hi:
+                    values.append(p * q)
+        # multiples of the last two trial primes
+        for s in (43, 47) * 10:
+            values.append(s * rng.randrange(lo // s + 1, (hi - 1) // s + 1))
+        values = [n for n in values if lo <= n < hi]
+        got = [_is_prime(n) for n in values]
+        assert got == [bpsw_reference(n) for n in values], (lo, hi)
+        assert any(got) and not all(got), (lo, hi)
+
+
+def test_is_prime_at_every_rung_bound():
+    values = [b + d for b in _RUNG_BOUNDS for d in (-2, -1, 0, 1, 2)]
+    assert [_is_prime(n) for n in values] == [bpsw_reference(n) for n in values]
+
+
+# base-2 strong pseudoprimes in the hashed range, products p*q of primes
+# with ord_p(2) | q - 1: each passes the base-2 test, so only the hashed
+# witness can reject it
+_SPSP2_HASHED = [
+    486737, 7462001, 16879501, 46679761, 63001801, 95451361, 158192317,
+    206304961, 250958401, 365077373, 437866087, 540621181, 682528687,
+    771337891, 871157233, 1157839381, 1427771089, 1581576641, 2007646961,
+    2274584089, 2634284801, 2881429741, 3207297773, 3450717901, 3935864017,
+]
+
+
+def test_is_prime_rejects_base_2_strong_pseudoprimes_in_the_hashed_range():
+    for n in _SPSP2_HASHED:
+        assert _HASHED_FROM <= n < _HASHED_BELOW
+        assert _is_strong_prp(n, 2) and not bpsw_reference(n), n
+        assert not _is_prime(n), n
+
+
+def test_the_hashed_range_takes_exactly_one_witness(monkeypatch):
+    calls = []
+
+    def counting(n, a):
+        calls.append(a)
+        return _is_strong_prp(n, a)
+
+    monkeypatch.setattr(subgeneral.places, "_is_strong_prp", counting)
+    rng = random.Random(272)
+    odd = [_HASHED_FROM, _HASHED_BELOW - 1] + _SPSP2_HASHED
+    odd += [rng.randrange(_HASHED_FROM, _HASHED_BELOW) | 1 for _ in range(2000)]
+    # the primes just outside the range take two and three witnesses
+    for n, witnesses in [(341521, 2), (4296595243, 3)]:
+        assert prime_reference(n)
+        calls.clear()
+        _is_prime(n)
+        assert len(calls) == witnesses, n
+    tested = 0
+    for n in odd:
+        if math.gcd(n, 614889782588491410) > 1:  # 47#
+            continue  # trial division decides it
+        calls.clear()
+        _is_prime(n)
+        assert len(calls) == 1, n
+        tested += 1
+    assert tested > 400
 
 
 def test_strong_lucas_step_matches_sympy():
