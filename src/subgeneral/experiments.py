@@ -22,18 +22,20 @@ hyperplane that does once l > n, and an asserted position any hypersurface,
 but no point of X lies off its support), so every such place has a
 combination.
 
-The bulk ledger (_defect_batch over a sample) evaluates each distinct target
-once per sample and reads every local value from the exact kernel of the
-local-value module, the one the one-point routines read, so a weighted sum is
-bit-equal to the fsum of the weighted one-point values: one float column
-per weighted (target, place) term, the kernel's own column at weight 1.0
-(every hyperplane's), and one fsum per point.  A run builds one
-evaluation plan, read by its float defects, tie band and exact tie
-decisions.  The sampler (the sampling module) has already dropped every
-point on a support and kept each support's component columns over the
-points it accepts; the ledger and the chain summary read them, so a report
-evaluates each target once.  The whole ledger runs in the calling process:
-no pool, no threads.
+The bulk ledger (_defect_batch over a sample) reads every local value from
+the exact kernel of the local-value module, the one the one-point routines
+read, so a weighted sum is bit-equal to the fsum of the weighted one-point
+values: one float column per weighted (target, place) term, the kernel's
+own column at weight 1.0 (every hyperplane's), and one fsum per point.  A
+run builds one evaluation plan, read by its float defects, tie band and
+exact tie decisions.  The sampler (the sampling module) has already dropped
+every point on a support and kept each restriction class's component
+columns over the points it accepts (hyperplanes that agree on X share one
+class and one set of columns); the ledger and the chain summary read them,
+so a report evaluates each class once.  The ledger computes a class's column
+at a prime once and gives it to every member there; the column at inf stays
+per target, since it reads max|coeff|.  The whole ledger runs in the
+calling process: no pool, no threads.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .projective import (
     LinearForm,
     LinearSubvariety,
     ProjPoint,
+    _label_format,
     linear_column,
     monomials,
 )
@@ -69,7 +72,6 @@ from .weil import (
     Target,
     _column,
     _one_point,
-    _raise_hit,
     target_from_json,
     target_to_json,
 )
@@ -288,23 +290,34 @@ class _Evaluator:
 
 def _defect_batch(ev: _Evaluator, pts, maxes, columns) -> list:
     """The weighted defect of each point, sum over places and targets of
-    eps_j * lambda_{j,v}(P): one kernel call per plan entry over the whole
-    column, and one fsum per point over one float column per weighted
-    (target, place) term.  A term of weight 1.0 (every hyperplane's) is the
-    kernel's column as it is, since 1.0 * v is v; any other is that column
-    times the weight.  maxes[i] is max|x_i| of pts[i], and columns
+    eps_j * lambda_{j,v}(P): at most one lean kernel call per plan entry
+    over the whole column, and one fsum per point over one float column per
+    weighted (target, place) term.  A term of weight 1.0 (every hyperplane's)
+    is the kernel's column as it is, since 1.0 * v is v; any other is that
+    column times the weight.  maxes[i] is max|x_i| of pts[i], and columns
     (SampleResult.columns) hold every plan target's component columns over
-    pts, which are not evaluated again.  Raises the first support hit it
-    meets."""
+    pts, which are not evaluated again.  Targets of one restriction class
+    share their columns, and so their values at every prime: a finite-place
+    column is computed once per (shared columns, p), by the first plan entry
+    that reads it; an entry left with no place makes no call.  The column at
+    inf stays per target, since it reads max|coeff|.  Raises the first
+    support hit it meets, as the one-point routine raises it."""
     if not pts:  # an empty sample keeps no columns
         return []
     terms = []
+    done = {}  # (id of the columns, p, or the target at inf) -> float column
     for target, places, _, weights in ev.plan:
         cols = columns[target]
-        _, values, marks = _column(target, pts, None, maxes, ev.mode, places, cols)
-        _raise_hit(marks)
+        keys = {v: (id(cols), v.p or target) for v in places}
+        todo = [v for v in places if keys[v] not in done]
+        if todo:
+            _, values, hits = _column(target, pts, None, maxes, ev.mode, todo, cols, lean=True)
+            if hits:
+                _one_point(pts[hits[0]], target, ev.mode, places)  # raises the hit
+            done.update(zip(map(keys.get, todo), values))
         terms += (
-            col if w == 1.0 else [w * v for v in col] for w, col in zip(weights, values)
+            done[keys[v]] if w == 1.0 else [w * x for x in done[keys[v]]]
+            for v, w in zip(places, weights)
         )
     return [math.fsum(t) for t in zip(*terms)]
 
@@ -630,7 +643,8 @@ def _run(
     ev = _Evaluator(config)
     defects = _defect_batch(ev, pts, maxes, sample.columns)
     log_of = {m: math.log(m) for m in set(maxes)}  # h(P) = log max|x_i|
-    labels = [str(p) for p in pts]
+    fmt = _label_format(config.variety.ambient_dim + 1)  # str(p), formatted inline
+    labels = [fmt % pt.coords for pt in pts]
     order = sorted(range(len(pts)), key=labels.__getitem__)
     points: list[str] = []
     heights = array("d")

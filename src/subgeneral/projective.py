@@ -384,7 +384,8 @@ def projective_space(ambient_dim: int) -> LinearSubvariety:
 def point_from_canonical(coords: tuple[int, ...]) -> ProjPoint:
     """Wrap coordinates the caller guarantees are already canonical
     (coprime ints, first nonzero positive), skipping renormalization.
-    Bulk enumeration uses this; anything user-facing must not."""
+    Bulk enumeration uses this; anything user-facing must not.  The field
+    is written to the instance __dict__, as the generated storing inits do."""
     p = object.__new__(ProjPoint)
-    object.__setattr__(p, "coords", coords)
+    p.__dict__["coords"] = coords
     return p

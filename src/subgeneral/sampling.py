@@ -3,12 +3,14 @@ within a height window.
 
 There is one acceptance loop over a candidate stream per geometry: the
 parameter sweep on a curve, seeded draws otherwise, built a block of
-attempts at a time.  It tests each batch of candidates against each
-distinct excluded support with the kernel of the local-value module, called
-with no places, so no returned point lies on a support.  It keeps each
-support's component columns over the points it accepts, and the
-experiments' ledger and chain summary read them, so a report evaluates each
-target once.  Exhaustive windows predicted to need more than _SWEEP_BUDGET
+attempts at a time.  It groups the excluded supports into restriction
+classes (linear forms that take equal values at every point of X share one)
+and tests each batch of candidates against each class with the kernel of the
+local-value module, called lean and with no places, so no returned point
+lies on a support.  It keeps each class's component columns over the points
+it accepts, one set of lists shared by every member, and the experiments'
+ledger and chain summary read them, so a report evaluates each class once.
+Exhaustive windows predicted to need more than _SWEEP_BUDGET
 sampler attempts are refused; a count-limited sweep or random draw stops
 there with a partial sample.
 """
@@ -19,19 +21,28 @@ import math
 import random
 from itertools import compress, repeat
 from math import gcd
+from operator import mul
 
 from ._frozen import Frozen
 from .errors import ArgumentError
 from .linalg import primitive
-from .projective import LinearSubvariety, ProjPoint, linear_column, point_from_canonical
-from .weil import Target, _column, _component_columns, _coordinate_columns, _hits
+from .projective import (
+    LinearForm,
+    LinearSubvariety,
+    ProjPoint,
+    linear_column,
+    point_from_canonical,
+)
+from .weil import Target, _column, _component_columns, _coordinate_columns
 
 
 class SampleResult(Frozen):
     """The sample, and per excluded support its component columns over the
     points (weil._component_columns), which the ledger and the chain summary
-    read instead of evaluating again; columns is no field, so it takes no
-    part in ==, hash or repr."""
+    read instead of evaluating again.  The members of a restriction class map
+    to one and the same list of columns, which the ledger reads as the sign
+    that their values agree.  columns is no field, so it takes no part in ==,
+    hash or repr."""
 
     points: tuple[ProjPoint, ...]
     partial: bool
@@ -126,13 +137,14 @@ def sample_points(
     lo, hi = _int_window(h_min, h_max)
     if hi < 1 or lo > hi:
         return SampleResult((), False, 0)
+    basis = variety.kernel_basis()
     if variety.dim > 1:
         if count is None:
             raise ArgumentError("exhaustive sampling is only available when dim X == 1")
         cap = min(200 * count + 1000, _SWEEP_BUDGET)
-        return _accept(_draw_stream(variety, lo, hi, seed), count, cap, excluded, mode)
+        stream = _draw_stream(variety, lo, hi, seed)
+        return _accept(stream, count, cap, excluded, mode, basis)
 
-    basis = variety.kernel_basis()
     # |s*b1_i + t*b2_i| <= m*C with C = max_i(|b1_i| + |b2_i|), so a parameter
     # m with m*C < lo cannot reach the window; on P^1, whose basis is the unit
     # vectors, this is the window itself
@@ -150,7 +162,8 @@ def sample_points(
         )
     # a count-limited sweep is never refused, so it stops at the budget
     cap = None if count is None else _SWEEP_BUDGET
-    return _accept(_line_stream(basis, lo, hi, m_lo, m_hi), count, cap, excluded, mode)
+    stream = _line_stream(basis, lo, hi, m_lo, m_hi)
+    return _accept(stream, count, cap, excluded, mode, basis)
 
 
 def _line_stream(basis, lo: int, hi: int, m_lo: int, m_hi: int):
@@ -218,15 +231,30 @@ def _draw_stream(variety: LinearSubvariety, lo: int, hi: int, seed: int):
                 yield coords
 
 
-def _accept(stream, count, cap, excluded, mode: str) -> SampleResult:
+def _restriction_classes(excluded, basis) -> list[list]:
+    """The distinct excluded targets, in order of first appearance, grouped
+    into restriction classes: linear forms with equal values L.b at every
+    vector b of X's kernel basis take equal values at every point of X, and
+    share a class; any other target is a class of its own."""
+    classes: dict = {}
+    for target in dict.fromkeys(excluded):
+        key = target
+        if isinstance(target, LinearForm) and len(target.coeffs) == len(basis[0]):
+            key = tuple(sum(map(mul, target.coeffs, b)) for b in basis)
+        classes.setdefault(key, []).append(target)
+    return list(classes.values())
+
+
+def _accept(stream, count, cap, excluded, mode: str, basis) -> SampleResult:
     """The first count candidates of the stream on no excluded support (all
     of them when count is None), in at most cap attempts (None: no cap).
 
     A batch never holds more candidates than would complete the count if
     none sat on a support, so the result is the point-by-point loop's.  Its
-    support test is one kernel call per distinct support, on the support's
-    component columns, which are kept for the accepted points."""
-    supports = tuple(dict.fromkeys(excluded))
+    support test is one lean kernel call per restriction class, on the
+    class's component columns, which are kept for the accepted points and
+    shared by every member of the class."""
+    classes = _restriction_classes(excluded, basis)
     kept: dict = {}  # target -> its component columns over out
     out: list[ProjPoint] = []
     attempts, more = 0, True
@@ -245,14 +273,17 @@ def _accept(stream, count, cap, excluded, mode: str) -> SampleResult:
         xs = _coordinate_columns(batch)
         hits = set()
         batch_cols = []
-        for target in supports:
-            cols = _component_columns(target, batch, xs)
-            hits.update(_hits(_column(target, batch, xs, (), mode, (), cols)[2]))
+        for first, *_ in classes:
+            cols = _component_columns(first, batch, xs)
+            hits.update(_column(first, batch, xs, (), mode, (), cols, lean=True)[2])
             batch_cols.append(cols)
         keep = [i not in hits for i in range(len(batch))] if hits else None
         out += batch if keep is None else compress(batch, keep)
-        for target, cols in zip(supports, batch_cols):
-            acc = kept.setdefault(target, [[] for _ in cols])
+        for members, cols in zip(classes, batch_cols):
+            acc = kept.get(members[0])
+            if acc is None:
+                acc = [[] for _ in cols]
+                kept.update(dict.fromkeys(members, acc))
             for a, col in zip(acc, cols):
                 a += col if keep is None else compress(col, keep)
     partial = count is not None and len(out) < count

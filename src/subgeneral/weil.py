@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from math import gcd, log
 from itertools import compress, count
 from operator import not_
@@ -136,7 +137,7 @@ class WeilValue(Frozen):
 # and the float formula; every local value in the package is read from it
 
 
-def _column(target: Target, points, xs, maxes, mode: str, places, cols=None):
+def _column(target: Target, points, xs, maxes, mode: str, places, cols=None, lean=False):
     """(exacts, values, marks): one target's local values over a column of
     points, with xs = _coordinate_columns(points) and maxes[i] = max|x_i| of
     points[i] (read only at inf).  cols, when given, are the target's
@@ -149,6 +150,14 @@ def _column(target: Target, points, xs, maxes, mode: str, places, cols=None):
     minimum (() for a form) or, when points[i] lies on the support, the
     SupportError that a one-point caller raises; that point's cells are
     None.  Nothing is raised per point.
+
+    lean serves bulk callers that read only the floats and where the support
+    hits are: marks is then the ascending list of the hits' indices, and no
+    SupportError is built.  A form with no hit then keeps no exact column
+    (its exacts[k] is None): each float is read in one pass from the form's
+    value, with no (num, den) pair or ord_p column kept, and the log of a
+    small num or den read from a table of log's own values, so the floats
+    are the ones the exact column gives.
 
     Each component is evaluated once over the column, by its column(xs),
     unless cols holds its values already.
@@ -166,14 +175,38 @@ def _column(target: Target, points, xs, maxes, mode: str, places, cols=None):
         return [[] for _ in places], [[] for _ in places], []
     if cols is None:
         cols = _component_columns(target, points, xs)
-    marks = [()] * len(points)
-    zeros = {i for col in cols if not all(col) for i in compress(count(), map(not_, col))}
-    for i in zeros:
-        marks[i] = _support_mark(points[i], target, [col[i] for col in cols], mode)
+    zeros = sorted({i for col in cols if not all(col) for i in compress(count(), map(not_, col))})
+    # on the support: a form vanishes, or every component of a subscheme
+    # does, or in strict mode one does
+    if len(cols) == 1 or mode == "strict":
+        hits = zeros
+    else:
+        hits = [i for i in zeros if not any(col[i] for col in cols)]
+    if lean:
+        marks = hits
+    else:
+        marks = [()] * len(points)
+        for i in zeros:
+            marks[i] = tuple(k for k, col in enumerate(cols, 1) if not col[i])
+        for i in hits:
+            marks[i] = _support_error(points[i], target, marks[i], mode)
+    direct = lean and not zeros and len(cols) == 1
     exacts, values = [], []
     for place in places:
         p = place.p
-        if p is None:
+        exact = None
+        if p is None and direct:
+            deg, scale, value = comps[0].degree, comps[0]._max_coeff, []
+            logs = _small_logs()
+            for m, v in zip(maxes, cols[0]):
+                num, den = m**deg * scale, abs(v)
+                g = gcd(num, den)
+                num, den = num // g, den // g
+                value.append(
+                    (logs[num] if num < _SMALL else log(num))
+                    - (logs[den] if den < _SMALL else log(den))
+                )
+        elif p is None:
             per_comp = []
             for c, col in zip(comps, cols):
                 deg, scale, q = c.degree, c._max_coeff, []
@@ -185,19 +218,33 @@ def _column(target: Target, points, xs, maxes, mode: str, places, cols=None):
                     else:
                         q.append(None)
                 per_comp.append(q)
-            exact = _least(per_comp, marks, _least_ratio)
+            exact = _least(per_comp, hits, _least_ratio)
             value = [None if q is None else log(q[0]) - log(q[1]) for q in exact]
         else:
-            per_comp = [
-                [(_ord_p(v, p) if v % p == 0 else 0) if v else None for v in col]
-                for col in cols
-            ]
-            exact = _least(per_comp, marks, min)
             logp = log(p)
-            value = [None if e is None else e * logp for e in exact]
+            if direct:
+                value = [(_ord_p(v, p) if v % p == 0 else 0) * logp for v in cols[0]]
+            else:
+                per_comp = [
+                    [(_ord_p(v, p) if v % p == 0 else 0) if v else None for v in col]
+                    for col in cols
+                ]
+                exact = _least(per_comp, hits, min)
+                value = [None if e is None else e * logp for e in exact]
         exacts.append(exact)
         values.append(value)
     return exacts, values, marks
+
+
+# The float loop at inf reads log k from a table below this bound.
+_SMALL = 4096
+
+
+@cache
+def _small_logs() -> tuple[float, ...]:
+    """log k at index k for 0 < k < _SMALL, built on first use: an index
+    costs less than a log call, and the floats are log's own."""
+    return (0.0, *map(log, range(1, _SMALL)))
 
 
 def _components(target: Target) -> tuple:
@@ -230,41 +277,40 @@ def _coordinate_columns(points):
     return [[x[k] for x in coords] for k in range(len(coords[0]))] if coords else []
 
 
-def _support_mark(point: ProjPoint, target: Target, vals, mode: str):
-    """The mark of a point where some component value in vals is 0."""
-    zero_idx = tuple(i + 1 for i, v in enumerate(vals) if v == 0)
+def _support_error(point: ProjPoint, target: Target, zero_idx, mode: str) -> SupportError:
+    """The SupportError of a point on the target's support, where the
+    components of 1-based indices zero_idx vanish."""
     if not isinstance(target, SubschemeSpec):
         return SupportError(
             "point %s lies on the support of %s" % (point, target),
             point=str(point),
             subject=str(target),
         )
-    if len(zero_idx) == len(vals):
+    if len(zero_idx) == len(target.components):
         return SupportError(
             "point %s lies on the subscheme %s" % (point, target),
             point=str(point),
             subject=str(target),
         )
-    if mode == "strict":
-        return SupportError(
-            "point %s lies on component %d of %s (strict mode)"
-            % (point, zero_idx[0], target),
-            point=str(point),
-            subject=str(target),
-            component=zero_idx[0],
-        )
-    return zero_idx
+    return SupportError(
+        "point %s lies on component %d of %s (strict mode)"
+        % (point, zero_idx[0], target),
+        point=str(point),
+        subject=str(target),
+        component=zero_idx[0],
+    )
 
 
-def _least(per_comp, marks, least):
+def _least(per_comp, hits, least):
     """Per point, least(list of the values of the components live there,
-    never empty); None at a support hit.  A form's one column is its value
-    column."""
+    never empty); None at a support hit (hits: their indices).  A form's one
+    column is its value column."""
     if len(per_comp) == 1:
         return per_comp[0]
+    hit = set(hits)
     return [
-        least([q for q in qs if q is not None]) if isinstance(mark, tuple) else None
-        for qs, mark in zip(zip(*per_comp), marks)
+        None if i in hit else least([q for q in qs if q is not None])
+        for i, qs in enumerate(zip(*per_comp))
     ]
 
 

@@ -53,13 +53,20 @@ from subgeneral.experiments import (
     _vanishes_on,
 )
 from subgeneral.jsonio import rat_str, stable_dumps
-from subgeneral.sampling import _draw_stream
+from subgeneral.sampling import SampleResult, _draw_stream
 from subgeneral.weil import _component_columns
 
-from gen import is_on_support, rand_hom_form, rand_linear_form, rand_point
+from gen import (
+    is_on_support,
+    rand_hom_form,
+    rand_linear_form,
+    rand_point,
+    strict_arrangement,
+)
 from oracles import (
     draw_stream_by_loop,
     exceptional_scan_by_hand,
+    nullspace_by_rref,
     rank_fraction_gauss,
     sample_points_by_point,
     vanishes_on_by_expansion,
@@ -1254,23 +1261,185 @@ def test_bulk_ledger_is_bit_equal_to_one_point_values():
 
 
 def test_bulk_ledger_calls_the_kernel_once_per_plan_entry(monkeypatch):
+    # every ledger float column comes from a kernel call: at inf the
+    # target's own, at a prime the first call of its restriction class (the
+    # targets whose sampler columns are one object); no plan entry calls the
+    # kernel twice, and one left with no place to compute makes no call
     calls = []
     column = subgeneral.experiments._column
 
-    def counting(target, points, xs, maxes, mode, places, cols=None):
-        # the ledger's calls are the ones with places; the sampler's have none
-        if places:
-            calls.append((target, len(points)))
-        return column(target, points, xs, maxes, mode, places, cols)
+    def counting(target, points, xs, maxes, mode, places, cols=None, **kwargs):
+        out = column(target, points, xs, maxes, mode, places, cols, **kwargs)
+        calls.append((target, len(points), tuple(places), cols, out[1]))
+        return out
 
     monkeypatch.setattr(subgeneral.experiments, "_column", counting)
-    for cfg in _kernel_configs():
+    samples = _recording_samples(monkeypatch)
+    for cfg in _kernel_configs() + (_agreeing_config(),):
         calls.clear()
-        report = run_main_experiment(cfg)
-        n = len(report.points) + len(report.excluded_height)
-        assert n > 300
+        run_main_experiment(cfg)
+        sample = samples[-1]
+        pts, columns = sample.points, sample.columns
+        assert len(pts) > 300
         plan = _Evaluator(cfg).plan
-        assert calls == [(target, n) for target, *_ in plan]
+        made = {}
+        for target, size, places, cols, values in calls:
+            assert size == len(pts) and cols is columns[target]
+            made[target] = dict(zip(places, values))
+        assert [c[0] for c in calls] == [t for t, *_ in plan if t in made]
+        shared = 0
+        for target, places, *_ in plan:
+            for v in places:
+                got = made.get(target, {}).get(v)
+                if got is None:
+                    assert v.p is not None
+                    (got,) = [
+                        vals[v] for t, vals in made.items()
+                        if columns[t] is columns[target] and v in vals
+                    ]
+                    shared += 1
+                assert got == [local_weil(pt, target, v, cfg.mode).value for pt in pts]
+        # only the agreeing family has a class of several forms
+        assert shared == (2 if cfg.variety.dim == 2 and cfg.variety.forms else 0)
+
+
+def _recording_samples(monkeypatch) -> list:
+    """Record every SampleResult that a run's sampler returns."""
+    samples = []
+    sample_points = subgeneral.experiments.sample_points
+
+    def recording(*args, **kwargs):
+        samples.append(sample_points(*args, **kwargs))
+        return samples[-1]
+
+    monkeypatch.setattr(subgeneral.experiments, "sample_points", recording)
+    return samples
+
+
+X_SURFACE = LinearSubvariety(3, (LinearForm((0, 0, 0, 1)),))
+
+
+def _agreeing_config(mode="lenient"):
+    """X = {x3 = 0} in P^3 with one seeded strictly 4-subgeneral family at
+    inf and at p=3, whose three forms x0 + c*x3 agree on X (a restriction
+    class of three), and an excluded quadric and subscheme that samples hit
+    in both modes: on X the quadric is (x0 - x1)(x0 + x1), and the
+    subscheme {x1*x2 = x2 + x3 = 0} is the line x2 = 0, with x1 = 0 on its
+    first component alone."""
+    forms, variety = strict_arrangement(random.Random(28), 2, 4)
+    assert variety == X_SURFACE
+    quadric = HomForm.from_terms(3, 2, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 1, 1): 1})
+    cross = HomForm.from_terms(3, 2, {(0, 1, 1, 0): 1})
+    point = SubschemeSpec((cross, LinearForm((0, 0, 1, 1))))
+    return ExperimentConfig(
+        variety=variety,
+        arrangements=((INF, tuple(forms)), (Place(3), tuple(forms))),
+        level=4,
+        epsilon=Fraction(1, 5),
+        h_min=0.0,
+        h_max=math.log(40),
+        sample_count=400,
+        seed=11,
+        mode=mode,
+        excluded_supports=(quadric, point),
+    )
+
+
+def _classes_by_basis(variety, supports) -> list:
+    """The distinct supports grouped by their values on X: linear forms with
+    equal values at every vector of an RREF kernel basis of X share a class,
+    any other target is alone."""
+    basis = nullspace_by_rref([f.coeffs for f in variety.forms], variety.ambient_dim + 1)
+    classes = {}
+    for t in dict.fromkeys(supports):
+        key = t
+        if isinstance(t, LinearForm):
+            key = tuple(sum(a * x for a, x in zip(t.coeffs, b)) for b in basis)
+        classes.setdefault(key, []).append(t)
+    return list(classes.values())
+
+
+def _sample_by_point(variety, h_min, h_max, count, seed, excluded, mode):
+    """The point-by-point sampler, with each support's component columns
+    evaluated point by point over its sample."""
+    sample = sample_points_by_point(variety, h_min, h_max, count, seed, excluded, mode)
+    columns = {
+        t: [[c.evaluate(pt) for pt in sample.points] for c in _components(t)]
+        for t in excluded
+    }
+    return SampleResult(sample.points, sample.partial, sample.attempts, columns)
+
+
+def _components(target) -> tuple:
+    return target.components if isinstance(target, SubschemeSpec) else (target,)
+
+
+def test_a_class_of_agreeing_forms_costs_one_column_and_one_prime_column(monkeypatch):
+    # three forms x0 + c*x3 agree on X = {x3 = 0}: the sampler builds and
+    # tests one column for them per batch, and the ledger computes their
+    # column at p=3 once; their inf columns stay their own (max|coeff|
+    # differs); the report is the per-target oracle's, byte for byte
+    built, kernel = [], []
+    component_columns = subgeneral.sampling._component_columns
+
+    def building(target, points, xs):
+        built.append(target)
+        return component_columns(target, points, xs)
+
+    monkeypatch.setattr(subgeneral.sampling, "_component_columns", building)
+    for module in (subgeneral.sampling, subgeneral.experiments):
+        def counting(target, points, xs, maxes, mode, places, *args, column=module._column, **kw):
+            kernel.append((target, tuple(places)))
+            return column(target, points, xs, maxes, mode, places, *args, **kw)
+
+        monkeypatch.setattr(module, "_column", counting)
+    batches = _counting(monkeypatch, "_coordinate_columns")
+    for mode in ("lenient", "strict"):
+        cfg = _agreeing_config(mode)
+        forms = cfg.arrangements[0][1]
+        agreeing = [f for f in forms if f.coeffs[1:3] == (0, 0)]
+        assert len(agreeing) == 3
+        built.clear()
+        kernel.clear()
+        batches.clear()
+        report = run_main_experiment(cfg)
+        assert len(report.points) > 300 and len(batches) > 1
+        # one column and one support test per batch for the class
+        assert [t for t in built if t in agreeing] == [agreeing[0]] * len(batches)
+        sampler = [t for t, places in kernel if not places]
+        assert len(sampler) == len(built) == 5 * len(batches)
+        # one kernel column at p=3 for the class, three at inf
+        ledger = [(t, places) for t, places in kernel if places and t in agreeing]
+        assert sum(Place(3) in places for _, places in ledger) == 1
+        assert sum(INF in places for _, places in ledger) == 3
+        # the weighted sums are the fsums of weighted one-point values
+        pts = [ProjPoint.parse(p) for p in report.points]
+        assert list(report.sums) == [weighted_sum_by_point(pt, cfg) for pt in pts]
+        # and the report is the per-target oracle's: the point-by-point
+        # sampler, then the per-point sums
+        with monkeypatch.context() as patch:
+            patch.setattr(subgeneral.experiments, "sample_points", _sample_by_point)
+            patch.setattr(
+                subgeneral.experiments,
+                "_defect_batch",
+                lambda ev, points, maxes, columns: [
+                    weighted_sum_by_point(pt, cfg) for pt in points
+                ],
+            )
+            oracle = run_main_experiment(cfg)
+        assert report.to_json() == oracle.to_json()
+        csv, oracle_csv = io.StringIO(), io.StringIO()
+        report.write_csv(csv)
+        oracle.write_csv(oracle_csv)
+        assert csv.getvalue() == oracle_csv.getvalue()
+        assert report.chain_summary == oracle.chain_summary
+        assert all(s["applicable"] for s in report.chain_summary.values())
+        # the excluded quadric and subscheme each hold points that the
+        # sampler draws, and the report holds none of them
+        bare = sample_points(cfg.variety, 0.0, cfg.h_max, 400, cfg.seed, forms, mode)
+        for support in cfg.excluded_supports:
+            assert any(is_on_support(pt, support, mode) for pt in bare.points)
+            assert not any(is_on_support(pt, support, mode) for pt in pts)
 
 
 def _chain_surface_config():
@@ -1296,16 +1465,16 @@ def _chain_surface_config():
 
 
 def test_a_report_evaluates_each_form_once_per_sampler_batch(monkeypatch):
-    # the sampler evaluates each distinct support's components once per
-    # batch and keeps the columns; the ledger and the chain summary read
-    # them and evaluate no form again
+    # the sampler evaluates each restriction class's components once per
+    # batch and keeps the columns for every member; the ledger and the chain
+    # summary read them and evaluate no form again
     sampler_calls = []
     column = subgeneral.sampling._column
 
-    def counting_kernel(target, points, xs, maxes, mode, places, *cols):
+    def counting_kernel(target, points, xs, maxes, mode, places, *cols, **kwargs):
         if not places:
             sampler_calls.append(target)
-        return column(target, points, xs, maxes, mode, places, *cols)
+        return column(target, points, xs, maxes, mode, places, *cols, **kwargs)
 
     monkeypatch.setattr(subgeneral.sampling, "_column", counting_kernel)
     evaluated = []
@@ -1337,23 +1506,25 @@ def test_a_report_evaluates_each_form_once_per_sampler_batch(monkeypatch):
     monkeypatch.setattr(subgeneral.experiments, "_validate_positions", gate)
     several_batches = False
     curve, surface = _kernel_configs()
-    for cfg, chained in ((curve, True), (surface, False), (_chain_surface_config(), True)):
+    configs = (
+        (curve, True),
+        (surface, False),
+        (_chain_surface_config(), True),
+        (_agreeing_config(), True),
+    )
+    for cfg, chained in configs:
         sampler_calls.clear()
         evaluated.clear()
         gated.clear()
         summarized.clear()
         report = run_main_experiment(cfg)
         assert len(report.points) > 300
-        supports = list(dict.fromkeys(
-            [t for _, ts in cfg.arrangements for t in ts] + list(cfg.excluded_supports)
-        ))
-        batches, rest = divmod(len(sampler_calls), len(supports))
-        assert rest == 0 and sampler_calls == supports * batches
-        components = [
-            c for t in supports for c in (t.components if isinstance(t, SubschemeSpec) else (t,))
-        ]
-        assert evaluated == components * batches
-        assert gated and set(gated) <= set(components)
+        supports = [t for _, ts in cfg.arrangements for t in ts] + list(cfg.excluded_supports)
+        firsts = [members[0] for members in _classes_by_basis(cfg.variety, supports)]
+        batches, rest = divmod(len(sampler_calls), len(firsts))
+        assert rest == 0 and sampler_calls == firsts * batches
+        assert evaluated == [c for t in firsts for c in _components(t)] * batches
+        assert gated and set(gated) <= {c for t in supports for c in _components(t)}
         several_batches |= batches > 1
         assert all(s["applicable"] == chained for s in report.chain_summary.values())
         # the chain summary got each input's values at its own points
@@ -1635,15 +1806,17 @@ def _counting(monkeypatch, name, module=None):
     calls = []
     original = getattr(module, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
 def test_sampler_tests_each_distinct_support_once_per_batch(monkeypatch):
+    # once per restriction class per batch: on P^2 every distinct support is
+    # a class of its own, and on X = {x3 = 0} the forms x0 + c*x3 are one
     columns = _counting(monkeypatch, "_coordinate_columns")
     kernel = _counting(monkeypatch, "_column")
     # no point of height log 2 to log 20 sits on these, so a count-limited
@@ -1663,6 +1836,23 @@ def test_sampler_tests_each_distinct_support_once_per_batch(monkeypatch):
     assert len(got.points) == 200
     assert len(columns) > 1
     assert [c[0] for c in kernel] == list(axes) * len(columns)
+    # x0, x0 + x3 and x0 - 2*x3 take equal values on X: one class, tested
+    # once per batch on its first member's columns, which every member keeps
+    columns.clear()
+    kernel.clear()
+    x_surface = LinearSubvariety(3, (LinearForm((0, 0, 0, 1)),))
+    agreeing = (LinearForm((1, 0, 0, 0)), LinearForm((1, 0, 0, 1)), LinearForm((1, 0, 0, -2)))
+    other = LinearForm((0, 1, 0, 5))
+    got = sample_points(x_surface, 0.0, math.log(20), 300, 5, excluded=agreeing + (other,))
+    assert len(got.points) == 300
+    assert len(columns) > 1
+    assert [c[0] for c in kernel] == [agreeing[0], other] * len(columns)
+    assert got.columns[agreeing[1]] is got.columns[agreeing[0]] is got.columns[agreeing[2]]
+    for t in agreeing + (other,):
+        assert got.columns[t] == [[t.evaluate(pt) for pt in got.points]]
+    assert got == sample_points_by_point(
+        x_surface, 0.0, math.log(20), 300, 5, agreeing + (other,)
+    )
 
 
 def test_ledger_builds_the_coordinate_columns_once(monkeypatch):

@@ -496,6 +496,40 @@ def test_column_kernel_matches_the_row_kernel():
     assert hits >= 20 and dropped >= 5
 
 
+def test_lean_kernel_reads_the_full_kernels_floats_and_hits():
+    # the lean kernel (the sampler's and the ledger's) marks a hit by its
+    # index, keeps no exact column for a form off its support, and reads
+    # the logs of small nums and dens from a table: its floats are the full
+    # kernel's, bit for bit, on both sides of the table's bound
+    places = (INF, Place(2), Place(3), Place(5))
+    rng = random.Random(28)
+    cases = list(_kernel_cases())
+    for _ in range(6):
+        # values and heights beyond the table: |F(P)| and max|x_i| * max|coeff|
+        # above it, and small ones, in one column
+        form = rand_linear_form(rng, 2, hi=9)
+        cubic = rand_hom_form(rng, 2, 3)
+        pts = [rand_point(rng, 2, rng.choice((5, 60, 10**4, 10**9))) for _ in range(80)]
+        cases += [(form, pts), (cubic, pts)]
+    assert subgeneral.weil._SMALL == 4096
+    direct = hits = big = 0
+    for target, pts in cases:
+        xs, maxes = _coordinate_columns(pts), [height_exact(pt) for pt in pts]
+        for mode in ("lenient", "strict"):
+            exacts, values, marks = _column(target, pts, xs, maxes, mode, places)
+            lean = _column(target, pts, xs, maxes, mode, places, lean=True)
+            assert lean[1] == values
+            assert lean[2] == _hits(marks)
+            form_off_support = not isinstance(target, SubschemeSpec) and not lean[2]
+            assert lean[0] == ([None] * len(places) if form_off_support else exacts)
+            direct += form_off_support
+            hits += bool(lean[2])
+            big += form_off_support and any(
+                max(q) >= 4096 for q in exacts[0]
+            ) and any(max(q) < 4096 for q in exacts[0])
+    assert direct >= 10 and hits >= 10 and big >= 4
+
+
 def test_one_point_values_raise_the_kernel_support_errors():
     spec = SubschemeSpec((LinearForm((1, 0, -1)), LinearForm((0, 1, 2))))
     on_first = ProjPoint((1, 1, 1))
