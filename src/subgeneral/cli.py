@@ -23,6 +23,7 @@ import io
 import json
 import re
 import sys
+from functools import cache
 
 from .errors import ArgumentError, ConfigRejectedError, SubgeneralError
 from .jsonio import parse_rat, rat_str, stable_dumps_pretty
@@ -262,6 +263,9 @@ def _cmd_experiment(args) -> int:
 # parser wiring
 
 
+# built once per process: parse_args keeps nothing from one call to the
+# next, and building the parser costs more than most commands
+@cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="subgeneral",

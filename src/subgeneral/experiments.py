@@ -32,7 +32,10 @@ exact tie decisions.  The sampler (the sampling module) has already dropped
 every point on a support and kept each restriction class's component
 columns over the points it accepts (hyperplanes that agree on X share one
 class and one set of columns); the ledger and the chain summary read them,
-so a report evaluates each class once.  The ledger computes a class's column
+so a report evaluates each class once.  A report runs on the sampler's
+coordinate tuples and their max|x_i|, column by column, and builds a
+ProjPoint only where one is handed on (the chain summary's points, the
+violators, the tie decisions).  The ledger computes a class's column
 at a prime once and gives it to every member there; the column at inf stays
 per target, since it reads max|coeff|.  The whole ledger runs in the
 calling process: no pool, no threads.
@@ -45,7 +48,8 @@ from array import array
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import truediv
 
 from json.encoder import encode_basestring_ascii
 
@@ -62,6 +66,7 @@ from .projective import (
     _label_format,
     linear_column,
     monomials,
+    point_from_canonical,
 )
 # chain_check stays bound, unused: the benchmark's tracer wraps it here
 from .quang import chain_check, chain_check_column, quang_combine_cached
@@ -288,21 +293,22 @@ class _Evaluator:
         )
 
 
-def _defect_batch(ev: _Evaluator, pts, maxes, columns) -> list:
+def _defect_batch(ev: _Evaluator, coords, maxes, columns) -> list:
     """The weighted defect of each point, sum over places and targets of
     eps_j * lambda_{j,v}(P): at most one lean kernel call per plan entry
     over the whole column, and one fsum per point over one float column per
     weighted (target, place) term.  A term of weight 1.0 (every hyperplane's)
     is the kernel's column as it is, since 1.0 * v is v; any other is that
-    column times the weight.  maxes[i] is max|x_i| of pts[i], and columns
+    column times the weight.  coords are the points' canonical coordinate
+    tuples, maxes[i] is max|x_i| of coords[i], and columns
     (SampleResult.columns) hold every plan target's component columns over
-    pts, which are not evaluated again.  Targets of one restriction class
+    the points, which are not evaluated again.  Targets of one restriction class
     share their columns, and so their values at every prime: a finite-place
     column is computed once per (shared columns, p), by the first plan entry
     that reads it; an entry left with no place makes no call.  The column at
     inf stays per target, since it reads max|coeff|.  Raises the first
     support hit it meets, as the one-point routine raises it."""
-    if not pts:  # an empty sample keeps no columns
+    if not coords:  # an empty sample keeps no columns
         return []
     terms = []
     done = {}  # (id of the columns, p, or the target at inf) -> float column
@@ -311,15 +317,15 @@ def _defect_batch(ev: _Evaluator, pts, maxes, columns) -> list:
         keys = {v: (id(cols), v.p or target) for v in places}
         todo = [v for v in places if keys[v] not in done]
         if todo:
-            _, values, hits = _column(target, pts, None, maxes, ev.mode, todo, cols, lean=True)
-            if hits:
-                _one_point(pts[hits[0]], target, ev.mode, places)  # raises the hit
+            _, values, hits = _column(target, coords, None, maxes, ev.mode, todo, cols, lean=True)
+            if hits:  # raises the hit
+                _one_point(point_from_canonical(coords[hits[0]]), target, ev.mode, places)
             done.update(zip(map(keys.get, todo), values))
         terms += (
             done[keys[v]] if w == 1.0 else [w * x for x in done[keys[v]]]
             for v, w in zip(places, weights)
         )
-    return [math.fsum(t) for t in zip(*terms)]
+    return list(map(math.fsum, zip(*terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +405,20 @@ def exceptional_scan(
     qualify when they hold at least `fraction` of all violators, and are then
     picked greedily by uncovered gain, ties to smaller dimension, then
     canonical label order.
+
+    The labels are distinct, so a span of k = 0 holds its seed alone.  The
+    lines (k = 1) are found by grouping, with no kernel: each violator is
+    keyed by the line it spans with each seed, so one pass over the seeds
+    gives every line through two seeds with all its members.  Spans of
+    k >= 2 are fitted through every (k+1)-subset of the seeds.  The kernel
+    of a span of k <= 1 is computed only when it is chosen.
     """
     pts = sorted({str(p): p for p in violators}.items())
     total = len(pts)
     if total == 0:
         return []
     labels = [s for s, _ in pts]
-    coords = [list(p.coords) for _, p in pts]
+    coords = [p.coords for _, p in pts]
     max_dim = variety.dim - 1
     nseeds = min(total, 48)
     if nseeds == total:
@@ -413,8 +426,17 @@ def exceptional_scan(
     else:
         seeds = sorted({round(i * (total - 1) / (nseeds - 1)) for i in range(nseeds)})
     ncols = variety.ambient_dim + 1
+    # a span qualifies when its members reach fraction * total
+    least = math.ceil(Fraction(fraction) * total)
+    # key (member labels) -> (k, seed subset, members, kernel or None); k
+    # ascends, so the first span found for a key is a least one
     pool = {}
-    for k in range(0, max_dim + 1):
+    if least <= 1:
+        pool.update(((labels[i],), (0, (i,), (i,), None)) for i in seeds)
+    if max_dim >= 1:
+        for subset, members in _seed_lines(coords, seeds, least):
+            pool.setdefault(tuple(labels[i] for i in members), (1, subset, members, None))
+    for k in range(2, max_dim + 1):
         for subset in combinations(seeds, k + 1):
             forms = nullspace([coords[i] for i in subset], ncols)
             if len(forms) != ncols - (k + 1):
@@ -423,11 +445,9 @@ def exceptional_scan(
             # so a violator is a member when its products with the basis are 0
             products = zip(*dot_products(coords, forms))
             members = tuple(i for i, row in enumerate(products) if not any(row))
-            if Fraction(len(members), total) < fraction:
+            if len(members) < least:
                 continue
-            # k ascends, so the first span found for a key is a least one
-            key = tuple(labels[i] for i in members)
-            pool.setdefault(key, (k, subset, members, forms))
+            pool.setdefault(tuple(labels[i] for i in members), (k, subset, members, forms))
     chosen: list[Candidate] = []
     covered: set[int] = set()
     entries = sorted(pool.items())
@@ -441,6 +461,8 @@ def exceptional_scan(
         if best is None:
             break
         _, key, k, subset, members, forms = best
+        if forms is None:
+            forms = nullspace([coords[i] for i in subset], ncols)
         entries = [e for e in entries if e[0] != key]
         covered.update(members)
         chosen.append(
@@ -453,6 +475,47 @@ def exceptional_scan(
             )
         )
     return chosen
+
+
+def _seed_lines(coords, seeds, least: int):
+    """(seed pair, members) of every line through two seeds that holds at
+    least `least` of the points (canonical coordinate tuples, distinct): the
+    pair is the line's first two seeds in order, and the members, ascending,
+    are every point on it.
+
+    With a fixed seed a and a coordinate c where a_c != 0, a point x != a
+    spans one line with a, and w = a_c*x - x_c*a, scaled to a primitive
+    vector with its first nonzero entry positive, keys that line: the points
+    of one line through a, a aside, are those of one key.  So each seed
+    keys every point once, and the seeds in order find each line first at
+    its least seed."""
+    is_seed = set(seeds)
+    for a in seeds:
+        pa = coords[a]
+        c = next(i for i, x in enumerate(pa) if x)
+        ac = pa[c]
+        lines: dict = {}
+        for i, x in enumerate(coords):
+            if i == a:
+                continue
+            xc = x[c]
+            w = [ac * y - xc * z for y, z in zip(x, pa)]
+            g = gcd(*w)
+            for lead in w:
+                if lead:
+                    break
+            if lead < 0:
+                g = -g
+            lines.setdefault(tuple([y // g for y in w]), []).append(i)
+        for group in lines.values():
+            if len(group) + 1 < least:
+                continue
+            # the first seed of the line after a; a line with a seed before
+            # a was found at that seed
+            b = next((i for i in group if i in is_seed), None)
+            if b is None or b < a:
+                continue
+            yield (a, b), tuple(sorted(group + [a]))
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +658,15 @@ def _validate_positions(config: ExperimentConfig, level: int) -> dict:
 _CHAIN_CHECK_CAP = 200
 
 
-def _chain_summary(config: ExperimentConfig, eff_level: int, pts, columns) -> dict:
+def _chain_summary(config: ExperimentConfig, eff_level: int, coords, columns) -> dict:
     """The chain check over the first _CHAIN_CHECK_CAP sample points, one
     column per applicable place: a place holding eff_level+1 hyperplanes.
     The position gate has passed them, so their combination exists.  The
-    inputs' values are read from the sampler's columns (a hyperplane's one
-    component column), not evaluated again; the sampler excluded every
-    target's support, so every point is checked."""
-    head = pts[:_CHAIN_CHECK_CAP]
+    points are built from their coordinate tuples once, for the first place
+    that applies; the inputs' values are read from the sampler's columns (a
+    hyperplane's one component column), not evaluated again.  The sampler
+    excluded every target's support, so every point is checked."""
+    head = None
     summary = {}
     for place, targets in config.arrangements:
         key = str(place)
@@ -611,6 +675,8 @@ def _chain_summary(config: ExperimentConfig, eff_level: int, pts, columns) -> di
             isinstance(t, LinearForm) for t in targets
         ):
             continue
+        if head is None:
+            head = list(map(point_from_canonical, coords[:_CHAIN_CHECK_CAP]))
         cert = quang_combine_cached(tuple(targets), config.variety)
         values = [columns[t][0][:_CHAIN_CHECK_CAP] for t in targets] if head else None
         cells = chain_check_column(head, place, cert, values)
@@ -626,6 +692,12 @@ def _chain_summary(config: ExperimentConfig, eff_level: int, pts, columns) -> di
 def _run(
     config: ExperimentConfig, kind: str, bound: Fraction, eff_level: int, checks: dict
 ) -> DefectReport:
+    """One report, built column by column from the sampler's coordinate
+    tuples: labels, heights (from the sampler's max|x_i|), weighted sums and
+    ratios are lists over the sample, sorted by label once.  A ProjPoint is
+    built only where a point is handed on as one: the chain summary's first
+    _CHAIN_CHECK_CAP points, the violators (for the scan) and the ratios
+    within the tie band of the bound (for their exact decision)."""
     supports = tuple(
         t for _, targets in config.arrangements for t in targets
     ) + config.excluded_supports
@@ -638,43 +710,34 @@ def _run(
         excluded=supports,
         mode=config.mode,
     )
-    pts = list(sample.points)
-    maxes = [max(map(abs, pt.coords)) for pt in pts]
+    coords, maxes = sample.coords, sample.maxes
     ev = _Evaluator(config)
-    defects = _defect_batch(ev, pts, maxes, sample.columns)
-    log_of = {m: math.log(m) for m in set(maxes)}  # h(P) = log max|x_i|
+    defects = _defect_batch(ev, coords, maxes, sample.columns)
     fmt = _label_format(config.variety.ambient_dim + 1)  # str(p), formatted inline
-    labels = [fmt % pt.coords for pt in pts]
-    order = sorted(range(len(pts)), key=labels.__getitem__)
-    points: list[str] = []
-    heights = array("d")
-    sums = array("d")
-    ratios = array("d")
-    violators: list[str] = []
-    violator_pts: list[ProjPoint] = []
-    excluded_height: list[str] = []
+    labels = list(map(fmt.__mod__, coords))
+    order = sorted(range(len(coords)), key=labels.__getitem__)
+    # height-0 points (max|x_i| = 1) are listed apart and get no record
+    excluded_height = [labels[i] for i in order if maxes[i] == 1]
+    if excluded_height:
+        order = [i for i in order if maxes[i] != 1]
+    log_of = {m: math.log(m) for m in set(maxes)}  # h(P) = log max|x_i|
+    points = list(map(labels.__getitem__, order))
+    hs = [log_of[maxes[i]] for i in order]
+    ds = list(map(defects.__getitem__, order))
+    rs = list(map(truediv, ds, hs))
     bound_f = float(bound)
     # float ratios this close to the bound are decided exactly
     tie_band = ev.ratio_error_bound(bound_f)
-    for i in order:
-        d = defects[i]
-        label = labels[i]
-        hmax = maxes[i]
-        if hmax == 1:
-            excluded_height.append(label)
-            continue
-        h = log_of[hmax]
-        r = d / h
-        points.append(label)
-        heights.append(h)
-        sums.append(d)
-        ratios.append(r)
+    violators: list[str] = []
+    violator_pts: list[ProjPoint] = []
+    for j in [j for j, r in enumerate(rs) if r - bound_f >= -tie_band]:
+        r = rs[j]
         violator = r > bound_f
         if abs(r - bound_f) <= tie_band:
-            violator = ev.exceeds(pts[i], bound)
+            violator = ev.exceeds(point_from_canonical(coords[order[j]]), bound)
         if violator:
-            violators.append(label)
-            violator_pts.append(pts[i])
+            violators.append(points[j])
+            violator_pts.append(point_from_canonical(coords[order[j]]))
     candidates = exceptional_scan(
         violator_pts, config.variety, config.candidate_fraction, config.max_candidates
     )
@@ -686,9 +749,9 @@ def _run(
         bound=bound,
         delta=delta_budget(eff_level, config.variety.dim, config.epsilon),
         points=points,
-        heights=heights,
-        sums=sums,
-        ratios=ratios,
+        heights=array("d", hs),
+        sums=array("d", ds),
+        ratios=array("d", rs),
         violators=violators,
         candidates=candidates,
         unassigned=unassigned,
@@ -696,7 +759,7 @@ def _run(
         partial=sample.partial,
         attempts=sample.attempts,
         position_checks=checks,
-        chain_summary=_chain_summary(config, eff_level, pts, sample.columns),
+        chain_summary=_chain_summary(config, eff_level, coords, sample.columns),
     )
 
 

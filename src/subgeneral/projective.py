@@ -32,15 +32,22 @@ def _exact(values) -> list:
 
 
 def linear_column(coeffs, xs) -> list:
-    """sum_k coeffs[k] * xs[k] at every index, from the columns xs: one
-    chained map per nonzero coefficient, and a column of 0 when there is
-    none."""
-    terms = [map(a.__mul__, x) for a, x in zip(coeffs, xs) if a]
+    """sum_k coeffs[k] * xs[k] at every index, from the columns xs.  A term
+    whose coefficient is 0 or whose column is all 0 (a coordinate that
+    vanishes on X) is left out; two or three terms are one comprehension,
+    one or four and more a chain of maps, and none a column of 0."""
+    terms = [(a, x) for a, x in zip(coeffs, xs) if a and any(x)]
+    if len(terms) == 2:
+        (a, x), (b, y) = terms
+        return [a * u + b * v for u, v in zip(x, y)]
+    if len(terms) == 3:
+        (a, x), (b, y), (c, z) = terms
+        return [a * u + b * v + c * w for u, v, w in zip(x, y, z)]
     if not terms:
         return [0] * len(xs[0])
-    total = terms[0]
-    for term in terms[1:]:
-        total = map(add, total, term)
+    total = map(terms[0][0].__mul__, terms[0][1])
+    for a, x in terms[1:]:
+        total = map(add, total, map(a.__mul__, x))
     return list(total)
 
 

@@ -2,23 +2,29 @@
 within a height window.
 
 There is one acceptance loop over a candidate stream per geometry: the
-parameter sweep on a curve, seeded draws otherwise, built a block of
-attempts at a time.  It groups the excluded supports into restriction
-classes (linear forms that take equal values at every point of X share one)
-and tests each batch of candidates against each class with the kernel of the
-local-value module, called lean and with no places, so no returned point
-lies on a support.  It keeps each class's component columns over the points
-it accepts, one set of lists shared by every member, and the experiments'
+parameter sweep on a curve, seeded draws otherwise.  Either stream hands
+over a block of attempts at a time, each candidate as its canonical
+coordinate tuple with its max|x_i|, which the stream has at hand (the
+parameter m on P^1, the vector's max over its gcd in a draw).  The loop
+groups the excluded supports into restriction classes (linear forms that
+take equal values at every point of X share one) and tests each block
+segment against each class with the kernel of the local-value module,
+called lean and with no places, on the tuples, so no returned point lies on
+a support.  It keeps each class's component columns over the points it
+accepts, one set of lists shared by every member, and the experiments'
 ledger and chain summary read them, so a report evaluates each class once.
-Exhaustive windows predicted to need more than _SWEEP_BUDGET
-sampler attempts are refused; a count-limited sweep or random draw stops
-there with a partial sample.
+The result keeps the tuples and builds ProjPoints only when its points are
+read.  Exhaustive windows predicted to need more than _SWEEP_BUDGET sampler
+attempts are refused; a count-limited sweep or random draw stops there
+with a partial sample.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
+from functools import cached_property
 from itertools import compress, repeat
 from math import gcd
 from operator import mul
@@ -32,8 +38,9 @@ from .projective import (
     ProjPoint,
     linear_column,
     point_from_canonical,
+    wrong_space_error,
 )
-from .weil import Target, _column, _component_columns, _coordinate_columns
+from .weil import Target, _column, _component_columns
 
 
 class SampleResult(Frozen):
@@ -41,18 +48,46 @@ class SampleResult(Frozen):
     points (weil._component_columns), which the ledger and the chain summary
     read instead of evaluating again.  The members of a restriction class map
     to one and the same list of columns, which the ledger reads as the sign
-    that their values agree.  columns is no field, so it takes no part in ==,
-    hash or repr."""
+    that their values agree.
+
+    coords holds each point's canonical coordinate tuple and maxes its
+    max|x_i|, which the report reads.  The sampler's result (_of_coords)
+    builds the ProjPoints of points only when points is first read; a result
+    built from points takes coords and maxes from them.  columns, coords and
+    maxes are no fields, so they take no part in ==, hash or repr."""
 
     points: tuple[ProjPoint, ...]
     partial: bool
     attempts: int
 
     def __init__(self, points, partial: bool, attempts: int, columns: dict | None = None):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "partial", partial)
-        object.__setattr__(self, "attempts", attempts)
-        object.__setattr__(self, "columns", {} if columns is None else columns)
+        coords = [pt.coords for pt in points]
+        self.__dict__.update(
+            points=points,
+            partial=partial,
+            attempts=attempts,
+            columns={} if columns is None else columns,
+            coords=coords,
+            maxes=[max(map(abs, x)) for x in coords],
+        )
+
+    @classmethod
+    def _of_coords(cls, coords: list, maxes: list, partial: bool, attempts: int, columns=None):
+        """The sampler's result: canonical coordinate tuples and their
+        max|x_i|, with points left to be built on first read."""
+        self = object.__new__(cls)
+        self.__dict__.update(
+            coords=coords,
+            maxes=maxes,
+            partial=partial,
+            attempts=attempts,
+            columns={} if columns is None else columns,
+        )
+        return self
+
+    @cached_property
+    def points(self) -> tuple[ProjPoint, ...]:
+        return tuple(map(point_from_canonical, self.coords))
 
 
 # Exhaustive sweeps predicted to need more attempts than this are refused.
@@ -80,18 +115,16 @@ def _int_window(h_min: float, h_max: float) -> tuple[int, int]:
 
 
 def _coprime_pairs(m: int):
-    """Canonical coprime pairs (s, t) with max(|s|, |t|) == m, s-major order."""
+    """Canonical coprime pairs (s, t) with max(|s|, |t|) == m, s-major order,
+    in lists: the pairs of at most _DRAW_BLOCK values of s, then of t, at a
+    time, so the first pairs of a huge m come at once."""
     if m == 1:
-        yield (0, 1)
-    for s in range(1, m + 1):
-        if s < m:
-            if gcd(s, m) == 1:
-                yield (s, -m)
-                yield (s, m)
-        else:
-            for t in range(-m, m + 1):
-                if gcd(m, abs(t)) == 1:
-                    yield (s, t)
+        yield [(0, 1)]
+    for s0 in range(1, m, _DRAW_BLOCK):
+        units = [s for s in range(s0, min(s0 + _DRAW_BLOCK, m)) if gcd(s, m) == 1]
+        yield [st for s in units for st in ((s, -m), (s, m))]
+    for t0 in range(-m, m + 1, _DRAW_BLOCK):
+        yield [(m, t) for t in range(t0, min(t0 + _DRAW_BLOCK, m + 1)) if gcd(m, t) == 1]
 
 
 def _line_param_bound(basis, hi: int) -> int:
@@ -133,10 +166,10 @@ def sample_points(
     test of the local-value kernel.
     """
     if count == 0:
-        return SampleResult((), False, 0)
+        return SampleResult._of_coords([], [], False, 0)
     lo, hi = _int_window(h_min, h_max)
     if hi < 1 or lo > hi:
-        return SampleResult((), False, 0)
+        return SampleResult._of_coords([], [], False, 0)
     basis = variety.kernel_basis()
     if variety.dim > 1:
         if count is None:
@@ -167,33 +200,64 @@ def sample_points(
 
 
 def _line_stream(basis, lo: int, hi: int, m_lo: int, m_hi: int):
-    """The sweep's candidates, one per parameter pair (s, t) in
-    _coprime_pairs order: primitive(s*b1 + t*b2) when its height lies in the
-    window, else None.  On P^1 the pairs are the coordinates, all inside."""
-    pairs = (st for m in range(m_lo, m_hi + 1) for st in _coprime_pairs(m))
-    if len(basis[0]) == 2:
-        return pairs
-    # b1, b2 are independent and (s, t) != 0, so no vector is 0
-    vecs = (primitive([s * x + t * y for x, y in zip(*basis)]) for s, t in pairs)
-    return (v if lo <= max(map(abs, v)) <= hi else None for v in vecs)
+    """The sweep's blocks (_sweep_blocks), one attempt per parameter pair
+    (s, t).  Its candidate is primitive(s*b1 + t*b2) when its height lies in
+    the window.  On P^1 the pairs are the coordinates, all inside, and
+    max|x_i| is m."""
+    direct = len(basis[0]) == 2
+    rows = list(zip(*basis))
+    for pairs, ms in _sweep_blocks(m_lo, m_hi):
+        if direct:
+            yield len(pairs), range(len(pairs)), pairs, ms
+            continue
+        at, coords, tops = [], [], []
+        for i, (s, t) in enumerate(pairs):
+            # b1, b2 are independent and (s, t) != 0, so no vector is 0
+            vec = primitive([s * x + t * y for x, y in rows])
+            top = max(map(abs, vec))
+            if lo <= top <= hi:
+                at.append(i)
+                coords.append(vec)
+                tops.append(top)
+        yield len(pairs), at, coords, tops
 
 
-# Attempts that _draw_stream draws and builds at a time.
+def _sweep_blocks(m_lo: int, m_hi: int):
+    """The parameter pairs of m_lo <= m <= m_hi, m after m in _coprime_pairs
+    order, with the m of each pair: lists of whole runs of _coprime_pairs,
+    at least _DRAW_BLOCK pairs a block but the last, and at most three
+    times that, however large m is."""
+    pairs: list = []
+    ms: list = []
+    for m in range(m_lo, m_hi + 1):
+        for run in _coprime_pairs(m):
+            pairs += run
+            ms += [m] * len(run)
+            if len(pairs) >= _DRAW_BLOCK:
+                yield pairs, ms
+                pairs, ms = [], []
+    if pairs:
+        yield pairs, ms
+
+
+# Attempts that _draw_stream draws and builds at a time, the least number
+# of attempts in a block of _line_stream but its last, and the values of s
+# or t that a run of _coprime_pairs walks.
 _DRAW_BLOCK = 512
 
 
 def _draw_stream(variety: LinearSubvariety, lo: int, hi: int, seed: int):
-    """Seeded draws u . basis, u in [-hi, hi]^(n+1), one per attempt: the
-    primitive coordinates the first time they are drawn inside the window,
-    else None.
+    """Seeded draws u . basis, u in [-hi, hi]^(n+1), one per attempt, in
+    blocks of _DRAW_BLOCK attempts.  An attempt's candidate is the primitive
+    vector the first time it is drawn inside the window.
 
     Each u_i is random.Random(seed).randint(-hi, hi) as CPython 3.10-3.12
     draws it: r = getrandbits(k) with k = (2*hi+1).bit_length(), drawn again
     while r >= 2*hi+1, and u_i = r - hi; u_0..u_n per attempt, attempt after
-    attempt.  The draws of _DRAW_BLOCK attempts are taken at once, and their
-    vectors built one coordinate column at a time (linear_column over the
-    columns of u); the primitive vector is the column's gcd per attempt and
-    a sign flip.  Dedup, the window test and the yields stay one per attempt.
+    attempt.  A block's draws are taken at once, and its vectors built one
+    coordinate column at a time (linear_column over the columns of u); the
+    primitive vector is the column's gcd per attempt and a sign flip, and
+    its max|x_i| is the vector's max|.| over that gcd.
     """
     getrandbits = random.Random(seed).getrandbits
     basis = variety.kernel_basis()
@@ -203,7 +267,7 @@ def _draw_stream(variety: LinearSubvariety, lo: int, hi: int, seed: int):
     k = width.bit_length()
     need = _DRAW_BLOCK * nb
     pending: list[int] = []
-    seen = set()
+    seen: set = set()
     while True:
         # the rng serves this stream only, so draws past the block wait in
         # pending, in order, for the next block
@@ -213,22 +277,24 @@ def _draw_stream(variety: LinearSubvariety, lo: int, hi: int, seed: int):
         us = [drawn[j::nb] for j in range(nb)]
         cols = [linear_column(row, us) for row in rows]
         tops = map(max, *[map(abs, col) for col in cols])
-        for vec, g, top in zip(zip(*cols), map(gcd, *cols), tops):
+        at, coords, maxes = [], [], []
+        for i, (vec, g, top) in enumerate(zip(zip(*cols), map(gcd, *cols), tops)):
             # max|coords| = top / g, so the window test needs no division
             if not g or not lo * g <= top <= hi * g:
-                yield None
                 continue
             for x in vec:
                 if x:
                     break
+            m = top // g
             if x < 0:
                 g = -g
-            coords = vec if g == 1 else tuple([x // g for x in vec])
-            if coords in seen:
-                yield None
-            else:
-                seen.add(coords)
-                yield coords
+            point = vec if g == 1 else tuple([x // g for x in vec])
+            if point not in seen:
+                seen.add(point)
+                at.append(i)
+                coords.append(point)
+                maxes.append(m)
+        yield _DRAW_BLOCK, at, coords, maxes
 
 
 def _restriction_classes(excluded, basis) -> list[list]:
@@ -249,42 +315,60 @@ def _accept(stream, count, cap, excluded, mode: str, basis) -> SampleResult:
     """The first count candidates of the stream on no excluded support (all
     of them when count is None), in at most cap attempts (None: no cap).
 
-    A batch never holds more candidates than would complete the count if
-    none sat on a support, so the result is the point-by-point loop's.  Its
-    support test is one lean kernel call per restriction class, on the
-    class's component columns, which are kept for the accepted points and
-    shared by every member of the class."""
+    The stream yields blocks (size, at, coords, tops): size attempts, and
+    the candidates' coordinate tuples with their max|x_i|, the j-th made at
+    attempt at[j] of the block.  A block is taken a segment at a time.  A
+    segment ends at the block's end, at the cap, or at the candidate that
+    would complete the count if none sat on a support, so the points,
+    partial and attempts are those of the point-by-point loop.  Its support
+    test is one lean kernel call per restriction class, on the class's
+    component columns over the segment's tuples; the columns are kept for
+    the accepted points and shared by every member of the class."""
     classes = _restriction_classes(excluded, basis)
     kept: dict = {}  # target -> its component columns over out
-    out: list[ProjPoint] = []
-    attempts, more = 0, True
-    while more and attempts != cap and (count is None or len(out) < count):
-        need = None if count is None else count - len(out)
-        batch, more = [], False
-        for coords in stream:
-            attempts += 1
-            if coords is not None:
-                batch.append(point_from_canonical(coords))
-            if len(batch) == need or attempts == cap:
-                more = True
-                break
-        if not batch:
-            continue
-        xs = _coordinate_columns(batch)
-        hits = set()
-        batch_cols = []
-        for first, *_ in classes:
-            cols = _component_columns(first, batch, xs)
-            hits.update(_column(first, batch, xs, (), mode, (), cols, lean=True)[2])
-            batch_cols.append(cols)
-        keep = [i not in hits for i in range(len(batch))] if hits else None
-        out += batch if keep is None else compress(batch, keep)
-        for members, cols in zip(classes, batch_cols):
-            acc = kept.get(members[0])
-            if acc is None:
-                acc = [[] for _ in cols]
-                kept.update(dict.fromkeys(members, acc))
-            for a, col in zip(acc, cols):
-                a += col if keep is None else compress(col, keep)
+    out: list = []
+    out_maxes: list = []
+    attempts = 0
+    for size, at, coords, tops in stream:
+        j = k = 0  # the segment's first candidate and first attempt
+        while k < size and attempts != cap and len(out) != count:
+            stop, end = len(coords), size
+            if cap is not None and cap - attempts < size - k:
+                end = k + cap - attempts
+                stop = bisect_left(at, end, j)
+            if count is not None and stop - j >= count - len(out):
+                stop = j + count - len(out)
+                end = at[stop - 1] + 1
+            attempts += end - k
+            if stop > j:
+                _test_segment(coords[j:stop], tops[j:stop], classes, mode, out, out_maxes, kept)
+            j, k = stop, end
+        if attempts == cap or len(out) == count:
+            break
     partial = count is not None and len(out) < count
-    return SampleResult(tuple(out), partial, attempts, kept)
+    return SampleResult._of_coords(out, out_maxes, partial, attempts, kept)
+
+
+def _test_segment(pts, tops, classes, mode, out, out_maxes, kept) -> None:
+    """Append the points of a segment (coordinate tuples, with their
+    max|x_i|) that lie on no class's support to out and out_maxes, and their
+    class columns to kept."""
+    xs = list(zip(*pts))
+    hits: set = set()
+    seg_cols = []
+    for first, *_ in classes:
+        if first.dim + 1 != len(xs):
+            raise wrong_space_error(first, point_from_canonical(pts[0]))
+        cols = _component_columns(first, pts, xs)
+        hits.update(_column(first, pts, xs, (), mode, (), cols, lean=True)[2])
+        seg_cols.append(cols)
+    keep = [i not in hits for i in range(len(pts))] if hits else None
+    out += pts if keep is None else compress(pts, keep)
+    out_maxes += tops if keep is None else compress(tops, keep)
+    for members, cols in zip(classes, seg_cols):
+        acc = kept.get(members[0])
+        if acc is None:
+            acc = [[] for _ in cols]
+            kept.update(dict.fromkeys(members, acc))
+        for a, col in zip(acc, cols):
+            a += col if keep is None else compress(col, keep)

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from math import gcd, log
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import not_
 
 from ._frozen import Frozen
@@ -155,9 +155,10 @@ def _column(target: Target, points, xs, maxes, mode: str, places, cols=None, lea
     hits are: marks is then the ascending list of the hits' indices, and no
     SupportError is built.  A form with no hit then keeps no exact column
     (its exacts[k] is None): each float is read in one pass from the form's
-    value, with no (num, den) pair or ord_p column kept, and the log of a
-    small num or den read from a table of log's own values, so the floats
-    are the ones the exact column gives.
+    value, with no (num, den) pair or ord_p column kept, the log of a
+    small num or den read from a table of log's own values, and at a prime
+    the float of each distinct value computed once, so the floats are the
+    ones the exact column gives.
 
     Each component is evaluated once over the column, by its column(xs),
     unless cols holds its values already.
@@ -223,7 +224,10 @@ def _column(target: Target, points, xs, maxes, mode: str, places, cols=None, lea
         else:
             logp = log(p)
             if direct:
-                value = [(_ord_p(v, p) if v % p == 0 else 0) * logp for v in cols[0]]
+                # the float of each distinct multiple of p once; any other
+                # value is 0 * logp
+                memo = {v: _ord_p(v, p) * logp for v in set(cols[0]) if v % p == 0}
+                value = list(map(memo.get, cols[0], repeat(0 * logp)))
             else:
                 per_comp = [
                     [(_ord_p(v, p) if v % p == 0 else 0) if v else None for v in col]

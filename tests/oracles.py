@@ -21,6 +21,10 @@ replaced: one target at one point, each place in turn.  The sampler
 reference is the point-by-point sampler the candidate streams replaced: a
 loop per geometry, each point tested against each support on its own.  The
 form reference is the per-point monomial loop that the forms' column rules
+replaced, and the linear column reference the chain of maps, one per
+nonzero coefficient, that linear_column ran before it wrote out two and
+three terms.  The pair reference is the s-major generator of the sweep's
+coprime pairs, one pair at a time, that the sampler's runs of pairs
 replaced.  The parse reference reads every number through Fraction, as the
 parse edge did before integral text became an int; the draw reference is
 the random-draw stream with its nested loop over the basis rows.  The scan
@@ -39,7 +43,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, compress, product
 from math import gcd, log
-from operator import mul
+from operator import add, mul
 
 import sympy
 from sympy.ntheory.primetest import is_strong_bpsw_prp, is_strong_lucas_prp
@@ -50,7 +54,6 @@ from subgeneral.jsonio import json_int
 from subgeneral.experiments import Candidate
 from subgeneral.sampling import (
     SampleResult,
-    _coprime_pairs,
     _int_window,
     _line_param_bound,
 )
@@ -608,6 +611,34 @@ def _exclusion_test(excluded, mode: str):
     return on_excluded
 
 
+def coprime_pairs_by_loop(m: int):
+    """Canonical coprime pairs (s, t) with max(|s|, |t|) == m, s-major order,
+    one at a time."""
+    if m == 1:
+        yield (0, 1)
+    for s in range(1, m + 1):
+        if s < m:
+            if gcd(s, m) == 1:
+                yield (s, -m)
+                yield (s, m)
+        else:
+            for t in range(-m, m + 1):
+                if gcd(m, abs(t)) == 1:
+                    yield (s, t)
+
+
+def linear_column_by_maps(coeffs, xs) -> list:
+    """sum_k coeffs[k] * xs[k] at every index: one chained map per nonzero
+    coefficient, and a column of 0 when there is none."""
+    terms = [map(a.__mul__, x) for a, x in zip(coeffs, xs) if a]
+    if not terms:
+        return [0] * len(xs[0])
+    total = terms[0]
+    for term in terms[1:]:
+        total = map(add, total, term)
+    return list(total)
+
+
 def sample_points_by_point(
     variety,
     h_min: float,
@@ -654,7 +685,7 @@ def sample_points_by_point(
         attempts = 0
         if variety.ambient_dim == 1:
             for m in range(m_lo, m_hi + 1):
-                for s, t in _coprime_pairs(m):
+                for s, t in coprime_pairs_by_loop(m):
                     if attempts == cap:
                         return SampleResult(tuple(out), True, attempts)
                     attempts += 1
@@ -667,7 +698,7 @@ def sample_points_by_point(
             b1, b2 = basis
             ncols = len(b1)
             for m in range(m_lo, m_hi + 1):
-                for s, t in _coprime_pairs(m):
+                for s, t in coprime_pairs_by_loop(m):
                     if attempts == cap:
                         return SampleResult(tuple(out), True, attempts)
                     attempts += 1

@@ -897,3 +897,48 @@ def test_every_violator_verdict_matches_a_fraction_decision(tmp_path):
         flagged.append(len(exact))
     # the curve and the quadric configs reach violators, the surface none
     assert [n > 0 for n in flagged] == [True, False, True]
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    # a usage error, a run, other subcommands and another usage error in a
+    # row: the exit codes and output of a fresh parser per call, from one
+    # parser built by the first call
+    cli = subgeneral.cli
+    calls = [
+        (["norm"], 64),
+        (["experiment", "run", "--config", json.dumps(violator_config())], 0),
+        (["height", "[4,6,10]", "--degree", "2"], 0),
+        (["delta", "--l", "3", "--n", "2", "--epsilon", "1/10"], 0),
+        (["weil", "--point", "[1:2]", "--place", "p=3", "--linear", "[1,-7]"], 0),
+        (["experiment", "run", "--bogus"], 64),
+        ([], 64),
+        (["norm", "-35/4", "--place", "inf"], 0),
+    ]
+
+    def outcomes(fresh: bool) -> list:
+        out = []
+        for argv, code in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            assert main(argv) == code, argv
+            captured = capsys.readouterr()
+            out.append((captured.out, captured.err))
+        return out
+
+    expected = outcomes(fresh=True)
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert outcomes(fresh=False) == expected
+    # one top-level parser, and its subparsers, all from the first call
+    assert built.count("subgeneral") == 1 and len(built) > 1
+    built.clear()
+    assert main(["norm", "12", "--place", "p=2"]) == 0
+    assert built == []
+    capsys.readouterr()

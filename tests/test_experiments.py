@@ -53,7 +53,7 @@ from subgeneral.experiments import (
     _vanishes_on,
 )
 from subgeneral.jsonio import rat_str, stable_dumps
-from subgeneral.sampling import SampleResult, _draw_stream
+from subgeneral.sampling import SampleResult, _coprime_pairs, _draw_stream
 from subgeneral.weil import _component_columns
 
 from gen import (
@@ -64,6 +64,7 @@ from gen import (
     strict_arrangement,
 )
 from oracles import (
+    coprime_pairs_by_loop,
     draw_stream_by_loop,
     exceptional_scan_by_hand,
     nullspace_by_rref,
@@ -188,6 +189,21 @@ def test_sample_surface_needs_a_count():
         sample_points(P1, 0.0, 501.0, None, seed=0)
 
 
+def test_sampler_refuses_a_support_of_another_space():
+    # the sampler tests coordinate tuples; the error names the form and the
+    # space of a sampled point, as the one-point routines do
+    for variety, count, other in (
+        (P2, 20, LinearForm((1, 2))),
+        (X_LINE, None, LinearForm((1, 2))),
+        (P1, None, LinearForm((1, 0, 2))),
+    ):
+        supports = (LinearForm((1,) * (variety.ambient_dim + 1)), other)
+        message = "form on P^%d evaluated at point of P^%d" % (other.dim, variety.ambient_dim)
+        with pytest.raises(ArgumentError) as err:
+            sample_points(variety, 0.0, math.log(9), count, 1, excluded=supports)
+        assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # weighted defects
 
@@ -207,15 +223,17 @@ def weighted_defect(pt, cfg) -> float:
     values."""
     ev = _Evaluator(cfg)
     columns = {t: _component_columns(t, [pt], [[x] for x in pt.coords]) for t, *_ in ev.plan}
-    got = _defect_batch(ev, [pt], [max(map(abs, pt.coords))], columns)[0]
+    got = _defect_batch(ev, [pt.coords], [max(map(abs, pt.coords))], columns)[0]
     assert got == weighted_sum_by_point(pt, cfg)
     return got
 
 
 def _ledger(cfg, sample) -> list:
-    """The ledger over a sample, as a run reads it: the sampler's columns."""
-    maxes = [max(map(abs, pt.coords)) for pt in sample.points]
-    return _defect_batch(_Evaluator(cfg), sample.points, maxes, sample.columns)
+    """The ledger over a sample, as a run reads it: the points' coordinate
+    tuples and the sampler's columns."""
+    coords = [pt.coords for pt in sample.points]
+    maxes = [max(map(abs, x)) for x in coords]
+    return _defect_batch(_Evaluator(cfg), coords, maxes, sample.columns)
 
 
 def _records(report) -> list:
@@ -527,7 +545,9 @@ def _span_cluster(rng, basis, count, hi=6):
 def seeded_scan_cases():
     """(violators, X) on X of dimension 1, 2 and 3: collinear and coplanar
     clusters, scatter, rescaled duplicates, a single violator, more than 48
-    violators, and a line holding exactly one fifth of twenty."""
+    violators (lines whose members are mostly not seeds), three and more
+    collinear seeds, a line holding exactly one fifth of twenty, and spans
+    of dimension 2 on X of dimension 3 in P^3 and in P^4."""
     rng = random.Random(47)
     P3 = projective_space(3)
 
@@ -556,6 +576,25 @@ def seeded_scan_cases():
     for _ in range(2):
         pts = _span_cluster(rng, plane, 8) + _span_cluster(rng, line(3), 5) + scatter(3, 6)
         yield pts + dup(pts), P3
+    # 110 violators, 48 of them seeds: two lines of 25 and scatter
+    yield _span_cluster(rng, line(2), 25) + _span_cluster(rng, line(2), 25) + scatter(2, 60), P2
+    # on X = {x3 = 0}: 70 violators, a line of 40 through few seeds
+    flat = [ProjPoint(x.coords[:3] + (0,)) for x in scatter(2, 30)]
+    axis_line = [(1, 2, 0, 0), (0, 1, -3, 0)]
+    yield _span_cluster(rng, axis_line, 40, hi=9) + flat, X_SURFACE
+    # all seeds: seven on one line, three on another, and scatter
+    yield _span_cluster(rng, line(2), 7) + _span_cluster(rng, line(2), 3) + scatter(2, 5), P2
+    # a 3-fold in P^4: a plane of 9, a line of 6, scatter
+    fold = LinearSubvariety(4, (LinearForm((1, 1, 0, 0, -1)),))
+    basis = fold.kernel_basis()
+
+    def on_fold(count, k, hi=4):
+        span = [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(5))
+                for cs in ([rng.randint(-2, 2) for _ in basis] for _ in range(k))]
+        return _span_cluster(rng, span, count, hi)
+
+    pts = on_fold(9, 3) + on_fold(6, 2) + on_fold(8, 4, hi=30)
+    yield pts + dup(pts), fold
 
 
 def test_scan_matches_the_hand_written_membership_test():
@@ -570,6 +609,25 @@ def test_scan_matches_the_hand_written_membership_test():
                 found += bool(got)
                 exact += any(c.coverage == rat_str(fraction) for c in got)
     assert found >= 30 and exact >= 2
+
+
+def test_scan_fits_a_kernel_only_for_the_chosen_spans(monkeypatch):
+    # on X of dimension 2 the spans are points and lines, found with no
+    # kernel; the chosen ones get theirs
+    kernels = _counting(monkeypatch, "nullspace", subgeneral.experiments)
+    cases = [(v, x) for v, x in seeded_scan_cases() if x.dim == 2]
+    assert len(cases) >= 8
+    chosen = 0
+    for violators, variety in cases:
+        for fraction in (Fraction(1, 20), Fraction(1, 5)):
+            kernels.clear()
+            got = exceptional_scan(violators, variety, fraction)
+            assert len(kernels) <= len(got)
+            assert [list(rows) for rows, _ in kernels] == [
+                [ProjPoint.parse(p).coords for p in c.span_points] for c in got
+            ]
+            chosen += len(got)
+    assert chosen >= 20
 
 
 def test_scan_dedupes_projectively_equal_points():
@@ -1393,7 +1451,7 @@ def test_a_class_of_agreeing_forms_costs_one_column_and_one_prime_column(monkeyp
             return column(target, points, xs, maxes, mode, places, *args, **kw)
 
         monkeypatch.setattr(module, "_column", counting)
-    batches = _counting(monkeypatch, "_coordinate_columns")
+    batches = _counting(monkeypatch, "_test_segment")
     for mode in ("lenient", "strict"):
         cfg = _agreeing_config(mode)
         forms = cfg.arrangements[0][1]
@@ -1422,8 +1480,8 @@ def test_a_class_of_agreeing_forms_costs_one_column_and_one_prime_column(monkeyp
             patch.setattr(
                 subgeneral.experiments,
                 "_defect_batch",
-                lambda ev, points, maxes, columns: [
-                    weighted_sum_by_point(pt, cfg) for pt in points
+                lambda ev, coords, maxes, columns: [
+                    weighted_sum_by_point(ProjPoint(x), cfg) for x in coords
                 ],
             )
             oracle = run_main_experiment(cfg)
@@ -1535,6 +1593,42 @@ def test_a_report_evaluates_each_form_once_per_sampler_batch(monkeypatch):
     assert several_batches
 
 
+def test_a_report_builds_points_only_where_it_hands_them_on(monkeypatch):
+    # the sampler, ledger, labels and records run on coordinate tuples; a
+    # ProjPoint is built for each of the chain summary's first 200 points,
+    # each violator (for the scan) and each ratio in the tie band (for its
+    # exact decision), and for nothing else
+    built = []
+
+    def canonical(coords, wrap=subgeneral.projective.point_from_canonical):
+        built.append(coords)
+        return wrap(coords)
+
+    for module in (subgeneral.projective, subgeneral.sampling, subgeneral.experiments):
+        monkeypatch.setattr(module, "point_from_canonical", canonical)
+    init = ProjPoint.__init__
+
+    def constructing(self, coords):
+        built.append(coords)
+        init(self, coords)
+
+    monkeypatch.setattr(ProjPoint, "__init__", constructing)
+    curve, _ = _kernel_configs()
+    violators = 0
+    for cfg in (curve, _chain_surface_config(), _agreeing_config()):
+        built.clear()
+        report = run_main_experiment(cfg)
+        assert len(report.points) > 300
+        bound = float(report.bound)
+        band = _Evaluator(cfg).ratio_error_bound(bound)
+        ties = sum(abs(r - bound) <= band for r in report.ratios)
+        head = 200 if any(s["applicable"] for s in report.chain_summary.values()) else 0
+        assert head
+        assert len(built) == head + len(report.violators) + ties
+        violators += len(report.violators)
+    assert violators
+
+
 def test_ledgers_do_no_primality_work(count_calls):
     curve, _ = _kernel_configs()
     sample, targets = _kernel_sample(curve)
@@ -1560,6 +1654,19 @@ def test_ledgers_do_no_primality_work(count_calls):
 
 # ---------------------------------------------------------------------------
 # bounded exhaustive work
+
+
+def test_coprime_pairs_are_the_loops_pairs():
+    block = subgeneral.sampling._DRAW_BLOCK
+    for m in [*range(1, 200), block - 1, block, block + 1, 2 * block + 1, 1500]:
+        runs = list(_coprime_pairs(m))
+        assert [st for run in runs for st in run] == list(coprime_pairs_by_loop(m))
+        assert max(map(len, runs)) <= 2 * block
+    # a huge parameter yields its first pairs at once
+    m = 10**13 + 37
+    first = next(_coprime_pairs(m))
+    assert 0 < len(first) <= 2 * block
+    assert first == list(islice(coprime_pairs_by_loop(m), len(first)))
 
 
 def test_exhaustive_sweep_attempts_follow_the_closed_form():
@@ -1734,6 +1841,19 @@ def _sampler_cases():
     return cases
 
 
+def _per_attempt(stream):
+    """A block stream as one candidate (or None) per attempt, the protocol of
+    the nested-loop oracle; each candidate's max|x_i| is checked on the
+    way."""
+    for size, at, coords, tops in stream:
+        assert list(at) == sorted(set(at)) and all(0 <= i < size for i in at)
+        slots = [None] * size
+        for i, c, top in zip(at, coords, tops, strict=True):
+            assert top == max(map(abs, c))
+            slots[i] = c
+        yield from slots
+
+
 def test_draw_stream_yields_the_nested_loop_candidates():
     rng = random.Random(43)
     varieties = [v for v in SAMPLER_GEOMETRIES if v.dim > 1]
@@ -1744,7 +1864,7 @@ def test_draw_stream_yields_the_nested_loop_candidates():
         for seed in range(15):
             lo = rng.choice((1, 1, 3, 50))
             hi = lo + rng.choice((0, 2, 10, 300, 10**6, 10**15))
-            got = list(islice(_draw_stream(variety, lo, hi, seed), 300))
+            got = list(islice(_per_attempt(_draw_stream(variety, lo, hi, seed)), 300))
             assert got == list(islice(draw_stream_by_loop(variety, lo, hi, seed), 300))
             drawn += sum(c is not None for c in got)
     assert drawn > 10_000
@@ -1767,7 +1887,7 @@ def test_draw_stream_matches_the_nested_loop_across_blocks():
     for variety in varieties:
         for seed, hi in enumerate(tops):
             lo = 1 if hi < 50 else hi // 3
-            got = list(islice(_draw_stream(variety, lo, hi, seed), 1700))
+            got = list(islice(_per_attempt(_draw_stream(variety, lo, hi, seed)), 1700))
             assert got == list(islice(draw_stream_by_loop(variety, lo, hi, seed), 1700))
             drawn += sum(c is not None for c in got[1536:])
     assert drawn > 1000
@@ -1782,22 +1902,88 @@ def _sample_or_error(sampler, case):
 
 
 def test_one_sampler_matches_the_point_by_point_sampler(monkeypatch):
+    # the block streams are wrapped to see each block's size, and the
+    # segment test to see segments that lose points to a support
+    blocks, lossy = [], []
+    for name in ("_draw_stream", "_line_stream"):
+        def recording(*args, stream=getattr(subgeneral.sampling, name)):
+            for block in stream(*args):
+                blocks.append(block[0])
+                yield block
+
+        monkeypatch.setattr(subgeneral.sampling, name, recording)
+    test_segment = subgeneral.sampling._test_segment
+
+    def segment(pts, tops, classes, mode, out, *rest):
+        before = len(out)
+        test_segment(pts, tops, classes, mode, out, *rest)
+        lossy.append(len(out) - before < len(pts))
+
+    monkeypatch.setattr(subgeneral.sampling, "_test_segment", segment)
     cases = _sampler_cases()
     assert len(cases) == 61
     outcomes = set()
     for case in cases:
         monkeypatch.setattr(subgeneral.sampling, "_SWEEP_BUDGET", case[-1])
+        blocks.clear()
+        lossy.clear()
         got = _sample_or_error(sample_points, case)
         assert got == _sample_or_error(sample_points_by_point, case), case
         if isinstance(got, str):
             outcomes.add("refused")
-        else:
-            outcomes.add(("partial" if got.partial else "complete", bool(got.points)))
-            if got.points and case[5]:
-                outcomes.add("excluded")
+            continue
+        outcomes.add(("partial" if got.partial else "complete", bool(got.points)))
+        if got.points and case[5]:
+            outcomes.add("excluded")
+        assert got.coords == [pt.coords for pt in got.points]
+        assert got.maxes == [max(map(abs, x)) for x in got.coords]
+        # the sampler stopped inside the last block it took: at the cap, or
+        # at the candidate that completed the count
+        if got.attempts < sum(blocks):
+            outcomes.add("cap inside a block" if got.partial else "count inside a block")
+        if any(lossy):
+            outcomes.add("hits inside a block")
     assert outcomes >= {
-        "refused", "excluded", ("partial", True), ("complete", True), ("complete", False)
+        "refused", "excluded", ("partial", True), ("complete", True), ("complete", False),
+        "cap inside a block", "count inside a block", "hits inside a block",
     }
+
+
+def test_a_count_limited_sweep_at_a_huge_parameter_stops_early(monkeypatch):
+    # at height log 30 the sweep starts near m = 10^13, one parameter with
+    # about 10^13 pairs: the sweep takes them a run at a time, so a count or
+    # a cap ends it within a few blocks, each cut inside that parameter, on
+    # P^1 and on lines in P^2, with a support that the first pairs hit
+    lo, hi = subgeneral.sampling._int_window(30.0, 31.0)
+    flat = LinearSubvariety(2, (LinearForm((0, 0, 1)),))
+    twin = LinearSubvariety(2, (LinearForm((1, -1, 0)),))
+    # x0 = 2*x1: the first pairs of m_lo = lo/2 lie below the window
+    steep = LinearSubvariety(2, (LinearForm((1, -2, 0)),))
+    cases = [
+        (P1, 50, (), 2_000_000),
+        (P1, 1500, (LinearForm((lo, 1)), X0), 2_000_000),
+        (P1, 1500, (LinearForm((lo, 1)),), 1200),
+        (flat, 700, (LinearForm((lo, 1, 0)), LinearForm((lo + 1, 1, 0))), 2_000_000),
+        (twin, 40, (), 2_000_000),
+        (steep, 10, (), 3000),
+    ]
+    outcomes = []
+    for variety, count, excluded, budget in cases:
+        monkeypatch.setattr(subgeneral.sampling, "_SWEEP_BUDGET", budget)
+        case = (variety, 30.0, 31.0, count, 0, excluded, "lenient")
+        got = sample_points(*case)
+        assert got == sample_points_by_point(*case), case
+        assert got.maxes == [max(map(abs, x)) for x in got.coords]
+        assert all(lo <= top <= hi for top in got.maxes)
+        outcomes.append((len(got.points), got.attempts, got.partial))
+    assert outcomes == [
+        (50, 50, False),
+        (1500, 1501, False),
+        (1199, 1200, True),
+        (700, 701, False),
+        (40, 40, False),
+        (0, 3000, True),
+    ]
 
 
 def _counting(monkeypatch, name, module=None):
@@ -1815,38 +2001,39 @@ def _counting(monkeypatch, name, module=None):
 
 
 def test_sampler_tests_each_distinct_support_once_per_batch(monkeypatch):
-    # once per restriction class per batch: on P^2 every distinct support is
-    # a class of its own, and on X = {x3 = 0} the forms x0 + c*x3 are one
-    columns = _counting(monkeypatch, "_coordinate_columns")
+    # once per restriction class per block segment: on P^2 every distinct
+    # support is a class of its own, and on X = {x3 = 0} the forms x0 + c*x3
+    # are one
+    segments = _counting(monkeypatch, "_test_segment")
     kernel = _counting(monkeypatch, "_column")
     # no point of height log 2 to log 20 sits on these, so a count-limited
-    # sample takes exactly one batch
+    # sample takes exactly one segment of the first block
     definite = HomForm.from_terms(2, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
     far = (LinearForm((1, 100, 0)), LinearForm((0, 1, 100)), definite)
     got = sample_points(P2, math.log(2), math.log(20), 200, 3, excluded=far + far)
     assert len(got.points) == 200 and not got.partial
-    assert len(columns) == 1
+    assert len(segments) == 1
     assert [(c[0], len(c[1])) for c in kernel] == [(t, 200) for t in far]
-    # the coordinate lines are hit, so the count takes more batches, each
+    # the coordinate lines are hit, so the count takes more segments, each
     # testing each distinct support once
-    columns.clear()
+    segments.clear()
     kernel.clear()
     axes = (LinearForm((1, 0, 0)), LinearForm((0, 1, 0)))
     got = sample_points(P2, 0.0, math.log(20), 200, 3, excluded=axes + axes[:1])
     assert len(got.points) == 200
-    assert len(columns) > 1
-    assert [c[0] for c in kernel] == list(axes) * len(columns)
+    assert len(segments) > 1
+    assert [c[0] for c in kernel] == list(axes) * len(segments)
     # x0, x0 + x3 and x0 - 2*x3 take equal values on X: one class, tested
-    # once per batch on its first member's columns, which every member keeps
-    columns.clear()
+    # once per segment on its first member's columns, which every member keeps
+    segments.clear()
     kernel.clear()
     x_surface = LinearSubvariety(3, (LinearForm((0, 0, 0, 1)),))
     agreeing = (LinearForm((1, 0, 0, 0)), LinearForm((1, 0, 0, 1)), LinearForm((1, 0, 0, -2)))
     other = LinearForm((0, 1, 0, 5))
     got = sample_points(x_surface, 0.0, math.log(20), 300, 5, excluded=agreeing + (other,))
     assert len(got.points) == 300
-    assert len(columns) > 1
-    assert [c[0] for c in kernel] == [agreeing[0], other] * len(columns)
+    assert len(segments) > 1
+    assert [c[0] for c in kernel] == [agreeing[0], other] * len(segments)
     assert got.columns[agreeing[1]] is got.columns[agreeing[0]] is got.columns[agreeing[2]]
     for t in agreeing + (other,):
         assert got.columns[t] == [[t.evaluate(pt) for pt in got.points]]
@@ -1857,14 +2044,14 @@ def test_sampler_tests_each_distinct_support_once_per_batch(monkeypatch):
 
 def test_ledger_builds_the_coordinate_columns_once(monkeypatch):
     _, surface = _kernel_configs()
-    columns = _counting(monkeypatch, "_coordinate_columns")
     sample, targets = _kernel_sample(surface)
     pts = sample.points
-    batches = len(columns)
-    assert batches >= 1
-    # the ledger reads the sampler's columns and builds none
-    _ledger(surface, sample)
-    assert len(columns) == batches
+    # the ledger reads the sampler's columns: it builds no coordinate or
+    # component column
+    built = _counting(monkeypatch, "_component_columns", subgeneral.weil)
+    coordinates = _counting(monkeypatch, "_coordinate_columns", subgeneral.weil)
+    assert _ledger(surface, sample)
+    assert built == [] and coordinates == []
     # an empty sample is an empty column, not an error
     assert _defect_batch(_Evaluator(surface), [], [], {}) == []
     manifest_columns = _counting(monkeypatch, "_coordinate_columns", subgeneral.weil)

@@ -17,10 +17,15 @@ from subgeneral import (
     veronese_form,
     veronese_point,
 )
-from subgeneral.projective import monomial_index, normalize_coords, point_from_canonical
+from subgeneral.projective import (
+    linear_column,
+    monomial_index,
+    normalize_coords,
+    point_from_canonical,
+)
 
 from gen import rand_hom_form, rand_point
-from oracles import form_value_by_point
+from oracles import form_value_by_point, linear_column_by_maps
 
 
 def test_integer_coordinates_normalize_as_fractions_do():
@@ -221,3 +226,37 @@ def test_subvariety_validation():
 def test_subvariety_json_round_trip():
     x = LinearSubvariety(3, (LinearForm((1, 1, 0, 0)), LinearForm((0, 0, 1, -2))))
     assert LinearSubvariety.from_json(x.to_json()) == x
+
+
+def test_linear_column_matches_the_map_chain():
+    # 0 to 6 coefficients of which 1 to 5 terms live (a nonzero coefficient
+    # on a column that is not all 0), coefficients of +-1 and large ones,
+    # columns that are all 0 (a coordinate that vanishes on X) or start with
+    # 0, as lists and as the tuples that zip gives
+    rng = random.Random(31)
+    live_counts = set()
+    for _ in range(1500):
+        width = rng.randint(2, 7)
+        size = rng.choice((1, 2, 7, 60))
+        xs = []
+        for _ in range(width):
+            kind = rng.random()
+            if kind < 0.2:
+                col = [0] * size
+            else:
+                hi = rng.choice((1, 3, 70, 10**12))
+                col = [rng.randint(-hi, hi) for _ in range(size)]
+                if kind < 0.4:
+                    col[0] = 0
+            xs.append(col)
+        coeffs = [
+            rng.choice((0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-10**15, 10**15)))
+            for _ in range(width)
+        ]
+        if rng.random() < 0.5:
+            xs = list(zip(*zip(*xs)))  # columns as tuples
+        got = linear_column(coeffs, xs)
+        assert got == linear_column_by_maps(coeffs, xs)
+        assert type(got) is list and all(type(v) is int for v in got)
+        live_counts.add(sum(1 for a, x in zip(coeffs, xs) if a and any(x)))
+    assert live_counts >= {0, 1, 2, 3, 4, 5}
