@@ -232,7 +232,7 @@ class _Evaluator:
         self.mode = config.mode
         plan: dict[Target, tuple] = {}
         # ratio_error_bound's slope and offset: sums over the terms of
-        # w*deg and w*log(#coeffs * max|coeff|), the worst component of a
+        # w*deg and w*log(#terms * max|coeff|), the worst component of a
         # subscheme taken
         self.err_slope = self.err_offset = 0.0
         for place, tlist in config.arrangements:
@@ -246,7 +246,7 @@ class _Evaluator:
                 comps = t.components if isinstance(t, SubschemeSpec) else (t,)
                 self.err_slope += w * max(c.degree for c in comps)
                 self.err_offset += w * max(
-                    math.log(len(c.coeffs) * c._max_coeff) for c in comps
+                    math.log(c.monomial_count * c._max_coeff) for c in comps
                 )
         self.plan = [(t,) + lists for t, lists in plan.items()]
 
@@ -279,12 +279,12 @@ class _Evaluator:
 
         With u = 2^-53, a log is within one ulp, at most 2u times its size.
         At inf a term is log(num) - log(den) for the reduced num/den, both at
-        most #coeffs * max|coeff| * H^deg, so the two logs and the
-        subtraction err by at most 5u * (deg*h + log(#coeffs * max|coeff|));
+        most #terms * max|coeff| * H^deg, so the two logs and the
+        subtraction err by at most 5u * (deg*h + log(#terms * max|coeff|));
         at p, e*log p with p^e | F(P) errs by at most 3u * e*log p, which is
         below the same bound.  The subscheme minimum is taken exactly.  The
         rounded weight and the product add 2u relative, so a term w*lambda
-        errs by less than 8u * w * (deg*h + log(#coeffs * max|coeff|)); fsum,
+        errs by less than 8u * w * (deg*h + log(#terms * max|coeff|)); fsum,
         log h and the division add below 6u * |r|.  The bound returned is
         2^10 times that worst case.
         """

@@ -1,9 +1,9 @@
 """Projective points, linear and homogeneous forms over Q, Veronese maps.
 
-Everything is stored in a canonical integer normalization: coordinates or
-coefficients are coprime integers with the first nonzero entry positive.
-That convention makes the p-adic max-norm of every point and form equal to 1
-at all finite places, which keeps local height bookkeeping exact.
+Everything is stored canonically: coordinates or coefficients (a form keeps
+only its nonzero terms) are coprime integers, the first nonzero positive.
+That makes the p-adic max-norm of every point and form 1 at all finite
+places, which keeps local height bookkeeping exact.
 
 Each form evaluates itself over a column of points by its own rule:
 column(xs) maps the coordinate columns (xs[k][i] is coordinate k of point i)
@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
 from itertools import repeat
 from operator import add, mul
 
@@ -138,6 +137,10 @@ class LinearForm(Frozen):
         """max|coeff|, read by the local-value kernel at every point."""
         return max(map(abs, self.coeffs))
 
+    @property
+    def monomial_count(self) -> int:
+        return len(self.coeffs) - self.coeffs.count(0)
+
     def evaluate(self, point: ProjPoint) -> int:
         if len(point.coords) != len(self.coeffs):
             raise wrong_space_error(self, point)
@@ -187,68 +190,66 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def monomial_index(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
-    return {exps: i for i, exps in enumerate(monomials(nvars, degree))}
-
-
 class HomForm(Frozen):
-    """A homogeneous form of degree d on P^M, coefficients in monomial order.
-
-    coeffs is aligned with monomials(M+1, d) and canonically normalized:
-    coprime integers, first nonzero entry positive.
-    """
+    """A homogeneous form of degree d on P^M.  _terms holds its nonzero
+    (exponents, coefficient) pairs in monomial order, the coefficients
+    coprime ints, the first positive: a form costs what its terms cost."""
 
     dim: int
     degree: int
-    coeffs: tuple[int, ...]
+    _terms: tuple[tuple[tuple[int, ...], int], ...]
 
     def __init__(self, dim: int, degree: int, coeffs: tuple[int, ...]):
+        """The form with coeffs aligned with monomials(dim + 1, degree)."""
+        mono = monomials(dim + 1, degree)
+        if len(coeffs) != len(mono):
+            raise ArgumentError("degree-%d form on P^%d needs %d coefficients, got %d"
+                                % (degree, dim, len(mono), len(coeffs)))
+        self._store(dim, degree, [(e, c) for e, c in zip(mono, _exact(coeffs)) if c])
+
+    def _store(self, dim: int, degree: int, terms) -> None:
+        """Set the fields from nonzero exact (exponents, coefficient) pairs in monomial order."""
         if degree < 1:
             raise ArgumentError("degree must be >= 1")
-        expected = comb(dim + degree, degree)
-        if len(coeffs) != expected:
-            raise ArgumentError(
-                "degree-%d form on P^%d needs %d coefficients, got %d"
-                % (degree, dim, expected, len(coeffs))
-            )
-        vals = _exact(coeffs)
-        if not any(vals):
+        if not terms:
             raise ArgumentError("form is identically zero")
+        exps, vals = zip(*terms)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", primitive(vals))
+        object.__setattr__(self, "_terms", tuple(zip(exps, primitive(vals))))
 
     @classmethod
-    def from_terms(cls, dim: int, degree: int, terms: dict) -> "HomForm":
-        index = monomial_index(dim + 1, degree)
-        coeffs = [0] * comb(dim + degree, degree)
-        for exps, c in terms.items():
+    def from_terms(cls, dim: int, degree: int, terms) -> "HomForm":
+        """sum c * x^e over terms, a dict or (e, c) pairs naming each e once."""
+        exact = {}
+        for exps, c in terms.items() if isinstance(terms, dict) else terms:
             key = tuple(int(e) for e in exps)
             if len(key) != dim + 1 or any(e < 0 for e in key) or sum(key) != degree:
                 raise ArgumentError("bad exponent tuple %r for degree %d" % (exps, degree))
-            coeffs[index[key]] += c if type(c) is int else Fraction(c)
-        if not any(coeffs):
-            raise ArgumentError("form is identically zero")
-        return cls(dim, degree, tuple(coeffs))
+            if key in exact:
+                raise ArgumentError("exponents %r named twice in a form's terms" % (list(key),))
+            exact[key] = c if type(c) is int else Fraction(c)
+        form = object.__new__(cls)
+        form._store(dim, degree, sorted([(e, c) for e, c in exact.items() if c], reverse=True))
+        return form
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         return list(self._terms)
 
     @cached_property
-    def _terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The nonzero (exponents, coefficient) pairs, read at every point."""
-        mono = monomials(self.dim + 1, self.degree)
-        return tuple((mono[i], c) for i, c in enumerate(self.coeffs) if c != 0)
+    def coeffs(self) -> tuple[int, ...]:
+        """The dense coefficient tuple, aligned with monomials(dim + 1, degree)."""
+        terms = dict(self._terms)
+        return tuple(terms.get(e, 0) for e in monomials(self.dim + 1, self.degree))
 
     @cached_property
     def _max_coeff(self) -> int:
         """max|coeff|, read by the local-value kernel at every point."""
-        return max(map(abs, self.coeffs))
+        return max(abs(c) for _, c in self._terms)
 
     @property
     def monomial_count(self) -> int:
-        return sum(1 for c in self.coeffs if c != 0)
+        return len(self._terms)
 
     def evaluate(self, point: ProjPoint) -> int:
         if point.dim != self.dim:
@@ -289,10 +290,9 @@ class HomForm(Frozen):
 
     @classmethod
     def from_json(cls, data) -> "HomForm":
-        terms = {
-            tuple(json_int(x, "exponent") for x in e): parse_rat(c)
-            for e, c in data["terms"]
-        }
+        terms = [
+            (tuple(json_int(x, "exponent") for x in e), parse_rat(c)) for e, c in data["terms"]
+        ]
         dim, degree = json_int(data["dim"], "dim"), json_int(data["degree"], "degree")
         return cls.from_terms(dim, degree, terms)
 

@@ -732,6 +732,21 @@ def test_excluded_supports_in_the_wrong_space_exit_65(capsys):
         assert "wrong ambient space" in capsys.readouterr().err
 
 
+def test_a_form_that_names_one_monomial_twice_exits_65(capsys):
+    # a later [2, 0] replacing the first would read x0^2 + x1^2 for
+    # 2*x0^2 + x1^2, and x0^2 for the zero form x0^2 - x0^2
+    twice = ([[[2, 0], "1"], [[0, 2], "1"], [[2, 0], "1"]], [[[2, 0], "1"], [[2, 0], "-1"]])
+    once = [[[2, 0], "2"], [[0, 2], "1"]]
+    for terms, code in [(t, 65) for t in twice] + [(once, 0)]:
+        form = {**QUADRIC, "terms": terms}
+        weil = ["weil", "--target", json.dumps(form), "--point", "[1:2]", "--place", "inf"]
+        config = violator_config(arrangements={"inf": [["1", "0"], form]}, position_asserted=True)
+        for argv in (weil, ["experiment", "run", "--config", json.dumps(config)]):
+            assert main(argv) == code
+            err = capsys.readouterr().err
+            assert ("exponents [2, 0] named twice" in err) == (code == 65), err
+
+
 def test_config_values_of_the_right_json_type_run(capsys):
     for override in (
         {"position_asserted": False, "height_window": [1, 2.5]},

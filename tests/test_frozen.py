@@ -67,7 +67,7 @@ def _samples():
         ),
         (ProjPoint((2, 4)), ["coords"], "[1:2]"),
         (LinearForm((1, -3)), ["coeffs"], "x0 - 3*x1"),
-        (HomForm(1, 2, (1, 0, -1)), ["dim", "degree", "coeffs"], "+1*x0^2 -1*x1^2"),
+        (HomForm(1, 2, (1, 0, -1)), ["dim", "degree", "_terms"], "+1*x0^2 -1*x1^2"),
         (
             veronese_form(HomForm(1, 2, (2, 0, -4))),
             ["form", "scale"],

@@ -1,12 +1,15 @@
-"""Seeded single-node mutations of the experiment config, held to the
-exit-code contract: `experiment run` and `experiment baseline` return 0, 2,
-3, 64, 65 or 66 for every mutated document, and raise nothing.
+"""Single-node mutations of every JSON document the command line reads,
+held to the exit-code contract: the command returns 0, 2, 3, 64, 65 or 66
+for every mutated document, and raises nothing.
 
-Each case takes one of two valid configs (a curve and a plane, between them
-every key the config accepts), picks one node of its JSON tree, and deletes
-it or replaces it with one of REPLACEMENTS.  No integer replacement exceeds
-3 and both configs are small, so no case starts unbounded work.  The full
-set of 1,960 cases takes about 5 s; a seeded sample of CASES of them is run.
+Each case takes one valid document, picks one node of its JSON tree, and
+deletes it or replaces it with one of REPLACEMENTS.  No integer replacement
+exceeds 3 and every document is small, so no case starts unbounded work.
+The experiment config has two documents (a curve and a plane, between them
+every key the config accepts) and two commands, `experiment run` and
+`experiment baseline`; its full set of 1,960 cases takes about 5 s, so a
+seeded sample of CASES of them is run.  The seven other documents (DOCUMENTS)
+are run in full.
 """
 
 import copy
@@ -61,6 +64,48 @@ PLANE = {
         {"type": "subscheme", "label": "pt", "components": [["1", "0", "-1"], ["0", "1", "2"]]},
     ],
 }
+
+
+LINE_X = {"ambient_dim": 2, "forms": [["0", "0", "1"]]}
+WORKED_FORMS = [["1", "0", "0"], ["0", "1", "0"], ["1", "-1", "0"]]
+QUADRIC = {"type": "form", "dim": 2, "degree": 2, "terms": [[[2, 0, 0], "1"], [[0, 1, 1], "-3"]]}
+# the certificate `quang combine` writes for WORKED_FORMS on LINE_X
+CERT = {
+    "constants": {"inf": "1", "p=2": "1"},
+    "inputs": WORKED_FORMS,
+    "matrix": [["1", "0", "0"], ["0", "1", "0"]],
+    "outputs": [["1", "0", "0"], ["0", "1", "0"]],
+    "position": {"complete": True, "level": 1, "q": 2, "verdict": True, "witnesses": [],
+                 "x": LINE_X},
+    "x": LINE_X,
+}
+DOC = object()  # where the document goes in a command's argv
+# (argv, document) for each JSON option besides the experiment config; each
+# runs with exit 0 unmutated
+DOCUMENTS = [
+    (["weil", "--target", DOC, "--point", "[1:2:3]", "--place", "p=2"], QUADRIC),
+    (["weil", "--manifest", DOC], {
+        "points": [["1", "2", "3"], ["2", "0", "1"]],
+        "targets": [
+            ["1", "1", "0"],
+            QUADRIC,
+            {"type": "subscheme", "label": "pt", "components": [["1", "0", "-1"], ["0", "1", "2"]]},
+        ],
+        "places": ["inf", "p=3", 2],
+        "mode": "lenient",
+    }),
+    (["seshadri", "--target", DOC],
+     {"type": "subscheme", "label": "pt", "components": [["1", "0", "-1"], ["0", "1", "2"]]}),
+    (["quang", "combine", "--x", DOC, "--forms", json.dumps(WORKED_FORMS)], LINE_X),
+    (["quang", "combine", "--forms", DOC, "--x", json.dumps(LINE_X)], WORKED_FORMS),
+    (["position", "check", "--forms", DOC, "--l", "2"],
+     [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]]),
+    (["chain", "check", "--cert", DOC, "--point", "[1:2:0]", "--place", "inf"], CERT),
+]
+
+
+def _argv(argv, doc) -> list:
+    return [json.dumps(doc) if a is DOC else a for a in argv]
 
 
 def _paths(node, path=()):
@@ -125,3 +170,28 @@ def test_mutated_experiment_configs_keep_the_exit_code_contract(tmp_path, capsys
         seen.add(rc)
     capsys.readouterr()
     assert {0, 2, 64, 65} <= seen
+
+
+def test_the_fuzzed_documents_run(capsys):
+    for argv, doc in DOCUMENTS:
+        assert main(_argv(argv, doc)) == 0, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, doc", DOCUMENTS, ids=[" ".join(argv[:argv.index(DOC)]) for argv, _ in DOCUMENTS]
+)
+def test_mutated_documents_keep_the_exit_code_contract(capsys, argv, doc):
+    seen = set()
+    for path in _paths(doc):
+        for value in (DELETE,) + REPLACEMENTS:
+            if not path and value is DELETE:
+                continue
+            try:
+                rc = main(_argv(argv, _mutated(doc, path, value)))
+            except Exception as exc:  # any escape breaks the contract
+                pytest.fail("%r at %r escaped: %r" % (value, path, exc))
+            assert rc in EXIT_CODES, (path, value, rc)
+            seen.add(rc)
+    capsys.readouterr()
+    assert {0, 64, 65} <= seen

@@ -6,12 +6,16 @@ from math import comb
 
 import pytest
 
+import subgeneral.projective
 from subgeneral import (
+    INF,
     ArgumentError,
     HomForm,
     LinearForm,
     LinearSubvariety,
+    Place,
     ProjPoint,
+    local_weil,
     monomials,
     projective_space,
     veronese_form,
@@ -19,12 +23,11 @@ from subgeneral import (
 )
 from subgeneral.projective import (
     linear_column,
-    monomial_index,
     normalize_coords,
     point_from_canonical,
 )
 
-from gen import rand_hom_form, rand_point
+from gen import rand_fraction, rand_hom_form, rand_point
 from oracles import form_value_by_point, linear_column_by_maps
 
 
@@ -134,18 +137,13 @@ def test_monomials_graded_lex_order():
         (0, 1, 1),
         (0, 0, 2),
     )
-
-
-def test_monomial_index_is_a_bijection():
     for nvars in (2, 3, 4):
         for degree in (1, 2, 3):
             mono = monomials(nvars, degree)
             assert len(mono) == comb(nvars - 1 + degree, degree)
-            assert len(set(mono)) == len(mono)
-            index = monomial_index(nvars, degree)
-            for i, exps in enumerate(mono):
-                assert index[exps] == i
-                assert sum(exps) == degree
+            # distinct, of one degree, in descending lex order
+            assert list(mono) == sorted(set(mono), reverse=True)
+            assert all(sum(exps) == degree for exps in mono)
 
 
 def test_hom_form_canonicalizes_and_round_trips():
@@ -160,6 +158,50 @@ def test_hom_form_from_terms_is_order_independent():
     a = HomForm.from_terms(2, 2, {(1, 1, 0): 2, (0, 0, 2): -1})
     b = HomForm.from_terms(2, 2, {(0, 0, 2): -1, (1, 1, 0): 2})
     assert a == b
+
+
+def test_dense_and_sparse_constructors_agree():
+    rng = random.Random(30)
+    for _ in range(150):
+        dim, degree = rng.randint(1, 4), rng.randint(1, 4)
+        mono = monomials(dim + 1, degree)
+        coeffs = [c * rand_fraction(rng, 40) if rng.random() < 0.4 else c
+                  for c in rand_hom_form(rng, dim, degree).coeffs]
+        lead = next(i for i, c in enumerate(coeffs) if c)
+        coeffs[lead] = -abs(coeffs[lead])
+        dense = HomForm(dim, degree, tuple(coeffs))
+        pairs = [(e, c) for e, c in zip(mono, coeffs) if c]
+        rng.shuffle(pairs)
+        for sparse in (HomForm.from_terms(dim, degree, dict(pairs)),
+                       HomForm.from_terms(dim, degree, pairs)):
+            assert sparse == dense and hash(sparse) == hash(dense)
+            assert str(sparse) == str(dense)
+            assert sparse.to_json() == dense.to_json()
+            assert sparse.coeffs == dense.coeffs == normalize_coords(coeffs)
+            assert sparse.monomial_count == len(pairs)
+            _, xs = _seeded_column(rng, dim, 4)
+            assert sparse.column(xs) == dense.column(xs)
+
+
+def test_a_one_term_form_never_lists_the_monomials_of_its_degree(monkeypatch):
+    # x0^8 on P^10 has 43,758 monomials of its degree: building, evaluating,
+    # printing and writing it read its one term
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return monomials(*args)
+
+    monkeypatch.setattr(subgeneral.projective, "monomials", counting)
+    data = {"dim": 10, "degree": 8, "terms": [[[8] + [0] * 10, "-3"]]}
+    form = HomForm.from_json(data)
+    pt = ProjPoint((2,) + (1,) * 10)
+    assert local_weil(pt, form, INF).value == 0.0
+    assert local_weil(pt, form, Place(2)).exact == (2, 8)
+    assert str(form) == "+1*x0^8" and form.monomial_count == 1
+    assert HomForm.from_json(form.to_json()) == form
+    assert form.to_json()["terms"] == [[[8] + [0] * 10, "1"]]
+    assert calls == []
 
 
 def test_hom_form_validation():
