@@ -48,7 +48,6 @@ _LAZY = {
     "Witness": "position",
     "check_general": "position",
     "check_subgeneral": "position",
-    "intersection_dim": "position",
     "violations_at": "position",
     "HomForm": "projective",
     "LinearForm": "projective",
@@ -64,7 +63,6 @@ _LAZY = {
     "Ordering": "quang",
     "chain_check": "quang",
     "chain_check_column": "quang",
-    "chain_constant": "quang",
     "quang_combine": "quang",
     "reorder_by_local_norm": "quang",
     "SampleResult": "sampling",

@@ -80,14 +80,6 @@ class PositionReport(Frozen):
         return stable_dumps(self.to_json_dict())
 
 
-def intersection_dim(forms, variety: LinearSubvariety) -> int:
-    """Projective dimension of (common zero locus of linear forms) meet X; -1 if empty."""
-    forms = list(forms)
-    if not forms:
-        return variety.dim
-    return variety.dim - len(greedy_basis(forms, variety, variety.dim + 1)[1])
-
-
 def greedy_basis(forms, variety: LinearSubvariety, rank: int):
     """(reduced rows, picks) of a family of linear forms on X.
 

@@ -51,31 +51,15 @@ class SampleResult(Frozen):
     that their values agree.
 
     coords holds each point's canonical coordinate tuple and maxes its
-    max|x_i|, which the report reads.  The sampler's result (_of_coords)
-    builds the ProjPoints of points only when points is first read; a result
-    built from points takes coords and maxes from them.  columns, coords and
-    maxes are no fields, so they take no part in ==, hash or repr."""
+    max|x_i|, which the report reads, and the ProjPoints of points are
+    built only when points is first read.  columns, coords and maxes are no
+    fields, so they take no part in ==, hash or repr."""
 
     points: tuple[ProjPoint, ...]
     partial: bool
     attempts: int
 
-    def __init__(self, points, partial: bool, attempts: int, columns: dict | None = None):
-        coords = [pt.coords for pt in points]
-        self.__dict__.update(
-            points=points,
-            partial=partial,
-            attempts=attempts,
-            columns={} if columns is None else columns,
-            coords=coords,
-            maxes=[max(map(abs, x)) for x in coords],
-        )
-
-    @classmethod
-    def _of_coords(cls, coords: list, maxes: list, partial: bool, attempts: int, columns=None):
-        """The sampler's result: canonical coordinate tuples and their
-        max|x_i|, with points left to be built on first read."""
-        self = object.__new__(cls)
+    def __init__(self, coords: list, maxes: list, partial: bool, attempts: int, columns=None):
         self.__dict__.update(
             coords=coords,
             maxes=maxes,
@@ -83,7 +67,6 @@ class SampleResult(Frozen):
             attempts=attempts,
             columns={} if columns is None else columns,
         )
-        return self
 
     @cached_property
     def points(self) -> tuple[ProjPoint, ...]:
@@ -95,36 +78,51 @@ _SWEEP_BUDGET = 2_000_000
 
 
 def _int_window(h_min: float, h_max: float) -> tuple[int, int]:
-    """Largest integer window [lo, hi] with h_min <= log(m) <= h_max; a
-    bound that is not finite, or h_max > 500, is refused."""
+    """Largest integer window [lo, hi] with h_min <= log(m) <= h_max, read
+    with the float math.log; a bound that is not finite, or h_max > 500, is
+    refused."""
     if h_max > 500:
         raise ArgumentError("height window beyond supported range")
     if not (math.isfinite(h_min) and math.isfinite(h_max)):
         raise ArgumentError("height window bounds must be finite")
-    hi = max(int(math.exp(h_max)), 0)
-    while hi >= 1 and math.log(hi) > h_max:
-        hi -= 1
-    while math.log(hi + 1) <= h_max:
-        hi += 1
-    lo = max(int(math.ceil(math.exp(h_min))), 1)
-    while lo > 1 and math.log(lo - 1) >= h_min:
-        lo -= 1
-    while math.log(lo) < h_min:
-        lo += 1
+    hi = _least(lambda m: math.log(m) > h_max, int(math.exp(h_max)) + 1) - 1
+    lo = _least(lambda m: math.log(m) >= h_min, math.ceil(math.exp(h_min)))
     return lo, hi
+
+
+def _least(pred, guess: int) -> int:
+    """Least m >= 1 with pred(m), for a pred that is false and then true
+    along m >= 1: galloping out from guess to a bracket, then bisection.
+    About e^h * ulp(h) integers near exp(h) share the float log h, so a walk
+    one integer at a time would not end above h ~ 36; this makes O(h) calls."""
+    lo, hi, step = max(guess, 1) - 1, max(guess, 1), 1
+    while lo >= 1 and pred(lo) or not pred(hi):
+        lo, hi, step = max(lo - step, 0), hi + step, 2 * step
+    while hi - lo > 1:  # lo == 0 or not pred(lo), and pred(hi)
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _coprime_pairs(m: int):
     """Canonical coprime pairs (s, t) with max(|s|, |t|) == m, s-major order,
     in lists: the pairs of at most _DRAW_BLOCK values of s, then of t, at a
-    time, so the first pairs of a huge m come at once."""
+    time, so the first pairs of a huge m come at once.  The s-values are the
+    units of m below it, each tested once: the t-values are +-(those units),
+    or -1, 0, 1 when m == 1."""
     if m == 1:
         yield [(0, 1)]
+    units: list = []
     for s0 in range(1, m, _DRAW_BLOCK):
-        units = [s for s in range(s0, min(s0 + _DRAW_BLOCK, m)) if gcd(s, m) == 1]
-        yield [st for s in units for st in ((s, -m), (s, m))]
+        run = [s for s in range(s0, min(s0 + _DRAW_BLOCK, m)) if gcd(s, m) == 1]
+        units += run
+        yield [st for s in run for st in ((s, -m), (s, m))]
+    ts = [-s for s in reversed(units)] + units if m > 1 else [-1, 0, 1]
     for t0 in range(-m, m + 1, _DRAW_BLOCK):
-        yield [(m, t) for t in range(t0, min(t0 + _DRAW_BLOCK, m + 1)) if gcd(m, t) == 1]
+        yield [(m, t) for t in ts[bisect_left(ts, t0) : bisect_left(ts, t0 + _DRAW_BLOCK)]]
 
 
 def _line_param_bound(basis, hi: int) -> int:
@@ -166,10 +164,10 @@ def sample_points(
     test of the local-value kernel.
     """
     if count == 0:
-        return SampleResult._of_coords([], [], False, 0)
+        return SampleResult([], [], False, 0)
     lo, hi = _int_window(h_min, h_max)
     if hi < 1 or lo > hi:
-        return SampleResult._of_coords([], [], False, 0)
+        return SampleResult([], [], False, 0)
     basis = variety.kernel_basis()
     if variety.dim > 1:
         if count is None:
@@ -346,7 +344,7 @@ def _accept(stream, count, cap, excluded, mode: str, basis) -> SampleResult:
         if attempts == cap or len(out) == count:
             break
     partial = count is not None and len(out) < count
-    return SampleResult._of_coords(out, out_maxes, partial, attempts, kept)
+    return SampleResult(out, out_maxes, partial, attempts, kept)
 
 
 def _test_segment(pts, tops, classes, mode, out, out_maxes, kept) -> None:

@@ -1,7 +1,8 @@
 # Marks tests/ as the rootdir for helper imports (oracles, gen) without
 # turning the directory into a package, prints the acceptance summary, and
-# provides the count_calls fixture.
+# provides the count_calls and counted_log fixtures.
 
+import math
 import re
 import sys
 
@@ -54,3 +55,34 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+class _CountedMath:
+    """The math module, but for a log that counts its calls and raises
+    AssertionError after limit of them."""
+
+    def __init__(self, limit):
+        self.calls = 0
+        self.limit = limit
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise AssertionError("more than %d math.log calls" % self.limit)
+        return math.log(x)
+
+
+@pytest.fixture
+def counted_log(monkeypatch):
+    """Replaces the math module that subgeneral.sampling reads by one whose
+    log raises after 10,000 calls, so a height-window search that walks
+    integers fails at once instead of running for hours; returns it, and
+    its calls attribute counts the calls (a test may reset it)."""
+    import subgeneral.sampling
+
+    counted = _CountedMath(10_000)
+    monkeypatch.setattr(subgeneral.sampling, "math", counted)
+    return counted

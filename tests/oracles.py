@@ -65,7 +65,6 @@ from subgeneral.projective import HomForm, LinearForm, ProjPoint, point_from_can
 from subgeneral.quang import (
     ChainCheckRecord,
     CombinationCertificate,
-    chain_constant,
     quang_combine_cached,
 )
 from subgeneral.seshadri import seshadri_constant
@@ -334,7 +333,8 @@ def quang_combine_by_enumeration(forms, variety, constant_places=(INF,)):
     round enumerates candidates (quang_step_by_intersection) against
     rowspace(X's forms, L'_1..L'_{t-1}), keeps the primitive combination,
     and records its coefficients as Fractions scaled to that output.  The
-    constants are read entry by entry from the local norms (_norm_at).
+    constants are read entry by entry from the local norms
+    (_rows_constant_by_norms).
     Takes a family the caller knows to be l-subgeneral on X."""
     forms = list(forms)
     l = len(forms) - 1
@@ -356,17 +356,7 @@ def quang_combine_by_enumeration(forms, variety, constant_places=(INF,)):
         outputs.append(out)
         rows.append(tuple(row))
         gamma_stack.append(list(out.coeffs))
-    constants = []
-    for v in constant_places:
-        p = None if v.is_archimedean else v.p
-        c = Fraction(0)
-        for row in rows[1:]:
-            nz = [x for x in row if x]
-            if p is None:
-                c = max(c, len(nz) * max(abs(x) for x in nz))
-            else:
-                c = max([c] + [_norm_at(x, p) for x in nz])
-        constants.append((str(v), rat_str(c)))
+    constants = [(str(v), rat_str(_rows_constant_by_norms(rows[1:], v))) for v in constant_places]
     return CombinationCertificate(
         variety=variety,
         inputs=tuple(forms),
@@ -375,6 +365,21 @@ def quang_combine_by_enumeration(forms, variety, constant_places=(INF,)):
         position=check_general(outputs, variety),
         constants=tuple(sorted(constants)),
     )
+
+
+def _rows_constant_by_norms(rows, place) -> Fraction:
+    """C_v of combination rows, read entry by entry from the local norms
+    (_norm_at): max over rows of (#nonzero entries) * max_j |c_tj| at inf,
+    of max_j ||c_tj||_p at p."""
+    p = None if place.is_archimedean else place.p
+    c = Fraction(0)
+    for row in rows:
+        nz = [x for x in row if x]
+        if p is None:
+            c = max(c, len(nz) * max(abs(x) for x in nz))
+        else:
+            c = max([c] + [_norm_at(x, p) for x in nz])
+    return c
 
 
 def chain_check_by_fractions(point, place, certificate):
@@ -400,7 +405,7 @@ def chain_check_by_fractions(point, place, certificate):
         keys.append(abs(val) if place.is_archimedean else -_ord_p(val, place.p))
     perm = tuple(i + 1 for _, i in sorted(zip(keys, range(len(keys)))))
     cert = quang_combine_cached(tuple(forms[i - 1] for i in perm), variety)
-    c_v = Fraction(chain_constant(cert, place))
+    c_v = _rows_constant_by_norms(cert.matrix[1:], place)
     out_vals = []
     for f in cert.outputs:
         v = f.evaluate(point)
@@ -611,6 +616,31 @@ def _exclusion_test(excluded, mode: str):
     return on_excluded
 
 
+def int_window_by_steps(h_min: float, h_max: float) -> tuple[int, int]:
+    """The height window's ends as they were found before bisection: each
+    end started at exp(h) and stepped one integer at a time while the float
+    log stayed on its side of the bound.  Above h ~ 36 the steps number
+    about e^h * ulp(h), so it serves windows of small h only."""
+    hi = max(int(math.exp(h_max)), 0)
+    while hi >= 1 and math.log(hi) > h_max:
+        hi -= 1
+    while math.log(hi + 1) <= h_max:
+        hi += 1
+    lo = max(int(math.ceil(math.exp(h_min))), 1)
+    while lo > 1 and math.log(lo - 1) >= h_min:
+        lo -= 1
+    while math.log(lo) < h_min:
+        lo += 1
+    return lo, hi
+
+
+def sample_of_points(points, partial: bool, attempts: int, columns=None) -> SampleResult:
+    """The SampleResult of given points, built as the sampler builds one:
+    from their canonical coordinate tuples and max|x_i|."""
+    coords = [pt.coords for pt in points]
+    return SampleResult(coords, [max(map(abs, x)) for x in coords], partial, attempts, columns)
+
+
 def coprime_pairs_by_loop(m: int):
     """Canonical coprime pairs (s, t) with max(|s|, |t|) == m, s-major order,
     one at a time."""
@@ -653,10 +683,10 @@ def sample_points_by_point(
     The attempt budget is read from the package, so a test that patches
     it there patches it here."""
     if count == 0:
-        return SampleResult((), False, 0)
+        return sample_of_points((), False, 0)
     lo, hi = _int_window(h_min, h_max)
     if hi < 1 or lo > hi:
-        return SampleResult((), False, 0)
+        return sample_of_points((), False, 0)
     on_excluded = _exclusion_test(excluded, mode)
 
     if variety.dim == 1:
@@ -687,20 +717,20 @@ def sample_points_by_point(
             for m in range(m_lo, m_hi + 1):
                 for s, t in coprime_pairs_by_loop(m):
                     if attempts == cap:
-                        return SampleResult(tuple(out), True, attempts)
+                        return sample_of_points(tuple(out), True, attempts)
                     attempts += 1
                     pt = point_from_canonical((s, t))
                     if not on_excluded(pt):
                         out.append(pt)
                         if count is not None and len(out) == count:
-                            return SampleResult(tuple(out), False, attempts)
+                            return sample_of_points(tuple(out), False, attempts)
         else:
             b1, b2 = basis
             ncols = len(b1)
             for m in range(m_lo, m_hi + 1):
                 for s, t in coprime_pairs_by_loop(m):
                     if attempts == cap:
-                        return SampleResult(tuple(out), True, attempts)
+                        return sample_of_points(tuple(out), True, attempts)
                     attempts += 1
                     # b1, b2 are independent and (s, t) != 0, so vec != 0
                     vec = tuple(s * b1[i] + t * b2[i] for i in range(ncols))
@@ -709,8 +739,8 @@ def sample_points_by_point(
                     if lo <= mx <= hi and not on_excluded(pt):
                         out.append(pt)
                         if count is not None and len(out) == count:
-                            return SampleResult(tuple(out), False, attempts)
-        return SampleResult(
+                            return sample_of_points(tuple(out), False, attempts)
+        return sample_of_points(
             tuple(out), count is not None and len(out) < count, attempts
         )
 
@@ -743,7 +773,7 @@ def sample_points_by_point(
         if not on_excluded(pt):
             seen.add(coords)
             out.append(pt)
-    return SampleResult(tuple(out), len(out) < count, attempts)
+    return sample_of_points(tuple(out), len(out) < count, attempts)
 
 
 def parse_rat_by_fraction(s) -> Fraction:

@@ -406,6 +406,23 @@ def test_chain_check_refuses_an_unsound_certificate(capsys, tmp_path):
     assert "constants name the place" in captured.err and captured.out == ""
 
 
+def test_chain_check_refuses_a_matrix_that_is_not_unit_rows(capsys):
+    # the row 2*L_2 + L_3 = x0 + x1 respects the span discipline, and the
+    # output and constants (C_inf = 2*2, C_2 = 1) match it; but a certificate
+    # replays as its picks, and quang combine writes unit rows only
+    cert = {
+        "x": json.loads(LINE_X),
+        "inputs": json.loads(WORKED_FORMS),
+        "outputs": [["1", "0", "0"], ["1", "1", "0"]],
+        "matrix": [["1", "0", "0"], ["0", "2", "1"]],
+        "constants": {"inf": "4", "p=2": "1"},
+    }
+    check = ["--point", "[1:2:0]", "--place", "inf"]
+    assert main(["chain", "check", "--cert", json.dumps(cert)] + check) == 65
+    captured = capsys.readouterr()
+    assert "fails its replay" in captured.err and captured.out == ""
+
+
 def test_chain_check_refuses_a_certificate_with_too_few_inputs(capsys, tmp_path):
     # fewer than n+1 inputs fail the replay before any input is read
     cert_path = tmp_path / "cert.json"

@@ -53,7 +53,7 @@ from subgeneral.experiments import (
     _vanishes_on,
 )
 from subgeneral.jsonio import rat_str, stable_dumps
-from subgeneral.sampling import SampleResult, _coprime_pairs, _draw_stream
+from subgeneral.sampling import _coprime_pairs, _draw_stream
 from subgeneral.weil import _component_columns
 
 from gen import (
@@ -67,8 +67,10 @@ from oracles import (
     coprime_pairs_by_loop,
     draw_stream_by_loop,
     exceptional_scan_by_hand,
+    int_window_by_steps,
     nullspace_by_rref,
     rank_fraction_gauss,
+    sample_of_points,
     sample_points_by_point,
     vanishes_on_by_expansion,
     write_csv_by_row,
@@ -1425,7 +1427,7 @@ def _sample_by_point(variety, h_min, h_max, count, seed, excluded, mode):
         t: [[c.evaluate(pt) for pt in sample.points] for c in _components(t)]
         for t in excluded
     }
-    return SampleResult(sample.points, sample.partial, sample.attempts, columns)
+    return sample_of_points(sample.points, sample.partial, sample.attempts, columns)
 
 
 def _components(target) -> tuple:
@@ -1947,6 +1949,34 @@ def test_one_sampler_matches_the_point_by_point_sampler(monkeypatch):
         "refused", "excluded", ("partial", True), ("complete", True), ("complete", False),
         "cap inside a block", "count inside a block", "hits inside a block",
     }
+
+
+def test_the_window_ends_hold_their_definition_up_to_h_500(counted_log):
+    # above h ~ 36 about e^h * ulp(h) integers share the float log h, so the
+    # ends are searched, not walked: a few thousand logs at h = 500
+    rng = random.Random(18)
+    highs = [36.0, 45.0, 50.0, 60.0, 100.0, 500.0] + [rng.uniform(0, 500) for _ in range(40)]
+    for h_max in highs:
+        for h_min in (h_max, h_max - rng.uniform(0, 3), rng.uniform(-2, h_max)):
+            counted_log.calls = 0
+            lo, hi = subgeneral.sampling._int_window(h_min, h_max)
+            assert math.log(hi) <= h_max < math.log(hi + 1)
+            assert lo == 1 or math.log(lo - 1) < h_min
+            assert h_min <= math.log(lo)
+    assert counted_log.calls > 0
+
+
+def test_the_window_ends_are_the_stepping_loops_ends():
+    rng = random.Random(31)
+    windows = [(0.0, 0.0), (-2.0, -1.0), (-1.0, 0.5), (math.log(7), math.log(7))]
+    for _ in range(5000):
+        a, b = rng.uniform(-2, 30), rng.uniform(-2, 30)
+        if rng.random() < 0.2:  # bounds at the log of an integer
+            a, b = (math.log(rng.randint(1, 10**6)) for _ in range(2))
+        windows.append((min(a, b), max(a, b)) if rng.random() < 0.9 else (a, b))
+    for h_min, h_max in windows:
+        got = subgeneral.sampling._int_window(h_min, h_max)
+        assert got == int_window_by_steps(h_min, h_max), (h_min, h_max)
 
 
 def test_a_count_limited_sweep_at_a_huge_parameter_stops_early(monkeypatch):

@@ -35,6 +35,8 @@ from subgeneral import (
 from subgeneral._frozen import Frozen
 from subgeneral.quang import chain_check
 
+from oracles import sample_of_points
+
 X0, X1 = LinearForm((1, 0)), LinearForm((0, 1))
 
 
@@ -163,7 +165,7 @@ def test_equality_holds_only_within_a_class():
     assert ProjPoint((1, 2)) != ProjPoint((1, 3))
     assert len({ProjPoint((1, 2)), LinearForm((1, 2)), ProjPoint((2, 4))}) == 2
     # a sample's kept support columns are no field
-    assert SampleResult((), False, 0, {X0: [[]]}) == SampleResult((), False, 0)
+    assert sample_of_points((), False, 0, {X0: [[]]}) == sample_of_points((), False, 0)
 
 
 def test_fields_cannot_be_assigned_or_deleted():

@@ -156,6 +156,17 @@ def test_the_fuzzed_configs_run_and_no_replacement_exceeds_3(capsys):
     assert set(PLANE) == set(ExperimentConfig.from_json_dict(PLANE).to_json_dict())
 
 
+@pytest.mark.parametrize("h_max", [50.0, 100.0, 500.0])
+def test_a_wide_height_window_is_refused_or_drawn_at_once(capsys, counted_log, h_max):
+    # the values above 3 that the mutations leave out: the window's ends are
+    # searched, so the curve's exhaustive sweep is refused over budget (65)
+    # and the plane draws its count, each after a few thousand logs at most
+    for doc, code in ((CURVE, 65), (PLANE, 0)):
+        wide = json.dumps({**doc, "height_window": [0.0, h_max]})
+        assert main(["experiment", "run", "--config", wide]) == code
+    assert "sampler attempts" in capsys.readouterr().err
+
+
 def test_mutated_experiment_configs_keep_the_exit_code_contract(tmp_path, capsys):
     out = str(tmp_path / "report")
     seen = set()

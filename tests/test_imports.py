@@ -188,9 +188,8 @@ def test_sampling_points_loads_no_experiment_module():
     assert out.stdout.splitlines() == [repr(["subgeneral.sampling"])]
 
 
-# public functions whose only callers are tests: the paper's C_v of a
-# combination and dim(J meet X) of a family of hyperplanes
-UNREACHED = {"chain_constant", "intersection_dim"}
+# public functions whose only callers are tests: none
+UNREACHED = set()
 
 
 def _identifiers(path: Path) -> set:

@@ -12,7 +12,6 @@ from subgeneral import (
     LinearSubvariety,
     check_general,
     check_subgeneral,
-    intersection_dim,
     projective_space,
     violations_at,
 )
@@ -28,21 +27,6 @@ X_LINE = LinearSubvariety(2, (LinearForm((0, 0, 1)),))
 
 def forms(*rows):
     return [LinearForm(r) for r in rows]
-
-
-def test_intersection_dim_frozen_cases():
-    assert intersection_dim(forms((1, 0, 0), (0, 1, 0)), P2) == 0
-    assert intersection_dim(forms((1, 0, 0), (0, 1, 0), (0, 0, 1)), P2) == -1
-    assert intersection_dim(forms((1, 0, 0)), X_LINE) == 0
-
-
-def test_intersection_dim_rejects_mismatched_ambient():
-    with pytest.raises(ArgumentError):
-        intersection_dim(forms((1, 0)), P2)
-    # x0*x1 and x0*x2 meet in the line x0 = 0, not in a point
-    quadrics = [HomForm.from_terms(2, 2, {(1, 1, 0): 1}), HomForm.from_terms(2, 2, {(1, 0, 1): 1})]
-    with pytest.raises(ArgumentError, match="linear forms only"):
-        intersection_dim(quadrics, P2)
 
 
 def test_check_subgeneral_concurrent_lines():

@@ -21,7 +21,6 @@ from subgeneral import (
     PositionError,
     ProjPoint,
     SupportError,
-    chain_constant,
     check_general,
     check_subgeneral,
     projective_space,
@@ -220,15 +219,13 @@ def test_worked_example_outputs():
 def test_worked_example_constants():
     cert = worked_cert((INF, Place(2), Place(3)))
     assert cert.constants == (("inf", "1"), ("p=2", "1"), ("p=3", "1"))
-    assert chain_constant(cert, INF) == Fraction(1)
-    assert chain_constant(cert, Place(7)) == Fraction(1)
 
 
 def test_identity_pattern_when_level_equals_dim():
     space = projective_space(1)
     cert = quang_combine([LinearForm((1, 0)), LinearForm((0, 1))], space)
     assert cert.outputs == cert.inputs
-    assert chain_constant(cert, Place(5)) == Fraction(1)
+    assert cert.verify_soundness()
 
     space2 = projective_space(2)
     forms = [LinearForm((1, 0, 0)), LinearForm((0, 1, 0)), LinearForm((0, 0, 1))]
@@ -291,8 +288,8 @@ def test_soundness_catches_tampering():
     assert not bad_row.verify_soundness()
 
 
-# X = P^1, and the third input lives in P^2: combine zips rows of unequal
-# length, so row 2 reads [1, 1, 5] as the output [1, 1]
+# X = P^1, and the third input lives in P^2: row 2 picks it, and the
+# output [1, 1] is that input cut to X's length
 _WRONG_SPACE_INPUT = {
     "x": {"ambient_dim": 1, "forms": []},
     "inputs": [["1", "0"], ["0", "1"], ["1", "1", "5"]],
@@ -309,6 +306,10 @@ def test_soundness_refuses_forms_outside_the_ambient_space():
     data = {**_WRONG_SPACE_INPUT, "inputs": [["1", "0"], ["0", "1"], ["1", "1"]]}
     sound = CombinationCertificate.from_json_dict(data)
     assert sound.verify_soundness()
+    # an input outside the space is no replay even when no row picks it
+    unpicked = {**_WRONG_SPACE_INPUT, "outputs": [["1", "0"], ["0", "1"]],
+                "matrix": [["1", "0", "0"], ["0", "1", "0"]]}
+    assert not CombinationCertificate.from_json_dict(unpicked).verify_soundness()
     longer = CombinationCertificate(
         sound.variety,
         sound.inputs,
@@ -364,23 +365,41 @@ def test_soundness_replays_the_listed_constants():
     assert CombinationCertificate.from_json_dict(extra).verify_soundness()
 
 
-def test_soundness_replays_a_row_that_is_not_a_unit_row():
-    # a parsed certificate may carry any row that respects the span
-    # discipline: 2*L_2 + L_3 = x0 + x1, with C_inf = 2*2 and C_2 = 1
+def test_soundness_refuses_a_row_that_is_not_a_unit_row():
+    # a certificate replays as its picks: the row 2*L_2 + L_3 = x0 + x1
+    # respects the span discipline, and its output and its constants (C_inf
+    # = 2*2, C_2 = 1) match it, but quang_combine writes unit rows only
     data = {
         **worked_cert().to_json_dict(),
         "outputs": [["1", "0", "0"], ["1", "1", "0"]],
         "matrix": [["1", "0", "0"], ["0", "2", "1"]],
         "constants": {"inf": "4", "p=2": "1"},
     }
-    assert CombinationCertificate.from_json_dict(data).verify_soundness()
     for edit in (
-        {"outputs": [["1", "0", "0"], ["0", "1", "0"]]},
-        {"matrix": [["1", "0", "0"], ["0", "1", "1"]]},
+        {},
         {"constants": {"inf": "1", "p=2": "1"}},
+        {"matrix": [["1", "0", "0"], ["0", "1", "1"]], "constants": {"inf": "2"}},
+        # a row whose first 1 picks its output, and more entries besides
+        {"matrix": [["1", "0", "0"], ["0", "1", "5"]], "outputs": [["1", "0", "0"], ["0", "1", "0"]],
+         "constants": {"inf": "1"}},
+        # unit rows that pick L_1 twice, or L_2 first, or one row too many
+        {"matrix": [["1", "0", "0"], ["1", "0", "0"]], "outputs": [["1", "0", "0"]] * 2,
+         "constants": {"inf": "1"}},
+        {"matrix": [["0", "1", "0"], ["0", "0", "1"]], "outputs": [["0", "1", "0"], ["1", "-1", "0"]],
+         "constants": {"inf": "1"}},
+        {"matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
     ):
         edited = CombinationCertificate.from_json_dict({**data, **edit})
         assert not edited.verify_soundness()
+    # a unit row past the span: on P^2 at l = 3, L'_2 picks L_2 or L_3 only
+    forms = (X0, X1, X2, LinearForm((1, 1, 1)))
+    cert = quang_combine(forms, projective_space(2))
+    assert cert.verify_soundness()
+    rows = [(1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0)]
+    past = CombinationCertificate(
+        cert.variety, forms, (X0, forms[3], X1), tuple(rows), cert.position, cert.constants
+    )
+    assert not past.verify_soundness()
 
 
 def test_soundness_replays_constants_on_seeded_certificates():
@@ -436,74 +455,6 @@ def test_construction_is_deterministic():
     a = quang_combine([X0, X1, LinearForm((1, -1, 0))], X_LINE)
     b = quang_combine([X0, X1, LinearForm((1, -1, 0))], X_LINE)
     assert a.to_json() == b.to_json()
-
-
-# ---------------------------------------------------------------------------
-# chain constants
-
-
-def hand_cert(rows):
-    # chain_constant only reads the matrix; identity first row keeps it honest
-    l = len(rows[0]) - 1
-    first = tuple([Fraction(1)] + [Fraction(0)] * l)
-    matrix = (first,) + tuple(tuple(Fraction(c) for c in r) for r in rows)
-    return CombinationCertificate(
-        variety=projective_space(2),
-        inputs=(),
-        outputs=(),
-        matrix=matrix,
-        position=None,
-        constants=(),
-    )
-
-
-def test_chain_constant_frozen_values():
-    assert chain_constant(hand_cert([(0, 1, 1)]), INF) == Fraction(2)
-    cert = hand_cert([(0, 1, -3)])
-    assert chain_constant(cert, INF) == Fraction(6)
-    assert chain_constant(cert, Place(3)) == Fraction(1)
-    assert chain_constant(cert, Place(2)) == Fraction(1)
-    halves = hand_cert([(0, Fraction(1, 2), 1)])
-    assert chain_constant(halves, Place(2)) == Fraction(2)
-    assert chain_constant(halves, INF) == Fraction(2)  # 2 * max(1/2, 1)
-
-
-def test_chain_constant_empty_rows():
-    cert = CombinationCertificate(
-        variety=projective_space(2),
-        inputs=(),
-        outputs=(),
-        matrix=((Fraction(1), Fraction(0)),),
-        position=None,
-        constants=(),
-    )
-    assert chain_constant(cert, INF) == Fraction(1)
-    assert chain_constant(cert, Place(2)) == Fraction(1)
-
-
-def test_chain_constant_dominates_pointwise():
-    rng = random.Random(11)
-    for case in range(8):
-        n = rng.randint(1, 2)
-        l = rng.randint(n, n + 2)
-        forms, variety = strict_arrangement(rng, n, l)
-        cert = quang_combine(forms, variety)
-        pts = sample_points(variety, 0.0, 3.5, 25, seed=case, mode="strict").points
-        for pt in pts:
-            in_vals = [f.evaluate(pt) for f in cert.inputs]
-            if any(v == 0 for v in in_vals):
-                continue
-            out_vals = [f.evaluate(pt) for f in cert.outputs]
-            if any(v == 0 for v in out_vals):
-                continue
-            big = max(abs(v) for v in in_vals)
-            c_inf = chain_constant(cert, INF)
-            assert all(abs(v) <= c_inf * big for v in out_vals)
-            for p in (2, 3):
-                c_p = chain_constant(cert, Place(p))
-                big_p = max(Fraction(p) ** -valuation(v, p) for v in in_vals)
-                for v in out_vals:
-                    assert Fraction(p) ** -valuation(v, p) <= c_p * big_p
 
 
 # ---------------------------------------------------------------------------
